@@ -20,11 +20,21 @@ words agree on all finite paths).  When every rule restriction is a single
 signed symbol or a unit, restriction never lengthens words, so the search
 space is finite; longer rule words may grow, so searches carry a state
 budget and raise ClosureLimitError past it.
+
+Class identification is memoised per automaton.  Every class id owns a row:
+the image edge and the successor class id for each edge of range_edges(d),
+filled once from the representative current at first use (the row is a
+class invariant), so restriction closures walk integer rows instead of
+re-acting words.  The act cache and the word->class memo share one memo
+bounded by _CACHE_SYMBOLS symbols in total and evict oldest first, so their
+contents depend only on the sequence of calls.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (
     AutomatonError,
@@ -39,6 +49,11 @@ from .graphs import Graph, Path
 
 # A signed generator symbol: (name, +1) is g, (name, -1) is g^-1.
 Symbol = tuple[str, int]
+
+# Upper bound on the symbols (key words plus restriction words) that one
+# automaton's memo holds.  The heaviest Katsura systems would fill about
+# 400 k; at this size they lose no measurable time and peak memory stays flat.
+_CACHE_SYMBOLS = 1 << 18
 
 
 def symbol_str(sym: Symbol) -> str:
@@ -105,17 +120,17 @@ class Automaton:
             if graph.has_edge(name) or name in set(graph.vertices):
                 raise AutomatonError(f"generator name {name!r} collides with a graph id")
         self.violations = _validate(graph, self.generators)
-        self._inv_rules: dict[str, dict[str, tuple[str, tuple[Symbol, ...]]]] = {}
+        # signed symbol -> edge -> (image edge, restriction word)
+        self._moves: dict[Symbol, dict[str, tuple[str, tuple[Symbol, ...]]]] = {}
         if not self.violations:
             for name, rule in self.generators.items():
-                inv = {}
-                for e, (img, restr) in rule.rules.items():
-                    inv[img] = (e, _inverse_word(restr.word))
-                self._inv_rules[name] = inv
+                self._moves[(name, 1)] = {e: (img, r.word) for e, (img, r) in rule.rules.items()}
+                self._moves[(name, -1)] = {img: (e, _inverse_word(r.word))
+                                           for e, (img, r) in rule.rules.items()}
         self._registry = _Registry(self)
-        # memoization; only short words are cached to bound memory
-        self._act_cache: dict[tuple, tuple[str, tuple[Symbol, ...]]] = {}
-        self._cache_len = 128
+        # (word, edge) -> (image, restriction word) and (dom, word) -> class
+        # id share one memo, bounded by the symbols it holds
+        self._memo = _SymbolMemo(_CACHE_SYMBOLS)
 
     # -- element constructors -------------------------------------------------
 
@@ -173,41 +188,32 @@ class Automaton:
         if self.violations:
             raise self.violations[0]
 
-    def _sym_act_edge(self, sym: Symbol, edge: str) -> tuple[str, tuple[Symbol, ...]]:
-        name, exp = sym
-        if exp == 1:
-            hit = self.generators[name].rules.get(edge)
-            if hit is None:
-                raise DomainMismatchError(f"{name} does not act on edge {edge!r}")
-            img, restr = hit
-            return img, restr.word
-        hit = self._inv_rules[name].get(edge)
-        if hit is None:
-            raise DomainMismatchError(f"{symbol_str(sym)} does not act on edge {edge!r}")
-        return hit
-
     def word_act_edge(self, word: tuple[Symbol, ...], edge: str) -> tuple[str, tuple[Symbol, ...]]:
         """Image and restriction word of a signed word on a single edge."""
-        self._require_valid()
-        cacheable = len(word) <= self._cache_len
-        if cacheable:
-            hit = self._act_cache.get((word, edge))
-            if hit is not None:
-                return hit
+        if self.violations:  # _require_valid, inlined on the hottest path
+            raise self.violations[0]
+        key = (word, edge)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        moves = self._moves
+        limit = self.bounds.max_word_len
         img = edge
         pieces = []
         total = 0
         for sym in reversed(word):
-            img, rw = self._sym_act_edge(sym, img)
-            pieces.append(rw)
-            total += len(rw)
-            if total > self.bounds.max_word_len:
-                raise ClosureLimitError(self.bounds.max_word_len, "restriction word growth")
-        out: tuple[Symbol, ...] = ()
-        for rw in reversed(pieces):
-            out = out + rw
-        if cacheable:
-            self._act_cache[(word, edge)] = (img, out)
+            hit = moves[sym].get(img)
+            if hit is None:
+                raise DomainMismatchError(f"{symbol_str(sym)} does not act on edge {img!r}")
+            img, rw = hit
+            if rw:
+                pieces.append(rw)
+                total += len(rw)
+                if total > limit:
+                    raise ClosureLimitError(limit, "restriction word growth")
+        pieces.reverse()
+        out = tuple(chain.from_iterable(pieces))
+        self._memo.put(key, (img, out), len(word) + len(out))
         return img, out
 
     def act(self, g: Element, p: Path) -> Path:
@@ -368,20 +374,44 @@ def validate_automaton(a: Automaton):
     return list(a.violations)
 
 
+class _SymbolMemo(dict):
+    """A memo bounded by the total length of the words its entries hold;
+    past the bound it drops the oldest entries first."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+        self.symbols = 0
+        self._order: deque[tuple[object, int]] = deque()  # (key, symbols), oldest first
+
+    def put(self, key, value, symbols: int):
+        if symbols > self.limit or key in self:
+            return
+        self[key] = value
+        self._order.append((key, symbols))
+        self.symbols += symbols
+        while self.symbols > self.limit:
+            old, n = self._order.popleft()
+            del self[old]
+            self.symbols -= n
+
+
 class _Registry:
     """Canonical-class registry: maps elements to stable class ids.
 
     Candidates are pre-filtered by a depth-2 action fingerprint (a class
     invariant), then confirmed with equal().  The first element of a class
     fixes its id; the stored representative word is replaced whenever a
-    shortlex-smaller member shows up.
+    shortlex-smaller member shows up.  ``rows[cid]`` holds, once asked for,
+    (edge id, image edge, successor class id) for each edge of the class's
+    range_edges(d).
     """
 
     def __init__(self, aut: Automaton):
         self.aut = aut
         self.by_fp: dict[tuple, list[int]] = {}
         self.reps: list[Element] = []
-        self.word_class: dict[tuple[str, tuple[Symbol, ...]], int] = {}
+        self.rows: list[tuple[tuple[str, str, int], ...] | None] = []
 
     def _fingerprint(self, g: Element) -> tuple:
         aut = self.aut
@@ -399,7 +429,7 @@ class _Registry:
         aut = self.aut
         aut._require_valid()
         key = (g.dom, g.word)
-        cached = self.word_class.get(key)
+        cached = aut._memo.get(key)
         if cached is not None:
             return cached, self.reps[cached]
         fp = self._fingerprint(g)
@@ -408,15 +438,26 @@ class _Registry:
             if aut.equal(g, rep, budget):
                 if word_key(g.word) < word_key(rep.word):
                     self.reps[cid] = g
-                if len(g.word) <= aut._cache_len:
-                    self.word_class[key] = cid
-                return cid, self.reps[cid]
-        cid = len(self.reps)
-        self.reps.append(g)
-        self.by_fp.setdefault(fp, []).append(cid)
-        if len(g.word) <= aut._cache_len:
-            self.word_class[key] = cid
-        return cid, g
+                break
+        else:
+            cid = len(self.reps)
+            self.reps.append(g)
+            self.rows.append(None)
+            self.by_fp.setdefault(fp, []).append(cid)
+        aut._memo.put(key, cid, len(g.word))
+        return cid, self.reps[cid]
+
+    def row(self, cid: int, budget: int | None = None) -> tuple[tuple[str, str, int], ...]:
+        row = self.rows[cid]
+        if row is None:
+            aut = self.aut
+            g = self.reps[cid]
+            out = []
+            for e in aut.graph.range_edges(g.dom):
+                img, rw = aut.word_act_edge(g.word, e.id)
+                out.append((e.id, img, self.lookup(Element(e.src, rw), budget)[0]))
+            row = self.rows[cid] = tuple(out)
+        return row
 
 
 @dataclass
@@ -430,16 +471,14 @@ class StateMachine:
     cods: list[str]
     action: dict[tuple[int, str], str]
     successor: dict[tuple[int, str], int]
+    # canonical class id -> state number
+    index: dict[int, int] = field(default_factory=dict)
 
     def __len__(self):
         return len(self.states)
 
     def state_index(self, aut: Automaton, g: Element) -> int | None:
-        cid = aut.canonical_id(g)
-        for i, s in enumerate(self.states):
-            if aut.canonical_id(s) == cid:
-                return i
-        return None
+        return self.index.get(aut.canonical_id(g))
 
     def to_json(self) -> dict:
         return {
@@ -462,40 +501,32 @@ def reachable_closure(aut: Automaton, seeds, budget: int | None = None) -> State
     seeds (units reached by restriction included)."""
     aut._require_valid()
     budget = budget if budget is not None else aut.bounds.max_states
-    order: list[Element] = []
+    registry = aut._registry
+    order: list[int] = []  # class ids in BFS order
     index: dict[int, int] = {}
-    queue: list[Element] = []
     for s in seeds:
-        cid, rep = aut._registry.lookup(s, budget)
+        cid = registry.lookup(s, budget)[0]
         if cid not in index:
             index[cid] = len(order)
-            order.append(rep)
-            queue.append(rep)
+            order.append(cid)
     action: dict[tuple[int, str], str] = {}
     successor: dict[tuple[int, str], int] = {}
-    qi = 0
-    while qi < len(queue):
-        g = queue[qi]
-        qi += 1
-        i = index[aut.canonical_id(g)]
-        for e in aut.graph.range_edges(g.dom):
-            img, rw = aut.word_act_edge(g.word, e.id)
-            succ = Element(e.src, rw)
-            cid, rep = aut._registry.lookup(succ, budget)
-            if cid not in index:
+    for i, cid in enumerate(order):  # order grows while it is walked
+        for eid, img, succ in registry.row(cid, budget):
+            if succ not in index:
                 if len(order) >= budget:
                     raise ClosureLimitError(budget, "restriction closure")
-                index[cid] = len(order)
-                order.append(rep)
-                queue.append(rep)
-            action[(i, e.id)] = img
-            successor[(i, e.id)] = index[cid]
-    # refresh representatives: later lookups may have found smaller words
-    states = [aut.canonical(g) for g in order]
+                index[succ] = len(order)
+                order.append(succ)
+            action[(i, eid)] = img
+            successor[(i, eid)] = index[succ]
+    # read representatives last: later lookups may have found smaller words
+    states = [registry.reps[cid] for cid in order]
     return StateMachine(
         states=states,
         doms=[g.dom for g in states],
         cods=[aut.cod(g) for g in states],
         action=action,
         successor=successor,
+        index=index,
     )

@@ -27,7 +27,7 @@ from math import lcm
 
 from .automaton import Automaton, Element, word_key
 from .errors import DomainMismatchError, NotStronglyConnectedError
-from .graphs import Graph, Path, validate_graph
+from .graphs import Graph, Path, cyclic_nodes, limit_nodes, validate_graph
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus
 
@@ -74,37 +74,14 @@ def _left_arrival_states(aut: Automaton, nuc: Nucleus, edge_x, edge_y,
         succ = Element(graph.s(ex[p]), rw)
         F[(p, cid)] = ((p + 1) % L, aut.canonical_id(succ))
 
-    cyclic = _cyclic_nodes(nodes, F)
-    seen = set(cyclic)
-    stack = list(cyclic)
-    while stack:
-        u = stack.pop()
-        v = F.get(u)
-        if v is not None and v not in seen:
-            seen.add(v)
-            stack.append(v)
     bp = boundary % L
-    arrivals = {cid: state_of[cid] for (p, cid) in seen if p == bp}
-    return sorted(arrivals.values(), key=lambda h: word_key(h.word))
+    arrivals = {cid: state_of[cid] for (p, cid) in limit_nodes(nodes, _arcs(F)) if p == bp}
+    return sorted(arrivals.values(), key=lambda h: (word_key(h.word), h.dom))
 
 
-def _cyclic_nodes(nodes, F):
-    color: dict = {}
-    cyclic = set()
-    for start in nodes:
-        if start in color:
-            continue
-        path = []
-        cur = start
-        while cur is not None and cur not in color:
-            color[cur] = "gray"
-            path.append(cur)
-            cur = F.get(cur)
-        if cur is not None and color.get(cur) == "gray":
-            cyclic.update(path[path.index(cur):])
-        for v in path:
-            color[v] = "black"
-    return cyclic
+def _arcs(F):
+    """The successor function of the partial map F, for the graphs helpers."""
+    return lambda u: (F[u],) if u in F else ()
 
 
 @dataclass(frozen=True)
@@ -171,7 +148,7 @@ def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
         out_edge[(p, cid)] = img
 
     members = {}
-    for u in sorted(_cyclic_nodes(nodes, F)):
+    for u in sorted(cyclic_nodes(nodes, _arcs(F))):
         # outputs around u's cycle; the run is k-periodic left of u's position
         cycle_out = []
         cur = u

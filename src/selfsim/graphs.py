@@ -157,6 +157,62 @@ def enumerate_paths(graph: Graph, n: int, at: str | None = None) -> list[Path]:
     return out
 
 
+def strongly_connected_components(nodes, succ) -> list[list]:
+    """Tarjan's strongly connected components of the digraph with arcs
+    v -> w for w in succ(v), restricted to what ``nodes`` reach.  Iterative,
+    so long chains do not hit the recursion limit.  Components come out in
+    reverse topological order: an arc leaving a component enters one listed
+    earlier."""
+    index: dict = {}
+    low: dict = {}  # a finished component's nodes get low = inf
+    stack: list = []
+    out: list[list] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, arcs = work[-1]
+            for w in arcs:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        low[comp[-1]] = float("inf")
+                    out.append(comp)
+    return out
+
+
+def cyclic_nodes(nodes, succ) -> set:
+    """The nodes reachable from ``nodes`` that lie on a directed cycle."""
+    return {v for comp in strongly_connected_components(nodes, succ)
+            if len(comp) > 1 or comp[0] in succ(comp[0]) for v in comp}
+
+
+def limit_nodes(nodes, succ) -> set:
+    """The nodes reachable from ``nodes`` that are reachable from a directed
+    cycle, cycle nodes included: one Tarjan pass, then marks pushed forward
+    along the components in topological order."""
+    limit: set = set()
+    for comp in reversed(strongly_connected_components(nodes, succ)):
+        if len(comp) > 1 or comp[0] in succ(comp[0]) or comp[0] in limit:
+            limit.update(comp)
+            limit.update(w for v in comp for w in succ(v))
+    return limit
+
+
 @dataclass(frozen=True)
 class StructureReport:
     finite: bool

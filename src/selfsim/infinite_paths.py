@@ -19,7 +19,7 @@ has a free seam, which is pinned by reducing the anchor modulo the period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .errors import JunctionMismatchError
 from .graphs import Graph, Path
@@ -205,7 +205,7 @@ class BiInfinitePath:
         if not mid:
             # the left pattern may keep extending across the seam
             p, q = len(rho), len(pi)
-            span = p * q // gcd(p, q)
+            span = lcm(p, q)
             if all(pi[i % q] == rho[i % p] for i in range(span)):
                 # globally periodic (Fine-Wilf forces p = q): restate the
                 # pattern from position 0 so the seam is pinned
@@ -258,8 +258,8 @@ class BiInfinitePath:
     def agrees_with(self, other: "BiInfinitePath") -> bool:
         lo = min(self.anchor, other.anchor)
         hi = max(self.anchor + len(self.center), other.anchor + len(other.center))
-        lcm_l = _lcm(len(self.left_cycle), len(other.left_cycle))
-        lcm_r = _lcm(len(self.right_cycle), len(other.right_cycle))
+        lcm_l = lcm(len(self.left_cycle), len(other.left_cycle))
+        lcm_r = lcm(len(self.right_cycle), len(other.right_cycle))
         return all(self.edge_at(i) == other.edge_at(i)
                    for i in range(lo - lcm_l, hi + lcm_r + 1))
 
@@ -270,7 +270,3 @@ class BiInfinitePath:
             parts.append(mid)
         parts.append(f"({'.'.join(self.right_cycle)})^inf")
         return " . ".join(parts) + f" @ {self.anchor}"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .automaton import Automaton, Bounds, Element, StateMachine, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError
+from .graphs import limit_nodes
 
 
 @dataclass
@@ -67,27 +68,10 @@ def limit_restrictions(aut: Automaton, g: Element, budget: int | None = None) ->
     the nodes of g's restriction digraph reachable from a directed cycle."""
     budget = budget if budget is not None else aut.bounds.max_states
     sm = reachable_closure(aut, [g], budget)
-    n = len(sm.states)
-    succ: list[set[int]] = [set() for _ in range(n)]
+    succ: list[list[int]] = [[] for _ in sm.states]
     for (i, _e), j in sm.successor.items():
-        succ[i].add(j)
-
-    reach: list[set[int]] = []
-    for i in range(n):
-        seen: set[int] = set()
-        stack = list(succ[i])
-        while stack:
-            j = stack.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            stack.extend(succ[j])
-        reach.append(seen)
-    cyclic = {i for i in range(n) if i in reach[i]}
-    keep = set(cyclic)
-    for i in cyclic:
-        keep |= reach[i]
-    return {sm.states[i] for i in keep}
+        succ[i].append(j)
+    return {sm.states[i] for i in limit_nodes(range(len(succ)), succ.__getitem__)}
 
 
 def _composable_pairs(aut: Automaton, elems: list[Element]):
@@ -108,7 +92,9 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
         for e in elems:
             cid, rep = aut._registry.lookup(e, budget)
             out[cid] = rep
-        return [aut.canonical(e) for e in sorted(out.values(), key=lambda e: word_key(e.word))]
+        # units tie on word_key; dom breaks the tie independently of hashing
+        return [aut.canonical(e) for e in sorted(out.values(),
+                                                 key=lambda e: (word_key(e.word), e.dom))]
 
     try:
         seeds = [aut.unit(v) for v in aut.graph.vertices]
@@ -189,9 +175,7 @@ def compute_Rk(nuc: Nucleus, k: int, max_depth: int = 256) -> int:
     if k in nuc.r_k:
         return nuc.r_k[k]
     aut = nuc.automaton
-    products: dict[int, Element] = {}
     level = {aut.canonical_id(s): s for s in nuc.states}
-    products.update(level)
     for _ in range(k - 1):
         nxt: dict[int, Element] = {}
         for g in level.values():
@@ -200,22 +184,15 @@ def compute_Rk(nuc: Nucleus, k: int, max_depth: int = 256) -> int:
                     prod = aut.compose(s, g)
                     nxt.setdefault(aut.canonical_id(prod), aut.canonical(prod))
         level = nxt
-    products = level
 
     best = 0
-    for h in sorted(products.values(), key=lambda e: word_key(e.word)):
-        frontier = {aut.canonical_id(h): h}
+    for cid in level:
+        frontier = {cid}
         depth = 0
-        while not all(cid in nuc._ids for cid in frontier):
+        while not frontier <= nuc._ids:
             if depth > max_depth:
                 raise DivergedError(f"R_{k} scan exceeded depth {max_depth}")
-            nxt: dict[int, Element] = {}
-            for g in frontier.values():
-                for e in aut.graph.range_edges(g.dom):
-                    _, rw = aut.word_act_edge(g.word, e.id)
-                    r = Element(e.src, rw)
-                    nxt.setdefault(aut.canonical_id(r), aut.canonical(r))
-            frontier = nxt
+            frontier = {succ for c in frontier for _, _, succ in aut._registry.row(c)}
             depth += 1
         best = max(best, depth)
     nuc.r_k[k] = best

@@ -1,7 +1,18 @@
+import random
+
 import pytest
 
 from selfsim.errors import DanglingEndpointError, DuplicateIdError, NonComposableError
-from selfsim.graphs import Graph, Path, concat, enumerate_paths, validate_graph
+from selfsim.graphs import (
+    Graph,
+    Path,
+    concat,
+    cyclic_nodes,
+    enumerate_paths,
+    limit_nodes,
+    strongly_connected_components,
+    validate_graph,
+)
 
 from conftest import build_basilica, build_ex310
 
@@ -98,3 +109,41 @@ def test_path_range_source_at_filter():
         assert p.r(g) == "v"
         for a, b in zip(p.edges, p.edges[1:]):
             assert g.s(a) == g.r(b)
+
+
+def _reach(succ, v):
+    seen, stack = set(), list(succ[v])
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack.extend(succ[w])
+    return seen
+
+
+def test_scc_helpers_vs_reach_sets():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        succ = {v: sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))}) for v in range(n)}
+        starts = rng.sample(range(n), rng.randint(1, n))
+        reach = {v: _reach(succ, v) for v in range(n)}
+        seen = set(starts).union(*(reach[v] for v in starts))
+        comps = strongly_connected_components(starts, succ.__getitem__)
+        assert sorted(v for c in comps for v in c) == sorted(seen)
+        pos = {v: k for k, c in enumerate(comps) for v in c}
+        for v in seen:
+            for w in reach[v]:
+                # same component iff mutually reachable; otherwise w listed first
+                assert (pos[v] == pos[w]) == (v in reach[w])
+                assert pos[w] <= pos[v]
+        cyclic = {v for v in seen if v in reach[v]}
+        assert cyclic_nodes(starts, succ.__getitem__) == cyclic
+        assert limit_nodes(starts, succ.__getitem__) == cyclic.union(*(reach[v] for v in cyclic))
+
+
+def test_scc_helpers_long_chain():
+    n = 20_000  # far past the recursion limit
+    succ = lambda v: (v + 1,) if v + 1 < n else (n // 2,)
+    assert cyclic_nodes([0], succ) == set(range(n // 2, n))
+    assert limit_nodes([0], succ) == set(range(n // 2, n))

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import pytest
 
-from selfsim.automaton import Automaton, Bounds, Element, GeneratorRule
+from selfsim.automaton import _CACHE_SYMBOLS, Automaton, Bounds, Element, GeneratorRule
+from selfsim.errors import ClosureLimitError
 from selfsim.graphs import Graph, Path
+from selfsim.ktheory import IntMatrix, katsura_automaton
 from selfsim.nucleus import (
     NotContractingWithinBound,
     Nucleus,
@@ -12,8 +18,13 @@ from selfsim.nucleus import (
     limit_restrictions,
     moore_diagram,
 )
+from selfsim.specfile import parse_spec
 
 from conftest import build_noncontracting, unit
+
+ROOT = FsPath(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
+SRC = ROOT / "src"
 
 
 def names_of(aut, elems):
@@ -267,3 +278,119 @@ def test_unit_only_nucleus():
     nuc = compute_nucleus(aut)
     assert isinstance(nuc, Nucleus)
     assert nuc.state_names() == ["v"]
+
+
+# -- the replaced reach scan, kept as a differential oracle --------------------
+
+
+def reach_scan_limit_restrictions(aut, g, budget):
+    """Class ids of g's limit restrictions, the way they were found before
+    the SCC pass: a closure walk that acts words and identifies every
+    successor, then a DFS reach set per node; the cyclic nodes and what
+    they reach are the limit set."""
+    index = {aut.canonical_id(g): 0}
+    order = [aut.canonical(g)]
+    succ = [set()]
+    for i, h in enumerate(order):
+        for e in aut.graph.range_edges(h.dom):
+            _, rw = aut.word_act_edge(h.word, e.id)
+            cid = aut.canonical_id(Element(e.src, rw), budget)
+            if cid not in index:
+                if len(order) >= budget:
+                    raise ClosureLimitError(budget, "restriction closure")
+                index[cid] = len(order)
+                order.append(Element(e.src, rw))
+                succ.append(set())
+            succ[i].add(index[cid])
+    reach = []
+    for i in range(len(order)):
+        seen, stack = set(), list(succ[i])
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                stack.extend(succ[j])
+        reach.append(seen)
+    keep = {i for i in range(len(order)) if i in reach[i]}
+    for i in list(keep):
+        keep |= reach[i]
+    ids = list(index)
+    return {ids[i] for i in keep}
+
+
+def _pair_products(aut):
+    elems = [aut.unit(v) for v in aut.graph.vertices]
+    for name in sorted(aut.generators):
+        elems += [aut.generator(name), aut.inverse(aut.generator(name))]
+    return [aut.compose(h, g) for g in elems for h in elems if h.dom == aut.cod(g)]
+
+
+def _agree_with_reach_scan(aut, budget):
+    for prod in _pair_products(aut):
+        try:
+            want = reach_scan_limit_restrictions(aut, prod, budget)
+        except ClosureLimitError as e:
+            with pytest.raises(ClosureLimitError) as got:
+                limit_restrictions(aut, prod, budget)
+            assert got.value.what == e.what
+            continue
+        got = limit_restrictions(aut, prod, budget)
+        assert {aut.canonical_id(x) for x in got} == want, prod.name()
+        assert {x.name() for x in got} == {aut.canonical(x).name() for x in got}
+
+
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.ss")))
+def test_limit_restrictions_vs_reach_scan_specs(spec):
+    aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton()
+    _agree_with_reach_scan(aut, 200)
+
+
+def test_limit_restrictions_vs_reach_scan_random():
+    from test_acceptance import _random_automaton
+
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        aut = _random_automaton(rng)
+        if aut is not None:
+            _agree_with_reach_scan(aut, aut.bounds.max_states)
+            checked += 1
+
+
+# -- word growth, memo bound and listing order ------------------------------------
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1, 2], [2, 1]], [[2, 2], [1, 1]]),
+    ([[3, 2, 2], [2, 1, 3], [3, 2, 3]], [[0, 0, 2], [2, 2, 2], [1, 0, 2]]),
+])
+def test_katsura_word_growth_within_memo_bound(a, b):
+    aut = katsura_automaton(IntMatrix.of(a), IntMatrix.of(b))
+    res = compute_nucleus(aut)
+    assert res == NotContractingWithinBound("restriction word growth", 10_000, 64)
+    assert 0 < aut._memo.symbols <= _CACHE_SYMBOLS
+    assert aut._memo.symbols == sum(n for _, n in aut._memo._order)
+
+
+@pytest.mark.parametrize("spec", ["ex310", "katsura"])
+def test_nucleus_listing_independent_of_hash_seed(spec):
+    # units tie in shortlex order; the listing must not depend on set order
+    outs = set()
+    for seed in ("1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfsim.cli", "nucleus", "--spec", str(SPECS / f"{spec}.ss"),
+             "--json"], env=env, capture_output=True, check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
+def test_state_index(ex310, basilica):
+    for aut in (ex310, basilica):
+        sm = compute_nucleus(aut).machine
+        for i, s in enumerate(sm.states):
+            assert sm.state_index(aut, s) == i
+            longer = aut.compose(aut.compose(s, aut.inverse(s)), s)  # s s^-1 s = s
+            assert sm.state_index(aut, longer) == i
+    aa = ex310.compose(ex310.generator("b"), ex310.generator("a"))
+    assert compute_nucleus(ex310).machine.state_index(ex310, aa) is None
