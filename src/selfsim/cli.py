@@ -66,14 +66,24 @@ def _nucleus(aut):
     return nuc
 
 
+def _digit_limit_error(what):
+    return {"error": f"{what} has an integer of more than {sys.get_int_max_str_digits()} "
+                     "digits, the limit for decimal conversion"}
+
+
 def _matrix(text):
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
         try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
             data = json.loads(FsPath(text).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            raise _Exit(INPUT_ERROR, {"error": f"cannot parse matrix {text!r}: {e}"}) from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise _Exit(INPUT_ERROR, {"error": f"cannot parse matrix {text[:80]!r}: {e}"}) from None
+    except ValueError:  # an integer literal past the int/str conversion limit
+        raise _Exit(INPUT_ERROR, _digit_limit_error("matrix")) from None
+    if not (isinstance(data, list) and all(isinstance(r, list) for r in data)
+            and all(type(x) is int for r in data for x in r)):
+        raise _Exit(INPUT_ERROR, {"error": "a matrix must be a list of rows of integers"})
     return IntMatrix.of(data)
 
 
@@ -366,17 +376,11 @@ def _build_parser():
     return top
 
 
-def _emit(report: dict, as_json: bool, stream):
+def _render(report: dict, as_json: bool) -> str:
     if as_json:
-        doc = {"schema": 1}
-        doc.update(report)
-        print(json.dumps(doc, indent=2), file=stream)
-        return
-    for key, value in report.items():
-        if isinstance(value, (dict, list)):
-            print(f"{key}: {json.dumps(value)}", file=stream)
-        else:
-            print(f"{key}: {value}", file=stream)
+        return json.dumps({"schema": 1, **report}, indent=2)
+    return "\n".join(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}"
+                     for key, value in report.items())
 
 
 def dispatch(argv, stdout=None) -> int:
@@ -389,15 +393,16 @@ def dispatch(argv, stdout=None) -> int:
     try:
         code, report = args.handler(args)
     except _Exit as e:
-        _emit(e.report, args.json, stream)
-        return e.code
+        code, report = e.code, e.report
     except ClosureLimitError as e:
-        _emit({"result": "inconclusive", "error": str(e)}, args.json, stream)
-        return INCONCLUSIVE
+        code, report = INCONCLUSIVE, {"result": "inconclusive", "error": str(e)}
     except SelfSimError as e:
-        _emit({"error": str(e)}, args.json, stream)
-        return INPUT_ERROR
-    _emit(report, args.json, stream)
+        code, report = INPUT_ERROR, {"error": str(e)}
+    try:
+        text = _render(report, args.json)
+    except ValueError:  # str() of an integer past the int/str conversion limit
+        code, text = INPUT_ERROR, _render(_digit_limit_error("the result"), args.json)
+    print(text, file=stream)
     return code
 
 

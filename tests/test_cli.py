@@ -1,8 +1,13 @@
 import io
 import json
+import random
+import sys
 from pathlib import Path as FsPath
 
+import pytest
+
 from selfsim.cli import dispatch
+from selfsim.ktheory import IntMatrix, SNFResult, _verify_snf
 
 SPECS = FsPath(__file__).resolve().parent.parent / "specs"
 EX310 = str(SPECS / "ex310.ss")
@@ -135,6 +140,59 @@ def test_snf_and_ktheory_cli():
     code, data = run_json("ktheory", "--A", "[[2]]", "--B", "[[1]]")
     assert code == 0
     assert data["K0_pretty"] == "Z" and data["K1_pretty"] == "Z"
+
+
+@pytest.mark.parametrize("argv", [
+    ["snf", "--matrix", "5"],
+    ["snf", "--matrix", "[1,2]"],
+    ["snf", "--matrix", '[[1,"a"]]'],
+    ["snf", "--matrix", "null"],
+    ["snf", "--matrix", "[[1.5]]"],
+    ["snf", "--matrix", "[[true]]"],
+    ["snf", "--matrix", "[[1,2],[3]]"],
+    ["snf", "--matrix", "[" * 100000],
+    ["ktheory", "--A", "5", "--B", "[[1]]"],
+    ["ktheory", "--A", "[[1]]", "--B", "[[false]]"],
+    ["katsura", "--A", '"[[2]]"', "--B", "[[1]]"],
+])
+def test_malformed_matrix_is_input_error(argv):
+    code, data = run_json(*argv)
+    assert code == 3 and "error" in data
+
+
+def test_matrix_digit_limit_is_input_error():
+    limit = sys.get_int_max_str_digits()
+    code, data = run_json("snf", "--matrix", "[[" + "7" * (limit + 700) + "]]")
+    assert code == 3 and str(limit) in data["error"]
+    a = 10 ** (limit - 301) + 1   # coprime to a + 1, so D = diag(1, a * (a + 1))
+    for extra in ((), ("--json",)):
+        code, out = run("snf", "--matrix", json.dumps([[a, 0], [0, a + 1]]), *extra)
+        assert code == 3 and str(limit) in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_snf_matrix_fuzz():
+    rng = random.Random(41)
+    alphabet = '[]{},-0123456789 ."atrufenl'
+    for _ in range(400):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        chars = list(json.dumps([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]))
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(chars))
+            if rng.random() < 0.4:
+                del chars[at]
+            else:
+                chars.insert(at, rng.choice(alphabet))
+        text = "".join(chars)
+        buf = io.StringIO()
+        code = dispatch(["--json", "snf", "--matrix", text], stdout=buf)
+        assert code in (0, 3), text
+        if code == 3:
+            assert not buf.getvalue() or "error" in json.loads(buf.getvalue())
+            continue
+        doc = json.loads(buf.getvalue())
+        res = SNFResult(*(IntMatrix.of(doc[k]) for k in "UDV"))
+        _verify_snf(IntMatrix.of(json.loads(text)), res)
 
 
 def test_env_var_override(monkeypatch):

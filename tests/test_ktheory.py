@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from selfsim.errors import ShapeMismatchError, ZeroBlockDivisionError
 from selfsim.ktheory import (
     AbelianGroup,
     IntMatrix,
+    _verify_snf,
     cokernel,
     katsura_automaton,
     katsura_ktheory,
@@ -39,6 +42,143 @@ def test_snf_random_selfverifying():
         res = smith_normal_form(m)  # raises if any postcondition fails
         assert (res.U @ m) @ res.V == res.D
         assert abs(res.U.det()) == 1 and abs(res.V.det()) == 1
+
+
+def _euclid_swap_diagonal(entries):
+    """The Euclid-by-swap Smith normal form that the Hermite-based one
+    replaced, kept as a differential oracle: pivot on the smallest nonzero
+    |a| (ties row-major), reduce its row and column by division with
+    remainder, swapping in any nonzero remainder, pull in an entry the pivot
+    does not divide, and repeat.  Only the diagonal is computed.  Its
+    entries can grow doubly exponentially (a 6 x 6 matrix with entries in
+    [-9, 9] passed 9 million bits), so it gives up with None once an entry
+    passes 4,096 bits."""
+    a = [list(r) for r in entries]
+    rows, cols = len(a), len(a[0]) if a else 0
+    t = 0
+    while t < min(rows, cols):
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not nonzero:
+            break
+        _, pi, pj = min(nonzero)
+        a[t], a[pi] = a[pi], a[t]
+        for r in a:
+            r[t], r[pj] = r[pj], r[t]
+        moved = True
+        while moved:
+            if max(abs(x) for r in a for x in r).bit_length() > 4096:
+                return None
+            moved = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        moved = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for r in a:
+                        r[j] -= q * r[t]
+                    if a[t][j]:
+                        for r in a:
+                            r[t], r[j] = r[j], r[t]
+                        moved = True
+        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                         if a[i][j] % a[t][t]), None)
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        t += 1
+    return [a[i][i] for i in range(min(rows, cols))]
+
+
+def _determinantal_diagonal(entries):
+    """The invariant factors d_k / d_(k-1), where d_k is the gcd of the
+    k x k minors."""
+    rows, cols = len(entries), len(entries[0]) if entries else 0
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                dk = math.gcd(dk, IntMatrix.of([[entries[i][j] for j in cs] for i in rs]).det())
+        out.append(dk // prev if dk else 0)
+        prev = dk or 1
+    return out
+
+
+def _rank_deficient(rng, rows, cols):
+    """A random matrix with repeated, zero and combined rows and columns."""
+    m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(1, 3)):
+        i, j, k = rng.randrange(rows), rng.randrange(rows), rng.randrange(cols)
+        kind = rng.randrange(4)
+        if kind == 0:
+            m[i] = list(m[j])
+        elif kind == 1:
+            m[i] = [0] * cols
+        elif kind == 2:
+            for r in m:
+                r[k] = 0
+        else:
+            c = rng.randint(-3, 3)
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def test_snf_matches_euclid_swap_oracle():
+    rng = random.Random(23)
+    cases = [[], [[]], [[0] * 4 for _ in range(3)], [[0]]]
+    for _ in range(600):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        cases.append(_rank_deficient(rng, rows, cols))
+    gave_up = 0
+    for entries in cases:
+        want = _euclid_swap_diagonal(entries)
+        if want is None:
+            gave_up += 1
+            want = _determinantal_diagonal(entries)
+        assert smith_normal_form(IntMatrix.of(entries)).diagonal() == want, entries
+    assert gave_up <= len(cases) // 100
+
+
+@pytest.mark.parametrize("n", [9, 16, 32])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_snf_entry_growth_is_bounded(n, seed):
+    rng = random.Random(seed)
+    m = IntMatrix.of([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    res = smith_normal_form(m)
+    _verify_snf(m, res)
+    bits = max(abs(x).bit_length() for t in (res.U, res.D, res.V) for row in t.entries for x in row)
+    assert bits * math.log10(2) <= 200
+
+
+def test_snf_wide_tall_and_non_unit_pivots():
+    for entries in ([[2 * int(i == j) for j in range(12)] for i in range(12)],
+                    [[6, 10, 15] + [0] * 20],
+                    [[x] for x in (4, -6, 10, 0, 14)],
+                    [[0] * 9 for _ in range(7)]):
+        res = smith_normal_form(IntMatrix.of(entries))
+        assert res.diagonal() == _euclid_swap_diagonal(entries)
+
+
+def test_direct_sum_matches_snf_of_the_diagonal():
+    rng = random.Random(29)
+
+    def chain(factors):
+        return tuple(x for x in _euclid_swap_diagonal(
+            [[f * int(i == j) for j in range(len(factors))] for i, f in enumerate(factors)]) if x > 1)
+
+    for _ in range(3000):
+        left = [rng.randint(2, 60) for _ in range(rng.randint(0, 4))]
+        right = [rng.randint(2, 60) for _ in range(rng.randint(0, 4))]
+        got = AbelianGroup(1, chain(left)).direct_sum(AbelianGroup(2, chain(right)))
+        assert got == AbelianGroup(3, chain(left + right))
 
 
 def test_cokernel_kernel_examples():
