@@ -74,7 +74,7 @@ class VertexNotInLevelError(SelfSimError):
 
 
 class ShapeMismatchError(SelfSimError):
-    """Matrix arguments with incompatible shapes."""
+    """Matrix arguments with incompatible shapes or non-integer entries."""
 
 
 class ZeroBlockDivisionError(SelfSimError):

@@ -35,7 +35,9 @@ class IntMatrix:
 
     @staticmethod
     def of(rows) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for row in rows for x in row):
+            raise ShapeMismatchError("matrix entries must be integers")
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatchError("ragged rows")
         return IntMatrix(rows)

@@ -7,6 +7,20 @@ maps to (a|_e : mu -> nu).  For that to stay inside the labelling set the
 generating set must be closed under inverses and restriction; build_schreier
 extends it (with a warning) when it is not.
 
+Vertices and arcs come from integer level tables, not from acting words
+on paths.  Level k lists E^k in enumerate_paths order, one block per edge e
+(in edge order) holding the level-(k-1) paths with range s(e).  It keeps
+groups[v], the increasing indices of the paths with range v (a path's place
+there is its position), and cols[a] for each label class a: the position of
+a . mu for each position mu of d(a).  With at[e] the position where e's
+block starts in groups[r(e)], and a.e and a|_e from the class row of a,
+a.(e mu) = (a.e)(a|_e . mu) reads
+
+    cols_k[a][at[e] + p] = at[a.e] + cols_{k-1}[a|_e][p].
+
+A walk up the tower keeps one level live.  Gamma_n's arcs are the top
+level's columns; the tails psi_n maps to are the level-(n-1) groups.
+
 Geodesic distance between the depth-n windows of two left-infinite paths
 stays bounded over n exactly when the paths are asymptotically equivalent,
 which the distance_profile helper exposes for cross-checks.
@@ -15,11 +29,13 @@ which the distance_profile helper exposes for cross-checks.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .automaton import Automaton, Element, reachable_closure, word_key
 from .errors import VertexNotInLevelError
-from .graphs import Path, enumerate_paths
+from .graphs import Path
 from .infinite_paths import LeftInfinitePath
 
 
@@ -43,10 +59,9 @@ class SchreierGraph:
     vertices: list[Path]
     arcs: list[tuple[int, int, Element]]  # (mu index, (a.mu) index, label element)
 
-    def __post_init__(self):
-        self._index = {(p.base, p.edges): i for i, p in enumerate(self.vertices)}
-
     def vertex_index(self, p: Path) -> int:
+        if not hasattr(self, "_index"):
+            self._index = {(q.base, q.edges): i for i, q in enumerate(self.vertices)}
         try:
             return self._index[(p.base, p.edges)]
         except KeyError:
@@ -56,12 +71,11 @@ class SchreierGraph:
         """Edges deduplicated across orientation and inverse labels, keyed
         (min index, max index) with a sorted label tuple."""
         aut = self.automaton
+        names = {id(a): min(aut.canonical(a).name(), aut.canonical(aut.inverse(a)).name())
+                 for a in {id(a): a for _, _, a in self.arcs}.values()}
         out: dict[tuple[int, int], set[str]] = {}
         for (u, v, label) in self.arcs:
-            a, b = (u, v) if u <= v else (v, u)
-            inv = aut.canonical(aut.inverse(label))
-            name = min(aut.canonical(label).name(), inv.name())
-            out.setdefault((a, b), set()).add(name)
+            out.setdefault((u, v) if u <= v else (v, u), set()).add(names[id(label)])
         return {k: tuple(sorted(v)) for k, v in sorted(out.items())}
 
     def neighbours(self, i: int):
@@ -87,34 +101,30 @@ class SchreierGraph:
                     stack.append(v)
         return len(seen) == len(self.vertices)
 
+    def _vertex_names(self) -> list[str]:
+        return [str(p) if p.edges else p.base for p in self.vertices]
+
     def to_json(self) -> dict:
+        names = self._vertex_names()
         return {
             "schema": 1,
             "level": self.level,
-            "vertices": [str(p) if p.edges else p.base for p in self.vertices],
-            "edges": [
-                {"u": str(self.vertices[u]) if self.vertices[u].edges else self.vertices[u].base,
-                 "v": str(self.vertices[v]) if self.vertices[v].edges else self.vertices[v].base,
-                 "labels": list(labels)}
-                for (u, v), labels in self.undirected_edges().items()
-            ],
+            "vertices": names,
+            "edges": [{"u": names[u], "v": names[v], "labels": list(labels)}
+                      for (u, v), labels in self.undirected_edges().items()],
         }
 
     def to_dot(self) -> str:
         lines = [f"graph schreier_level_{self.level} {{"]
-        for i, p in enumerate(self.vertices):
-            name = str(p) if p.edges else p.base
-            lines.append(f'  v{i} [label="{name}"];')
+        lines += [f'  v{i} [label="{name}"];' for i, name in enumerate(self._vertex_names())]
         for (u, v), labels in self.undirected_edges().items():
             lines.append(f'  v{u} -- v{v} [label="{",".join(labels)}"];')
         lines.append("}")
         return "\n".join(lines)
 
 
-def build_schreier(aut: Automaton, gen_set, n: int) -> SchreierGraph:
-    """The exact level-n Schreier graph with deterministic vertex order."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
+def _label_set(aut: Automaton, gen_set) -> list[Element]:
+    """The generating set closed under restriction and inverses, sorted."""
     closed = {aut.canonical_id(a): aut.canonical(a) for a in gen_set}
     closure = reachable_closure(aut, list(closed.values()))
     if len(closure.states) != len(closed):
@@ -127,22 +137,61 @@ def build_schreier(aut: Automaton, gen_set, n: int) -> SchreierGraph:
             warnings.warn("generating set was not closed under inverses; extended")
             labels.append(aut.canonical(inv))
     labels.sort(key=lambda e: word_key(e.word))
+    return labels
 
-    vertices = enumerate_paths(aut.graph, n)
-    index = {(p.base, p.edges): i for i, p in enumerate(vertices)}
-    arcs = []
-    seen = set()
-    for a in labels:
-        for i, mu in enumerate(vertices):
-            if mu.r(aut.graph) != a.dom:
-                continue
-            nu = aut.act(a, mu)
-            j = index[(nu.base, nu.edges)]
-            key = (i, j, aut.canonical_id(a))
-            if key not in seen:
-                seen.add(key)
-                arcs.append((i, j, a))
-    return SchreierGraph(n, aut, labels, vertices, arcs)
+
+def _tower(aut: Automaton, class_ids, n: int):
+    """Yield (groups, seqs, cols) for the levels 0..n: the module
+    docstring's tables, plus the edge tuple of every path in level order.
+    The classes must be closed under restriction, as _label_set's are."""
+    graph = aut.graph
+    rows = {c: aut._registry.row(c) for c in class_ids}
+    groups = {v: [i] for i, v in enumerate(graph.vertices)}
+    seqs = [()] * len(graph.vertices)
+    cols = dict.fromkeys(rows, [0])
+    yield groups, seqs, cols
+    for _ in range(n):
+        start, total = {}, 0  # edge -> level-k index of its block's first path
+        for e in graph.edges:
+            start[e.id] = total
+            total += len(groups[e.src])
+        nxt, at = {}, {}
+        for v in graph.vertices:
+            grp = nxt[v] = []
+            for e in graph.range_edges(v):
+                at[e.id] = len(grp)
+                grp.extend(range(start[e.id], start[e.id] + len(groups[e.src])))
+        seqs = [(e.id,) + seqs[j] for e in graph.edges for j in groups[e.src]]
+        cols = {c: [at[img] + p for _, img, succ in row for p in cols[succ]]
+                for c, row in rows.items()}
+        groups = nxt
+        yield groups, seqs, cols
+
+
+def _paths(aut: Automaton, level: int, seqs) -> list[Path]:
+    if level == 0:
+        return [Path.empty(v) for v in aut.graph.vertices]
+    rng = {e.id: e.dst for e in aut.graph.edges}
+    return [Path(rng[s[0]], s) for s in seqs]
+
+
+def _schreier_graphs(aut: Automaton, gen_set, bottom: int, top: int):
+    """Gamma_bottom, ..., Gamma_top from one walk up the level tables."""
+    labels = _label_set(aut, gen_set)
+    ids = [aut.canonical_id(a) for a in labels]
+    tower = islice(_tower(aut, ids, top), bottom, None)
+    for level, (groups, seqs, cols) in enumerate(tower, bottom):
+        arcs = []
+        for a, c in zip(labels, ids):
+            arcs += zip(groups[a.dom], map(groups[aut.cod(a)].__getitem__, cols[c]), repeat(a))
+        yield SchreierGraph(level, aut, labels, _paths(aut, level, seqs), arcs)
+
+
+def build_schreier(aut: Automaton, gen_set, n: int) -> SchreierGraph:
+    """The exact level-n Schreier graph with deterministic vertex order."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    return next(_schreier_graphs(aut, gen_set, n, n))
 
 
 @dataclass
@@ -153,41 +202,39 @@ class PsiMorphism:
 
 def project_psi(gamma: SchreierGraph) -> tuple[SchreierGraph, PsiMorphism]:
     """psi_n : Gamma_n -> Gamma_{n-1}, dropping the first edge of every
-    vertex path and restricting every label along it."""
+    vertex path and restricting every label along it.  Gamma_n's vertices
+    are in build_schreier's order."""
     if gamma.level < 1:
         raise ValueError("psi needs level >= 1")
     aut = gamma.automaton
-    graph = aut.graph
-    lower = enumerate_paths(graph, gamma.level - 1)
-    lower_index = {(p.base, p.edges): i for i, p in enumerate(lower)}
-
-    def drop_first(p: Path) -> Path:
-        rest = p.edges[1:]
-        if not rest:
-            return Path.empty(graph.s(p.edges[0]))
-        return Path(graph.r(rest[0]), rest)
-
-    vmap = {}
-    for i, p in enumerate(gamma.vertices):
-        q = drop_first(p)
-        vmap[i] = lower_index[(q.base, q.edges)]
-
+    for groups, seqs, _ in _tower(aut, (), gamma.level - 1):
+        pass
+    tails = [j for e in aut.graph.edges for j in groups[e.src]]
+    heads = [e.id for e in aut.graph.edges for _ in groups[e.src]]
+    reps = aut._registry.reps
+    # id of a label -> (its name, first edge -> its restriction's class, element, name)
+    by_label: dict[int, tuple] = {}
     arcs = []
     arc_map = []
     seen = set()
     for (u, v, label) in gamma.arcs:
-        mu = gamma.vertices[u]
-        e = mu.edges[0]
-        restricted = aut.canonical(aut.restrict(label, Path.of(graph, [e])))
-        pu, pv = vmap[u], vmap[v]
-        key = (pu, pv, aut.canonical_id(restricted))
+        hit = by_label.get(id(label))
+        if hit is None:
+            cid = aut.canonical_id(label)
+            hit = by_label[id(label)] = (reps[cid].name(), {
+                e: (succ, reps[succ], reps[succ].name())
+                for e, _, succ in aut._registry.row(cid)})
+        name, restrict = hit
+        succ, restricted, rname = restrict[heads[u]]
+        pu, pv = tails[u], tails[v]
+        key = (pu, pv, succ)
         if key not in seen:
             seen.add(key)
             arcs.append((pu, pv, restricted))
-        arc_map.append(((u, v, aut.canonical(label).name()),
-                        (pu, pv, restricted.name())))
+        arc_map.append(((u, v, name), (pu, pv, rname)))
+    lower = _paths(aut, gamma.level - 1, seqs)
     projected = SchreierGraph(gamma.level - 1, aut, gamma.gen_set, lower, arcs)
-    return projected, PsiMorphism(vmap, arc_map)
+    return projected, PsiMorphism(dict(enumerate(tails)), arc_map)
 
 
 def geodesic_distance(gamma: SchreierGraph, mu: Path, nu: Path):
@@ -197,9 +244,9 @@ def geodesic_distance(gamma: SchreierGraph, mu: Path, nu: Path):
     if src == dst:
         return 0
     dist = {src: 0}
-    queue = [src]
+    queue = deque([src])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in gamma.neighbours(u):
             if v not in dist:
                 dist[v] = dist[u] + 1
@@ -215,14 +262,9 @@ def distance_profile(aut: Automaton, x: LeftInfinitePath, y: LeftInfinitePath,
     """Geodesic distances between the depth-n windows for n = 1..max_level;
     bounded over all n exactly for asymptotically equivalent paths."""
     gens = gen_set if gen_set is not None else default_generating_set(aut, nucleus)
-    out = []
-    for n in range(1, max_level + 1):
-        if _cache is not None and n in _cache:
-            gamma = _cache[n]
-        else:
-            gamma = build_schreier(aut, gens, n)
-            if _cache is not None:
-                _cache[n] = gamma
-        out.append(geodesic_distance(gamma, x.window_path(aut.graph, n),
-                                     y.window_path(aut.graph, n)))
-    return out
+    levels = range(1, max_level + 1)
+    gammas = _cache if _cache is not None else {}
+    if not all(n in gammas for n in levels):
+        gammas.update((g.level, g) for g in _schreier_graphs(aut, gens, 1, max_level))
+    return [geodesic_distance(gammas[n], x.window_path(aut.graph, n), y.window_path(aut.graph, n))
+            for n in levels]

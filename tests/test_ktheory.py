@@ -282,6 +282,12 @@ def test_katsura_errors():
         katsura_automaton(IntMatrix.of([[0, 0], [1, 1]]), IntMatrix.of([[0, 0], [0, 0]]))
 
 
+@pytest.mark.parametrize("rows", [[[1.5]], [[1.0]], [[True]], [["1"]], [[1, 2], [3, None]]])
+def test_intmatrix_rejects_non_int_entries(rows):
+    with pytest.raises(ShapeMismatchError, match="integers"):
+        IntMatrix.of(rows)
+
+
 def test_katsura_bigger_restrictions():
     # B entries larger than A entries force restriction words a_j^l with l >= 2
     a = IntMatrix.of([[2]])

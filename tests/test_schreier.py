@@ -1,20 +1,28 @@
 import random
+import warnings
+from pathlib import Path as FsPath
 
 import pytest
 
+from selfsim.automaton import Automaton, reachable_closure, word_key
 from selfsim.errors import VertexNotInLevelError
 from selfsim.graphs import Path, enumerate_paths
 from selfsim.infinite_paths import LeftInfinitePath
 from selfsim.nucleus import compute_nucleus
 from selfsim.schreier import (
+    SchreierGraph,
     build_schreier,
     default_generating_set,
     distance_profile,
     geodesic_distance,
     project_psi,
 )
+from selfsim.specfile import parse_spec
 
+from conftest import build_basilica
 from test_dynamics import random_left_path
+
+SPECS = FsPath(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +210,181 @@ def test_exports(ex310, gens310):
     data = gamma.to_json()
     assert data["schema"] == 1
     assert len(data["vertices"]) == 4
+
+
+# -- the per-vertex Schreier code, kept as a differential oracle -----------------
+#
+# build_schreier, project_psi and undirected_edges as they were before the
+# level tables: every vertex is acted on with Automaton.act, psi restricts
+# every label along the dropped edge.
+
+
+def oracle_build_schreier(aut, gen_set, n):
+    closed = {aut.canonical_id(a): aut.canonical(a) for a in gen_set}
+    closure = reachable_closure(aut, list(closed.values()))
+    labels = [aut.canonical(s) for s in closure.states]
+    for a in list(labels):
+        inv = aut.inverse(a)
+        if aut.canonical_id(inv) not in {aut.canonical_id(x) for x in labels}:
+            labels.append(aut.canonical(inv))
+    labels.sort(key=lambda e: word_key(e.word))
+    vertices = enumerate_paths(aut.graph, n)
+    index = {(p.base, p.edges): i for i, p in enumerate(vertices)}
+    arcs = []
+    seen = set()
+    for a in labels:
+        for i, mu in enumerate(vertices):
+            if mu.r(aut.graph) != a.dom:
+                continue
+            nu = aut.act(a, mu)
+            j = index[(nu.base, nu.edges)]
+            key = (i, j, aut.canonical_id(a))
+            if key not in seen:
+                seen.add(key)
+                arcs.append((i, j, a))
+    return SchreierGraph(n, aut, labels, vertices, arcs)
+
+
+def oracle_project_psi(gamma):
+    aut = gamma.automaton
+    graph = aut.graph
+    lower = enumerate_paths(graph, gamma.level - 1)
+    lower_index = {(p.base, p.edges): i for i, p in enumerate(lower)}
+
+    def drop_first(p):
+        rest = p.edges[1:]
+        if not rest:
+            return Path.empty(graph.s(p.edges[0]))
+        return Path(graph.r(rest[0]), rest)
+
+    vmap = {}
+    for i, p in enumerate(gamma.vertices):
+        q = drop_first(p)
+        vmap[i] = lower_index[(q.base, q.edges)]
+    arcs = []
+    arc_map = []
+    seen = set()
+    for (u, v, label) in gamma.arcs:
+        e = gamma.vertices[u].edges[0]
+        restricted = aut.canonical(aut.restrict(label, Path.of(graph, [e])))
+        pu, pv = vmap[u], vmap[v]
+        key = (pu, pv, aut.canonical_id(restricted))
+        if key not in seen:
+            seen.add(key)
+            arcs.append((pu, pv, restricted))
+        arc_map.append(((u, v, aut.canonical(label).name()), (pu, pv, restricted.name())))
+    return SchreierGraph(gamma.level - 1, aut, gamma.gen_set, lower, arcs), vmap, arc_map
+
+
+def oracle_undirected_edges(gamma):
+    aut = gamma.automaton
+    out = {}
+    for (u, v, label) in gamma.arcs:
+        a, b = (u, v) if u <= v else (v, u)
+        inv = aut.canonical(aut.inverse(label))
+        name = min(aut.canonical(label).name(), inv.name())
+        out.setdefault((a, b), set()).add(name)
+    return {k: tuple(sorted(v)) for k, v in sorted(out.items())}
+
+
+def oracle_exports(gamma):
+    """(to_json, to_dot) as they were, over oracle_undirected_edges."""
+    def name(p):
+        return str(p) if p.edges else p.base
+    edges = oracle_undirected_edges(gamma)
+    doc = {"schema": 1, "level": gamma.level,
+           "vertices": [name(p) for p in gamma.vertices],
+           "edges": [{"u": name(gamma.vertices[u]), "v": name(gamma.vertices[v]),
+                      "labels": list(labels)} for (u, v), labels in edges.items()]}
+    lines = [f"graph schreier_level_{gamma.level} {{"]
+    lines += [f'  v{i} [label="{name(p)}"];' for i, p in enumerate(gamma.vertices)]
+    lines += [f'  v{u} -- v{v} [label="{",".join(labels)}"];' for (u, v), labels in edges.items()]
+    lines.append("}")
+    return doc, "\n".join(lines)
+
+
+def graph_signature(gamma):
+    return ([(p.base, p.edges) for p in gamma.vertices],
+            [(u, v, a.name()) for u, v, a in gamma.arcs],
+            [a.name() for a in gamma.gen_set])
+
+
+def assert_matches_oracle(aut, gens, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        new = build_schreier(aut, gens, n)
+        old = oracle_build_schreier(aut, gens, n)
+    assert graph_signature(new) == graph_signature(old), n
+    assert new.undirected_edges() == oracle_undirected_edges(old)
+    assert (new.to_json(), new.to_dot()) == oracle_exports(old)
+    # psi twice: the second time from a graph that project_psi built
+    for _ in range(min(n, 2)):
+        (new, psi), (old, vmap, arc_map) = project_psi(new), oracle_project_psi(old)
+        assert graph_signature(new) == graph_signature(old), n
+        assert psi.vertex_map == vmap and psi.arc_map == arc_map, n
+        assert (new.to_json(), new.to_dot()) == oracle_exports(old)
+
+
+# the five specs whose generating set closes (noncontracting's does not), up
+# to level 9 or the last level with at most 4,096 vertices
+@pytest.mark.parametrize("spec, top", [("basilica", 9), ("ex310", 9), ("odometer", 9),
+                                       ("katsura", 6), ("nonhausdorff", 6)])
+def test_tower_vs_oracle_specs(spec, top):
+    aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton()
+    gens = default_generating_set(aut)
+    for n in range(top + 1):
+        assert_matches_oracle(aut, gens, n)
+
+
+def test_tower_vs_oracle_random():
+    from test_acceptance import _random_automaton
+
+    rng = random.Random(29)
+    checked = 0
+    while checked < 40:
+        aut = _random_automaton(rng)
+        if aut is None:
+            continue
+        for n in range(6):
+            assert_matches_oracle(aut, default_generating_set(aut), n)
+        # a generating set that build_schreier has to extend
+        first = aut.generator(next(iter(aut.generators)))
+        for n in range(4):
+            assert_matches_oracle(aut, [first], n)
+        checked += 1
+
+
+def test_tower_acts_no_word_per_vertex(monkeypatch):
+    calls = {"act": 0, "word_act_edge": 0}
+
+    def counted(name):
+        fn = getattr(Automaton, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return fn(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Automaton, "act", counted("act"))
+    monkeypatch.setattr(Automaton, "word_act_edge", counted("word_act_edge"))
+
+    def build_calls(n):
+        # on a fresh automaton, so that the class rows are filled inside the count
+        calls.update(act=0, word_act_edge=0)
+        aut = build_basilica()
+        gamma = build_schreier(aut, default_generating_set(aut), n)
+        return gamma, dict(calls)
+
+    gamma, at12 = build_calls(12)
+    assert len(gamma.vertices) == 2 ** 13
+    project_psi(gamma)
+    assert calls["act"] == 0
+    _, at4 = build_calls(4)
+    assert at12["word_act_edge"] == at4["word_act_edge"] > 0
+
+
+def test_vertex_index_is_built_on_first_lookup(ex310, gens310):
+    gamma = build_schreier(ex310, gens310, 3)
+    assert not hasattr(gamma, "_index")
+    for i, p in enumerate(gamma.vertices):
+        assert gamma.vertex_index(p) == i
