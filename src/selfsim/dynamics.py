@@ -1,5 +1,9 @@
 """Deciders for the dynamics on the limit space and limit solenoid.
 
+The nucleus deciders read the nucleus's Moore machine ``nuc.machine``: a
+state is an integer i, and its run steps to successor[(i, e)] on the edge e
+with output action[(i, e)], so no word is acted on once the nucleus is known.
+
 Asymptotic equivalence of eventually periodic paths is decided on a finite
 product transducer.  A nucleus run for x ~ y is a sequence (h_n)_{n<0} of
 nucleus states with h_n . x_n = y_n and h_n|_{x_n} = h_{n+1}.  Align both
@@ -25,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .automaton import Automaton, Element, word_key
+from .automaton import Automaton, Element, StateMachine, word_key
 from .errors import DomainMismatchError, NotStronglyConnectedError
-from .graphs import Graph, Path, cyclic_nodes, limit_nodes, validate_graph
+from .graphs import Graph, Path, bfs, cyclic_nodes, find_cycle, limit_nodes, validate_graph
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus
 
@@ -37,51 +41,67 @@ def shift_class(graph: Graph, x: LeftInfinitePath) -> LeftInfinitePath:
     return x.shift(graph)
 
 
+def _name(nuc: Nucleus, i: int) -> str:
+    return nuc.automaton.canonical(nuc.states[i]).name()
+
+
+def _labels(parent: dict, v) -> list:
+    """The arc labels along a search's parent chain, from its start to v."""
+    out = []
+    while parent[v] is not None:
+        v, label = parent[v]
+        out.append(label)
+    return out[::-1]
+
+
 # -- the product transducer ----------------------------------------------------
 
 
-def _zone_tables(L: int, boundary: int, edge_fn):
-    """Edges of the periodic zone by phase: positions boundary-L .. boundary-1."""
-    table = {}
+def _phase_steps(nuc: Nucleus, x_at, y_at, boundary: int, L: int) -> dict:
+    """The (phase, state) digraph of the periodic zone, positions
+    boundary-L .. boundary-1: node (p, i) steps to (p + 1 mod L, i|_e) with
+    output i.e, for e the zone edge of x at phase p.  With ``y_at`` given,
+    only steps whose output is y's edge there are kept (y_at = None is class
+    mode).  Maps each node to (next node, output edge)."""
+    sm = nuc.machine
+    steps = {}
     for n in range(boundary - L, boundary):
-        table[n % L] = edge_fn(n)
-    return table
+        e = x_at(n)
+        f = y_at(n) if y_at is not None else None
+        for i in range(len(sm)):
+            img = sm.action.get((i, e))
+            if img is not None and (f is None or img == f):
+                steps[(n % L, i)] = (((n + 1) % L, sm.successor[(i, e)]), img)
+    return steps
 
 
-def _left_arrival_states(aut: Automaton, nuc: Nucleus, edge_x, edge_y,
-                         boundary: int, L: int) -> list[Element]:
+def _succ(steps: dict):
+    """The successor function of the partial map steps, for the graphs helpers."""
+    return lambda u: (steps[u][0],) if u in steps else ()
+
+
+def _run(sm: StateMachine, i: int, x_at, lo: int, hi: int, y_at=None):
+    """Run state i along x's edges at positions lo .. hi-1: the list of
+    (state, output edge) and the state reached, or None when an edge falls
+    outside the current state's domain or, with ``y_at``, an output is not
+    y's edge."""
+    out = []
+    for n in range(lo, hi):
+        e = x_at(n)
+        img = sm.action.get((i, e))
+        if img is None or (y_at is not None and img != y_at(n)):
+            return None
+        out.append((i, img))
+        i = sm.successor[(i, e)]
+    return out, i
+
+
+def _left_arrival_states(nuc: Nucleus, x_at, y_at, boundary: int, L: int) -> list[int]:
     """States h_boundary admitting a left-infinite nucleus run on positions
-    n < boundary; edge_y = None drops the output constraint (class mode)."""
-    graph = aut.graph
-    ex = _zone_tables(L, boundary, edge_x)
-    ey = _zone_tables(L, boundary, edge_y) if edge_y is not None else None
-
-    state_of = {}
-    nodes = []
-    for h in nuc.states:
-        cid = aut.canonical_id(h)
-        state_of[cid] = h
-        for p in range(L):
-            if h.dom == graph.r(ex[p]):
-                nodes.append((p, cid))
-
-    F = {}
-    for (p, cid) in nodes:
-        h = state_of[cid]
-        img, rw = aut.word_act_edge(h.word, ex[p])
-        if ey is not None and img != ey[p]:
-            continue
-        succ = Element(graph.s(ex[p]), rw)
-        F[(p, cid)] = ((p + 1) % L, aut.canonical_id(succ))
-
-    bp = boundary % L
-    arrivals = {cid: state_of[cid] for (p, cid) in limit_nodes(nodes, _arcs(F)) if p == bp}
-    return sorted(arrivals.values(), key=lambda h: (word_key(h.word), h.dom))
-
-
-def _arcs(F):
-    """The successor function of the partial map F, for the graphs helpers."""
-    return lambda u: (F[u],) if u in F else ()
+    n < boundary that outputs y."""
+    steps = _phase_steps(nuc, x_at, y_at, boundary, L)
+    # state numbers follow nuc.states, which is in (word_key, dom) order
+    return sorted({i for (p, i) in limit_nodes(steps, _succ(steps)) if p == boundary % L})
 
 
 @dataclass(frozen=True)
@@ -93,29 +113,14 @@ class AeWitness:
 def ae_equivalent(x: LeftInfinitePath, y: LeftInfinitePath, nuc: Nucleus,
                   want_witness: bool = False):
     """Nucleus-run decision of x ~_ae y for left-infinite paths."""
-    aut = nuc.automaton
-    graph = aut.graph
     T = max(len(x.tail), len(y.tail))
     L = lcm(len(x.cycle), len(y.cycle))
-    arrivals = _left_arrival_states(aut, nuc, x.edge_at, y.edge_at, -T, L)
-    for h in arrivals:
-        state = h
-        run = []
-        ok = True
-        for n in range(-T, 0):
-            e = x.edge_at(n)
-            if state.dom != graph.r(e):
-                ok = False
-                break
-            img, rw = aut.word_act_edge(state.word, e)
-            if img != y.edge_at(n):
-                ok = False
-                break
-            run.append((n, aut.canonical(state).name(), img))
-            state = Element(graph.s(e), rw)
-        if ok:
+    for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, -T, L):
+        run = _run(nuc.machine, h, x.edge_at, -T, 0, y.edge_at)
+        if run is not None:
             if want_witness:
-                return True, AeWitness(aut.canonical(h).name(), tuple(run))
+                return True, AeWitness(_name(nuc, h), tuple(
+                    (n, _name(nuc, i), img) for n, (i, img) in zip(range(-T, 0), run[0])))
             return True
     return (False, None) if want_witness else False
 
@@ -123,100 +128,58 @@ def ae_equivalent(x: LeftInfinitePath, y: LeftInfinitePath, nuc: Nucleus,
 def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
     """All left-infinite paths asymptotically equivalent to x, read off the
     maximal consistent runs; at most |nucleus| of them."""
-    aut = nuc.automaton
-    graph = aut.graph
     T = len(x.tail)
     L = len(x.cycle)
-    boundary = -T
-    ex = _zone_tables(L, boundary, x.edge_at)
-
-    state_of = {}
-    nodes = []
-    for h in nuc.states:
-        cid = aut.canonical_id(h)
-        state_of[cid] = h
-        for p in range(L):
-            if h.dom == graph.r(ex[p]):
-                nodes.append((p, cid))
-    F = {}
-    out_edge = {}
-    for (p, cid) in nodes:
-        h = state_of[cid]
-        img, rw = aut.word_act_edge(h.word, ex[p])
-        succ = Element(graph.s(ex[p]), rw)
-        F[(p, cid)] = ((p + 1) % L, aut.canonical_id(succ))
-        out_edge[(p, cid)] = img
-
-    members = {}
-    for u in sorted(cyclic_nodes(nodes, _arcs(F))):
+    steps = _phase_steps(nuc, x.edge_at, None, -T, L)
+    members = set()
+    for u in cyclic_nodes(steps, _succ(steps)):
         # outputs around u's cycle; the run is k-periodic left of u's position
         cycle_out = []
-        cur = u
+        v = u
         while True:
-            cycle_out.append(out_edge[cur])
-            cur = F[cur]
-            if cur == u:
+            v, img = steps[v]
+            cycle_out.append(img)
+            if v == u:
                 break
         p0 = u[0]
-        n1 = (boundary - 1) - ((boundary - 1 - p0) % L)  # largest zone position = p0 mod L
-        tail_out = []
-        state = state_of[u[1]]
-        for n in range(n1, 0):
-            e = x.edge_at(n)
-            img, rw = aut.word_act_edge(state.word, e)
-            tail_out.append(img)
-            state = Element(graph.s(e), rw)
-        member = LeftInfinitePath.make(graph, cycle_out, tail_out)
-        members[member] = True
+        n1 = (-T - 1) - ((-T - 1 - p0) % L)  # largest zone position = p0 mod L
+        tail_out = [img for _i, img in _run(nuc.machine, u[1], x.edge_at, n1, 0)[0]]
+        members.add(LeftInfinitePath.make(nuc.automaton.graph, cycle_out, tail_out))
     return sorted(members, key=lambda m: (m.cycle, m.tail))
 
 
 def ae_equivalent_bi(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus) -> bool:
     """Bi-infinite asymptotic equivalence: a left-infinite run that survives
-    the centers and acts correctly on the right-infinite tails."""
-    aut = nuc.automaton
-    graph = aut.graph
+    the centers and acts correctly on the right-infinite tails.  Right of
+    the centers the run's next step depends only on (state, position mod R)
+    with R the lcm of the right cycles, so a run that holds for |nucleus| R
+    + 1 positions there has repeated a pair and holds forever."""
     a0 = min(x.anchor, y.anchor)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     L = lcm(len(x.left_cycle), len(y.left_cycle))
-    arrivals = _left_arrival_states(aut, nuc, x.edge_at, y.edge_at, a0, L)
-    ty = y.right_tail(graph, b0)
-    tx = x.right_tail(graph, b0)
-    for h in arrivals:
-        state = h
-        ok = True
-        for n in range(a0, b0):
-            e = x.edge_at(n)
-            if state.dom != graph.r(e):
-                ok = False
-                break
-            img, rw = aut.word_act_edge(state.word, e)
-            if img != y.edge_at(n):
-                ok = False
-                break
-            state = Element(graph.s(e), rw)
-        if ok and aut.act_infinite(state, tx) == ty:
-            return True
-    return False
+    end = b0 + len(nuc.machine) * lcm(len(x.right_cycle), len(y.right_cycle)) + 1
+    return any(_run(nuc.machine, h, x.edge_at, a0, end, y.edge_at) is not None
+               for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, a0, L))
 
 
 # -- regularity and Hausdorffness ------------------------------------------------
 
 
-def _fixed_edge_digraph(nuc: Nucleus):
-    """Arcs h -e-> h|_e for nucleus states with h . e = e (units included)."""
-    aut = nuc.automaton
-    graph = aut.graph
-    arcs = {}
-    for h in nuc.states:
-        cid = aut.canonical_id(h)
-        arcs.setdefault(cid, [])
-        for e in graph.range_edges(h.dom):
-            img, rw = aut.word_act_edge(h.word, e.id)
-            if img == e.id:
-                succ = Element(e.src, rw)
-                arcs[cid].append((e.id, aut.canonical_id(succ)))
-    return arcs
+def _fixed_edge_digraph(nuc: Nucleus) -> list[list[tuple[str, int]]]:
+    """Arcs i -e-> i|_e for nucleus states i with i . e = e (units
+    included), listed per state in edge id order."""
+    sm = nuc.machine
+    graph = nuc.automaton.graph
+    return [[(e.id, sm.successor[(i, e.id)]) for e in graph.range_edges(d)
+             if sm.action[(i, e.id)] == e.id] for i, d in enumerate(sm.doms)]
+
+
+def _fixed_cycle(nuc: Nucleus, arcs, pool: set):
+    """A cycle of the fixed-edge digraph inside pool, as (states, edge
+    labels); the search starts from the pool's states in class id order."""
+    cid = {i: c for c, i in nuc.machine.index.items()}
+    return find_cycle(sorted(pool, key=cid.__getitem__),
+                      lambda i: [(e, j) for e, j in arcs[i] if j in pool])
 
 
 @dataclass(frozen=True)
@@ -232,112 +195,43 @@ class NonHausdorffWitness:
     strongly_fixed_extension: tuple[str, ...]
 
 
-def _find_cycle(candidates: set, arcs, restrict_to: set):
-    """A directed cycle within restrict_to, as (states, edge labels), or None."""
-    color = {}
-    for start in sorted(candidates):
-        if start in color:
-            continue
-        stack = [(start, iter(arcs.get(start, ())))]
-        color[start] = "gray"
-        trail = [start]
-        labels = []
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for (e, succ) in it:
-                if succ not in restrict_to:
-                    continue
-                if color.get(succ) == "gray":
-                    i = trail.index(succ)
-                    return trail[i:], labels[i:] + [e]
-                if succ not in color:
-                    color[succ] = "gray"
-                    trail.append(succ)
-                    labels.append(e)
-                    stack.append((succ, iter(arcs.get(succ, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = "black"
-                stack.pop()
-                if len(trail) > 1:
-                    trail.pop()
-                    labels.pop()
-                else:
-                    trail.pop()
-    return None
-
-
 def is_regular(nuc: Nucleus, want_witness: bool = False):
     """Regular iff the fixed-edge digraph on non-unit nucleus states is
     acyclic; a cycle yields g and y = (cycle edges)^inf with g . y = y and
     never-unit restrictions along y."""
-    aut = nuc.automaton
     arcs = _fixed_edge_digraph(nuc)
-    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
-    non_units = {aut.canonical_id(s) for s in nuc.states} - unit_ids
-    hit = _find_cycle(non_units, arcs, non_units)
+    hit = _fixed_cycle(nuc, arcs, {i for i, s in enumerate(nuc.states) if not s.is_unit})
     if hit is None:
         return (True, None) if want_witness else True
     if not want_witness:
         return False
     states, labels = hit
-    rep = next(s for s in nuc.states if aut.canonical_id(s) == states[0])
-    y = RightInfinitePath.make(aut.graph, (), labels)
-    return False, IrregularityWitness(rep.name(), y)
+    y = RightInfinitePath.make(nuc.automaton.graph, (), labels)
+    return False, IrregularityWitness(nuc.states[states[0]].name(), y)
 
 
 def is_hausdorff(nuc: Nucleus, want_witness: bool = False):
     """Hausdorff iff no cycle of non-unit states in the fixed-edge digraph
     consists entirely of states that can reach a unit state in it."""
-    aut = nuc.automaton
     arcs = _fixed_edge_digraph(nuc)
-    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
-    all_ids = {aut.canonical_id(s) for s in nuc.states}
-    # states that reach a unit along fixed arcs (backwards closure from units)
-    reaching = set(unit_ids)
-    changed = True
-    while changed:
-        changed = False
-        for cid in all_ids:
-            if cid in reaching:
-                continue
-            if any(succ in reaching for (_e, succ) in arcs.get(cid, ())):
-                reaching.add(cid)
-                changed = True
-    pool = (all_ids - unit_ids) & reaching
-    hit = _find_cycle(pool, arcs, pool)
+    units = [i for i, s in enumerate(nuc.states) if s.is_unit]
+    into: list[list] = [[] for _ in arcs]
+    for i, out in enumerate(arcs):
+        for e, j in out:
+            into[j].append((e, i))
+    # states that reach a unit along fixed arcs: a search back from the units
+    pool = {i for i, _parent in bfs(units, into.__getitem__)}.difference(units)
+    hit = _fixed_cycle(nuc, arcs, pool)
     if hit is None:
         return (True, None) if want_witness else True
     if not want_witness:
         return False
     states, labels = hit
-    cid0 = states[0]
-    rep = next(s for s in nuc.states if aut.canonical_id(s) == cid0)
-    y = RightInfinitePath.make(aut.graph, (), labels)
-    # strongly fixed extension: shortest fixed path from rep into a unit state
-    ext = _path_to_unit(cid0, arcs, unit_ids)
-    return False, NonHausdorffWitness(rep.name(), y, tuple(ext))
-
-
-def _path_to_unit(start, arcs, unit_ids):
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur in unit_ids:
-            labels = []
-            while prev[cur] is not None:
-                p, e = prev[cur]
-                labels.append(e)
-                cur = p
-            return list(reversed(labels))
-        for (e, succ) in arcs.get(cur, ()):
-            if succ not in prev:
-                prev[succ] = (cur, e)
-                queue.append(succ)
-    return []
+    y = RightInfinitePath.make(nuc.automaton.graph, (), labels)
+    # strongly fixed extension: shortest fixed path from the state into a unit
+    ext = next(_labels(parent, i) for i, parent in bfs([states[0]], arcs.__getitem__)
+               if nuc.states[i].is_unit)
+    return False, NonHausdorffWitness(nuc.states[states[0]].name(), y, tuple(ext))
 
 
 # -- recurrence and level transitivity -------------------------------------------
@@ -373,17 +267,8 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
         for f in graph.edges:
             for h in basic:
                 if h.dom == graph.s(e.id) and aut.cod(h) == graph.s(f.id):
-                    targets[(e.id, f.id, aut.canonical_id(h))] = (e, f, h)
+                    targets[(e.id, f.id, aut.canonical_id(h))] = h
     unmet = set(targets)
-
-    def scan(g: Element):
-        for (eid, fid, hcid) in list(unmet):
-            e, f, h = targets[(eid, fid, hcid)]
-            if g.dom != graph.r(eid):
-                continue
-            img, rw = aut.word_act_edge(g.word, eid)
-            if img == fid and aut.canonical_id(Element(e.src, rw)) == hcid:
-                unmet.discard((eid, fid, hcid))
 
     seen_ids = set()
     frontier = []
@@ -392,7 +277,8 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
         if cid not in seen_ids:
             seen_ids.add(cid)
             frontier.append(aut.canonical(g))
-            scan(g)
+            # a class row holds (e, g . e, class of g|_e): exactly the target keys
+            unmet.difference_update(aut._registry.row(cid))
     length = 1
     while unmet and length < depth:
         nxt = []
@@ -408,13 +294,13 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
                     seen_ids.add(cid)
                     rep = aut.canonical(prod)
                     nxt.append(rep)
-                    scan(rep)
+                    unmet.difference_update(aut._registry.row(cid))
         frontier = nxt
         length += 1
         if not frontier:
             break
     if unmet:
-        missing = tuple(sorted(f"({e},{f},{targets[(e, f, c)][2].name()})" for (e, f, c) in unmet))
+        missing = tuple(sorted(f"({e},{f},{targets[(e, f, c)].name()})" for (e, f, c) in unmet))
         return RecurrenceReport(False, depth, missing)
     return RecurrenceReport(True, depth)
 
@@ -550,48 +436,25 @@ def find_discerning_path(nuc: Nucleus, max_len: int = 64) -> Path:
     """A path mu such that every nucleus state fixing mu strongly fixes all
     of its extensions (its restriction there is a unit).  BFS over the
     surviving (state, restriction) pairs, so the result is shortest."""
-    aut = nuc.automaton
-    graph = aut.graph
-    start_states = {}
-    for v in graph.vertices:
-        pairs = frozenset(
-            (aut.canonical_id(h), aut.canonical_id(h))
-            for h in nuc.states if not h.is_unit and h.dom == v
-        )
-        start_states[v] = pairs
+    sm = nuc.machine
+    graph = nuc.automaton.graph
+    non_units = [i for i, s in enumerate(nuc.states) if not s.is_unit]
+    starts = [(v, frozenset((i, i) for i in non_units if sm.doms[i] == v))
+              for v in graph.vertices]
+    depth: dict = {}
 
-    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
-    state_of = {aut.canonical_id(s): s for s in nuc.states}
-
-    def satisfied(pairs):
-        return all(rc in unit_ids for (_g, rc) in pairs)
-
-    queue = []
-    seen = set()
-    for v in sorted(graph.vertices):
-        key = (v, start_states[v])
-        queue.append((Path.empty(v), start_states[v]))
-        seen.add(key)
-    while queue:
-        mu, pairs = queue.pop(0)
-        if satisfied(pairs):
-            return mu
-        if len(mu) >= max_len:
-            continue
-        u = mu.s(graph)
+    def extend(node):
+        u, pairs = node
+        if depth[node] >= max_len:
+            return
         for e in graph.range_edges(u):
-            nxt = []
-            alive = True
-            for (gc, rc) in pairs:
-                h = state_of[rc]
-                img, rw = aut.word_act_edge(h.word, e.id)
-                if img != e.id:
-                    continue  # g no longer fixes mu e
-                nxt.append((gc, aut.canonical_id(Element(e.src, rw))))
-            nxt = frozenset(nxt)
-            key = (e.src, nxt)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((Path(mu.r(graph) if mu.edges else mu.base, mu.edges + (e.id,)), nxt))
+            # the states still fixing mu e, with their restrictions there
+            yield e.id, (e.src, frozenset((g, sm.successor[(r, e.id)]) for g, r in pairs
+                                          if sm.action[(r, e.id)] == e.id))
+
+    for node, parent in bfs(starts, extend):
+        depth[node] = 0 if parent[node] is None else depth[parent[node][0]] + 1
+        if all(nuc.states[r].is_unit for _g, r in node[1]):
+            labels = _labels(parent, node)
+            return Path(graph.r(labels[0]) if labels else node[0], tuple(labels))
     raise DomainMismatchError(f"no discerning path of length <= {max_len} found")

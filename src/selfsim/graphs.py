@@ -213,6 +213,53 @@ def limit_nodes(nodes, succ) -> set:
     return limit
 
 
+def bfs(starts, succ):
+    """Breadth-first search from ``starts`` over the arcs v -label-> w for
+    (label, w) in succ(v).  Yields each reached node in dequeue order with
+    the parent map (node -> (parent, label), None for a start); a node's
+    parent chain spells a shortest arc-label path to it, and succ(v) is only
+    asked for after v has been yielded."""
+    parent = dict.fromkeys(starts)
+    queue = list(parent)
+    for v in queue:  # the queue grows while it is walked
+        yield v, parent
+        for label, w in succ(v):
+            if w not in parent:
+                parent[w] = (v, label)
+                queue.append(w)
+
+
+def find_cycle(nodes, succ):
+    """The first directed cycle that a depth-first search from ``nodes``, in
+    order, closes over the arcs v -label-> w for (label, w) in succ(v): its
+    nodes from the first one entered, and the labels of the arcs leaving
+    each; None when nothing reached from ``nodes`` lies on a cycle.
+    Iterative, so long chains do not hit the recursion limit."""
+    done: set = set()
+    for root in nodes:
+        if root in done:
+            continue
+        trail, labels, pos = [root], [None], {root: 0}  # labels[k] enters trail[k]
+        work = [iter(succ(root))]
+        while work:
+            for label, w in work[-1]:
+                if w in pos:
+                    return trail[pos[w]:], labels[pos[w] + 1:] + [label]
+                if w not in done:
+                    pos[w] = len(trail)
+                    trail.append(w)
+                    labels.append(label)
+                    work.append(iter(succ(w)))
+                    break
+            else:
+                work.pop()
+                labels.pop()
+                v = trail.pop()
+                del pos[v]
+                done.add(v)
+    return None
+
+
 @dataclass(frozen=True)
 class StructureReport:
     finite: bool
@@ -257,19 +304,12 @@ def validate_graph(graph: Graph) -> StructureReport:
     n = len(graph.vertices)
     adj = _bool_adjacency(graph)
 
-    reach = [row[:] for row in adj]
-    changed = True
-    while changed:
-        changed = False
-        step = _bool_mul(reach, adj)
-        for i in range(n):
-            for j in range(n):
-                if step[i][j] and not reach[i][j]:
-                    reach[i][j] = True
-                    changed = True
-    strongly = all(reach[i][j] for i in range(n) for j in range(n) if i != j)
-    if n == 1:
-        strongly = bool(graph.edges)
+    def out(v):
+        return ((e.id, e.dst) for e in graph.source_edges(v))
+
+    # one search per vertex; a single vertex needs an edge by convention
+    strongly = (bool(graph.edges) if n == 1 else
+                all(sum(1 for _ in bfs([v], out)) == n for v in graph.vertices))
 
     primitive = False
     power = [row[:] for row in adj]

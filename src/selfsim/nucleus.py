@@ -42,19 +42,18 @@ class NotContractingWithinBound:
 class Nucleus:
     automaton: Automaton
     states: tuple[Element, ...]
+    # the closure of ``states`` seeded in order: state i is the class of
+    # states[i], and machine.index holds exactly the nucleus's class ids
     machine: StateMachine
     # canonical class id -> a product word witnessing membership (minimality)
     witnesses: dict[int, Element] = field(default_factory=dict)
     r_k: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._ids = {self.automaton.canonical_id(s) for s in self.states}
-
     def __len__(self):
         return len(self.states)
 
     def __contains__(self, g: Element) -> bool:
-        return self.automaton.canonical_id(g) in self._ids
+        return self.automaton.canonical_id(g) in self.machine.index
 
     def non_units(self) -> list[Element]:
         return [s for s in self.states if not s.is_unit]
@@ -157,12 +156,6 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
     return nuc
 
 
-def require_nucleus(result) -> Nucleus:
-    if isinstance(result, Nucleus):
-        return result
-    raise ClosureLimitError(result.max_states, "nucleus computation (not contracting within bound)")
-
-
 def compute_Rk(nuc: Nucleus, k: int, max_depth: int = 256) -> int:
     """Minimal j with h|_mu in the nucleus for every h in N^k, mu in E^j.
 
@@ -189,7 +182,7 @@ def compute_Rk(nuc: Nucleus, k: int, max_depth: int = 256) -> int:
     for cid in level:
         frontier = {cid}
         depth = 0
-        while not frontier <= nuc._ids:
+        while not frontier <= nuc.machine.index.keys():
             if depth > max_depth:
                 raise DivergedError(f"R_{k} scan exceeded depth {max_depth}")
             frontier = {succ for c in frontier for _, _, succ in aut._registry.row(c)}

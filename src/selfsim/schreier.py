@@ -35,7 +35,7 @@ from itertools import islice, repeat
 
 from .automaton import Automaton, Element, reachable_closure, word_key
 from .errors import VertexNotInLevelError
-from .graphs import Path
+from .graphs import Path, bfs
 from .infinite_paths import LeftInfinitePath
 
 
@@ -91,15 +91,8 @@ class SchreierGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.neighbours(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self.vertices)
+        reached = bfs([0], lambda u: zip(repeat(None), self.neighbours(u)))
+        return sum(1 for _ in reached) == len(self.vertices)
 
     def _vertex_names(self) -> list[str]:
         return [str(p) if p.edges else p.base for p in self.vertices]

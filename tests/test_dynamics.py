@@ -1,13 +1,27 @@
+import json
 import random
+from math import lcm
+from pathlib import Path as FsPath
 
 import pytest
 
-from selfsim.automaton import Element
-from selfsim.errors import NotStronglyConnectedError
-from selfsim.graphs import Path
+from selfsim.automaton import Automaton, Bounds, Element, GeneratorRule, word_key
+from selfsim.errors import (
+    ClosureLimitError,
+    DomainMismatchError,
+    JunctionMismatchError,
+    NotStronglyConnectedError,
+)
+from selfsim.graphs import Graph, Path, cyclic_nodes, limit_nodes, validate_graph
 from selfsim.infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
-from selfsim.nucleus import compute_nucleus
+from selfsim.ktheory import IntMatrix, katsura_automaton
+from selfsim.nucleus import Nucleus, compute_nucleus
+from selfsim.specfile import parse_spec
 from selfsim.dynamics import (
+    AeWitness,
+    IrregularityWitness,
+    NonHausdorffWitness,
+    RecurrenceReport,
     ae_class,
     ae_equivalent,
     ae_equivalent_bi,
@@ -640,3 +654,474 @@ def test_discerning_path(ex310, nuc310, nonhausdorff):
     for h in nucnh.non_units():
         if h.dom == mu2.r(gnh) and nonhausdorff.act(h, mu2) == mu2:
             assert nonhausdorff.restrict(h, mu2).is_unit
+
+
+# -- the word-based deciders, kept as differential oracles ----------------------------
+#
+# Before the deciders read the nucleus's Moore machine they acted words on
+# edges and looked every restriction up by class id.  These are those
+# deciders, unchanged but for names; the new ones must agree with them on
+# return values and witnesses.
+
+ROOT = FsPath(__file__).resolve().parent.parent
+SPECS = ("basilica", "ex310", "katsura", "noncontracting", "nonhausdorff", "odometer")
+
+
+def _zone_tables(L, boundary, edge_fn):
+    return {n % L: edge_fn(n) for n in range(boundary - L, boundary)}
+
+
+def _arcs(F):
+    return lambda u: (F[u],) if u in F else ()
+
+
+def old_left_arrival_states(aut, nuc, edge_x, edge_y, boundary, L):
+    graph = aut.graph
+    ex = _zone_tables(L, boundary, edge_x)
+    ey = _zone_tables(L, boundary, edge_y) if edge_y is not None else None
+    state_of = {}
+    nodes = []
+    for h in nuc.states:
+        cid = aut.canonical_id(h)
+        state_of[cid] = h
+        for p in range(L):
+            if h.dom == graph.r(ex[p]):
+                nodes.append((p, cid))
+    F = {}
+    for (p, cid) in nodes:
+        h = state_of[cid]
+        img, rw = aut.word_act_edge(h.word, ex[p])
+        if ey is not None and img != ey[p]:
+            continue
+        F[(p, cid)] = ((p + 1) % L, aut.canonical_id(Element(graph.s(ex[p]), rw)))
+    bp = boundary % L
+    arrivals = {cid: state_of[cid] for (p, cid) in limit_nodes(nodes, _arcs(F)) if p == bp}
+    return sorted(arrivals.values(), key=lambda h: (word_key(h.word), h.dom))
+
+
+def old_ae_equivalent(x, y, nuc, want_witness=False):
+    aut = nuc.automaton
+    graph = aut.graph
+    T = max(len(x.tail), len(y.tail))
+    L = lcm(len(x.cycle), len(y.cycle))
+    for h in old_left_arrival_states(aut, nuc, x.edge_at, y.edge_at, -T, L):
+        state, run, ok = h, [], True
+        for n in range(-T, 0):
+            e = x.edge_at(n)
+            if state.dom != graph.r(e):
+                ok = False
+                break
+            img, rw = aut.word_act_edge(state.word, e)
+            if img != y.edge_at(n):
+                ok = False
+                break
+            run.append((n, aut.canonical(state).name(), img))
+            state = Element(graph.s(e), rw)
+        if ok:
+            if want_witness:
+                return True, AeWitness(aut.canonical(h).name(), tuple(run))
+            return True
+    return (False, None) if want_witness else False
+
+
+def old_ae_class(x, nuc):
+    aut = nuc.automaton
+    graph = aut.graph
+    T, L = len(x.tail), len(x.cycle)
+    boundary = -T
+    ex = _zone_tables(L, boundary, x.edge_at)
+    state_of = {}
+    nodes = []
+    for h in nuc.states:
+        cid = aut.canonical_id(h)
+        state_of[cid] = h
+        for p in range(L):
+            if h.dom == graph.r(ex[p]):
+                nodes.append((p, cid))
+    F, out_edge = {}, {}
+    for (p, cid) in nodes:
+        img, rw = aut.word_act_edge(state_of[cid].word, ex[p])
+        F[(p, cid)] = ((p + 1) % L, aut.canonical_id(Element(graph.s(ex[p]), rw)))
+        out_edge[(p, cid)] = img
+    members = {}
+    for u in sorted(cyclic_nodes(nodes, _arcs(F))):
+        cycle_out, cur = [], u
+        while True:
+            cycle_out.append(out_edge[cur])
+            cur = F[cur]
+            if cur == u:
+                break
+        p0 = u[0]
+        n1 = (boundary - 1) - ((boundary - 1 - p0) % L)
+        tail_out, state = [], state_of[u[1]]
+        for n in range(n1, 0):
+            e = x.edge_at(n)
+            img, rw = aut.word_act_edge(state.word, e)
+            tail_out.append(img)
+            state = Element(graph.s(e), rw)
+        members[LeftInfinitePath.make(graph, cycle_out, tail_out)] = True
+    return sorted(members, key=lambda m: (m.cycle, m.tail))
+
+
+def old_ae_equivalent_bi(x, y, nuc):
+    aut = nuc.automaton
+    graph = aut.graph
+    a0 = min(x.anchor, y.anchor)
+    b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
+    L = lcm(len(x.left_cycle), len(y.left_cycle))
+    ty, tx = y.right_tail(graph, b0), x.right_tail(graph, b0)
+    for h in old_left_arrival_states(aut, nuc, x.edge_at, y.edge_at, a0, L):
+        state, ok = h, True
+        for n in range(a0, b0):
+            e = x.edge_at(n)
+            if state.dom != graph.r(e):
+                ok = False
+                break
+            img, rw = aut.word_act_edge(state.word, e)
+            if img != y.edge_at(n):
+                ok = False
+                break
+            state = Element(graph.s(e), rw)
+        if ok and aut.act_infinite(state, tx) == ty:
+            return True
+    return False
+
+
+def old_fixed_edge_digraph(nuc):
+    aut = nuc.automaton
+    arcs = {}
+    for h in nuc.states:
+        cid = aut.canonical_id(h)
+        arcs.setdefault(cid, [])
+        for e in aut.graph.range_edges(h.dom):
+            img, rw = aut.word_act_edge(h.word, e.id)
+            if img == e.id:
+                arcs[cid].append((e.id, aut.canonical_id(Element(e.src, rw))))
+    return arcs
+
+
+def old_find_cycle(candidates, arcs, restrict_to):
+    color = {}
+    for start in sorted(candidates):
+        if start in color:
+            continue
+        stack = [(start, iter(arcs.get(start, ())))]
+        color[start] = "gray"
+        trail, labels = [start], []
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for (e, succ) in it:
+                if succ not in restrict_to:
+                    continue
+                if color.get(succ) == "gray":
+                    i = trail.index(succ)
+                    return trail[i:], labels[i:] + [e]
+                if succ not in color:
+                    color[succ] = "gray"
+                    trail.append(succ)
+                    labels.append(e)
+                    stack.append((succ, iter(arcs.get(succ, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = "black"
+                stack.pop()
+                if len(trail) > 1:
+                    trail.pop()
+                    labels.pop()
+                else:
+                    trail.pop()
+    return None
+
+
+def old_path_to_unit(start, arcs, unit_ids):
+    prev = {start: None}
+    queue = [start]
+    while queue:
+        cur = queue.pop(0)
+        if cur in unit_ids:
+            labels = []
+            while prev[cur] is not None:
+                p, e = prev[cur]
+                labels.append(e)
+                cur = p
+            return list(reversed(labels))
+        for (e, succ) in arcs.get(cur, ()):
+            if succ not in prev:
+                prev[succ] = (cur, e)
+                queue.append(succ)
+    return []
+
+
+def old_is_regular(nuc, want_witness=False):
+    aut = nuc.automaton
+    arcs = old_fixed_edge_digraph(nuc)
+    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
+    non_units = {aut.canonical_id(s) for s in nuc.states} - unit_ids
+    hit = old_find_cycle(non_units, arcs, non_units)
+    if hit is None:
+        return (True, None) if want_witness else True
+    if not want_witness:
+        return False
+    states, labels = hit
+    rep = next(s for s in nuc.states if aut.canonical_id(s) == states[0])
+    return False, IrregularityWitness(rep.name(), RightInfinitePath.make(aut.graph, (), labels))
+
+
+def old_is_hausdorff(nuc, want_witness=False):
+    aut = nuc.automaton
+    arcs = old_fixed_edge_digraph(nuc)
+    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
+    all_ids = {aut.canonical_id(s) for s in nuc.states}
+    reaching = set(unit_ids)
+    changed = True
+    while changed:
+        changed = False
+        for cid in all_ids:
+            if cid not in reaching and any(succ in reaching for (_e, succ) in arcs.get(cid, ())):
+                reaching.add(cid)
+                changed = True
+    pool = (all_ids - unit_ids) & reaching
+    hit = old_find_cycle(pool, arcs, pool)
+    if hit is None:
+        return (True, None) if want_witness else True
+    if not want_witness:
+        return False
+    states, labels = hit
+    rep = next(s for s in nuc.states if aut.canonical_id(s) == states[0])
+    y = RightInfinitePath.make(aut.graph, (), labels)
+    ext = old_path_to_unit(states[0], arcs, unit_ids)
+    return False, NonHausdorffWitness(rep.name(), y, tuple(ext))
+
+
+def old_find_discerning_path(nuc, max_len=64):
+    aut = nuc.automaton
+    graph = aut.graph
+    start_states = {v: frozenset((aut.canonical_id(h), aut.canonical_id(h))
+                                 for h in nuc.states if not h.is_unit and h.dom == v)
+                    for v in graph.vertices}
+    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
+    state_of = {aut.canonical_id(s): s for s in nuc.states}
+    queue, seen = [], set()
+    for v in sorted(graph.vertices):
+        queue.append((Path.empty(v), start_states[v]))
+        seen.add((v, start_states[v]))
+    while queue:
+        mu, pairs = queue.pop(0)
+        if all(rc in unit_ids for (_g, rc) in pairs):
+            return mu
+        if len(mu) >= max_len:
+            continue
+        for e in graph.range_edges(mu.s(graph)):
+            nxt = []
+            for (gc, rc) in pairs:
+                img, rw = aut.word_act_edge(state_of[rc].word, e.id)
+                if img == e.id:
+                    nxt.append((gc, aut.canonical_id(Element(e.src, rw))))
+            nxt = frozenset(nxt)
+            if (e.src, nxt) in seen:
+                continue
+            seen.add((e.src, nxt))
+            queue.append((Path(mu.r(graph) if mu.edges else mu.base, mu.edges + (e.id,)), nxt))
+    raise DomainMismatchError(f"no discerning path of length <= {max_len} found")
+
+
+def old_check_recurrent(aut, depth=6):
+    graph = aut.graph
+    if not validate_graph(graph).strongly_connected:
+        raise NotStronglyConnectedError("check_recurrent needs a strongly connected graph")
+    basic = [aut.unit(v) for v in graph.vertices]
+    for name in sorted(aut.generators):
+        basic += [aut.generator(name), aut.inverse(aut.generator(name))]
+    targets = {}
+    for e in graph.edges:
+        for f in graph.edges:
+            for h in basic:
+                if h.dom == graph.s(e.id) and aut.cod(h) == graph.s(f.id):
+                    targets[(e.id, f.id, aut.canonical_id(h))] = (e, f, h)
+    unmet = set(targets)
+
+    def scan(g):
+        for (eid, fid, hcid) in list(unmet):
+            e = targets[(eid, fid, hcid)][0]
+            if g.dom != graph.r(eid):
+                continue
+            img, rw = aut.word_act_edge(g.word, eid)
+            if img == fid and aut.canonical_id(Element(e.src, rw)) == hcid:
+                unmet.discard((eid, fid, hcid))
+
+    seen_ids, frontier = set(), []
+    for g in basic:
+        cid = aut.canonical_id(g)
+        if cid not in seen_ids:
+            seen_ids.add(cid)
+            frontier.append(aut.canonical(g))
+            scan(g)
+    length = 1
+    while unmet and length < depth:
+        nxt = []
+        for g in frontier:
+            for name in sorted(aut.generators):
+                for sym in (aut.generator(name), aut.inverse(aut.generator(name))):
+                    if sym.dom != aut.cod(g):
+                        continue
+                    prod = aut.compose(sym, g)
+                    cid = aut.canonical_id(prod)
+                    if cid in seen_ids:
+                        continue
+                    seen_ids.add(cid)
+                    rep = aut.canonical(prod)
+                    nxt.append(rep)
+                    scan(rep)
+        frontier = nxt
+        length += 1
+        if not frontier:
+            break
+    if unmet:
+        missing = tuple(sorted(f"({e},{f},{targets[(e, f, c)][2].name()})" for (e, f, c) in unmet))
+        return RecurrenceReport(False, depth, missing)
+    return RecurrenceReport(True, depth)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (ClosureLimitError, DomainMismatchError, NotStronglyConnectedError) as e:
+        return type(e).__name__, str(e)
+
+
+def _root_order_automaton():
+    """A random system whose 23-state nucleus numbers its states in another
+    order than their class ids, so the regular and Hausdorff witnesses
+    depend on the DFS starting from the pool in class id order."""
+    graph = Graph(["u"], [("e0", "u", "u"), ("e1", "u", "u"), ("e2", "u", "u")])
+    q, q_inv, p = (Element("u", (w,)) for w in (("q", 1), ("q", -1), ("p", 1)))
+    gens = {
+        "p": GeneratorRule("u", "u", {"e0": ("e2", q_inv), "e1": ("e0", Element("u", ())),
+                                      "e2": ("e1", q)}),
+        "q": GeneratorRule("u", "u", {"e0": ("e1", q_inv), "e1": ("e2", Element("u", ())),
+                                      "e2": ("e0", p)}),
+    }
+    return Automaton(graph, gens, Bounds(max_states=40, max_rounds=5))
+
+
+def _differential_systems():
+    """(label, automaton, nucleus or None): the six specs, 40 seeded random
+    automata with a nucleus, the root-order system, and the first 20
+    Katsura systems of the katsura-ladder pool that have a nucleus."""
+    from test_acceptance import _random_automaton
+
+    out = []
+    for spec in SPECS:
+        aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
+        nuc = compute_nucleus(aut)
+        out.append((spec, aut, nuc if isinstance(nuc, Nucleus) else None))
+    rng = random.Random(2024)
+    found = 0
+    while found < 40:
+        aut = _random_automaton(rng)
+        if aut is None:
+            continue
+        nuc = compute_nucleus(aut)
+        if isinstance(nuc, Nucleus):
+            out.append((f"random{found}", aut, nuc))
+            found += 1
+    aut = _root_order_automaton()
+    out.append(("root order", aut, compute_nucleus(aut)))
+    pool = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())["pool"]
+    kept = 0
+    for entry in pool:
+        if entry["nucleus_ms"] is None or kept == 20:
+            continue
+        aut = katsura_automaton(IntMatrix.of(entry["A"]), IntMatrix.of(entry["B"]))
+        nuc = compute_nucleus(aut)
+        if isinstance(nuc, Nucleus):
+            out.append((f"katsura {entry['A']} {entry['B']}", aut, nuc))
+            kept += 1
+    return out
+
+
+def _glued_pairs(aut, nuc, x):
+    """Bi-infinite partners of x: a member z of the ae class of x's left part
+    glued, where x's right tail starts, to g . (that tail) for each nucleus
+    state g acting there; these include the equivalent partners."""
+    graph = aut.graph
+    b = x.anchor + len(x.center)
+    right = x.right_tail(graph, b)
+    for z in old_ae_class(x.left_truncation(graph, b - 1), nuc):
+        for g in nuc.states:
+            if g.dom != right.r(graph):
+                continue
+            w = aut.act_infinite(g, right)
+            try:
+                yield BiInfinitePath.make(graph, z.cycle, z.tail + w.head, w.cycle,
+                                          b - len(z.tail))
+            except JunctionMismatchError:  # z and g . tail do not meet
+                continue
+
+
+def test_nucleus_deciders_match_word_oracles():
+    rng = random.Random(77)
+    seen = {"ae_true": 0, "bi_true": 0, "irregular": 0, "non_hausdorff": 0, "discerning": 0}
+    for label, aut, nuc in _differential_systems():
+        depth = 4 if label in SPECS else 3
+        assert _outcome(check_recurrent, aut, depth) == _outcome(old_check_recurrent, aut, depth), label
+        if nuc is None:
+            continue
+        for want in (False, True):
+            assert is_regular(nuc, want) == old_is_regular(nuc, want), label
+            assert is_hausdorff(nuc, want) == old_is_hausdorff(nuc, want), label
+        seen["irregular"] += not is_regular(nuc)
+        seen["non_hausdorff"] += not is_hausdorff(nuc)
+        disc = _outcome(find_discerning_path, nuc)
+        assert disc == _outcome(old_find_discerning_path, nuc), label
+        seen["discerning"] += disc[0] == "ok"
+        assert _outcome(find_discerning_path, nuc, 1) == _outcome(old_find_discerning_path, nuc, 1)
+        for _ in range(6):
+            x, y = random_left_path(aut, rng), random_left_path(aut, rng)
+            cls = ae_class(x, nuc)
+            assert cls == old_ae_class(x, nuc), (label, x)
+            for z in [y] + cls:
+                for want in (False, True):
+                    assert ae_equivalent(x, z, nuc, want) == old_ae_equivalent(x, z, nuc, want), \
+                        (label, x, z)
+                seen["ae_true"] += ae_equivalent(x, z, nuc)
+            u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
+            partners = [v, u] + list(_glued_pairs(aut, nuc, u))[:8]
+            for w in partners:
+                got = ae_equivalent_bi(u, w, nuc)
+                assert got == old_ae_equivalent_bi(u, w, nuc), (label, u, w)
+                assert ae_equivalent_bi(w, u, nuc) == old_ae_equivalent_bi(w, u, nuc)
+                seen["bi_true"] += got
+    # the comparison covers both answers of every decider
+    assert all(seen.values()), seen
+
+
+def test_nucleus_deciders_act_no_word(monkeypatch, ex310, nonhausdorff):
+    calls = []
+    original = Automaton.word_act_edge
+
+    def counted(self, word, edge):
+        calls.append(edge)
+        return original(self, word, edge)
+
+    rng = random.Random(3)
+    for aut in (ex310, nonhausdorff):
+        nuc = compute_nucleus(aut)
+        x, y = random_left_path(aut, rng), random_left_path(aut, rng)
+        u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
+        monkeypatch.setattr(Automaton, "word_act_edge", counted)
+        ae_equivalent(x, x, nuc, want_witness=True)
+        ae_equivalent(x, y, nuc, want_witness=True)
+        ae_class(x, nuc)
+        ae_equivalent_bi(u, u, nuc)
+        ae_equivalent_bi(u, v, nuc)
+        is_regular(nuc, want_witness=True)
+        is_hausdorff(nuc, want_witness=True)
+        try:
+            find_discerning_path(nuc)
+        except DomainMismatchError:
+            pass
+        monkeypatch.setattr(Automaton, "word_act_edge", original)
+        assert calls == []

@@ -6,9 +6,11 @@ from selfsim.errors import DanglingEndpointError, DuplicateIdError, NonComposabl
 from selfsim.graphs import (
     Graph,
     Path,
+    bfs,
     concat,
     cyclic_nodes,
     enumerate_paths,
+    find_cycle,
     limit_nodes,
     strongly_connected_components,
     validate_graph,
@@ -147,3 +149,114 @@ def test_scc_helpers_long_chain():
     succ = lambda v: (v + 1,) if v + 1 < n else (n // 2,)
     assert cyclic_nodes([0], succ) == set(range(n // 2, n))
     assert limit_nodes([0], succ) == set(range(n // 2, n))
+
+
+def _random_labelled_digraph(rng, n):
+    """succ[v] = [(label, w), ...] with distinct labels "v>w#k"."""
+    return {v: [(f"{v}>{w}#{k}", w) for k, w in
+                enumerate(rng.choice(range(n)) for _ in range(rng.randint(0, 3)))]
+            for v in range(n)}
+
+
+def test_bfs_and_find_cycle_vs_brute_force():
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        succ = _random_labelled_digraph(rng, n)
+        plain = {v: [w for _l, w in succ[v]] for v in succ}
+        starts = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+        reach = {v: _reach(plain, v) for v in range(n)}
+        seen = set(starts).union(*(reach[v] for v in starts))
+        order = [v for v, _parent in bfs(starts, succ.__getitem__)]
+        assert len(order) == len(set(order)) and set(order) == seen
+        # brute-force distances from the start set, by layers
+        dist, layer, d = {}, set(starts), 0
+        while layer:
+            for v in layer:
+                dist[v] = d
+            layer = {w for v in layer for w in plain[v]} - set(dist)
+            d += 1
+        assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+        hit = find_cycle(starts, succ.__getitem__)
+        if hit is None:
+            assert not any(v in reach[v] for v in seen)
+            continue
+        nodes, labels = hit
+        assert len(nodes) == len(labels) == len(set(nodes)) and set(nodes) <= seen
+        for k, v in enumerate(nodes):  # each label is an arc to the next node
+            assert (labels[k], nodes[(k + 1) % len(nodes)]) in succ[v]
+
+
+def test_bfs_parent_chains_are_shortest_label_paths():
+    rng = random.Random(9)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        succ = _random_labelled_digraph(rng, n)
+        start = rng.randrange(n)
+        for v, parent in bfs([start], succ.__getitem__):
+            labels, w = [], v
+            while parent[w] is not None:
+                w, label = parent[w]
+                labels.append(label)
+            labels.reverse()
+            assert w == start
+            # the labels spell a walk from start to v ...
+            cur = start
+            for label in labels:
+                cur = next(x for lab, x in succ[cur] if lab == label)
+            assert cur == v
+            # ... and no shorter walk exists
+            frontier, k = {start}, 0
+            while v not in frontier:
+                frontier = {x for u in frontier for _l, x in succ[u]}
+                k += 1
+            assert k == len(labels)
+
+
+def test_find_cycle_long_chain():
+    n = 20_000  # far past the recursion limit
+    succ = lambda v: ((f"a{v}", (v + 1) % n),)
+    nodes, labels = find_cycle([0], succ)
+    assert nodes == list(range(n)) and labels == [f"a{v}" for v in range(n)]
+    tail = lambda v: ((None, v + 1),) if v + 1 < n else ()
+    assert find_cycle([0], tail) is None
+
+
+def _matrix_strongly_connected(graph):
+    """validate_graph's strong connectivity as it was: boolean matrix
+    closure of the adjacency, then every off-diagonal entry set."""
+    idx = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(graph.vertices)
+    adj = [[False] * n for _ in range(n)]
+    for e in graph.edges:
+        adj[idx[e.src]][idx[e.dst]] = True
+    reach = [row[:] for row in adj]
+    changed = True
+    while changed:
+        changed = False
+        step = [[any(reach[i][k] and adj[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if step[i][j] and not reach[i][j]:
+                    reach[i][j] = True
+                    changed = True
+    strongly = all(reach[i][j] for i in range(n) for j in range(n) if i != j)
+    if n == 1:
+        strongly = bool(graph.edges)
+    return strongly
+
+
+def test_strong_connectivity_vs_matrix_closure():
+    rng = random.Random(10)
+    verdicts = set()
+    for _ in range(600):
+        n = rng.randint(0, 5)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(f"e{k}", rng.choice(vs), rng.choice(vs))
+                 for k in range(rng.randint(0, 2 * n) if n else 0)]
+        g = Graph(vs, edges)
+        got = validate_graph(g).strongly_connected
+        assert got == _matrix_strongly_connected(g), (vs, edges)
+        verdicts.add((n, got))
+    assert {(0, True), (1, True), (1, False), (5, True), (5, False)} <= verdicts

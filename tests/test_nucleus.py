@@ -239,7 +239,7 @@ def test_contraction_witnessed_on_random_words(ex310):
         depth_cap = 2 * r2 + 8
         frontier = {ex310.canonical_id(w): w}
         for depth in range(depth_cap + 1):
-            if all(cid in nuc._ids for cid in frontier):
+            if all(cid in nuc.machine.index for cid in frontier):
                 break
             nxt = {}
             for g in frontier.values():
