@@ -1,5 +1,13 @@
 """Command-line surface: spec files in, reports out.
 
+Every subcommand is one row of ``COMMANDS``: what its handler needs (nothing
+but matrices, a spec, a valid automaton, or a nucleus), the handler, and its
+flags.  ``dispatch`` builds the top parser plus the parser of the one command
+that argv names; only when argv names none (``-h``, no command, a misspelled
+or unclear one) does it build them all, so that argparse's messages list every
+choice.  The preamble the "needs" column asks for runs in a fixed order:
+read the spec, check validity, compute the nucleus, then call the handler.
+
 Exit codes: 0 = property holds / computation done, 1 = property fails,
 2 = inconclusive (a semi-decision hit its bounds), 3 = input error.
 ``--json`` switches every report to a machine-readable document with
@@ -24,6 +32,8 @@ from .schreier import build_schreier, default_generating_set
 from .specfile import format_path, format_spec, parse_path, parse_spec, spec_of_automaton
 
 OK, FAIL, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
+# What a handler needs; each level includes the ones before it.
+MATRICES, SPEC, VALID, NUCLEUS = range(4)
 
 
 class _Exit(Exception):
@@ -32,37 +42,43 @@ class _Exit(Exception):
         self.report = report
 
 
+def _at_least(low):
+    """An argparse ``type`` for integers >= low; non-integers fail as under ``type=int``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _load_spec(args):
     try:
         text = FsPath(args.spec).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _Exit(INPUT_ERROR, {"error": f"cannot read spec file: {e}"}) from None
     spec = parse_spec(text)
     bounds = spec.bounds()
+    max_states = args.max_states
     env = os.environ.get("SELFSIM_MAX_STATES")
-    max_states = args.max_states or (int(env) if env else None) or bounds.max_states
-    max_rounds = args.max_rounds or bounds.max_rounds
-    aut = spec.automaton(Bounds(max_states=max_states, max_rounds=max_rounds))
-    return spec, aut
-
-
-def _require_valid(aut):
-    if aut.violations:
-        raise _Exit(INPUT_ERROR, {
-            "error": "invalid automaton",
-            "violations": [str(v) for v in aut.violations],
-        })
+    if max_states is None and env:
+        try:
+            max_states = _at_least(1)(env)
+        except argparse.ArgumentTypeError as e:
+            raise _Exit(INPUT_ERROR, {"error": f"SELFSIM_MAX_STATES: {e}"}) from None
+    return spec.automaton(Bounds(max_states=max_states or bounds.max_states,
+                                 max_rounds=args.max_rounds or bounds.max_rounds))
 
 
 def _nucleus(aut):
     nuc = compute_nucleus(aut)
     if isinstance(nuc, NotContractingWithinBound):
-        raise _Exit(INCONCLUSIVE, {
-            "result": "not-contracting-within-bound",
-            "bound_hit": nuc.bound_hit,
-            "max_states": nuc.max_states,
-            "max_rounds": nuc.max_rounds,
-        })
+        raise _Exit(INCONCLUSIVE, {"result": "not-contracting-within-bound",
+                                   "bound_hit": nuc.bound_hit, "max_states": nuc.max_states,
+                                   "max_rounds": nuc.max_rounds})
     return nuc
 
 
@@ -87,52 +103,38 @@ def _matrix(text):
     return IntMatrix.of(data)
 
 
-def _path(aut, literal, kind):
-    return parse_path(aut.graph, literal, kind)
+def _write(path, text):
+    try:
+        FsPath(path).write_text(text)
+    except OSError as e:
+        raise _Exit(INPUT_ERROR, {"error": f"cannot write {path!r}: {e}"}) from None
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_validate(args):
-    spec, aut = _load_spec(args)
-    rep = validate_graph(aut.graph)
-    report = {"graph": rep.as_dict(),
-              "automaton_violations": [str(v) for v in aut.violations]}
-    return (OK if not aut.violations else FAIL), report
+def _cmd_validate(args, aut):
+    return (FAIL if aut.violations else OK), {
+        "graph": validate_graph(aut.graph).as_dict(),
+        "automaton_violations": [str(v) for v in aut.violations]}
 
 
-def _cmd_act(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    g = aut.element(args.elem)
-    p = _path(aut, args.path, "finite")
-    img = aut.act(g, p)
+def _cmd_act(args, aut):
+    img = aut.act(aut.element(args.elem), parse_path(aut.graph, args.path, "finite"))
     return OK, {"result": format_path(img)}
 
 
-def _cmd_restrict(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    g = aut.element(args.elem)
-    p = _path(aut, args.path, "finite")
-    r = aut.restrict(g, p)
+def _cmd_restrict(args, aut):
+    r = aut.restrict(aut.element(args.elem), parse_path(aut.graph, args.path, "finite"))
     return OK, {"result": aut.canonical(r).name()}
 
 
-def _cmd_eq(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    g = aut.element(args.left)
-    h = aut.element(args.right)
-    same = aut.equal(g, h)
+def _cmd_eq(args, aut):
+    same = aut.equal(aut.element(args.left), aut.element(args.right))
     return (OK if same else FAIL), {"equal": same}
 
 
-def _cmd_nucleus(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    nuc = _nucleus(aut)
+def _cmd_nucleus(args, aut, nuc):
     if args.format == "dot":
         return OK, {"dot": moore_diagram(nuc, "dot")}
     report = moore_diagram(nuc, "json")
@@ -140,17 +142,11 @@ def _cmd_nucleus(args):
     return OK, report
 
 
-def _cmd_rk(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    nuc = _nucleus(aut)
-    value = compute_Rk(nuc, args.k)
-    return OK, {"k": args.k, "R_k": value}
+def _cmd_rk(args, aut, nuc):
+    return OK, {"k": args.k, "R_k": compute_Rk(nuc, args.k)}
 
 
-def _cmd_check(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
+def _cmd_check(args, aut):
     prop = args.property
     if prop == "contracting":
         nuc = compute_nucleus(aut)
@@ -174,26 +170,18 @@ def _cmd_check(args):
         if wit:
             report["witness"] = {"element": wit.element, "fixed_path": str(wit.fixed_path)}
         return (OK if ok else FAIL), report
-    if prop == "hausdorff":
-        ok, wit = dynamics.is_hausdorff(nuc, want_witness=True)
-        report = {"hausdorff": ok}
-        if wit:
-            report["witness"] = {
-                "element": wit.element,
-                "fixed_path": str(wit.fixed_path),
-                "strongly_fixed_extension": list(wit.strongly_fixed_extension),
-            }
-        return (OK if ok else FAIL), report
-    raise _Exit(INPUT_ERROR, {"error": f"unknown property {prop!r}"})
+    ok, wit = dynamics.is_hausdorff(nuc, want_witness=True)
+    report = {"hausdorff": ok}
+    if wit:
+        report["witness"] = {"element": wit.element, "fixed_path": str(wit.fixed_path),
+                             "strongly_fixed_extension": list(wit.strongly_fixed_extension)}
+    return (OK if ok else FAIL), report
 
 
-def _cmd_ae(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    nuc = _nucleus(aut)
-    x = _path(aut, args.x, "left")
-    y = _path(aut, args.y, "left")
-    ok, wit = dynamics.ae_equivalent(x, y, nuc, want_witness=True)
+def _cmd_ae(args, aut, nuc):
+    x = parse_path(aut.graph, args.x, "left")
+    ok, wit = dynamics.ae_equivalent(x, parse_path(aut.graph, args.y, "left"), nuc,
+                                     want_witness=True)
     report = {"equivalent": ok}
     if wit:
         report["witness"] = {"entry_state": wit.entry_state,
@@ -201,71 +189,53 @@ def _cmd_ae(args):
     return (OK if ok else FAIL), report
 
 
-def _cmd_class(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    nuc = _nucleus(aut)
-    x = _path(aut, args.x, "left")
-    members = dynamics.ae_class(x, nuc)
+def _cmd_class(args, aut, nuc):
+    members = dynamics.ae_class(parse_path(aut.graph, args.x, "left"), nuc)
     return OK, {"size": len(members), "members": [str(m) for m in members]}
 
 
-def _cmd_shift(args):
-    _, aut = _load_spec(args)
-    x = _path(aut, args.x, "left")
+def _cmd_shift(args, aut):
+    x = parse_path(aut.graph, args.x, "left")
     return OK, {"result": str(dynamics.shift_class(aut.graph, x))}
 
 
-def _cmd_germ_eq(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    nuc = _nucleus(aut)
-    x = _path(aut, args.x, "right")
-    y = _path(aut, args.y, "right")
+def _cmd_germ_eq(args, aut, nuc):
+    x = parse_path(aut.graph, args.x, "right")
+    y = parse_path(aut.graph, args.y, "right")
     g1 = dynamics.make_germ(aut, x, args.m1, aut.element(args.elem1), args.n1, y)
     g2 = dynamics.make_germ(aut, x, args.m2, aut.element(args.elem2), args.n2, y)
     ok = dynamics.germ_equal(g1, g2, nuc)
     return (OK if ok else FAIL), {"equal": ok}
 
 
-def _cmd_stable(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    nuc = _nucleus(aut)
-    x = _path(aut, args.x, "bi")
-    y = _path(aut, args.y, "bi")
-    ok, m = dynamics.stable_equivalent(x, y, nuc, want_witness=True)
+def _cmd_stable(args, aut, nuc):
+    x = parse_path(aut.graph, args.x, "bi")
+    ok, m = dynamics.stable_equivalent(x, parse_path(aut.graph, args.y, "bi"), nuc,
+                                       want_witness=True)
     report = {"stable_equivalent": ok}
     if ok:
         report["witness_m"] = m
     return (OK if ok else FAIL), report
 
 
-def _cmd_unstable(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    nuc = _nucleus(aut)
-    x = _path(aut, args.x, "bi")
-    y = _path(aut, args.y, "bi")
-    ok, wit = dynamics.unstable_equivalent(x, y, nuc, want_witness=True)
+def _cmd_unstable(args, aut, nuc):
+    x = parse_path(aut.graph, args.x, "bi")
+    ok, wit = dynamics.unstable_equivalent(x, parse_path(aut.graph, args.y, "bi"), nuc,
+                                           want_witness=True)
     report = {"unstable_equivalent": ok}
     if ok:
         report["witness"] = {"M": wit[0], "element": wit[1].name()}
     return (OK if ok else FAIL), report
 
 
-def _cmd_schreier(args):
-    _, aut = _load_spec(args)
-    _require_valid(aut)
-    gens = default_generating_set(aut)
-    gamma = build_schreier(aut, gens, args.level)
-    if args.format == "dot":
-        text = gamma.to_dot()
-        if args.out:
-            FsPath(args.out).write_text(text + "\n")
-            return OK, {"written": args.out}
-        return OK, {"dot": text}
-    return OK, gamma.to_json()
+def _cmd_schreier(args, aut):
+    gamma = build_schreier(aut, default_generating_set(aut), args.level)
+    if args.format == "json":
+        return OK, gamma.to_json()
+    if args.out:
+        _write(args.out, gamma.to_dot() + "\n")
+        return OK, {"written": args.out}
+    return OK, {"dot": gamma.to_dot()}
 
 
 def _cmd_katsura(args):
@@ -274,14 +244,10 @@ def _cmd_katsura(args):
     aut = katsura_automaton(a, b)
     k0, k1 = katsura_ktheory(a, b)
     spec_text = format_spec(spec_of_automaton(aut))
+    report = {"K0": k0.as_dict(), "K1": k1.as_dict(), "K0_pretty": str(k0), "K1_pretty": str(k1),
+              "vertices": len(aut.graph.vertices), "edges": len(aut.graph.edges)}
     if args.spec_out:
-        FsPath(args.spec_out).write_text(spec_text)
-    report = {
-        "K0": k0.as_dict(), "K1": k1.as_dict(),
-        "K0_pretty": str(k0), "K1_pretty": str(k1),
-        "vertices": len(aut.graph.vertices), "edges": len(aut.graph.edges),
-    }
-    if args.spec_out:
+        _write(args.spec_out, spec_text)
         report["spec_written"] = args.spec_out
     else:
         report["spec"] = spec_text
@@ -289,91 +255,99 @@ def _cmd_katsura(args):
 
 
 def _cmd_snf(args):
-    m = _matrix(args.matrix)
-    res = smith_normal_form(m)
-    return OK, {
-        "U": res.U.to_lists(),
-        "D": res.D.to_lists(),
-        "V": res.V.to_lists(),
-        "diagonal": res.diagonal(),
-    }
+    res = smith_normal_form(_matrix(args.matrix))
+    return OK, {"U": res.U.to_lists(), "D": res.D.to_lists(), "V": res.V.to_lists(),
+                "diagonal": res.diagonal()}
 
 
 def _cmd_ktheory(args):
-    a = _matrix(args.A)
-    b = _matrix(args.B)
-    k0, k1 = katsura_ktheory(a, b)
+    k0, k1 = katsura_ktheory(_matrix(args.A), _matrix(args.B))
     return OK, {"K0": k0.as_dict(), "K1": k1.as_dict(),
                 "K0_pretty": str(k0), "K1_pretty": str(k1)}
 
 
-# -- wiring ---------------------------------------------------------------------
+# -- the command table ------------------------------------------------------------
+
+_REQUIRED = {"required": True}
+_JSON = {"action": "store_true", "default": argparse.SUPPRESS}
+_FORMAT = {"choices": ["json", "dot"], "default": "json"}
+_XY = {"--x": _REQUIRED, "--y": _REQUIRED}
+_OFFSET = {"type": _at_least(0), "required": True}
+# The flags every command with a spec takes, ahead of its own.
+_SPEC_FLAGS = {"--json": {**_JSON, "help": "machine-readable output"}, "--spec": _REQUIRED,
+               "--max-states": {"type": _at_least(1)}, "--max-rounds": {"type": _at_least(1)}}
+
+# name: (needs, handler, flags); flags map an option string or a positional
+# name to its ``add_argument`` keywords, in the order of the usage line.
+COMMANDS = {
+    "validate": (SPEC, _cmd_validate, {}),
+    "act": (VALID, _cmd_act, {"--elem": _REQUIRED, "--path": _REQUIRED}),
+    "restrict": (VALID, _cmd_restrict, {"--elem": _REQUIRED, "--path": _REQUIRED}),
+    "eq": (VALID, _cmd_eq, {"--left": _REQUIRED, "--right": _REQUIRED}),
+    "nucleus": (NUCLEUS, _cmd_nucleus, {"--format": _FORMAT}),
+    "rk": (NUCLEUS, _cmd_rk, {"--k": {"type": _at_least(1), "required": True}}),
+    "check": (VALID, _cmd_check, {
+        "--depth": {"type": _at_least(0), "default": 6},
+        "--level": {"type": _at_least(1), "default": 1},
+        "property": {"choices": ["regular", "hausdorff", "recurrent", "level-transitive",
+                                 "contracting"]}}),
+    "ae": (NUCLEUS, _cmd_ae, _XY),
+    "class": (NUCLEUS, _cmd_class, {"--x": _REQUIRED}),
+    "shift": (SPEC, _cmd_shift, {"--x": _REQUIRED}),
+    "germ-eq": (NUCLEUS, _cmd_germ_eq, {
+        **_XY, "--m1": _OFFSET, "--elem1": _REQUIRED, "--n1": _OFFSET,
+        "--m2": _OFFSET, "--elem2": _REQUIRED, "--n2": _OFFSET}),
+    "stable": (NUCLEUS, _cmd_stable, _XY),
+    "unstable": (NUCLEUS, _cmd_unstable, _XY),
+    "schreier": (VALID, _cmd_schreier, {
+        "--level": {"type": _at_least(0), "required": True}, "--format": _FORMAT, "--out": {}}),
+    "katsura": (MATRICES, _cmd_katsura, {"--json": _JSON, "--A": _REQUIRED, "--B": _REQUIRED,
+                                         "--spec-out": {}}),
+    "snf": (MATRICES, _cmd_snf, {"--json": _JSON, "--matrix": _REQUIRED}),
+    "ktheory": (MATRICES, _cmd_ktheory, {"--json": _JSON, "--A": _REQUIRED, "--B": _REQUIRED}),
+}
+_METAVAR = "{" + ",".join(COMMANDS) + "}"
 
 
-def _build_parser():
+def _command_name(argv):
+    """The table command argparse will read from argv, or None if it names none.
+
+    Only plain options may precede it: the top parser's options take no value,
+    so each is one token.  ``-``, ``--``, ``-1``, ``-.5`` and tokens with a
+    space may be positionals to argparse, so they end the search.
+    """
+    for arg in argv:
+        if arg in COMMANDS:
+            return arg
+        if not arg.startswith("-") or arg in ("-", "--") or " " in arg or arg[1] in "0123456789.":
+            return None
+    return None
+
+
+def _parser(argv):
     top = argparse.ArgumentParser(prog="selfsim",
                                   description="Self-similar groupoid actions on graphs")
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def spec_command(name, handler, **extra):
-        p = sub.add_parser(name)
-        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                       help="machine-readable output")
-        p.add_argument("--spec", required=True)
-        p.add_argument("--max-states", type=int, default=None)
-        p.add_argument("--max-rounds", type=int, default=None)
-        for key, kw in extra.items():
-            p.add_argument(f"--{key.replace('_', '-')}", **kw)
-        p.set_defaults(handler=handler)
-        return p
-
-    spec_command("validate", _cmd_validate)
-    spec_command("act", _cmd_act, elem={"required": True}, path={"required": True})
-    spec_command("restrict", _cmd_restrict, elem={"required": True}, path={"required": True})
-    spec_command("eq", _cmd_eq, left={"required": True}, right={"required": True})
-    spec_command("nucleus", _cmd_nucleus,
-                 format={"choices": ["json", "dot"], "default": "json"})
-    spec_command("rk", _cmd_rk, k={"type": int, "required": True})
-    check = spec_command("check", _cmd_check,
-                         depth={"type": int, "default": 6},
-                         level={"type": int, "default": 1})
-    check.add_argument("property", choices=[
-        "regular", "hausdorff", "recurrent", "level-transitive", "contracting"])
-    spec_command("ae", _cmd_ae, x={"required": True}, y={"required": True})
-    spec_command("class", _cmd_class, x={"required": True})
-    spec_command("shift", _cmd_shift, x={"required": True})
-    spec_command("germ-eq", _cmd_germ_eq,
-                 x={"required": True}, y={"required": True},
-                 m1={"type": int, "required": True}, elem1={"required": True},
-                 n1={"type": int, "required": True},
-                 m2={"type": int, "required": True}, elem2={"required": True},
-                 n2={"type": int, "required": True})
-    spec_command("stable", _cmd_stable, x={"required": True}, y={"required": True})
-    spec_command("unstable", _cmd_unstable, x={"required": True}, y={"required": True})
-    spec_command("schreier", _cmd_schreier,
-                 level={"type": int, "required": True},
-                 format={"choices": ["json", "dot"], "default": "json"},
-                 out={"default": None})
-
-    kat = sub.add_parser("katsura")
-    kat.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    kat.add_argument("--A", required=True)
-    kat.add_argument("--B", required=True)
-    kat.add_argument("--spec-out", default=None)
-    kat.set_defaults(handler=_cmd_katsura)
-
-    snf = sub.add_parser("snf")
-    snf.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    snf.add_argument("--matrix", required=True)
-    snf.set_defaults(handler=_cmd_snf)
-
-    kth = sub.add_parser("ktheory")
-    kth.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    kth.add_argument("--A", required=True)
-    kth.add_argument("--B", required=True)
-    kth.set_defaults(handler=_cmd_ktheory)
+    name = _command_name(argv)
+    # With one subparser the metavar keeps the usage line listing every command.
+    sub = top.add_subparsers(dest="command", required=True, metavar=_METAVAR if name else None)
+    for each in [name] if name else COMMANDS:
+        needs, _, flags = COMMANDS[each]
+        p = sub.add_parser(each)
+        for flag, kw in ({**_SPEC_FLAGS, **flags} if needs else flags).items():
+            p.add_argument(flag, **kw)
     return top
+
+
+def _run(args):
+    needs, handler, _ = COMMANDS[args.command]
+    if needs == MATRICES:
+        return handler(args)
+    aut = _load_spec(args)
+    if needs >= VALID and aut.violations:
+        raise _Exit(INPUT_ERROR, {"error": "invalid automaton",
+                                  "violations": [str(v) for v in aut.violations]})
+    return handler(args, aut, _nucleus(aut)) if needs == NUCLEUS else handler(args, aut)
 
 
 def _render(report: dict, as_json: bool) -> str:
@@ -385,13 +359,12 @@ def _render(report: dict, as_json: bool) -> str:
 
 def dispatch(argv, stdout=None) -> int:
     stream = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as e:
         return INPUT_ERROR if e.code else OK
     try:
-        code, report = args.handler(args)
+        code, report = _run(args)
     except _Exit as e:
         code, report = e.code, e.report
     except ClosureLimitError as e:

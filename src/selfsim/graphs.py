@@ -25,6 +25,7 @@ from .errors import (
     DanglingEndpointError,
     DuplicateIdError,
     NonComposableError,
+    UnknownSymbolError,
 )
 
 
@@ -72,10 +73,16 @@ class Graph:
         return eid in self._by_id
 
     def s(self, eid: str) -> str:
-        return self._by_id[eid].src
+        try:
+            return self._by_id[eid].src
+        except KeyError:
+            raise UnknownSymbolError(f"unknown edge {eid!r}") from None
 
     def r(self, eid: str) -> str:
-        return self._by_id[eid].dst
+        try:
+            return self._by_id[eid].dst
+        except KeyError:
+            raise UnknownSymbolError(f"unknown edge {eid!r}") from None
 
     def range_edges(self, v: str):
         """vE^1: edges e with r(e) = v."""

@@ -49,10 +49,13 @@ class SpecFile:
 
     def bounds(self) -> Bounds:
         opts = dict(self.options)
-        return Bounds(
-            max_states=int(opts.get("max_states", Bounds.max_states)),
-            max_rounds=int(opts.get("max_rounds", Bounds.max_rounds)),
-        )
+        try:
+            return Bounds(
+                max_states=int(opts.get("max_states", Bounds.max_states)),
+                max_rounds=int(opts.get("max_rounds", Bounds.max_rounds)),
+            )
+        except ValueError:
+            raise SpecSyntaxError("the options max_states and max_rounds take integers") from None
 
     def automaton(self, bounds: Bounds | None = None) -> Automaton:
         graph = self.graph()

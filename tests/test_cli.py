@@ -1,15 +1,20 @@
+import argparse
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path as FsPath
 
 import pytest
 
+from selfsim import cli
 from selfsim.cli import dispatch
 from selfsim.ktheory import IntMatrix, SNFResult, _verify_snf
 
-SPECS = FsPath(__file__).resolve().parent.parent / "specs"
+ROOT = FsPath(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 EX310 = str(SPECS / "ex310.ss")
 BASILICA = str(SPECS / "basilica.ss")
 ODOMETER = str(SPECS / "odometer.ss")
@@ -214,3 +219,217 @@ def test_determinism():
     c = run("class", "--spec", EX310, "--x", "(2.3)^inf")
     d = run("class", "--spec", EX310, "--x", "(2.3)^inf")
     assert c == d
+
+
+# -- typed errors instead of tracebacks --------------------------------------------
+
+
+def test_bad_env_var_is_input_error(monkeypatch):
+    for value in ("abc", "0", "-5"):
+        monkeypatch.setenv("SELFSIM_MAX_STATES", value)
+        code, data = run_json("check", "contracting", "--spec", EX310)
+        assert code == 3 and "SELFSIM_MAX_STATES" in data["error"]
+    code, _ = run_json("check", "contracting", "--spec", EX310, "--max-states", "50")
+    assert code == 0  # a flag wins over the variable, which is then not read
+
+
+def test_unreadable_inputs_are_input_errors(tmp_path):
+    latin = tmp_path / "latin.ss"
+    latin.write_bytes(FsPath(EX310).read_bytes().replace(b"vertex w", b"vertex \xe9"))
+    code, data = run_json("validate", "--spec", str(latin))
+    assert code == 3 and "cannot read spec file" in data["error"]
+    opts = tmp_path / "opts.ss"
+    opts.write_text(FsPath(EX310).read_text() + "[options]\nmax_states many\n")
+    code, data = run_json("validate", "--spec", str(opts))
+    assert code == 3 and "max_states" in data["error"]
+    code, data = run_json("act", "--spec", EX310, "--elem", "a", "--path", "9")
+    assert code == 3 and data["error"] == "unknown edge '9'"
+    code, data = run_json("class", "--spec", EX310, "--x", "(9)^inf")
+    assert code == 3 and data["error"] == "unknown edge '9'"
+
+
+def test_unwritable_outputs_are_input_errors(tmp_path):
+    missing = str(tmp_path / "no" / "such" / "dir" / "out")
+    code, data = run_json("schreier", "--spec", EX310, "--level", "1", "--format", "dot",
+                          "--out", missing)
+    assert code == 3 and "cannot write" in data["error"]
+    code, data = run_json("katsura", "--A", "[[2]]", "--B", "[[1]]", "--spec-out", missing)
+    assert code == 3 and "cannot write" in data["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rk", "--spec", EX310, "--k", "-1"],
+    ["rk", "--spec", EX310, "--k", "0"],
+    ["check", "level-transitive", "--spec", EX310, "--level", "-1"],
+    ["check", "level-transitive", "--spec", EX310, "--level", "0"],
+    ["check", "recurrent", "--spec", ODOMETER, "--depth", "-1"],
+    ["schreier", "--spec", EX310, "--level", "-1"],
+    ["nucleus", "--spec", EX310, "--max-states", "-5"],
+    ["nucleus", "--spec", EX310, "--max-states", "0"],
+    ["nucleus", "--spec", EX310, "--max-rounds", "0"],
+    ["germ-eq", "--spec", EX310, "--x", "(1)^inf", "--y", "(1)^inf", "--m1", "-1",
+     "--elem1", "v", "--n1", "0", "--m2", "0", "--elem2", "v", "--n2", "0"],
+])
+def test_out_of_range_integer_flags_are_rejected(argv, capsys):
+    code, out = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert "error: argument --" in err and "must be at least" in err
+
+
+def test_integer_flag_lower_bounds_are_accepted():
+    assert run("rk", "--spec", EX310, "--k", "1")[0] == 0
+    assert run("schreier", "--spec", EX310, "--level", "0")[0] == 0
+    assert run("check", "recurrent", "--spec", ODOMETER, "--depth", "0")[0] == 2
+    assert run("check", "contracting", "--spec", EX310, "--max-states", "1",
+               "--max-rounds", "1")[0] == 2
+
+
+# -- the command table against the parser it replaced -----------------------------
+
+
+def _build_parser():
+    """The argparse tree the command table replaced, every subcommand built.
+
+    Kept as the oracle for ``cli._parser``: its namespaces carry ``command``
+    like the table's, so ``cli.dispatch`` runs either.
+    """
+    top = argparse.ArgumentParser(prog="selfsim",
+                                  description="Self-similar groupoid actions on graphs")
+    top.add_argument("--json", action="store_true", help="machine-readable output")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def spec_command(name, **extra):
+        p = sub.add_parser(name)
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help="machine-readable output")
+        p.add_argument("--spec", required=True)
+        p.add_argument("--max-states", type=int, default=None)
+        p.add_argument("--max-rounds", type=int, default=None)
+        for key, kw in extra.items():
+            p.add_argument(f"--{key.replace('_', '-')}", **kw)
+        return p
+
+    spec_command("validate")
+    spec_command("act", elem={"required": True}, path={"required": True})
+    spec_command("restrict", elem={"required": True}, path={"required": True})
+    spec_command("eq", left={"required": True}, right={"required": True})
+    spec_command("nucleus", format={"choices": ["json", "dot"], "default": "json"})
+    spec_command("rk", k={"type": int, "required": True})
+    check = spec_command("check", depth={"type": int, "default": 6},
+                         level={"type": int, "default": 1})
+    check.add_argument("property", choices=[
+        "regular", "hausdorff", "recurrent", "level-transitive", "contracting"])
+    spec_command("ae", x={"required": True}, y={"required": True})
+    spec_command("class", x={"required": True})
+    spec_command("shift", x={"required": True})
+    spec_command("germ-eq",
+                 x={"required": True}, y={"required": True},
+                 m1={"type": int, "required": True}, elem1={"required": True},
+                 n1={"type": int, "required": True},
+                 m2={"type": int, "required": True}, elem2={"required": True},
+                 n2={"type": int, "required": True})
+    spec_command("stable", x={"required": True}, y={"required": True})
+    spec_command("unstable", x={"required": True}, y={"required": True})
+    spec_command("schreier", level={"type": int, "required": True},
+                 format={"choices": ["json", "dot"], "default": "json"},
+                 out={"default": None})
+
+    kat = sub.add_parser("katsura")
+    kat.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+    kat.add_argument("--A", required=True)
+    kat.add_argument("--B", required=True)
+    kat.add_argument("--spec-out", default=None)
+
+    snf = sub.add_parser("snf")
+    snf.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+    snf.add_argument("--matrix", required=True)
+
+    kth = sub.add_parser("ktheory")
+    kth.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+    kth.add_argument("--A", required=True)
+    kth.add_argument("--B", required=True)
+    return top
+
+
+# Runs every argv read from stdin through cli.dispatch, with the table's parser
+# or (argument "oracle") with _build_parser, and prints stdout, stderr and exit
+# code of each as JSON.
+_RUNNER = """
+import contextlib, io, json, sys
+from selfsim import cli
+if sys.argv[1] == "oracle":
+    from test_cli import _build_parser
+    cli._parser = lambda argv: _build_parser()
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.dispatch(argv)
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(results))
+"""
+
+
+def _run_all(mode, cases):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+               COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", _RUNNER, mode], input=json.dumps(cases),
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _oracle_cases():
+    cases = [["-h"], [], ["--json"], ["bogus"], ["-1", "eq"], ["--foo", "eq"], ["-h", "eq"],
+             ["--json", "-h", "snf"], ["--", "eq"], ["-", "eq"], ["eq", "extra"],
+             ["check", "nope", "--spec", EX310],
+             ["nucleus", "--spec", EX310, "--format", "xml"],
+             ["rk", "--spec", EX310, "--k", "x"],
+             ["check", "regular", "--spec", EX310, "--depth", "1.5"]]
+    for name in cli.COMMANDS:
+        cases += [[name, "-h"], [name], [name, "--spec"], [name, "--bogus"],
+                  ["--json", name, "--spec", EX310, "--bogus", "1"]]
+    for spec in sorted(SPECS.glob("*.ss")):
+        for argv in (["validate"], ["nucleus"], ["nucleus", "--format", "dot"],
+                     ["rk", "--k", "2"], ["check", "regular"], ["check", "hausdorff"],
+                     ["check", "contracting"], ["check", "recurrent", "--depth", "3"],
+                     ["check", "level-transitive", "--level", "2"],
+                     ["schreier", "--level", "2"], ["schreier", "--level", "1", "--format", "dot"],
+                     ["nucleus", "--max-states", "5", "--max-rounds", "3"]):
+            cases += [[argv[0], "--spec", str(spec), *argv[1:]],
+                      ["--json", argv[0], "--spec", str(spec), *argv[1:]]]
+    ex310 = [["act", "--elem", "a b", "--path", "3.2.4"], ["restrict", "--elem", "a", "--path", "2"],
+             ["eq", "--left", "a a^-1", "--right", "w"], ["ae", "--x", "(2.3)^inf", "--y", "(4.2)^inf"],
+             ["class", "--x", "(2.3)^inf"], ["shift", "--x", "(2.3)^inf"],
+             ["germ-eq", "--x", "4 . (1)^inf", "--y", "(1)^inf", "--m1", "0", "--elem1", "a",
+              "--n1", "0", "--m2", "1", "--elem2", "v", "--n2", "1"],
+             ["stable", "--x", "(2.3)^inf . 1 . (1)^inf @ 0", "--y", "(3.2)^inf . 4 . (1)^inf @ 1"],
+             ["unstable", "--x", "(2.3)^inf . 1 . (1)^inf @ 0",
+              "--y", "(3.2)^inf . 4 . (1)^inf @ 1"]]
+    cases += [[argv[0], "--spec", EX310, *argv[1:], "--json"] for argv in ex310]
+    cases += [["snf", "--matrix", "[[2,4],[6,8]]"], ["ktheory", "--A", "[[2]]", "--B", "[[1]]"],
+              ["--json", "katsura", "--A", "[[2,1],[2,2]]", "--B", "[[1,0],[1,1]]"]]
+    return cases
+
+
+def test_table_parser_matches_oracle():
+    cases = _oracle_cases()
+    got, want = _run_all("table", cases), _run_all("oracle", cases)
+    for argv, g, w in zip(cases, got, want):
+        assert g == w, argv
+    assert sum(code == 3 and "error:" in err for _, err, code in want) >= 60
+    assert sum(code == 0 and out.startswith("usage:") for out, _, code in want) == 20
+
+
+def test_dispatch_builds_only_the_chosen_parser(monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run("check", "regular", "--spec", EX310)[0] == 0
+    assert made == ["selfsim", "selfsim check"]
