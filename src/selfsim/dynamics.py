@@ -306,14 +306,27 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
 
 
 def level_transitive(aut: Automaton, n: int, gen_set=None) -> bool:
-    """True iff the level-n Schreier graph is connected."""
-    from .schreier import build_schreier, default_generating_set
+    """True iff the level-n Schreier graph is connected: union-find over the
+    columns of the level-n table, with no graph built."""
+    from .schreier import _label_set, _tower, default_generating_set
 
     if n < 1:
         raise ValueError("level must be >= 1")
-    gens = gen_set if gen_set is not None else default_generating_set(aut)
-    gamma = build_schreier(aut, gens, n)
-    return gamma.is_connected()
+    labels = _label_set(aut, gen_set if gen_set is not None else default_generating_set(aut))
+    ids = [aut.canonical_id(a) for a in labels]
+    for groups, seqs, cols in _tower(aut, ids, n):
+        pass
+    root = list(range(len(seqs)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+    for a, c in zip(labels, ids):
+        images = groups[aut.cod(a)]
+        for u, p in zip(groups[a.dom], cols[c]):
+            root[find(u)] = find(images[p])
+    return len({find(i) for i in range(len(root))}) <= 1
 
 
 # -- germs -----------------------------------------------------------------------

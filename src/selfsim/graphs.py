@@ -170,30 +170,29 @@ def strongly_connected_components(nodes, succ) -> list[list]:
     so long chains do not hit the recursion limit.  Components come out in
     reverse topological order: an arc leaving a component enters one listed
     earlier."""
-    index: dict = {}
-    low: dict = {}  # a finished component's nodes get low = inf
+    low: dict = {}  # visit numbers live in the search frames; finished nodes get inf
     stack: list = []
     out: list[list] = []
     for root in nodes:
-        if root in index:
+        if root in low:
             continue
-        index[root] = low[root] = len(index)
+        low[root] = len(low)
         stack.append(root)
-        work = [(root, iter(succ(root)))]
+        work = [(root, low[root], iter(succ(root)))]
         while work:
-            v, arcs = work[-1]
+            v, index, arcs = work[-1]
             for w in arcs:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if w not in low:
+                    low[w] = len(low)
                     stack.append(w)
-                    work.append((w, iter(succ(w))))
+                    work.append((w, low[w], iter(succ(w))))
                     break
                 low[v] = min(low[v], low[w])
             else:
                 work.pop()
                 if work:
                     low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
+                if low[v] == index:
                     comp = []
                     while not comp or comp[-1] != v:
                         comp.append(stack.pop())
@@ -208,16 +207,19 @@ def cyclic_nodes(nodes, succ) -> set:
             if len(comp) > 1 or comp[0] in succ(comp[0]) for v in comp}
 
 
-def limit_nodes(nodes, succ) -> set:
-    """The nodes reachable from ``nodes`` that are reachable from a directed
-    cycle, cycle nodes included: one Tarjan pass, then marks pushed forward
-    along the components in topological order."""
-    limit: set = set()
+def limit_nodes(nodes, succ) -> dict:
+    """The nodes reachable from ``nodes`` and from a directed cycle, each
+    mapped to a cycle node that reaches it: one Tarjan pass, then marks
+    pushed forward along the components in topological order."""
+    origin: dict = {}
     for comp in reversed(strongly_connected_components(nodes, succ)):
-        if len(comp) > 1 or comp[0] in succ(comp[0]) or comp[0] in limit:
-            limit.update(comp)
-            limit.update(w for v in comp for w in succ(v))
-    return limit
+        if len(comp) > 1 or comp[0] in succ(comp[0]):
+            origin.update(dict.fromkeys(comp, comp[0]))
+        for v in comp:
+            if v in origin:
+                for w in succ(v):
+                    origin.setdefault(w, origin[v])
+    return origin
 
 
 def bfs(starts, succ):

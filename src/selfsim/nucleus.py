@@ -7,13 +7,19 @@ and whose arcs are single-edge restrictions, those are exactly the nodes
 reachable from a directed cycle.
 
 The computation iterates products of two: start from the restriction
-closure of generators, inverses and units; repeatedly add the limit
+closure S of generators, inverses and units; repeatedly add the limit
 restrictions of all composable pairs; on fixpoint S, prune to the union of
 limit restrictions of pairs from S.  Restrictions of a k-fold product of S
 elements land, deep enough, in products of two (the restriction of a
 product is the product of restrictions), so the fixpoint property makes S
-a contracting core and the pruned set is the nucleus itself.  Everything
-runs on canonical classes; exceeding the state or round budget yields
+a contracting core and the pruned set is the nucleus itself.
+
+As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of hg are the products
+along the walks from (h, g) in the pair digraph on S x S with arcs
+(h, g) -e-> (h|_{g.e}, g|_e), read off the class rows; hg's limit set is
+the products at the pairs on or after a cycle that (h, g) reaches.  So one
+Tarjan pass gives every pair's limit set, and only those products are
+identified.  Exceeding the state or round budget yields
 NotContractingWithinBound, never a claim of non-contraction.
 """
 
@@ -67,17 +73,37 @@ def limit_restrictions(aut: Automaton, g: Element, budget: int | None = None) ->
     the nodes of g's restriction digraph reachable from a directed cycle."""
     budget = budget if budget is not None else aut.bounds.max_states
     sm = reachable_closure(aut, [g], budget)
-    succ: list[list[int]] = [[] for _ in sm.states]
-    for (i, _e), j in sm.successor.items():
-        succ[i].append(j)
-    return {sm.states[i] for i in limit_nodes(range(len(succ)), succ.__getitem__)}
+    succ = [[sm.successor[i, e.id] for e in aut.graph.range_edges(v)]
+            for i, v in enumerate(sm.doms)]
+    return {sm.states[i] for i in limit_nodes(range(len(sm)), succ.__getitem__)}
 
 
-def _composable_pairs(aut: Automaton, elems: list[Element]):
-    for g in elems:
-        for h in elems:
-            if h.dom == aut.cod(g):
-                yield h, g
+def _pair_limits(aut: Automaton, elems: list[Element], touch, budget: int) -> dict[int, Element]:
+    """Class id -> witness for the limit restrictions of the products hg of
+    composable pairs from the restriction-closed canonical ``elems`` with h
+    or g in the class ids ``touch`` (all pairs when None); a witness is a
+    product whose own limit set holds the class.  Pair nodes are integers,
+    and their arcs are made on demand, not stored."""
+    n = len(elems)
+    ids = [aut.canonical_id(e, budget) for e in elems]
+    pos = {c: i for i, c in enumerate(ids)}
+    rows = [aut._registry.row(c, budget) for c in ids]
+    # h acts on the edge g.e: edge -> n * position of h's restriction there
+    left = [{e: n * pos[c] for e, _, c in row} for row in rows]
+    right = [[(img, pos[c]) for _, img, c in row] for row in rows]
+
+    def succ(node):
+        h, g = divmod(node, n)
+        return [left[h][img] + g2 for img, g2 in right[g]]
+
+    starts = (h * n + g for g, cod in enumerate(map(aut.cod, elems)) for h, he in enumerate(elems)
+              if he.dom == cod and (touch is None or ids[h] in touch or ids[g] in touch))
+    out: dict[int, Element] = {}
+    for node, cyc in limit_nodes(starts, succ).items():
+        h, g = divmod(node, n)
+        out.setdefault(aut.canonical_id(aut.compose(elems[h], elems[g]), budget),
+                       aut.compose(elems[cyc // n], elems[cyc % n]))
+    return out
 
 
 def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
@@ -87,12 +113,9 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
     budget = bounds.max_states
 
     def canon_sorted(elems):
-        out = {}
-        for e in elems:
-            cid, rep = aut._registry.lookup(e, budget)
-            out[cid] = rep
+        classes = dict(aut._registry.lookup(e, budget) for e in elems)
         # units tie on word_key; dom breaks the tie independently of hashing
-        return [aut.canonical(e) for e in sorted(out.values(),
+        return [aut.canonical(e) for e in sorted(classes.values(),
                                                  key=lambda e: (word_key(e.word), e.dom))]
 
     try:
@@ -102,39 +125,22 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
             seeds.append(aut.inverse(aut.generator(name)))
         current = canon_sorted(reachable_closure(aut, seeds, budget).states)
 
-        fresh = list(current)  # pairs not involving a fresh state were already scanned
+        fresh = None  # round 1 scans every pair, later rounds those touching a new class
         for _round in range(bounds.max_rounds):
-            added = []
-            fresh_ids = {aut.canonical_id(e) for e in fresh}
-            for h, g in _composable_pairs(aut, current):
-                if aut.canonical_id(h) not in fresh_ids and aut.canonical_id(g) not in fresh_ids:
-                    continue
-                for lim in limit_restrictions(aut, aut.compose(h, g), budget):
-                    added.append(lim)
-            merged = canon_sorted(current + added)
-            if len(merged) > budget:
+            found = _pair_limits(aut, current, fresh, budget)
+            fresh = found.keys() - {aut.canonical_id(e) for e in current}
+            current = canon_sorted(current + [aut._registry.reps[c] for c in fresh])
+            if len(current) > budget:
                 return NotContractingWithinBound("max_states", budget, bounds.max_rounds)
-            if len(merged) == len(current):
-                current = merged
+            if not fresh:
                 break
-            old_ids = {aut.canonical_id(e) for e in current}
-            fresh = [e for e in merged if aut.canonical_id(e) not in old_ids]
-            current = merged
         else:
             return NotContractingWithinBound("max_rounds", budget, bounds.max_rounds)
 
         # prune: the nucleus is the union of limit restrictions of pair
         # products of the fixpoint (unit factors make single elements pairs)
-        witnesses: dict[int, Element] = {}
-        pruned: dict[int, Element] = {}
-        for h, g in _composable_pairs(aut, current):
-            prod = aut.compose(h, g)
-            for lim in limit_restrictions(aut, prod, budget):
-                cid = aut.canonical_id(lim)
-                if cid not in pruned:
-                    pruned[cid] = aut.canonical(lim)
-                    witnesses[cid] = prod
-        states = canon_sorted(pruned.values())
+        witnesses = _pair_limits(aut, current, None, budget)
+        states = canon_sorted([aut._registry.reps[c] for c in witnesses])
 
         # certificate: symmetric, restriction-closed, absorbs pair products
         ids = {aut.canonical_id(s) for s in states}
@@ -144,10 +150,8 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
         machine = reachable_closure(aut, states, budget)
         if {aut.canonical_id(s) for s in machine.states} != ids:
             raise DivergedError("nucleus not closed under restriction")
-        for h, g in _composable_pairs(aut, states):
-            for lim in limit_restrictions(aut, aut.compose(h, g), budget):
-                if aut.canonical_id(lim) not in ids:
-                    raise DivergedError("contracting certificate failed")
+        if not _pair_limits(aut, states, None, budget).keys() <= ids:
+            raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, bounds.max_rounds)
 

@@ -1125,3 +1125,55 @@ def test_nucleus_deciders_act_no_word(monkeypatch, ex310, nonhausdorff):
             pass
         monkeypatch.setattr(Automaton, "word_act_edge", original)
         assert calls == []
+
+
+# -- level transitivity: the built Schreier graph, kept as the oracle -------------
+
+
+def old_level_transitive(aut, n, gen_set=None):
+    """Build Gamma_n and test its connectivity."""
+    from selfsim.schreier import build_schreier, default_generating_set
+
+    gens = gen_set if gen_set is not None else default_generating_set(aut)
+    return build_schreier(aut, gens, n).is_connected()
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s != "noncontracting"])
+def test_level_transitive_vs_built_graph(spec):
+    import warnings
+
+    aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
+    for n in range(1, 10):
+        assert level_transitive(aut, n) == old_level_transitive(aut, n), n
+    # one generator alone: both extend it (with the same warnings) and agree
+    gens = [aut.generator(sorted(aut.generators)[0])]
+    for n in (1, 2, 5):
+        with warnings.catch_warnings(record=True) as new_w:
+            warnings.simplefilter("always")
+            got = level_transitive(aut, n, gens)
+        with warnings.catch_warnings(record=True) as old_w:
+            warnings.simplefilter("always")
+            want = old_level_transitive(aut, n, gens)
+        assert got == want
+        assert [str(w.message) for w in new_w] == [str(w.message) for w in old_w]
+
+
+def test_level_transitive_vs_built_graph_random():
+    import warnings
+
+    from test_acceptance import _random_automaton
+
+    rng = random.Random(3)
+    checked = transitive = 0
+    while checked < 40:
+        aut = _random_automaton(rng)
+        if aut is None:
+            continue
+        checked += 1
+        for n in range(1, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # non-closed label sets are extended
+                got = level_transitive(aut, n)
+                assert got == old_level_transitive(aut, n), (checked, n)
+            transitive += got
+    assert 0 < transitive < 200

@@ -141,14 +141,18 @@ def test_scc_helpers_vs_reach_sets():
                 assert pos[w] <= pos[v]
         cyclic = {v for v in seen if v in reach[v]}
         assert cyclic_nodes(starts, succ.__getitem__) == cyclic
-        assert limit_nodes(starts, succ.__getitem__) == cyclic.union(*(reach[v] for v in cyclic))
+        limit = limit_nodes(starts, succ.__getitem__)
+        assert limit.keys() == cyclic.union(*(reach[v] for v in cyclic))
+        # each limit node's origin lies on a cycle and reaches it
+        for v, o in limit.items():
+            assert o in cyclic and v in reach[o]
 
 
 def test_scc_helpers_long_chain():
     n = 20_000  # far past the recursion limit
     succ = lambda v: (v + 1,) if v + 1 < n else (n // 2,)
     assert cyclic_nodes([0], succ) == set(range(n // 2, n))
-    assert limit_nodes([0], succ) == set(range(n // 2, n))
+    assert limit_nodes([0], succ).keys() == set(range(n // 2, n))
 
 
 def _random_labelled_digraph(rng, n):
