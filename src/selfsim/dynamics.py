@@ -22,6 +22,10 @@ the nucleus, and conversely any cycle of non-unit states realizes such a
 pair.  Regular = no cycle at all; non-Hausdorff = some cycle all of whose
 states can reach a unit state inside the digraph (the unit-reaching arcs
 are exactly the strongly fixed extensions).
+
+Unstable equivalence runs on the machine of the restriction closure of
+N u N^2 in the same way: a state either maps x's right tail onto y's, as
+a run checked until its (state, phase) pairs repeat, or it does not.
 """
 
 from __future__ import annotations
@@ -314,9 +318,9 @@ def level_transitive(aut: Automaton, n: int, gen_set=None) -> bool:
         raise ValueError("level must be >= 1")
     labels = _label_set(aut, gen_set if gen_set is not None else default_generating_set(aut))
     ids = [aut.canonical_id(a) for a in labels]
-    for groups, seqs, cols in _tower(aut, ids, n):
+    for groups, cols in _tower(aut, ids, n):
         pass
-    root = list(range(len(seqs)))
+    root = list(range(sum(map(len, groups.values()))))
 
     def find(i):
         while root[i] != i:
@@ -404,8 +408,9 @@ def stable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
     return (False, None) if want_witness else False
 
 
-def _unstable_element_pool(nuc: Nucleus) -> list[Element]:
-    """The smallest restriction-closed set containing N and N^2."""
+def _unstable_element_pool(nuc: Nucleus) -> StateMachine:
+    """The machine of the smallest restriction-closed set containing N and
+    N^2."""
     from .automaton import reachable_closure
 
     aut = nuc.automaton
@@ -415,30 +420,25 @@ def _unstable_element_pool(nuc: Nucleus) -> list[Element]:
             if h.dom == aut.cod(g):
                 prod = aut.compose(h, g)
                 seeds.setdefault(aut.canonical_id(prod), aut.canonical(prod))
-    pool = sorted(seeds.values(), key=lambda e: word_key(e.word))
-    sm = reachable_closure(aut, pool)
-    return [aut.canonical(s) for s in sm.states]
+    return reachable_closure(aut, sorted(seeds.values(), key=lambda e: word_key(e.word)))
 
 
 def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
                         want_witness: bool = False):
     """True iff some g in the closure of N u N^2 maps x(M+1, inf) onto
-    y(M+1, inf); monotone in M by restriction, periodic past the centers."""
+    y(M+1, inf); monotone in M by restriction, periodic past the centers.
+    Each g runs on the pool's machine: right of the centers a step depends
+    only on (state, position mod R) with R the lcm of the right cycles, so
+    a run that holds for |pool| R + 1 positions there holds forever."""
     aut = nuc.automaton
-    graph = aut.graph
-    pool = _unstable_element_pool(nuc)
-    m0 = max(0, x.anchor + len(x.center), y.anchor + len(y.center))
-    period = lcm(len(x.right_cycle), len(y.right_cycle))
-    for m in range(0, m0 + period):
-        tx = x.right_tail(graph, m + 1)
-        ty = y.right_tail(graph, m + 1)
-        for g in pool:
-            if g.dom != tx.r(graph):
-                continue
-            if aut.cod(g) != ty.r(graph):
-                continue
-            if aut.act_infinite(g, tx) == ty:
-                return (True, (m, g)) if want_witness else True
+    sm = _unstable_element_pool(nuc)
+    b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
+    R = lcm(len(x.right_cycle), len(y.right_cycle))
+    for m in range(0, max(0, b0) + R):
+        end = max(m + 1, b0) + len(sm) * R + 1
+        for i in range(len(sm)):
+            if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None:
+                return (True, (m, aut.canonical(sm.states[i]))) if want_witness else True
     return (False, None) if want_witness else False
 
 

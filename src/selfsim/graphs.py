@@ -20,6 +20,7 @@ nonempty; "no sinks" means every E^1 v is nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     DanglingEndpointError,
@@ -143,25 +144,21 @@ def concat(graph: Graph, p: Path, q: Path) -> Path:
 def enumerate_paths(graph: Graph, n: int, at: str | None = None) -> list[Path]:
     """All of E^n (or vE^n when ``at`` is given), lexicographic by edge ids.
 
-    Built by extending paths on the right: a length-k path with source u
-    extends by every edge in uE^1-range position, i.e. every e with r(e) = s(path).
-    """
+    Built by prefixing: the length-k paths with range v are e mu for e in
+    vE^1 and mu a length-(k-1) path with range s(e), so walking the edges in
+    id order keeps every level lexicographic with no sort."""
     if n < 0:
         raise ValueError("path length must be >= 0")
-    roots = [at] if at is not None else list(graph.vertices)
-    out: list[Path] = []
-    for v in roots:
-        level = [Path.empty(v)]
-        for _ in range(n):
-            nxt = []
-            for p in level:
-                u = p.s(graph)
-                for e in graph.range_edges(u):
-                    nxt.append(Path(v, p.edges + (e.id,)))
-            level = nxt
-        out.extend(level)
-    out.sort(key=lambda p: (p.edges, p.base))
-    return out
+    if at is not None and at not in graph.vertices:
+        raise UnknownSymbolError(f"unknown vertex {at!r}")
+    if n == 0:
+        return [Path.empty(v) for v in ([at] if at is not None else graph.vertices)]
+    seqs = dict.fromkeys(graph.vertices, [()])  # range vertex -> edge tuples
+    for _ in range(n - 1):
+        seqs = {v: [(e.id,) + t for e in graph.range_edges(v) for t in seqs[e.src]]
+                for v in graph.vertices}
+    return [Path(e.dst, (e.id,) + t)
+            for e in (graph.edges if at is None else graph.range_edges(at)) for t in seqs[e.src]]
 
 
 def strongly_connected_components(nodes, succ) -> list[list]:
@@ -287,46 +284,25 @@ class StructureReport:
         }
 
 
-def _bool_adjacency(graph: Graph):
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    m = [[False] * n for _ in range(n)]
-    for e in graph.edges:
-        m[idx[e.src]][idx[e.dst]] = True  # arrow s(e) -> r(e)
-    return m
-
-
-def _bool_mul(a, b):
-    n = len(a)
-    return [[any(a[i][k] and b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def validate_graph(graph: Graph) -> StructureReport:
     """Compute the structural flags exactly.
 
     Strong connectivity asks that vE*w is nonempty for all v, w, i.e. a
     directed walk from every vertex to every other (the one-vertex
-    edgeless graph is excluded by convention).  Primitivity asks for some
-    power of the adjacency matrix to be strictly positive; the exponent is
-    capped at |V|^2 + 1, past which no new zero pattern can appear.
+    edgeless graph is excluded by convention): one search along the arcs
+    s(e) -> r(e) and one against them, from the same vertex.  Primitivity
+    (some power of the adjacency matrix strictly positive) is strong
+    connectivity plus period 1, and the period is the gcd over the arcs of
+    level(s(e)) + 1 - level(r(e)) for the forward search's levels.
     """
     n = len(graph.vertices)
-    adj = _bool_adjacency(graph)
-
-    def out(v):
-        return ((e.id, e.dst) for e in graph.source_edges(v))
-
-    # one search per vertex; a single vertex needs an edge by convention
-    strongly = (bool(graph.edges) if n == 1 else
-                all(sum(1 for _ in bfs([v], out)) == n for v in graph.vertices))
-
-    primitive = False
-    power = [row[:] for row in adj]
-    for _ in range(n * n + 1):
-        if all(all(row) for row in power):
-            primitive = True
-            break
-        power = _bool_mul(power, adj)
+    level: dict[str, int] = {}
+    for v, parent in bfs(graph.vertices[:1], lambda u: ((None, e.dst) for e in graph.source_edges(u))):
+        level[v] = 0 if parent[v] is None else level[parent[v][0]] + 1
+    back = bfs(graph.vertices[:1], lambda u: ((None, e.src) for e in graph.range_edges(u)))
+    strongly = bool(graph.edges) if n == 1 else len(level) == n and sum(1 for _ in back) == n
+    # the gcd over no arcs is 0, so the empty graph stays vacuously primitive
+    primitive = strongly and gcd(*(level[e.src] + 1 - level[e.dst] for e in graph.edges)) <= 1
 
     return StructureReport(
         finite=True,

@@ -107,7 +107,11 @@ def _pair_limits(aut: Automaton, elems: list[Element], touch, budget: int) -> di
 
 
 def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
-    """Nucleus with closure certificate, or NotContractingWithinBound."""
+    """Nucleus with closure certificate, or NotContractingWithinBound.
+
+    ``bounds`` sets the state budget and the round count only: word growth
+    stays capped by ``aut.bounds.max_word_len``, which word_act_edge reads
+    from the automaton."""
     aut._require_valid()
     bounds = bounds or aut.bounds
     budget = bounds.max_states

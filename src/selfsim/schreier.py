@@ -7,19 +7,22 @@ maps to (a|_e : mu -> nu).  For that to stay inside the labelling set the
 generating set must be closed under inverses and restriction; build_schreier
 extends it (with a warning) when it is not.
 
-Vertices and arcs come from integer level tables, not from acting words
-on paths.  Level k lists E^k in enumerate_paths order, one block per edge e
-(in edge order) holding the level-(k-1) paths with range s(e).  It keeps
-groups[v], the increasing indices of the paths with range v (a path's place
-there is its position), and cols[a] for each label class a: the position of
-a . mu for each position mu of d(a).  With at[e] the position where e's
-block starts in groups[r(e)], and a.e and a|_e from the class row of a,
-a.(e mu) = (a.e)(a|_e . mu) reads
+Arcs come from integer level tables, not from acting words on paths, and
+the tables hold no paths: the vertices are enumerate_paths's list.  Level k
+lists E^k in that order, one block per edge e (in edge order) holding the
+level-(k-1) paths with range s(e).  It keeps groups[v], the increasing
+indices of the paths with range v (a path's place there is its position),
+and cols[a] for each label class a: the position of a . mu for each
+position mu of d(a).  With at[e] the position where e's block starts in
+groups[r(e)], and a.e and a|_e from the class row of a, a.(e mu) =
+(a.e)(a|_e . mu) reads
 
     cols_k[a][at[e] + p] = at[a.e] + cols_{k-1}[a|_e][p].
 
 A walk up the tower keeps one level live.  Gamma_n's arcs are the top
-level's columns; the tails psi_n maps to are the level-(n-1) groups.
+level's columns.  psi_n maps the p-th path of e's block to the p-th
+level-(n-1) path with range s(e), which it finds by the ranges of the
+enumerated level-(n-1) paths, with no walk up the tower.
 
 Geodesic distance between the depth-n windows of two left-infinite paths
 stays bounded over n exactly when the paths are asymptotically equivalent,
@@ -29,13 +32,13 @@ which the distance_profile helper exposes for cross-checks.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import groupby, islice, repeat
+from operator import itemgetter
 
 from .automaton import Automaton, Element, reachable_closure, word_key
 from .errors import VertexNotInLevelError
-from .graphs import Path, bfs
+from .graphs import Path, bfs, enumerate_paths
 from .infinite_paths import LeftInfinitePath
 
 
@@ -71,12 +74,12 @@ class SchreierGraph:
         """Edges deduplicated across orientation and inverse labels, keyed
         (min index, max index) with a sorted label tuple."""
         aut = self.automaton
-        names = {id(a): min(aut.canonical(a).name(), aut.canonical(aut.inverse(a)).name())
-                 for a in {id(a): a for _, _, a in self.arcs}.values()}
         out: dict[tuple[int, int], set[str]] = {}
-        for (u, v, label) in self.arcs:
-            out.setdefault((u, v) if u <= v else (v, u), set()).add(names[id(label)])
-        return {k: tuple(sorted(v)) for k, v in sorted(out.items())}
+        for label, block in groupby(self.arcs, itemgetter(2)):
+            name = min(aut.canonical(label).name(), aut.canonical(aut.inverse(label)).name())
+            for u, v, _ in block:
+                out.setdefault((u, v) if u <= v else (v, u), set()).add(name)
+        return {k: tuple(sorted(out[k])) for k in sorted(out)}
 
     def neighbours(self, i: int):
         adj = getattr(self, "_adj", None)
@@ -134,15 +137,14 @@ def _label_set(aut: Automaton, gen_set) -> list[Element]:
 
 
 def _tower(aut: Automaton, class_ids, n: int):
-    """Yield (groups, seqs, cols) for the levels 0..n: the module
-    docstring's tables, plus the edge tuple of every path in level order.
-    The classes must be closed under restriction, as _label_set's are."""
+    """Yield (groups, cols) for the levels 0..n: the module docstring's
+    tables.  The classes must be closed under restriction, as _label_set's
+    are."""
     graph = aut.graph
     rows = {c: aut._registry.row(c) for c in class_ids}
     groups = {v: [i] for i, v in enumerate(graph.vertices)}
-    seqs = [()] * len(graph.vertices)
     cols = dict.fromkeys(rows, [0])
-    yield groups, seqs, cols
+    yield groups, cols
     for _ in range(n):
         start, total = {}, 0  # edge -> level-k index of its block's first path
         for e in graph.edges:
@@ -154,18 +156,10 @@ def _tower(aut: Automaton, class_ids, n: int):
             for e in graph.range_edges(v):
                 at[e.id] = len(grp)
                 grp.extend(range(start[e.id], start[e.id] + len(groups[e.src])))
-        seqs = [(e.id,) + seqs[j] for e in graph.edges for j in groups[e.src]]
         cols = {c: [at[img] + p for _, img, succ in row for p in cols[succ]]
                 for c, row in rows.items()}
         groups = nxt
-        yield groups, seqs, cols
-
-
-def _paths(aut: Automaton, level: int, seqs) -> list[Path]:
-    if level == 0:
-        return [Path.empty(v) for v in aut.graph.vertices]
-    rng = {e.id: e.dst for e in aut.graph.edges}
-    return [Path(rng[s[0]], s) for s in seqs]
+        yield groups, cols
 
 
 def _schreier_graphs(aut: Automaton, gen_set, bottom: int, top: int):
@@ -173,11 +167,11 @@ def _schreier_graphs(aut: Automaton, gen_set, bottom: int, top: int):
     labels = _label_set(aut, gen_set)
     ids = [aut.canonical_id(a) for a in labels]
     tower = islice(_tower(aut, ids, top), bottom, None)
-    for level, (groups, seqs, cols) in enumerate(tower, bottom):
+    for level, (groups, cols) in enumerate(tower, bottom):
         arcs = []
         for a, c in zip(labels, ids):
             arcs += zip(groups[a.dom], map(groups[aut.cod(a)].__getitem__, cols[c]), repeat(a))
-        yield SchreierGraph(level, aut, labels, _paths(aut, level, seqs), arcs)
+        yield SchreierGraph(level, aut, labels, enumerate_paths(aut.graph, level), arcs)
 
 
 def build_schreier(aut: Automaton, gen_set, n: int) -> SchreierGraph:
@@ -200,52 +194,44 @@ def project_psi(gamma: SchreierGraph) -> tuple[SchreierGraph, PsiMorphism]:
     if gamma.level < 1:
         raise ValueError("psi needs level >= 1")
     aut = gamma.automaton
-    for groups, seqs, _ in _tower(aut, (), gamma.level - 1):
-        pass
-    tails = [j for e in aut.graph.edges for j in groups[e.src]]
-    heads = [e.id for e in aut.graph.edges for _ in groups[e.src]]
+    graph = aut.graph
+    lower = enumerate_paths(graph, gamma.level - 1)
+    groups: dict[str, list[int]] = {v: [] for v in graph.vertices}
+    for j, p in enumerate(lower):
+        groups[p.base].append(j)
+    tails = [j for e in graph.edges for j in groups[e.src]]
+    heads = [p.edges[0] for p in gamma.vertices]
     reps = aut._registry.reps
-    # id of a label -> (its name, first edge -> its restriction's class, element, name)
-    by_label: dict[int, tuple] = {}
     arcs = []
     arc_map = []
     seen = set()
-    for (u, v, label) in gamma.arcs:
-        hit = by_label.get(id(label))
-        if hit is None:
-            cid = aut.canonical_id(label)
-            hit = by_label[id(label)] = (reps[cid].name(), {
-                e: (succ, reps[succ], reps[succ].name())
-                for e, _, succ in aut._registry.row(cid)})
-        name, restrict = hit
-        succ, restricted, rname = restrict[heads[u]]
-        pu, pv = tails[u], tails[v]
-        key = (pu, pv, succ)
-        if key not in seen:
-            seen.add(key)
-            arcs.append((pu, pv, restricted))
-        arc_map.append(((u, v, name), (pu, pv, rname)))
-    lower = _paths(aut, gamma.level - 1, seqs)
+    for label, block in groupby(gamma.arcs, itemgetter(2)):
+        cid = aut.canonical_id(label)
+        name = reps[cid].name()
+        # first edge -> its restriction's class, element and name
+        restrict = {e: (succ, reps[succ], reps[succ].name())
+                    for e, _, succ in aut._registry.row(cid)}
+        for u, v, _ in block:
+            succ, restricted, rname = restrict[heads[u]]
+            pu, pv = tails[u], tails[v]
+            key = (pu, pv, succ)
+            if key not in seen:
+                seen.add(key)
+                arcs.append((pu, pv, restricted))
+            arc_map.append(((u, v, name), (pu, pv, rname)))
     projected = SchreierGraph(gamma.level - 1, aut, gamma.gen_set, lower, arcs)
     return projected, PsiMorphism(dict(enumerate(tails)), arc_map)
 
 
 def geodesic_distance(gamma: SchreierGraph, mu: Path, nu: Path):
     """BFS distance ignoring labels; None when unreachable."""
-    src = gamma.vertex_index(mu)
-    dst = gamma.vertex_index(nu)
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in gamma.neighbours(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v == dst:
-                    return dist[v]
-                queue.append(v)
+    src, dst = gamma.vertex_index(mu), gamma.vertex_index(nu)
+    for u, parent in bfs([src], lambda u: zip(repeat(None), gamma.neighbours(u))):
+        if u == dst:  # the parent chain is a shortest path: count its arcs
+            d = 0
+            while parent[u] is not None:
+                u, d = parent[u][0], d + 1
+            return d
     return None
 
 

@@ -35,6 +35,7 @@ from selfsim.dynamics import (
     shift_class,
     stable_equivalent,
     unstable_equivalent,
+    _unstable_element_pool,
 )
 
 
@@ -1177,3 +1178,85 @@ def test_level_transitive_vs_built_graph_random():
                 assert got == old_level_transitive(aut, n), (checked, n)
             transitive += got
     assert 0 < transitive < 200
+
+
+# -- unstable equivalence: the word-based scan, kept as the oracle ----------------
+
+
+def old_unstable_equivalent(x, y, nuc, want_witness=False):
+    """unstable_equivalent as it was: act_infinite of each element of the
+    closure of N u N^2 on x's right tail from every M, compared with y's."""
+    aut = nuc.automaton
+    graph = aut.graph
+    pool = [aut.canonical(s) for s in _unstable_element_pool(nuc).states]
+    m0 = max(0, x.anchor + len(x.center), y.anchor + len(y.center))
+    period = lcm(len(x.right_cycle), len(y.right_cycle))
+    for m in range(0, m0 + period):
+        tx = x.right_tail(graph, m + 1)
+        ty = y.right_tail(graph, m + 1)
+        for g in pool:
+            if g.dom != tx.r(graph) or aut.cod(g) != ty.r(graph):
+                continue
+            if aut.act_infinite(g, tx) == ty:
+                return (True, (m, g)) if want_witness else True
+    return (False, None) if want_witness else False
+
+
+def _unstable_partners(aut, x, elements, rng):
+    """For each element g acting where x's right tail starts, g . (that
+    tail) glued to a random left-infinite path that meets it: a partner
+    unstably equivalent to x."""
+    graph = aut.graph
+    b = x.anchor + len(x.center)
+    tail = x.right_tail(graph, b)
+    for g in elements:
+        if g.dom != tail.r(graph):
+            continue
+        w = aut.act_infinite(g, tail)
+        for _ in range(10):
+            z = random_left_path(aut, rng, max_cycle=4, max_tail=3)
+            if z.s(graph) == graph.r(w.edge_at(1)):
+                yield BiInfinitePath.make(graph, z.cycle, z.tail + w.head, w.cycle,
+                                          b - len(z.tail))
+                break
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s != "noncontracting"])
+def test_unstable_vs_word_oracle(spec):
+    aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
+    nuc = compute_nucleus(aut)
+    pool = _unstable_element_pool(nuc).states
+    rng = random.Random(SPECS.index(spec))
+    answers = []
+    ids = [e.id for e in aut.graph.edges]
+    for _ in range(30):
+        u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
+        if len(aut.graph.vertices) == 1:  # random_bi_path's cycles have length 1 there
+            v = BiInfinitePath.make(aut.graph, v.left_cycle, v.center,
+                                    rng.choices(ids, k=rng.randint(1, 4)), v.anchor)
+        partners = list(_unstable_partners(aut, u, pool, rng))
+        for w in [v, u.translate(aut.graph, 1)] + rng.sample(partners, min(6, len(partners))):
+            for x, y in ((u, w), (w, u)):
+                got = unstable_equivalent(x, y, nuc, want_witness=True)
+                assert got == old_unstable_equivalent(x, y, nuc, want_witness=True), (x, y)
+                answers.append(got[0])
+    assert 0 < answers.count(True) < len(answers)
+
+
+def test_unstable_acts_no_infinite_path(monkeypatch, ex310, nonhausdorff):
+    calls = []
+    original = Automaton.act_infinite
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    rng = random.Random(5)
+    for aut in (ex310, nonhausdorff):
+        nuc = compute_nucleus(aut)
+        u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
+        monkeypatch.setattr(Automaton, "act_infinite", counted)
+        for x, y in ((u, u), (u, v), (v, u)):
+            unstable_equivalent(x, y, nuc, want_witness=True)
+        monkeypatch.setattr(Automaton, "act_infinite", original)
+    assert calls == []

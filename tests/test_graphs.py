@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from selfsim.errors import DanglingEndpointError, DuplicateIdError, NonComposableError
+from selfsim.errors import (
+    DanglingEndpointError,
+    DuplicateIdError,
+    NonComposableError,
+    UnknownSymbolError,
+)
 from selfsim.graphs import (
     Graph,
     Path,
@@ -111,6 +116,45 @@ def test_path_range_source_at_filter():
         assert p.r(g) == "v"
         for a, b in zip(p.edges, p.edges[1:]):
             assert g.s(a) == g.r(b)
+
+
+def old_enumerate_paths(graph, n, at=None):
+    """enumerate_paths as it was: paths extended on the right from every
+    root, one Path per intermediate path, then sorted."""
+    roots = [at] if at is not None else list(graph.vertices)
+    out = []
+    for v in roots:
+        level = [Path.empty(v)]
+        for _ in range(n):
+            level = [Path(v, p.edges + (e.id,)) for p in level for e in graph.range_edges(p.s(graph))]
+        out.extend(level)
+    out.sort(key=lambda p: (p.edges, p.base))
+    return out
+
+
+def _random_graph(rng, max_vertices=5):
+    n = rng.randint(0, max_vertices)
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{k}", rng.choice(vs), rng.choice(vs))
+             for k in range(rng.randint(0, 2 * n) if n else 0)]
+    return Graph(vs, edges)
+
+
+def test_enumerate_paths_vs_sorted_extension():
+    rng = random.Random(12)
+    for _ in range(300):
+        g = _random_graph(rng)
+        for n in range(5):
+            assert enumerate_paths(g, n) == old_enumerate_paths(g, n), (g.edges, n)
+            for v in g.vertices:
+                assert enumerate_paths(g, n, at=v) == old_enumerate_paths(g, n, at=v)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_enumerate_paths_unknown_vertex(n):
+    g = build_ex310().graph
+    with pytest.raises(UnknownSymbolError):
+        enumerate_paths(g, n, at="nope")
 
 
 def _reach(succ, v):
@@ -255,12 +299,52 @@ def test_strong_connectivity_vs_matrix_closure():
     rng = random.Random(10)
     verdicts = set()
     for _ in range(600):
-        n = rng.randint(0, 5)
-        vs = [f"v{i}" for i in range(n)]
-        edges = [(f"e{k}", rng.choice(vs), rng.choice(vs))
-                 for k in range(rng.randint(0, 2 * n) if n else 0)]
-        g = Graph(vs, edges)
+        g = _random_graph(rng)
         got = validate_graph(g).strongly_connected
-        assert got == _matrix_strongly_connected(g), (vs, edges)
-        verdicts.add((n, got))
+        assert got == _matrix_strongly_connected(g), g.edges
+        verdicts.add((len(g.vertices), got))
     assert {(0, True), (1, True), (1, False), (5, True), (5, False)} <= verdicts
+
+
+def _matrix_primitive(graph):
+    """validate_graph's primitivity as it was: some boolean power of the
+    adjacency matrix, up to the |V|^2 + 1st, is all true."""
+    idx = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(graph.vertices)
+    adj = [[False] * n for _ in range(n)]
+    for e in graph.edges:
+        adj[idx[e.src]][idx[e.dst]] = True
+    power = [row[:] for row in adj]
+    for _ in range(n * n + 1):
+        if all(all(row) for row in power):
+            return True
+        power = [[any(power[i][k] and adj[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return False
+
+
+def test_primitivity_vs_matrix_powers():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(600):
+        g = _random_graph(rng)
+        rep = validate_graph(g)
+        assert rep.primitive == _matrix_primitive(g), g.edges
+        verdicts.add((len(g.vertices), rep.strongly_connected, rep.primitive))
+    # one vertex with and without a loop, periodic and aperiodic strongly
+    # connected graphs, and graphs that are not strongly connected
+    assert {(1, True, True), (1, False, False), (3, True, True), (3, True, False),
+            (5, False, False)} <= verdicts
+    for g in (Graph(["v"], [("e", "v", "v")]), Graph(["v"], [])):
+        assert validate_graph(g).primitive == _matrix_primitive(g)
+
+
+def test_primitivity_of_a_long_cycle():
+    """A directed 40-cycle has period 40; a chord that closes a 39-cycle
+    makes it aperiodic.  The matrix powers took seconds here."""
+    vs = [f"v{i}" for i in range(40)]
+    cycle = [(f"e{i}", vs[i], vs[(i + 1) % 40]) for i in range(40)]
+    rep = validate_graph(Graph(vs, cycle))
+    assert rep.strongly_connected and not rep.primitive
+    rep = validate_graph(Graph(vs, cycle + [("chord", vs[0], vs[2])]))
+    assert rep.strongly_connected and rep.primitive

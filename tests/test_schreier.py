@@ -383,6 +383,66 @@ def test_tower_acts_no_word_per_vertex(monkeypatch):
     assert at12["word_act_edge"] == at4["word_act_edge"] > 0
 
 
+# -- the tower's own path lists, kept as an oracle for enumerate_paths ----------
+
+
+def old_tower_paths(graph, n):
+    """Yield (groups, paths) for the levels 0..n as the Schreier tower
+    listed them before it took its vertices from enumerate_paths: the edge
+    tuple of every path, built level by level in the tower's block order."""
+    groups = {v: [i] for i, v in enumerate(graph.vertices)}
+    seqs = [()] * len(graph.vertices)
+    yield groups, [Path.empty(v) for v in graph.vertices]
+    for _ in range(n):
+        start, total = {}, 0
+        for e in graph.edges:
+            start[e.id] = total
+            total += len(groups[e.src])
+        nxt = {}
+        for v in graph.vertices:
+            nxt[v] = [i for e in graph.range_edges(v)
+                      for i in range(start[e.id], start[e.id] + len(groups[e.src]))]
+        seqs = [(e.id,) + seqs[j] for e in graph.edges for j in groups[e.src]]
+        groups = nxt
+        yield groups, [Path(graph.r(t[0]), t) for t in seqs]
+
+
+# levels 0..10 of the six specs, stopping where a level passes 2^15 paths
+# (nonhausdorff's level 10 has 4^10)
+@pytest.mark.parametrize("spec", ["basilica", "ex310", "katsura", "noncontracting",
+                                  "nonhausdorff", "odometer"])
+def test_enumerate_paths_vs_old_tower(spec):
+    graph = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton().graph
+    top = 0
+    for n, (groups, paths) in enumerate(old_tower_paths(graph, 10)):
+        if len(paths) > 2 ** 15:
+            break
+        assert enumerate_paths(graph, n) == paths, n
+        for v in graph.vertices:
+            assert enumerate_paths(graph, n, at=v) == [paths[j] for j in groups[v]], (n, v)
+        top = n
+    assert top >= 7
+
+
+def test_psi_walks_no_tower(monkeypatch):
+    import selfsim.schreier as schreier
+
+    walks = []
+    tower = schreier._tower
+
+    def counted(*args):
+        walks.append(args[2])
+        return tower(*args)
+
+    monkeypatch.setattr(schreier, "_tower", counted)
+    aut = build_basilica()
+    gamma = build_schreier(aut, default_generating_set(aut), 6)
+    assert walks == [6]
+    lower, _ = project_psi(gamma)
+    project_psi(lower)
+    assert walks == [6]
+
+
 def test_vertex_index_is_built_on_first_lookup(ex310, gens310):
     gamma = build_schreier(ex310, gens310, 3)
     assert not hasattr(gamma, "_index")
