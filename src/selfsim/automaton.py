@@ -24,10 +24,11 @@ budget and raise ClosureLimitError past it.
 Class identification is memoised per automaton.  Every class id owns a row:
 the image edge and the successor class id for each edge of range_edges(d),
 filled once from the representative current at first use (the row is a
-class invariant), so restriction closures walk integer rows instead of
-re-acting words.  The act cache and the word->class memo share one memo
-bounded by _CACHE_SYMBOLS symbols in total and evict oldest first, so their
-contents depend only on the sequence of calls.
+class invariant).  A restriction closure renumbers its classes' rows by
+state into a StateMachine, the one table that the nucleus, dynamics,
+Schreier and export code read.  The act cache and the word->class memo
+share one memo bounded by _CACHE_SYMBOLS symbols in total and evict oldest
+first, so their contents depend only on the sequence of calls.
 """
 
 from __future__ import annotations
@@ -144,6 +145,13 @@ class Automaton:
         if rule is None:
             raise UnknownSymbolError(f"unknown generator {name!r}")
         return Element(rule.dom, ((name, 1),))
+
+    def basic_elements(self) -> list[Element]:
+        """The units, then each generator followed by its inverse, by name."""
+        out = [self.unit(v) for v in self.graph.vertices]
+        for name in self.generators:  # sorted at construction
+            out += [self.generator(name), self.inverse(self.generator(name))]
+        return out
 
     def element(self, tokens) -> Element:
         """Build an element from symbol tokens (left to right, rightmost acts
@@ -462,16 +470,17 @@ class _Registry:
 
 @dataclass
 class StateMachine:
-    """A finite restriction-closed set of canonical elements with its edge
-    action and restriction-successor maps.  States are numbered in BFS
-    order with lexicographic edge order, so exports are deterministic."""
+    """A finite restriction-closed set of canonical elements as an integer
+    transducer.  ``rows[i]`` maps each edge of range_edges(doms[i]), in edge
+    id order, to (image edge, successor state): state i acts on e by the
+    image and restricts to the successor.  States are numbered in BFS order
+    from the seeds, so exports are deterministic."""
 
     states: list[Element]
     doms: list[str]
     cods: list[str]
-    action: dict[tuple[int, str], str]
-    successor: dict[tuple[int, str], int]
-    # canonical class id -> state number
+    rows: list[dict[str, tuple[str, int]]]
+    # canonical class id -> state number, in state order
     index: dict[int, int] = field(default_factory=dict)
 
     def __len__(self):
@@ -489,9 +498,8 @@ class StateMachine:
                 for i, s in enumerate(self.states)
             ],
             "transitions": [
-                {"state": i, "edge": e, "image": self.action[(i, e)],
-                 "successor": self.successor[(i, e)]}
-                for (i, e) in sorted(self.action)
+                {"state": i, "edge": e, "image": img, "successor": j}
+                for i, row in enumerate(self.rows) for e, (img, j) in row.items()
             ],
         }
 
@@ -509,24 +517,23 @@ def reachable_closure(aut: Automaton, seeds, budget: int | None = None) -> State
         if cid not in index:
             index[cid] = len(order)
             order.append(cid)
-    action: dict[tuple[int, str], str] = {}
-    successor: dict[tuple[int, str], int] = {}
-    for i, cid in enumerate(order):  # order grows while it is walked
+    rows: list[dict[str, tuple[str, int]]] = []
+    for cid in order:  # order grows while it is walked
+        row = {}
         for eid, img, succ in registry.row(cid, budget):
             if succ not in index:
                 if len(order) >= budget:
                     raise ClosureLimitError(budget, "restriction closure")
                 index[succ] = len(order)
                 order.append(succ)
-            action[(i, eid)] = img
-            successor[(i, eid)] = index[succ]
+            row[eid] = (img, index[succ])
+        rows.append(row)
     # read representatives last: later lookups may have found smaller words
     states = [registry.reps[cid] for cid in order]
     return StateMachine(
         states=states,
         doms=[g.dom for g in states],
         cods=[aut.cod(g) for g in states],
-        action=action,
-        successor=successor,
+        rows=rows,
         index=index,
     )

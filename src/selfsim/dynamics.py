@@ -1,8 +1,8 @@
 """Deciders for the dynamics on the limit space and limit solenoid.
 
 The nucleus deciders read the nucleus's Moore machine ``nuc.machine``: a
-state is an integer i, and its run steps to successor[(i, e)] on the edge e
-with output action[(i, e)], so no word is acted on once the nucleus is known.
+state is an integer i, and on the edge e its run outputs img and steps to
+j for (img, j) = rows[i][e]: no word is acted on once the nucleus is known.
 
 Asymptotic equivalence of eventually periodic paths is decided on a finite
 product transducer.  A nucleus run for x ~ y is a sequence (h_n)_{n<0} of
@@ -67,15 +67,14 @@ def _phase_steps(nuc: Nucleus, x_at, y_at, boundary: int, L: int) -> dict:
     output i.e, for e the zone edge of x at phase p.  With ``y_at`` given,
     only steps whose output is y's edge there are kept (y_at = None is class
     mode).  Maps each node to (next node, output edge)."""
-    sm = nuc.machine
     steps = {}
     for n in range(boundary - L, boundary):
         e = x_at(n)
         f = y_at(n) if y_at is not None else None
-        for i in range(len(sm)):
-            img = sm.action.get((i, e))
-            if img is not None and (f is None or img == f):
-                steps[(n % L, i)] = (((n + 1) % L, sm.successor[(i, e)]), img)
+        for i, row in enumerate(nuc.machine.rows):
+            hit = row.get(e)
+            if hit is not None and (f is None or hit[0] == f):
+                steps[(n % L, i)] = (((n + 1) % L, hit[1]), hit[0])
     return steps
 
 
@@ -91,12 +90,11 @@ def _run(sm: StateMachine, i: int, x_at, lo: int, hi: int, y_at=None):
     y's edge."""
     out = []
     for n in range(lo, hi):
-        e = x_at(n)
-        img = sm.action.get((i, e))
-        if img is None or (y_at is not None and img != y_at(n)):
+        hit = sm.rows[i].get(x_at(n))
+        if hit is None or (y_at is not None and hit[0] != y_at(n)):
             return None
-        out.append((i, img))
-        i = sm.successor[(i, e)]
+        out.append((i, hit[0]))
+        i = hit[1]
     return out, i
 
 
@@ -172,10 +170,7 @@ def ae_equivalent_bi(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus) -> bool
 def _fixed_edge_digraph(nuc: Nucleus) -> list[list[tuple[str, int]]]:
     """Arcs i -e-> i|_e for nucleus states i with i . e = e (units
     included), listed per state in edge id order."""
-    sm = nuc.machine
-    graph = nuc.automaton.graph
-    return [[(e.id, sm.successor[(i, e.id)]) for e in graph.range_edges(d)
-             if sm.action[(i, e.id)] == e.id] for i, d in enumerate(sm.doms)]
+    return [[(e, j) for e, (img, j) in row.items() if img == e] for row in nuc.machine.rows]
 
 
 def _fixed_cycle(nuc: Nucleus, arcs, pool: set):
@@ -261,10 +256,7 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
     if not validate_graph(graph).strongly_connected:
         raise NotStronglyConnectedError("check_recurrent needs a strongly connected graph")
 
-    basic: list[Element] = [aut.unit(v) for v in graph.vertices]
-    for name in sorted(aut.generators):
-        basic.append(aut.generator(name))
-        basic.append(aut.inverse(aut.generator(name)))
+    basic = aut.basic_elements()
 
     targets = {}
     for e in graph.edges:
@@ -316,9 +308,8 @@ def level_transitive(aut: Automaton, n: int, gen_set=None) -> bool:
 
     if n < 1:
         raise ValueError("level must be >= 1")
-    labels = _label_set(aut, gen_set if gen_set is not None else default_generating_set(aut))
-    ids = [aut.canonical_id(a) for a in labels]
-    for groups, cols in _tower(aut, ids, n):
+    sm = _label_set(aut, gen_set if gen_set is not None else default_generating_set(aut))
+    for groups, cols in _tower(aut.graph, sm, n):
         pass
     root = list(range(sum(map(len, groups.values()))))
 
@@ -326,9 +317,9 @@ def level_transitive(aut: Automaton, n: int, gen_set=None) -> bool:
         while root[i] != i:
             root[i] = i = root[root[i]]
         return i
-    for a, c in zip(labels, ids):
-        images = groups[aut.cod(a)]
-        for u, p in zip(groups[a.dom], cols[c]):
+    for dom, cod, col in zip(sm.doms, sm.cods, cols):
+        images = groups[cod]
+        for u, p in zip(groups[dom], col):
             root[find(u)] = find(images[p])
     return len({find(i) for i in range(len(root))}) <= 1
 
@@ -462,8 +453,8 @@ def find_discerning_path(nuc: Nucleus, max_len: int = 64) -> Path:
             return
         for e in graph.range_edges(u):
             # the states still fixing mu e, with their restrictions there
-            yield e.id, (e.src, frozenset((g, sm.successor[(r, e.id)]) for g, r in pairs
-                                          if sm.action[(r, e.id)] == e.id))
+            yield e.id, (e.src, frozenset((g, sm.rows[r][e.id][1]) for g, r in pairs
+                                          if sm.rows[r][e.id][0] == e.id))
 
     for node, parent in bfs(starts, extend):
         depth[node] = 0 if parent[node] is None else depth[parent[node][0]] + 1

@@ -14,12 +14,13 @@ elements land, deep enough, in products of two (the restriction of a
 product is the product of restrictions), so the fixpoint property makes S
 a contracting core and the pruned set is the nucleus itself.
 
-As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of hg are the products
-along the walks from (h, g) in the pair digraph on S x S with arcs
-(h, g) -e-> (h|_{g.e}, g|_e), read off the class rows; hg's limit set is
-the products at the pairs on or after a cycle that (h, g) reaches.  So one
-Tarjan pass gives every pair's limit set, and only those products are
-identified.  Exceeding the state or round budget yields
+Each round holds S as the StateMachine of its class representatives in
+(word_key, dom) order.  As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of
+hg are the products along the walks from (h, g) in the pair digraph on
+S x S with arcs (h, g) -e-> (h|_{g.e}, g|_e), read off the machine's rows;
+hg's limit set is the products at the pairs on or after a cycle that
+(h, g) reaches.  So one Tarjan pass gives every pair's limit set, and only
+those products are identified.  Exceeding the state or round budget yields
 NotContractingWithinBound, never a claim of non-contraction.
 """
 
@@ -73,31 +74,25 @@ def limit_restrictions(aut: Automaton, g: Element, budget: int | None = None) ->
     the nodes of g's restriction digraph reachable from a directed cycle."""
     budget = budget if budget is not None else aut.bounds.max_states
     sm = reachable_closure(aut, [g], budget)
-    succ = [[sm.successor[i, e.id] for e in aut.graph.range_edges(v)]
-            for i, v in enumerate(sm.doms)]
+    succ = [[j for _, j in row.values()] for row in sm.rows]
     return {sm.states[i] for i in limit_nodes(range(len(sm)), succ.__getitem__)}
 
 
-def _pair_limits(aut: Automaton, elems: list[Element], touch, budget: int) -> dict[int, Element]:
+def _pair_limits(aut: Automaton, sm: StateMachine, touch, budget: int) -> dict[int, Element]:
     """Class id -> witness for the limit restrictions of the products hg of
-    composable pairs from the restriction-closed canonical ``elems`` with h
-    or g in the class ids ``touch`` (all pairs when None); a witness is a
-    product whose own limit set holds the class.  Pair nodes are integers,
-    and their arcs are made on demand, not stored."""
-    n = len(elems)
-    ids = [aut.canonical_id(e, budget) for e in elems]
-    pos = {c: i for i, c in enumerate(ids)}
-    rows = [aut._registry.row(c, budget) for c in ids]
-    # h acts on the edge g.e: edge -> n * position of h's restriction there
-    left = [{e: n * pos[c] for e, _, c in row} for row in rows]
-    right = [[(img, pos[c]) for _, img, c in row] for row in rows]
+    composable pairs of states of ``sm`` with h or g in the states ``touch``
+    (all pairs when None); a witness is a product whose own limit set holds
+    the class.  Pair nodes are integers h * |sm| + g, and their arcs are
+    made on demand from the rows, not stored."""
+    n, rows, elems = len(sm), sm.rows, sm.states
 
     def succ(node):
         h, g = divmod(node, n)
-        return [left[h][img] + g2 for img, g2 in right[g]]
+        left = rows[h]  # h acts on the edge g.e
+        return [n * left[img][1] + g2 for img, g2 in rows[g].values()]
 
-    starts = (h * n + g for g, cod in enumerate(map(aut.cod, elems)) for h, he in enumerate(elems)
-              if he.dom == cod and (touch is None or ids[h] in touch or ids[g] in touch))
+    starts = (h * n + g for g, cod in enumerate(sm.cods) for h, dom in enumerate(sm.doms)
+              if dom == cod and (touch is None or h in touch or g in touch))
     out: dict[int, Element] = {}
     for node, cyc in limit_nodes(starts, succ).items():
         h, g = divmod(node, n)
@@ -116,45 +111,42 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
     bounds = bounds or aut.bounds
     budget = bounds.max_states
 
-    def canon_sorted(elems):
-        classes = dict(aut._registry.lookup(e, budget) for e in elems)
+    def reps_sorted(class_ids):
         # units tie on word_key; dom breaks the tie independently of hashing
-        return [aut.canonical(e) for e in sorted(classes.values(),
-                                                 key=lambda e: (word_key(e.word), e.dom))]
+        return sorted((aut._registry.reps[c] for c in class_ids),
+                      key=lambda e: (word_key(e.word), e.dom))
 
     try:
-        seeds = [aut.unit(v) for v in aut.graph.vertices]
-        for name in sorted(aut.generators):
-            seeds.append(aut.generator(name))
-            seeds.append(aut.inverse(aut.generator(name)))
-        current = canon_sorted(reachable_closure(aut, seeds, budget).states)
+        closure = reachable_closure(aut, aut.basic_elements(), budget)
+        sm = reachable_closure(aut, reps_sorted(closure.index), budget)
 
-        fresh = None  # round 1 scans every pair, later rounds those touching a new class
+        fresh = None  # round 1 scans every pair, later rounds those touching a new state
         for _round in range(bounds.max_rounds):
-            found = _pair_limits(aut, current, fresh, budget)
-            fresh = found.keys() - {aut.canonical_id(e) for e in current}
-            current = canon_sorted(current + [aut._registry.reps[c] for c in fresh])
-            if len(current) > budget:
+            found = _pair_limits(aut, sm, fresh, budget)
+            new = found.keys() - sm.index.keys()
+            # limit sets are restriction closed, so this closure adds nothing
+            sm = reachable_closure(aut, reps_sorted([*sm.index, *new]), budget)
+            if len(sm) > budget:
                 return NotContractingWithinBound("max_states", budget, bounds.max_rounds)
-            if not fresh:
+            if not new:
                 break
+            fresh = {sm.index[c] for c in new}
         else:
             return NotContractingWithinBound("max_rounds", budget, bounds.max_rounds)
 
         # prune: the nucleus is the union of limit restrictions of pair
         # products of the fixpoint (unit factors make single elements pairs)
-        witnesses = _pair_limits(aut, current, None, budget)
-        states = canon_sorted([aut._registry.reps[c] for c in witnesses])
+        witnesses = _pair_limits(aut, sm, None, budget)
+        states = reps_sorted(witnesses)
 
         # certificate: symmetric, restriction-closed, absorbs pair products
-        ids = {aut.canonical_id(s) for s in states}
         for s in states:
-            if aut.canonical_id(aut.inverse(s)) not in ids:
+            if aut.canonical_id(aut.inverse(s)) not in witnesses:
                 raise DivergedError(f"nucleus not symmetric at {s.name()}")
         machine = reachable_closure(aut, states, budget)
-        if {aut.canonical_id(s) for s in machine.states} != ids:
+        if machine.index.keys() != witnesses.keys():
             raise DivergedError("nucleus not closed under restriction")
-        if not _pair_limits(aut, states, None, budget).keys() <= ids:
+        if not _pair_limits(aut, machine, None, budget).keys() <= witnesses.keys():
             raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, bounds.max_rounds)
@@ -202,7 +194,6 @@ def compute_Rk(nuc: Nucleus, k: int, max_depth: int = 256) -> int:
 
 def moore_diagram(nuc: Nucleus, fmt: str = "json"):
     """Deterministic export of the nucleus automaton (JSON dict or DOT text)."""
-    aut = nuc.automaton
     sm = nuc.machine
     if fmt == "json":
         data = sm.to_json()
@@ -213,10 +204,8 @@ def moore_diagram(nuc: Nucleus, fmt: str = "json"):
         for i, s in enumerate(sm.states):
             shape = "doublecircle" if s.is_unit else "circle"
             lines.append(f'  n{i} [label="{s.name()}", shape={shape}];')
-        for (i, e) in sorted(sm.action):
-            img = sm.action[(i, e)]
-            j = sm.successor[(i, e)]
-            lines.append(f'  n{i} -> n{j} [label="{e}/{img}"];')
+        for i, row in enumerate(sm.rows):
+            lines += [f'  n{i} -> n{j} [label="{e}/{img}"];' for e, (img, j) in row.items()]
         lines.append("}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")

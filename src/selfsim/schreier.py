@@ -12,17 +12,17 @@ the tables hold no paths: the vertices are enumerate_paths's list.  Level k
 lists E^k in that order, one block per edge e (in edge order) holding the
 level-(k-1) paths with range s(e).  It keeps groups[v], the increasing
 indices of the paths with range v (a path's place there is its position),
-and cols[a] for each label class a: the position of a . mu for each
-position mu of d(a).  With at[e] the position where e's block starts in
-groups[r(e)], and a.e and a|_e from the class row of a, a.(e mu) =
-(a.e)(a|_e . mu) reads
+and cols[a] for each state a of the label machine: the position of
+a . mu for each position mu of d(a).  With at[e] the position where e's
+block starts in groups[r(e)], and a.e and a|_e from the machine's row of
+a, a.(e mu) = (a.e)(a|_e . mu) reads
 
     cols_k[a][at[e] + p] = at[a.e] + cols_{k-1}[a|_e][p].
 
 A walk up the tower keeps one level live.  Gamma_n's arcs are the top
 level's columns.  psi_n maps the p-th path of e's block to the p-th
-level-(n-1) path with range s(e), which it finds by the ranges of the
-enumerated level-(n-1) paths, with no walk up the tower.
+level-(n-1) path with range s(e), found by the ranges of the level-(n-1)
+paths with no walk up the tower; the label machine's rows restrict labels.
 
 Geodesic distance between the depth-n windows of two left-infinite paths
 stays bounded over n exactly when the paths are asymptotically equivalent,
@@ -36,22 +36,19 @@ from dataclasses import dataclass
 from itertools import groupby, islice, repeat
 from operator import itemgetter
 
-from .automaton import Automaton, Element, reachable_closure, word_key
+from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
 from .errors import VertexNotInLevelError
-from .graphs import Path, bfs, enumerate_paths
+from .graphs import Graph, Path, bfs, enumerate_paths
 from .infinite_paths import LeftInfinitePath
 
 
 def default_generating_set(aut: Automaton, nucleus=None) -> list[Element]:
     """Generators, inverses and units (plus the nucleus when given), closed
     under restriction."""
-    seeds = [aut.unit(v) for v in aut.graph.vertices]
-    for name in sorted(aut.generators):
-        seeds.append(aut.generator(name))
-        seeds.append(aut.inverse(aut.generator(name)))
+    seeds = aut.basic_elements()
     if nucleus is not None:
         seeds.extend(nucleus.states)
-    return [aut.canonical(s) for s in reachable_closure(aut, seeds).states]
+    return reachable_closure(aut, seeds).states
 
 
 @dataclass
@@ -119,31 +116,25 @@ class SchreierGraph:
         return "\n".join(lines)
 
 
-def _label_set(aut: Automaton, gen_set) -> list[Element]:
-    """The generating set closed under restriction and inverses, sorted."""
-    closed = {aut.canonical_id(a): aut.canonical(a) for a in gen_set}
-    closure = reachable_closure(aut, list(closed.values()))
-    if len(closure.states) != len(closed):
+def _label_set(aut: Automaton, gen_set) -> StateMachine:
+    """The machine of the generating set closed under restriction and
+    inverses, its states in word_key order.  The inverses of a
+    restriction-closed set are restriction closed, as (a^-1)|_e =
+    (a|_{a^-1.e})^-1, so closing under inverses adds only inverses."""
+    closure = reachable_closure(aut, gen_set)
+    if len(closure) != len({aut.canonical_id(a) for a in gen_set}):
         warnings.warn("generating set was not closed under restriction; extended")
-    labels = [aut.canonical(s) for s in closure.states]
-    # inverses must be present too
-    for a in list(labels):
-        inv = aut.inverse(a)
-        if aut.canonical_id(inv) not in {aut.canonical_id(x) for x in labels}:
-            warnings.warn("generating set was not closed under inverses; extended")
-            labels.append(aut.canonical(inv))
-    labels.sort(key=lambda e: word_key(e.word))
-    return labels
+    both = reachable_closure(aut, closure.states + [aut.inverse(a) for a in closure.states])
+    if len(both) != len(closure):
+        warnings.warn("generating set was not closed under inverses; extended")
+    return reachable_closure(aut, sorted(both.states, key=lambda e: word_key(e.word)))
 
 
-def _tower(aut: Automaton, class_ids, n: int):
+def _tower(graph: Graph, sm: StateMachine, n: int):
     """Yield (groups, cols) for the levels 0..n: the module docstring's
-    tables.  The classes must be closed under restriction, as _label_set's
-    are."""
-    graph = aut.graph
-    rows = {c: aut._registry.row(c) for c in class_ids}
+    tables, cols indexed by the states of the restriction-closed ``sm``."""
     groups = {v: [i] for i, v in enumerate(graph.vertices)}
-    cols = dict.fromkeys(rows, [0])
+    cols = [[0]] * len(sm)
     yield groups, cols
     for _ in range(n):
         start, total = {}, 0  # edge -> level-k index of its block's first path
@@ -156,22 +147,21 @@ def _tower(aut: Automaton, class_ids, n: int):
             for e in graph.range_edges(v):
                 at[e.id] = len(grp)
                 grp.extend(range(start[e.id], start[e.id] + len(groups[e.src])))
-        cols = {c: [at[img] + p for _, img, succ in row for p in cols[succ]]
-                for c, row in rows.items()}
+        cols = [[at[img] + p for img, succ in row.values() for p in cols[succ]]
+                for row in sm.rows]
         groups = nxt
         yield groups, cols
 
 
 def _schreier_graphs(aut: Automaton, gen_set, bottom: int, top: int):
     """Gamma_bottom, ..., Gamma_top from one walk up the level tables."""
-    labels = _label_set(aut, gen_set)
-    ids = [aut.canonical_id(a) for a in labels]
-    tower = islice(_tower(aut, ids, top), bottom, None)
+    sm = _label_set(aut, gen_set)
+    tower = islice(_tower(aut.graph, sm, top), bottom, None)
     for level, (groups, cols) in enumerate(tower, bottom):
         arcs = []
-        for a, c in zip(labels, ids):
-            arcs += zip(groups[a.dom], map(groups[aut.cod(a)].__getitem__, cols[c]), repeat(a))
-        yield SchreierGraph(level, aut, labels, enumerate_paths(aut.graph, level), arcs)
+        for a, cod, col in zip(sm.states, sm.cods, cols):
+            arcs += zip(groups[a.dom], map(groups[cod].__getitem__, col), repeat(a))
+        yield SchreierGraph(level, aut, sm.states, enumerate_paths(aut.graph, level), arcs)
 
 
 def build_schreier(aut: Automaton, gen_set, n: int) -> SchreierGraph:
@@ -201,24 +191,21 @@ def project_psi(gamma: SchreierGraph) -> tuple[SchreierGraph, PsiMorphism]:
         groups[p.base].append(j)
     tails = [j for e in graph.edges for j in groups[e.src]]
     heads = [p.edges[0] for p in gamma.vertices]
-    reps = aut._registry.reps
+    sm = reachable_closure(aut, gamma.gen_set)
+    names = [s.name() for s in sm.states]
     arcs = []
     arc_map = []
     seen = set()
     for label, block in groupby(gamma.arcs, itemgetter(2)):
-        cid = aut.canonical_id(label)
-        name = reps[cid].name()
-        # first edge -> its restriction's class, element and name
-        restrict = {e: (succ, reps[succ], reps[succ].name())
-                    for e, _, succ in aut._registry.row(cid)}
+        i = sm.state_index(aut, label)
+        row = sm.rows[i]
         for u, v, _ in block:
-            succ, restricted, rname = restrict[heads[u]]
+            j = row[heads[u]][1]  # the label's restriction along the first edge
             pu, pv = tails[u], tails[v]
-            key = (pu, pv, succ)
-            if key not in seen:
-                seen.add(key)
-                arcs.append((pu, pv, restricted))
-            arc_map.append(((u, v, name), (pu, pv, rname)))
+            if (pu, pv, j) not in seen:
+                seen.add((pu, pv, j))
+                arcs.append((pu, pv, sm.states[j]))
+            arc_map.append(((u, v, names[i]), (pu, pv, names[j])))
     projected = SchreierGraph(gamma.level - 1, aut, gamma.gen_set, lower, arcs)
     return projected, PsiMorphism(dict(enumerate(tails)), arc_map)
 

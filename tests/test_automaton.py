@@ -199,8 +199,11 @@ def test_reachable_closure_ex310(ex310):
     # a|_2 = b, then unit restrictions of both units appear: the unit at w is
     # forced once v restricts along edge 2 (restriction closure invariant).
     assert names == {"a", "b", "v", "w"}
-    # every successor is a state
-    assert set(sm.successor.values()) <= set(range(len(sm.states)))
+    # each row covers exactly the edges into its state's domain, in order,
+    # and every successor is a state
+    for d, row in zip(sm.doms, sm.rows):
+        assert list(row) == [e.id for e in ex310.graph.range_edges(d)]
+        assert all(j in range(len(sm)) for _, j in row.values())
 
 
 def test_reachable_closure_units(ex310):

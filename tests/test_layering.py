@@ -1,0 +1,36 @@
+"""The one-representation rule: code that reads a finite restriction-closed
+set of classes reads its StateMachine.  The class registry's rows and
+representatives are read only inside automaton.py and by the code that
+walks class sets with no finite bound given in advance."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "selfsim"
+
+# (module, top-level definition) pairs outside automaton.py that may name _registry
+ALLOWED = {("nucleus", "compute_nucleus"), ("nucleus", "compute_Rk"),
+           ("dynamics", "check_recurrent")}
+
+
+def registry_readers() -> set:
+    """(module, enclosing top-level definition or None) for every source
+    line of the package that names _registry, comments included."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        spans = [(node.lineno, node.end_lineno, node.name) for node in ast.parse(text).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for n, line in enumerate(text.splitlines(), 1):
+            if "_registry" in line:
+                owner = next((name for lo, hi, name in spans if lo <= n <= hi), None)
+                out.add((path.stem, owner))
+    return out
+
+
+def test_registry_is_read_only_where_allowed():
+    readers = registry_readers()
+    assert sorted(r for r in readers if r[0] != "automaton" and r not in ALLOWED) == []
+    # the scan sees the readers it allows, so it cannot pass by finding nothing
+    assert ALLOWED <= readers
+    assert any(module == "automaton" for module, _ in readers)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -566,3 +567,75 @@ def test_nucleus_makes_no_per_pair_closure(monkeypatch, ex310, basilica):
     for aut in (ex310, basilica):
         assert isinstance(compute_nucleus(aut), Nucleus)
     assert calls == []
+
+
+# -- the dict-table export, kept as a differential oracle ----------------------
+
+
+def old_moore_exports(nuc):
+    """moore_diagram's JSON and DOT as they were when a StateMachine held
+    dicts keyed by (state, edge): the closure of the nucleus states walked
+    on the class rows, with the transitions sorted over those keys."""
+    aut = nuc.automaton
+    registry = aut._registry
+    order = list(dict.fromkeys(aut.canonical_id(s) for s in nuc.states))
+    index = {c: i for i, c in enumerate(order)}
+    action, successor = {}, {}
+    for i, cid in enumerate(order):
+        for eid, img, succ in registry.row(cid):
+            if succ not in index:
+                index[succ] = len(order)
+                order.append(succ)
+            action[(i, eid)] = img
+            successor[(i, eid)] = index[succ]
+    states = [registry.reps[c] for c in order]
+    doc = {"schema": 1,
+           "states": [{"id": i, "name": s.name(), "dom": s.dom, "cod": aut.cod(s),
+                       "unit": s.is_unit} for i, s in enumerate(states)],
+           "transitions": [{"state": i, "edge": e, "image": action[(i, e)],
+                            "successor": successor[(i, e)]} for (i, e) in sorted(action)],
+           "kind": "nucleus-moore-diagram"}
+    lines = ["digraph nucleus {"]
+    for i, s in enumerate(states):
+        shape = "doublecircle" if s.is_unit else "circle"
+        lines.append(f'  n{i} [label="{s.name()}", shape={shape}];')
+    for (i, e) in sorted(action):
+        lines.append(f'  n{i} -> n{successor[(i, e)]} [label="{e}/{action[(i, e)]}"];')
+    lines.append("}")
+    return json.dumps(doc), "\n".join(lines)
+
+
+def _assert_export_matches_dict_tables(nuc):
+    new = json.dumps(moore_diagram(nuc, "json")), moore_diagram(nuc, "dot")
+    assert new == old_moore_exports(nuc)
+
+
+def test_moore_export_vs_dict_tables_specs():
+    decided = []
+    for path in sorted(SPECS.glob("*.ss")):
+        nuc = compute_nucleus(parse_spec(path.read_text()).automaton())
+        if isinstance(nuc, Nucleus):
+            _assert_export_matches_dict_tables(nuc)
+            decided.append(path.stem)
+    assert decided == ["basilica", "ex310", "katsura", "nonhausdorff", "odometer"]
+
+
+def test_moore_export_vs_dict_tables_katsura():
+    # every recorded Katsura nucleus, checked against its recorded digest
+    import hashlib
+
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    recorded = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())
+    checked = 0
+    for e in recorded["pool"]:
+        want = recorded["answers"][canonical({"A": e["A"], "B": e["B"]}) + "/nucleus"]
+        if want is None or "inconclusive" in want.get("answer", ""):
+            continue
+        nuc = compute_nucleus(katsura_automaton(IntMatrix.of(e["A"]), IntMatrix.of(e["B"])))
+        answer = canonical({"size": len(nuc), "states": sorted(nuc.state_names())})
+        assert hashlib.sha256(answer.encode()).hexdigest() == want["sha256"]
+        _assert_export_matches_dict_tables(nuc)
+        checked += 1
+    assert checked == 150

@@ -448,3 +448,66 @@ def test_vertex_index_is_built_on_first_lookup(ex310, gens310):
     assert not hasattr(gamma, "_index")
     for i, p in enumerate(gamma.vertices):
         assert gamma.vertex_index(p) == i
+
+
+# -- the class-id-keyed tower, kept as an oracle for the machine's tower --------
+
+
+def old_tower(aut, class_ids, n):
+    """Yield (groups, cols) for the levels 0..n as _tower did when it read
+    the class rows: cols keyed by class id."""
+    graph = aut.graph
+    rows = {c: aut._registry.row(c) for c in class_ids}
+    groups = {v: [i] for i, v in enumerate(graph.vertices)}
+    cols = dict.fromkeys(rows, [0])
+    yield groups, cols
+    for _ in range(n):
+        start, total = {}, 0
+        for e in graph.edges:
+            start[e.id] = total
+            total += len(groups[e.src])
+        nxt, at = {}, {}
+        for v in graph.vertices:
+            grp = nxt[v] = []
+            for e in graph.range_edges(v):
+                at[e.id] = len(grp)
+                grp.extend(range(start[e.id], start[e.id] + len(groups[e.src])))
+        cols = {c: [at[img] + p for _, img, succ in row for p in cols[succ]]
+                for c, row in rows.items()}
+        groups = nxt
+        yield groups, cols
+
+
+# levels 0..10 of the six specs, stopping where a level passes 2^15 paths;
+# noncontracting's generators close under no finite set, so it runs on units
+@pytest.mark.parametrize("spec", ["basilica", "ex310", "katsura", "noncontracting",
+                                  "nonhausdorff", "odometer"])
+def test_tower_vs_class_id_tower(spec):
+    from selfsim.schreier import _label_set, _tower
+
+    aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton()
+    gens = ([aut.unit(v) for v in aut.graph.vertices] if spec == "noncontracting"
+            else default_generating_set(aut))
+    sm = _label_set(aut, gens)
+    assert [aut.canonical_id(a) for a in sm.states] == list(sm.index)
+    top = 0
+    for n, ((groups, cols), (old_groups, old_cols)) in enumerate(
+            zip(_tower(aut.graph, sm, 10), old_tower(aut, list(sm.index), 10))):
+        if sum(map(len, groups.values())) > 2 ** 15:
+            break
+        assert groups == old_groups, n
+        assert cols == [old_cols[c] for c in sm.index], n
+        top = n
+    assert top >= 7
+
+
+def test_label_set_warnings(ex310):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gamma = build_schreier(ex310, [ex310.generator("a")], 3)
+    messages = [str(w.message) for w in caught]
+    assert any("restriction" in m for m in messages) and any("inverses" in m for m in messages)
+    assert [a.name() for a in gamma.gen_set] == ["v", "w", "a", "a^-1", "b", "b^-1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_schreier(ex310, default_generating_set(ex310), 3)
