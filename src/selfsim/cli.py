@@ -9,7 +9,8 @@ choice.  The preamble the "needs" column asks for runs in a fixed order:
 read the spec, check validity, compute the nucleus, then call the handler.
 
 Exit codes: 0 = property holds / computation done, 1 = property fails,
-2 = inconclusive (a semi-decision hit its bounds), 3 = input error.
+2 = inconclusive (a semi-decision hit its bounds), 3 = input error; ``main``
+exits 141 when standard output is closed before the report is written.
 ``--json`` switches every report to a machine-readable document with
 ``"schema": 1``; ``SELFSIM_MAX_STATES`` overrides the nucleus state budget.
 """
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path as FsPath
 
 from . import dynamics
@@ -103,9 +105,11 @@ def _matrix(text):
     return IntMatrix.of(data)
 
 
-def _write(path, text):
+def _write(path, chunks):
+    """Write the strings ``chunks`` to the file ``path``, one after another."""
     try:
-        FsPath(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(chunks)
     except OSError as e:
         raise _Exit(INPUT_ERROR, {"error": f"cannot write {path!r}: {e}"}) from None
 
@@ -231,11 +235,15 @@ def _cmd_unstable(args, aut, nuc):
 def _cmd_schreier(args, aut):
     gamma = build_schreier(aut, default_generating_set(aut), args.level)
     if args.format == "json":
-        return OK, gamma.to_json()
+        report = gamma.to_json()
+        chunks = json.JSONEncoder(indent=2).iterencode(report)  # json.dumps(report, indent=2)
+    else:
+        report = {"dot": gamma.to_dot()}
+        chunks = [report["dot"]]
     if args.out:
-        _write(args.out, gamma.to_dot() + "\n")
+        _write(args.out, chain(chunks, ["\n"]))
         return OK, {"written": args.out}
-    return OK, {"dot": gamma.to_dot()}
+    return OK, report
 
 
 def _cmd_katsura(args):
@@ -247,7 +255,7 @@ def _cmd_katsura(args):
     report = {"K0": k0.as_dict(), "K1": k1.as_dict(), "K0_pretty": str(k0), "K1_pretty": str(k1),
               "vertices": len(aut.graph.vertices), "edges": len(aut.graph.edges)}
     if args.spec_out:
-        _write(args.spec_out, spec_text)
+        _write(args.spec_out, [spec_text])
         report["spec_written"] = args.spec_out
     else:
         report["spec"] = spec_text
@@ -380,7 +388,12 @@ def dispatch(argv, stdout=None) -> int:
 
 
 def main() -> int:
-    return dispatch(sys.argv[1:])
+    try:
+        return dispatch(sys.argv[1:])
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
 
 
 if __name__ == "__main__":

@@ -7,34 +7,40 @@ maps to (a|_e : mu -> nu).  For that to stay inside the labelling set the
 generating set must be closed under inverses and restriction; build_schreier
 extends it (with a warning) when it is not.
 
-Arcs come from integer level tables, not from acting words on paths, and
-the tables hold no paths: the vertices are enumerate_paths's list.  Level k
-lists E^k in that order, one block per edge e (in edge order) holding the
-level-(k-1) paths with range s(e).  It keeps groups[v], the increasing
-indices of the paths with range v (a path's place there is its position),
-and cols[a] for each state a of the label machine: the position of
-a . mu for each position mu of d(a).  With at[e] the position where e's
-block starts in groups[r(e)], and a.e and a|_e from the machine's row of
-a, a.(e mu) = (a.e)(a|_e . mu) reads
+A Schreier graph is its integer level table, built with no word acted on
+a path.  Level k lists E^k in enumerate_paths's order, one block per edge e
+(in edge order) holding the level-(k-1) paths with range s(e).  It keeps
+groups[v], the increasing indices of the paths with range v (a path's place
+there is its position), and cols[a] for each label a, a state of the label
+machine: the position of a . mu for each position mu of d(a).  With at[e]
+the position where e's block starts in groups[r(e)], and a.e and a|_e from
+the machine's row of a, a.(e mu) = (a.e)(a|_e . mu) reads
 
     cols_k[a][at[e] + p] = at[a.e] + cols_{k-1}[a|_e][p].
 
-A walk up the tower keeps one level live.  Gamma_n's arcs are the top
-level's columns.  psi_n maps the p-th path of e's block to the p-th
-level-(n-1) path with range s(e), found by the ranges of the level-(n-1)
-paths with no walk up the tower; the label machine's rows restrict labels.
+A walk up the tower keeps one level live; Gamma_n keeps the top level as
+array('l') columns, and its vertices and arcs (and psi's arc_map) are
+read-only views over them, in the order and with the types the lists had.
+Read backwards, the identity says block e of a's column is all of a|_e's
+column one level down, shifted by at[a.e]: psi_n slices Gamma_n's columns
+and walks no tower.  The exports take each label with its inverse, whose
+arcs are its own reversed, and deduplicate undirected edges by integer keys.
 
 Geodesic distance between the depth-n windows of two left-infinite paths
 stays bounded over n exactly when the paths are asymptotically equivalent,
-which the distance_profile helper exposes for cross-checks.
+which the distance_profile helper exposes for cross-checks.  It searches
+the columns: a window's position is at[e] of its first edge plus its
+tail's position one level down.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, repeat
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
 from .errors import VertexNotInLevelError
@@ -51,51 +57,229 @@ def default_generating_set(aut: Automaton, nucleus=None) -> list[Element]:
     return reachable_closure(aut, seeds).states
 
 
+class _View(Sequence):
+    """A read-only sequence of n items made on demand: item(i) for an
+    index, each() (by default item over 0..n-1) for iteration."""
+
+    def __init__(self, n, item, each=None):
+        self._n, self._item = n, item
+        self._each = each or (lambda: map(item, range(n)))
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(self._n))]
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("index out of range")
+        return self._item(i)
+
+    def __iter__(self):
+        return self._each()
+
+
+def _sizes(graph: Graph, n: int) -> list[dict[str, int]]:
+    """sizes[k][v] = |vE^k| for k = 0..n."""
+    sizes = [dict.fromkeys(graph.vertices, 1)]
+    for _ in range(n):
+        below = sizes[-1]
+        sizes.append({v: sum(below[e.src] for e in graph.range_edges(v)) for v in graph.vertices})
+    return sizes
+
+
+def _at(graph: Graph, below: dict[str, int]) -> dict[str, int]:
+    """at[e], where e's block starts in groups[r(e)], at the level above the
+    one whose paths number ``below`` by range."""
+    at, fill = {}, dict.fromkeys(graph.vertices, 0)
+    for e in graph.edges:
+        at[e.id] = fill[e.dst]
+        fill[e.dst] += below[e.src]
+    return at
+
+
+def _groups(graph: Graph, sizes, k: int) -> dict[str, list[int]]:
+    """groups at level k, from the path counts sizes[k - 1]."""
+    if k == 0:
+        return {v: [i] for i, v in enumerate(graph.vertices)}
+    below, start = sizes[k - 1], 0
+    groups = {v: [] for v in graph.vertices}
+    for e in graph.edges:  # e's block, in edge order, is the next run of indices
+        groups[e.dst].extend(range(start, start + below[e.src]))
+        start += below[e.src]
+    return groups
+
+
+def _path_at(graph: Graph, sizes, i: int) -> Path:
+    """The i-th path of E^n, n = len(sizes) - 1, in enumerate_paths order."""
+    if len(sizes) == 1:
+        return Path.empty(graph.vertices[i])
+    edges, choices = [], graph.edges
+    for below in reversed(sizes[:-1]):
+        for e in choices:
+            if i < below[e.src]:
+                break
+            i -= below[e.src]
+        edges.append(e.id)
+        choices = graph.range_edges(e.src)
+    return Path(graph.r(edges[0]), tuple(edges))
+
+
+def _position(graph: Graph, sizes, p: Path) -> int | None:
+    """p's position among the paths of length n = len(sizes) - 1 with range
+    p.base; None when p is not such a path."""
+    if len(p.edges) != len(sizes) - 1 or p.base not in sizes[0]:
+        return None
+    pos, choices = 0, graph.range_edges(p.base)
+    for below, eid in zip(reversed(sizes[:-1]), p.edges):
+        for e in choices:
+            if e.id == eid:
+                break
+            pos += below[e.src]
+        else:
+            return None
+        choices = graph.range_edges(e.src)
+    return pos
+
+
+def _moves(sm: StateMachine, cols) -> dict[str, list]:
+    """vertex -> (column, codomain) of each label (state, column) defined there."""
+    moves: dict[str, list] = {}
+    for a, col in cols:
+        moves.setdefault(sm.doms[a], []).append((col, sm.cods[a]))
+    return moves
+
+
+def _search(moves, src):
+    """graphs.bfs from src over the nodes (vertex, position) and the arcs
+    (v, p) -> (cod, col[p]).  Each label's inverse is a label, so these
+    arcs reach what the undirected graph's edges do."""
+    return bfs([src], lambda node: [(None, (cod, col[node[1]]))
+                                    for col, cod in moves.get(node[0], ())])
+
+
+def _distance(moves, src, dst):
+    """Arcs on a shortest path from src to dst; None when unreachable."""
+    for node, parent in _search(moves, src):
+        if node == dst:  # the parent chain is a shortest path: count its arcs
+            d = 0
+            while parent[node] is not None:
+                node, d = parent[node][0], d + 1
+            return d
+    return None
+
+
 @dataclass
 class SchreierGraph:
+    """Gamma_n as its level-n table (see the module docstring): groups[v]
+    and, for each label in arc order, cols[label], as array('l') columns.
+    The labels are states of ``machine``, and each one's inverse is one."""
+
     level: int
     automaton: Automaton
-    gen_set: list[Element]
-    vertices: list[Path]
-    arcs: list[tuple[int, int, Element]]  # (mu index, (a.mu) index, label element)
+    machine: StateMachine
+    groups: dict[str, array]
+    cols: dict[int, array]  # label state -> column, in arc order
+
+    @property
+    def gen_set(self) -> list[Element]:
+        return self.machine.states
+
+    @property
+    def vertices(self) -> Sequence[Path]:
+        """E^n in enumerate_paths order, as a view."""
+        graph, level = self.automaton.graph, self.level
+        sizes = _sizes(graph, level)
+        return _View(sum(sizes[-1].values()), lambda i: _path_at(graph, sizes, i),
+                     lambda: iter(enumerate_paths(graph, level)))
+
+    @property
+    def arcs(self) -> Sequence[tuple[int, int, Element]]:
+        """(mu index, (a.mu) index, label a), label by label in arc order, as a view."""
+        sm, groups, cols = self.machine, self.groups, self.cols
+
+        def item(k):
+            a, p = self._arc_place(k)
+            return groups[sm.doms[a]][p], groups[sm.cods[a]][cols[a][p]], sm.states[a]
+
+        def each():
+            return chain.from_iterable(
+                zip(groups[sm.doms[a]], map(groups[sm.cods[a]].__getitem__, col),
+                    repeat(sm.states[a])) for a, col in cols.items())
+        return _View(sum(map(len, cols.values())), item, each)
+
+    def _arc_place(self, k: int) -> tuple[int, int]:
+        """(label, position in its column) of the k-th arc."""
+        starts = list(accumulate(map(len, self.cols.values()), initial=0))
+        j = bisect_right(starts, k) - 1
+        return list(self.cols)[j], k - starts[j]
+
+    def _vertex_position(self, p: Path) -> int:
+        pos = _position(self.automaton.graph, _sizes(self.automaton.graph, self.level), p)
+        if pos is None:
+            raise VertexNotInLevelError(f"{p} is not a vertex of level {self.level}")
+        return pos
 
     def vertex_index(self, p: Path) -> int:
-        if not hasattr(self, "_index"):
-            self._index = {(q.base, q.edges): i for i, q in enumerate(self.vertices)}
-        try:
-            return self._index[(p.base, p.edges)]
-        except KeyError:
-            raise VertexNotInLevelError(f"{p} is not a vertex of level {self.level}") from None
+        pos = self._vertex_position(p)
+        return self.groups[p.base][pos]
 
     def undirected_edges(self):
         """Edges deduplicated across orientation and inverse labels, keyed
         (min index, max index) with a sorted label tuple."""
-        aut = self.automaton
-        out: dict[tuple[int, int], set[str]] = {}
-        for label, block in groupby(self.arcs, itemgetter(2)):
-            name = min(aut.canonical(label).name(), aut.canonical(aut.inverse(label)).name())
-            for u, v, _ in block:
-                out.setdefault((u, v) if u <= v else (v, u), set()).add(name)
-        return {k: tuple(sorted(out[k])) for k in sorted(out)}
+        return {(u, v): labels for u, v, labels in self._edges()}
 
-    def neighbours(self, i: int):
-        adj = getattr(self, "_adj", None)
-        if adj is None:
-            adj = [set() for _ in self.vertices]
-            for (u, v, _label) in self.arcs:
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = adj
-        return adj[i]
+    def _edges(self):
+        """(u, v, labels) for each undirected edge, u <= v, in (u, v) order;
+        a label is named by the lesser name of it and its inverse."""
+        aut, sm, groups = self.automaton, self.machine, self.groups
+        size = sum(map(len, groups.values()))
+        named, paired = [], set()
+        for a in self.cols:  # one label per inverse pair: the other's arcs are these reversed
+            if a not in paired:
+                g, inv = sm.states[a], aut.inverse(sm.states[a])
+                paired.add(sm.state_index(aut, inv))
+                named.append((a, min(aut.canonical(g).name(), aut.canonical(inv).name())))
+        names = sorted({name for _, name in named})
+        width = len(names)
+        keys = set()  # (min * size + max) * width + the label name's rank
+        for a, name in named:
+            r, images = names.index(name), groups[sm.cods[a]]
+            keys.update([(u * size + v if u <= v else v * size + u) * width + r
+                         for u, v in zip(groups[sm.doms[a]], map(images.__getitem__, self.cols[a]))])
+        keys = sorted(keys)
+        singles = [(name,) for name in names]
+        last, run = -1, ()
+        for key in keys:
+            edge, r = divmod(key, width)
+            if edge == last:
+                run += singles[r]
+                continue
+            if run:
+                yield (*divmod(last, size), run)
+            last, run = edge, singles[r]
+        if run:
+            yield (*divmod(last, size), run)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        starts = [(v, 0) for v, grp in self.groups.items() if grp]
+        if not starts:
             return True
-        reached = bfs([0], lambda u: zip(repeat(None), self.neighbours(u)))
-        return sum(1 for _ in reached) == len(self.vertices)
+        reached = _search(_moves(self.machine, self.cols.items()), starts[0])
+        return sum(1 for _ in reached) == sum(map(len, self.groups.values()))
 
     def _vertex_names(self) -> list[str]:
-        return [str(p) if p.edges else p.base for p in self.vertices]
+        """str of each vertex path (its vertex when empty), built by prefixing."""
+        graph = self.automaton.graph
+        if not self.level:
+            return list(graph.vertices)
+        dotted = dict.fromkeys(graph.vertices, [""])  # "." + name, by range
+        for _ in range(self.level - 1):
+            dotted = {v: [f".{e.id}{t}" for e in graph.range_edges(v) for t in dotted[e.src]]
+                      for v in graph.vertices}
+        return [e.id + t for e in graph.edges for t in dotted[e.src]]
 
     def to_json(self) -> dict:
         names = self._vertex_names()
@@ -103,15 +287,14 @@ class SchreierGraph:
             "schema": 1,
             "level": self.level,
             "vertices": names,
-            "edges": [{"u": names[u], "v": names[v], "labels": list(labels)}
-                      for (u, v), labels in self.undirected_edges().items()],
+            "edges": [{"u": names[u], "v": names[v], "labels": [*labels]}
+                      for u, v, labels in self._edges()],
         }
 
     def to_dot(self) -> str:
         lines = [f"graph schreier_level_{self.level} {{"]
         lines += [f'  v{i} [label="{name}"];' for i, name in enumerate(self._vertex_names())]
-        for (u, v), labels in self.undirected_edges().items():
-            lines.append(f'  v{u} -- v{v} [label="{",".join(labels)}"];')
+        lines += [f'  v{u} -- v{v} [label="{",".join(labels)}"];' for u, v, labels in self._edges()]
         lines.append("}")
         return "\n".join(lines)
 
@@ -132,94 +315,69 @@ def _label_set(aut: Automaton, gen_set) -> StateMachine:
 
 def _tower(graph: Graph, sm: StateMachine, n: int):
     """Yield (groups, cols) for the levels 0..n: the module docstring's
-    tables, cols indexed by the states of the restriction-closed ``sm``."""
-    groups = {v: [i] for i, v in enumerate(graph.vertices)}
+    tables as lists, cols indexed by the states of the restriction-closed ``sm``."""
+    sizes = _sizes(graph, n)
     cols = [[0]] * len(sm)
-    yield groups, cols
-    for _ in range(n):
-        start, total = {}, 0  # edge -> level-k index of its block's first path
-        for e in graph.edges:
-            start[e.id] = total
-            total += len(groups[e.src])
-        nxt, at = {}, {}
-        for v in graph.vertices:
-            grp = nxt[v] = []
-            for e in graph.range_edges(v):
-                at[e.id] = len(grp)
-                grp.extend(range(start[e.id], start[e.id] + len(groups[e.src])))
+    yield _groups(graph, sizes, 0), cols
+    for k in range(1, n + 1):
+        at = _at(graph, sizes[k - 1])
         cols = [[at[img] + p for img, succ in row.values() for p in cols[succ]]
                 for row in sm.rows]
-        groups = nxt
-        yield groups, cols
-
-
-def _schreier_graphs(aut: Automaton, gen_set, bottom: int, top: int):
-    """Gamma_bottom, ..., Gamma_top from one walk up the level tables."""
-    sm = _label_set(aut, gen_set)
-    tower = islice(_tower(aut.graph, sm, top), bottom, None)
-    for level, (groups, cols) in enumerate(tower, bottom):
-        arcs = []
-        for a, cod, col in zip(sm.states, sm.cods, cols):
-            arcs += zip(groups[a.dom], map(groups[cod].__getitem__, col), repeat(a))
-        yield SchreierGraph(level, aut, sm.states, enumerate_paths(aut.graph, level), arcs)
+        yield _groups(graph, sizes, k), cols
 
 
 def build_schreier(aut: Automaton, gen_set, n: int) -> SchreierGraph:
     """The exact level-n Schreier graph with deterministic vertex order."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    return next(_schreier_graphs(aut, gen_set, n, n))
+    sm = _label_set(aut, gen_set)
+    for groups, cols in _tower(aut.graph, sm, n):
+        pass
+    return SchreierGraph(n, aut, sm, {v: array("l", g) for v, g in groups.items()},
+                         {a: array("l", col) for a, col in enumerate(cols)})
 
 
 @dataclass
 class PsiMorphism:
     vertex_map: dict[int, int]                     # index in Gamma_n -> index in Gamma_{n-1}
-    arc_map: list[tuple[tuple[int, int, str], tuple[int, int, str]]]
+    arc_map: Sequence[tuple[tuple[int, int, str], tuple[int, int, str]]]  # a view
 
 
 def project_psi(gamma: SchreierGraph) -> tuple[SchreierGraph, PsiMorphism]:
     """psi_n : Gamma_n -> Gamma_{n-1}, dropping the first edge of every
-    vertex path and restricting every label along it.  Gamma_n's vertices
-    are in build_schreier's order."""
+    vertex path and restricting every label along it, by slicing Gamma_n's
+    columns."""
     if gamma.level < 1:
         raise ValueError("psi needs level >= 1")
-    aut = gamma.automaton
+    aut, sm, n = gamma.automaton, gamma.machine, gamma.level
     graph = aut.graph
-    lower = enumerate_paths(graph, gamma.level - 1)
-    groups: dict[str, list[int]] = {v: [] for v in graph.vertices}
-    for j, p in enumerate(lower):
-        groups[p.base].append(j)
-    tails = [j for e in graph.edges for j in groups[e.src]]
-    heads = [p.edges[0] for p in gamma.vertices]
-    sm = reachable_closure(aut, gamma.gen_set)
+    sizes = _sizes(graph, n - 1)
+    below = sizes[n - 1]
+    at = _at(graph, below)
+    cols = {}
+    for a, col in gamma.cols.items():
+        for e, (img, succ) in sm.rows[a].items():
+            if succ not in cols:  # block e of a's column is all of a|_e's, shifted by at[a.e]
+                block, shift = col[at[e]:at[e] + below[graph.s(e)]], at[img]
+                cols[succ] = array("l", [p - shift for p in block]) if shift else block
+    lower = _groups(graph, sizes, n - 1)
+    tails = [j for e in graph.edges for j in lower[e.src]]
+    projected = SchreierGraph(n - 1, aut, sm, {v: array("l", g) for v, g in lower.items()}, cols)
     names = [s.name() for s in sm.states]
-    arcs = []
-    arc_map = []
-    seen = set()
-    for label, block in groupby(gamma.arcs, itemgetter(2)):
-        i = sm.state_index(aut, label)
-        row = sm.rows[i]
-        for u, v, _ in block:
-            j = row[heads[u]][1]  # the label's restriction along the first edge
-            pu, pv = tails[u], tails[v]
-            if (pu, pv, j) not in seen:
-                seen.add((pu, pv, j))
-                arcs.append((pu, pv, sm.states[j]))
-            arc_map.append(((u, v, names[i]), (pu, pv, names[j])))
-    projected = SchreierGraph(gamma.level - 1, aut, gamma.gen_set, lower, arcs)
-    return projected, PsiMorphism(dict(enumerate(tails)), arc_map)
+
+    def arc_map(k):
+        a, p = gamma._arc_place(k)
+        succ = next(j for e, (_, j) in sm.rows[a].items() if p < at[e] + below[graph.s(e)])
+        u, v = gamma.groups[sm.doms[a]][p], gamma.groups[sm.cods[a]][gamma.cols[a][p]]
+        return (u, v, names[a]), (tails[u], tails[v], names[succ])
+    return projected, PsiMorphism(dict(enumerate(tails)),
+                                  _View(sum(map(len, gamma.cols.values())), arc_map))
 
 
 def geodesic_distance(gamma: SchreierGraph, mu: Path, nu: Path):
     """BFS distance ignoring labels; None when unreachable."""
-    src, dst = gamma.vertex_index(mu), gamma.vertex_index(nu)
-    for u, parent in bfs([src], lambda u: zip(repeat(None), gamma.neighbours(u))):
-        if u == dst:  # the parent chain is a shortest path: count its arcs
-            d = 0
-            while parent[u] is not None:
-                u, d = parent[u][0], d + 1
-            return d
-    return None
+    src, dst = (mu.base, gamma._vertex_position(mu)), (nu.base, gamma._vertex_position(nu))
+    return _distance(_moves(gamma.machine, gamma.cols.items()), src, dst)
 
 
 def distance_profile(aut: Automaton, x: LeftInfinitePath, y: LeftInfinitePath,
@@ -228,9 +386,19 @@ def distance_profile(aut: Automaton, x: LeftInfinitePath, y: LeftInfinitePath,
     """Geodesic distances between the depth-n windows for n = 1..max_level;
     bounded over all n exactly for asymptotically equivalent paths."""
     gens = gen_set if gen_set is not None else default_generating_set(aut, nucleus)
+    graph = aut.graph
     levels = range(1, max_level + 1)
-    gammas = _cache if _cache is not None else {}
-    if not all(n in gammas for n in levels):
-        gammas.update((g.level, g) for g in _schreier_graphs(aut, gens, 1, max_level))
-    return [geodesic_distance(gammas[n], x.window_path(aut.graph, n), y.window_path(aut.graph, n))
-            for n in levels]
+    tables = _cache if _cache is not None else {}  # level -> (at, moves)
+    if not all(n in tables for n in levels):
+        sm = _label_set(aut, gens)
+        sizes = _sizes(graph, max_level)
+        for n, (_, cols) in enumerate(_tower(graph, sm, max_level)):
+            if n:
+                tables[n] = _at(graph, sizes[n - 1]), _moves(sm, enumerate(cols))
+    out, px, py = [], 0, 0
+    for n in levels:
+        at, moves = tables[n]
+        ex, ey = x.edge_at(-n), y.edge_at(-n)
+        px, py = at[ex] + px, at[ey] + py  # first edge's block, then the tail's position
+        out.append(_distance(moves, (graph.r(ex), px), (graph.r(ey), py)))
+    return out

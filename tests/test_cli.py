@@ -127,6 +127,65 @@ def test_schreier_exports(tmp_path):
     assert code == 0 and out.read_text().startswith("graph schreier_level_1")
 
 
+def test_schreier_out_writes_json(tmp_path):
+    from selfsim.schreier import build_schreier, default_generating_set
+    from selfsim.specfile import parse_spec
+
+    out = tmp_path / "gamma.json"
+    code, data = run_json("schreier", "--spec", EX310, "--level", "2", "--out", str(out))
+    assert code == 0 and data == {"schema": 1, "written": str(out)}
+    aut = parse_spec(FsPath(EX310).read_text()).automaton()
+    doc = build_schreier(aut, default_generating_set(aut), 2).to_json()
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+    code, text = run("schreier", "--spec", EX310, "--level", "2", "--out", str(out))
+    assert code == 0 and text == f"written: {out}\n"
+
+
+def test_schreier_out_writes_dot(tmp_path):
+    from selfsim.schreier import build_schreier, default_generating_set
+    from selfsim.specfile import parse_spec
+
+    out = tmp_path / "gamma.dot"
+    code, data = run_json("schreier", "--spec", EX310, "--level", "3", "--format", "dot",
+                          "--out", str(out))
+    assert code == 0 and data == {"schema": 1, "written": str(out)}
+    aut = parse_spec(FsPath(EX310).read_text()).automaton()
+    assert out.read_text() == build_schreier(aut, default_generating_set(aut), 3).to_dot() + "\n"
+
+
+def _cli(*argv, **kwargs):
+    """A child ``python -m selfsim.cli`` process on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen([sys.executable, "-m", "selfsim.cli", *argv], cwd=ROOT, env=env,
+                            **kwargs)
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the report (about 200 kB) outgrows a pipe's buffer, so the write fails
+    # whether or not it started before the read end was closed
+    proc = _cli("--json", "schreier", "--spec", EX310, "--level", "11", "--format", "dot",
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+def test_schreier_level_17_fits_400_mb(tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 400 << 20
+    out = tmp_path / "gamma17.dot"
+    proc = _cli("schreier", "--spec", EX310, "--level", "17", "--format", "dot", "--out", str(out),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 0, stderr[-2000:]
+    with out.open() as f:
+        assert f.readline() == "graph schreier_level_17 {\n"
+        assert sum(1 for line in f if "[label=" in line and "--" not in line) == 2 ** 18
+
+
 def test_katsura_pipeline(tmp_path):
     out = tmp_path / "katsura.ss"
     code, data = run_json("katsura", "--A", "[[2,1],[2,2]]", "--B", "[[1,0],[1,1]]",
@@ -250,9 +309,10 @@ def test_unreadable_inputs_are_input_errors(tmp_path):
 
 def test_unwritable_outputs_are_input_errors(tmp_path):
     missing = str(tmp_path / "no" / "such" / "dir" / "out")
-    code, data = run_json("schreier", "--spec", EX310, "--level", "1", "--format", "dot",
-                          "--out", missing)
-    assert code == 3 and "cannot write" in data["error"]
+    for fmt in ("dot", "json"):
+        code, data = run_json("schreier", "--spec", EX310, "--level", "1", "--format", fmt,
+                              "--out", missing)
+        assert code == 3 and "cannot write" in data["error"]
     code, data = run_json("katsura", "--A", "[[2]]", "--B", "[[1]]", "--spec-out", missing)
     assert code == 3 and "cannot write" in data["error"]
 

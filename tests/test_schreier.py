@@ -1,5 +1,6 @@
 import random
 import warnings
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import pytest
@@ -10,7 +11,6 @@ from selfsim.graphs import Path, enumerate_paths
 from selfsim.infinite_paths import LeftInfinitePath
 from selfsim.nucleus import compute_nucleus
 from selfsim.schreier import (
-    SchreierGraph,
     build_schreier,
     default_generating_set,
     distance_profile,
@@ -216,7 +216,16 @@ def test_exports(ex310, gens310):
 #
 # build_schreier, project_psi and undirected_edges as they were before the
 # level tables: every vertex is acted on with Automaton.act, psi restricts
-# every label along the dropped edge.
+# every label along the dropped edge.  The graphs are plain lists.
+
+
+@dataclass
+class OracleGraph:
+    level: int
+    automaton: Automaton
+    gen_set: list
+    vertices: list
+    arcs: list  # (mu index, (a.mu) index, label element)
 
 
 def oracle_build_schreier(aut, gen_set, n):
@@ -242,7 +251,7 @@ def oracle_build_schreier(aut, gen_set, n):
             if key not in seen:
                 seen.add(key)
                 arcs.append((i, j, a))
-    return SchreierGraph(n, aut, labels, vertices, arcs)
+    return OracleGraph(n, aut, labels, vertices, arcs)
 
 
 def oracle_project_psi(gamma):
@@ -273,7 +282,7 @@ def oracle_project_psi(gamma):
             seen.add(key)
             arcs.append((pu, pv, restricted))
         arc_map.append(((u, v, aut.canonical(label).name()), (pu, pv, restricted.name())))
-    return SchreierGraph(gamma.level - 1, aut, gamma.gen_set, lower, arcs), vmap, arc_map
+    return OracleGraph(gamma.level - 1, aut, gamma.gen_set, lower, arcs), vmap, arc_map
 
 
 def oracle_undirected_edges(gamma):
@@ -321,7 +330,7 @@ def assert_matches_oracle(aut, gens, n):
     for _ in range(min(n, 2)):
         (new, psi), (old, vmap, arc_map) = project_psi(new), oracle_project_psi(old)
         assert graph_signature(new) == graph_signature(old), n
-        assert psi.vertex_map == vmap and psi.arc_map == arc_map, n
+        assert psi.vertex_map == vmap and list(psi.arc_map) == arc_map, n
         assert (new.to_json(), new.to_dot()) == oracle_exports(old)
 
 
@@ -511,3 +520,155 @@ def test_label_set_warnings(ex310):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         build_schreier(ex310, default_generating_set(ex310), 3)
+
+
+# -- the views over the columns --------------------------------------------------
+
+
+def test_views_index_like_lists(ex310, gens310):
+    gamma = build_schreier(ex310, gens310, 4)
+    lower, psi = project_psi(gamma)
+    for view in (gamma.vertices, gamma.arcs, lower.vertices, lower.arcs, psi.arc_map):
+        items = list(view)
+        assert len(view) == len(items) > 0
+        assert [view[i] for i in range(len(items))] == items
+        assert view[-1] == items[-1] and view[-len(items)] == items[0]
+        assert view[1:5] == items[1:5] and view[::-3] == items[::-3]
+        with pytest.raises(IndexError):
+            view[len(items)]
+        with pytest.raises(IndexError):
+            view[-len(items) - 1]
+    assert all(type(u) is int and type(v) is int for u, v, _ in gamma.arcs)
+    assert list(gamma.vertices) == enumerate_paths(ex310.graph, 4)
+
+
+def test_vertex_index_rejects_non_vertices(ex310, gens310):
+    gamma = build_schreier(ex310, gens310, 2)
+    for p in (Path("w", ("2", "3")),  # r(2) = v
+              Path("v", ("2",)), Path("v", ("2", "3", "1")),  # wrong length
+              Path("v", ("2", "2")),  # s(2) != r(2)
+              Path("u", ("2", "3")), Path("v", ("9", "3"))):
+        with pytest.raises(VertexNotInLevelError):
+            gamma.vertex_index(p)
+    assert build_schreier(ex310, gens310, 0).vertex_index(Path.empty("w")) == 1
+
+
+class _CountedSeq:
+    """A sequence that logs every iteration and index into it."""
+
+    def __init__(self, seq, log, name):
+        self._seq, self._log, self._name = seq, log, name
+
+    def __len__(self):
+        return len(self._seq)
+
+    def __getitem__(self, i):
+        self._log.append(self._name)
+        return self._seq[i]
+
+    def __iter__(self):
+        self._log.append(self._name)
+        return iter(self._seq)
+
+
+def test_exports_psi_and_profiles_read_only_columns(monkeypatch):
+    import selfsim.schreier as schreier
+
+    reads = []
+
+    class Counted(schreier.SchreierGraph):
+        def __getattribute__(self, name):
+            value = super().__getattribute__(name)
+            return _CountedSeq(value, reads, name) if name in ("arcs", "vertices") else value
+
+    monkeypatch.setattr(schreier, "SchreierGraph", Counted)
+    aut = build_basilica()
+    gens = default_generating_set(aut)
+    gamma = build_schreier(aut, gens, 6)
+    assert isinstance(gamma, Counted) and len(gamma.vertices) == 2 ** 7
+    lower, _ = project_psi(gamma)
+    assert reads == []
+    for name, op in [("to_json", gamma.to_json), ("to_dot", gamma.to_dot),
+                     ("lower to_json", lower.to_json), ("lower to_dot", lower.to_dot),
+                     ("psi of psi", lambda: project_psi(lower))]:
+        op()
+        assert reads == [], name
+    x = LeftInfinitePath.make(aut.graph, ["3"], ["2"])
+    y = LeftInfinitePath.make(aut.graph, ["0", "1"])
+    assert distance_profile(aut, x, y, 6, gen_set=gens) and reads == []
+    list(gamma.arcs)
+    assert gamma.vertices[0] and reads == ["arcs", "vertices"]
+
+
+# -- distance_profile as it was, kept as an oracle --------------------------------
+
+
+def oracle_distance_profile(aut, x, y, max_level, gens, cache):
+    """distance_profile before it searched the columns: per level a whole
+    graph (a Path per vertex, a vertex_index dict, undirected adjacency
+    sets), then a BFS from one window to the other."""
+    from selfsim.schreier import _label_set, _tower
+
+    graph = aut.graph
+    if not all(n in cache for n in range(1, max_level + 1)):
+        sm = _label_set(aut, gens)
+        for level, (groups, cols) in enumerate(_tower(graph, sm, max_level)):
+            if not level:
+                continue
+            paths = enumerate_paths(graph, level)
+            index = {(p.base, p.edges): i for i, p in enumerate(paths)}
+            adj = [set() for _ in paths]
+            for dom, cod, col in zip(sm.doms, sm.cods, cols):
+                for u, p in zip(groups[dom], col):
+                    v = groups[cod][p]
+                    adj[u].add(v)
+                    adj[v].add(u)
+            cache[level] = index, adj
+    out = []
+    for n in range(1, max_level + 1):
+        index, adj = cache[n]
+        mu, nu = x.window_path(graph, n), y.window_path(graph, n)
+        src, dst = index[(mu.base, mu.edges)], index[(nu.base, nu.edges)]
+        dist, queue = {src: 0}, [src]
+        for u in queue:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        out.append(dist.get(dst))
+    return out
+
+
+def test_distance_profile_vs_oracle_pool():
+    import json
+
+    from selfsim.specfile import parse_path
+
+    pool = json.loads((SPECS.parent / "bench" / "expected" / "schreier-tower.json")
+                      .read_text())["pool"]
+    auts, caches = {}, {}
+    for name, x, y in pool:
+        if name not in auts:
+            auts[name] = parse_spec((SPECS / f"{name}.ss").read_text()).automaton()
+            caches[name] = ({}, {}, default_generating_set(auts[name]))
+        aut = auts[name]
+        new_cache, old_cache, gens = caches[name]
+        px, py = parse_path(aut.graph, x, "left"), parse_path(aut.graph, y, "left")
+        want = oracle_distance_profile(aut, px, py, 8, gens, old_cache)
+        assert distance_profile(aut, px, py, 8, gen_set=gens) == want, (name, x, y)
+        assert distance_profile(aut, px, py, 8, gen_set=gens, _cache=new_cache) == want
+    assert len(pool) >= 20
+
+
+@pytest.mark.parametrize("spec, top", [("basilica", 10), ("ex310", 10), ("odometer", 10),
+                                       ("katsura", 5), ("nonhausdorff", 6)])
+def test_distance_profile_vs_oracle_random(spec, top):
+    aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton()
+    gens = default_generating_set(aut)
+    rng = random.Random(47)
+    new_cache, old_cache = {}, {}
+    for _ in range(25):
+        x, y = random_left_path(aut, rng), random_left_path(aut, rng)
+        want = oracle_distance_profile(aut, x, y, top, gens, old_cache)
+        assert distance_profile(aut, x, y, top, gen_set=gens, _cache=new_cache) == want, (x, y)
+        assert distance_profile(aut, x, x, top, gen_set=gens, _cache=new_cache) == [0] * top
