@@ -11,15 +11,16 @@ The action extends to paths by g.(e mu) = (g.e)(g|_e . mu), to words by
     (hg).mu = h.(g.mu)        (hg)|_mu = (h|_{g.mu}) (g|_mu)
 
 and to inverses by g^-1|_eta = (g|_{g^-1.eta})^-1.  Groupoid elements are
-domain-tagged signed words; two words are identified exactly when they act
-identically on every finite path.  That identity is decided by a greatest-
-fixpoint bisimulation on restriction pairs: a pair refutes if it disagrees
-on some edge image, and a revisited pair is assumed equal (sound because
-the visited relation is then a bisimulation, and by induction bisimilar
-words agree on all finite paths).  When every rule restriction is a single
-signed symbol or a unit, restriction never lengthens words, so the search
-space is finite; longer rule words may grow, so searches carry a state
-budget and raise ClosureLimitError past it.
+domain-tagged signed words; ``read_word`` is the one reader of their
+literals, for element arguments, spec-file rules and validation alike.
+Two words are identified exactly when they act identically on every finite
+path.  That identity is decided by a greatest-fixpoint bisimulation on
+restriction pairs: a pair refutes if it disagrees on some edge image, and a
+revisited pair is assumed equal (sound because the visited relation is then
+a bisimulation, and by induction bisimilar words agree on all finite paths).
+When every rule restriction is a single signed symbol or a unit, restriction
+never lengthens words, so the search space is finite; longer rule words may
+grow, so searches carry a state budget and raise ClosureLimitError past it.
 
 Class identification is memoised per automaton.  Every class id owns a row:
 the image edge and the successor class id for each edge of range_edges(d),
@@ -120,7 +121,9 @@ class Automaton:
         for name in self.generators:
             if graph.has_edge(name) or name in set(graph.vertices):
                 raise AutomatonError(f"generator name {name!r} collides with a graph id")
-        self.violations = _validate(graph, self.generators)
+        # generator name -> (d, c), the one endpoint map words are read by
+        self._ends = {name: (rule.dom, rule.cod) for name, rule in self.generators.items()}
+        self.violations = _validate(graph, self.generators, self._ends)
         # signed symbol -> edge -> (image edge, restriction word)
         self._moves: dict[Symbol, dict[str, tuple[str, tuple[Symbol, ...]]]] = {}
         if not self.violations:
@@ -154,38 +157,15 @@ class Automaton:
         return out
 
     def element(self, tokens) -> Element:
-        """Build an element from symbol tokens (left to right, rightmost acts
-        first).  Tokens are generator names, ``g^-1``, or vertex names
-        (units, which are dropped after their endpoints are checked)."""
-        if isinstance(tokens, str):
-            tokens = tokens.split()
-        syms: list[tuple[str, int, str, str]] = []  # (name, exp, dom, cod)
-        for tok in tokens:
-            inv = tok.endswith("^-1")
-            base = tok[:-3] if inv else tok
-            if base in self.generators:
-                rule = self.generators[base]
-                d, c = (rule.cod, rule.dom) if inv else (rule.dom, rule.cod)
-                syms.append((base, -1 if inv else 1, d, c))
-            elif base in set(self.graph.vertices) and not inv:
-                syms.append((base, 0, base, base))
-            else:
-                raise UnknownSymbolError(f"unknown symbol {tok!r}")
-        if not syms:
-            raise UnknownSymbolError("an element literal needs at least one token")
-        for (_, _, d, _), (_, _, _, c2) in zip(syms, syms[1:]):
-            if d != c2:
-                raise NonComposableError("adjacent symbols do not chain")
-        dom = syms[-1][2]
-        word = tuple((n, e) for n, e, _, _ in syms if e != 0)
-        return Element(dom, word)
+        """Build an element from symbol tokens; see :func:`read_word`."""
+        return read_word(self._ends, self.graph.vertices, tokens)
 
     # -- endpoint maps ---------------------------------------------------------
 
     def sym_endpoints(self, sym: Symbol) -> tuple[str, str]:
         """(d, c) of a signed symbol."""
-        rule = self.generators[sym[0]]
-        return (rule.dom, rule.cod) if sym[1] == 1 else (rule.cod, rule.dom)
+        d, c = self._ends[sym[0]]
+        return (d, c) if sym[1] == 1 else (c, d)
 
     def cod(self, g: Element) -> str:
         return self.sym_endpoints(g.word[0])[1] if g.word else g.dom
@@ -327,14 +307,38 @@ def _inverse_word(word: tuple[Symbol, ...]) -> tuple[Symbol, ...]:
     return tuple((n, -e) for n, e in reversed(word))
 
 
-def _validate(graph: Graph, generators: dict[str, GeneratorRule]):
+def read_word(ends, vertices, tokens) -> Element:
+    """The one reader of symbol words, for element literals and spec rules.
+
+    Tokens (a string is split on whitespace) are read left to right, the
+    rightmost acting first: ``g`` and ``g^-1`` for a generator g of ``ends``
+    (name -> (d, c)), or a vertex name for the unit there, which is dropped
+    once its endpoints are checked.  Adjacent symbols must chain, d of each
+    equal to c of the next.
+    """
+    if isinstance(tokens, str):
+        tokens = tokens.split()
+    syms = []  # (symbol, or None for a unit, d, c)
+    for tok in tokens:
+        base = tok[:-3] if tok.endswith("^-1") else tok
+        if base in ends:
+            d, c = ends[base]
+            syms.append(((base, 1), d, c) if base == tok else ((base, -1), c, d))
+        elif tok in vertices:
+            syms.append((None, tok, tok))
+        else:
+            raise UnknownSymbolError(f"unknown symbol {tok!r}")
+    if not syms:
+        raise UnknownSymbolError("an element literal needs at least one token")
+    for (_, d, _), (_, _, c) in zip(syms, syms[1:]):
+        if d != c:
+            raise NonComposableError("adjacent symbols do not chain")
+    return Element(syms[-1][1], tuple(sym for sym, _, _ in syms if sym))
+
+
+def _validate(graph: Graph, generators: dict[str, GeneratorRule], ends):
     """Both automaton invariants, reported as a list of exceptions."""
     violations: list[AutomatonError] = []
-
-    def endpoints(sym: Symbol):
-        rule = generators[sym[0]]
-        return (rule.dom, rule.cod) if sym[1] == 1 else (rule.cod, rule.dom)
-
     for name, rule in sorted(generators.items()):
         if rule.dom not in set(graph.vertices) or rule.cod not in set(graph.vertices):
             violations.append(NotBijectiveOnEdgesError(name, "unknown dom/cod vertex"))
@@ -352,26 +356,17 @@ def _validate(graph: Graph, generators: dict[str, GeneratorRule]):
             continue
         for e, (img, restr) in sorted(rule.rules.items()):
             want_d, want_c = graph.s(e), graph.s(img)
-            d = restr.dom
-            c = restr.dom
-            ok = True
-            prev_d = None
-            for i, sym in enumerate(restr.word):
-                if sym[0] not in generators:
-                    ok = False
-                    break
-                sd, sc = endpoints(sym)
-                if i == 0:
-                    c = sc
-                if prev_d is not None and prev_d != sc:
-                    ok = False
-                    break
-                prev_d = sd
+            d = c = restr.dom
             if restr.word:
-                d = endpoints(restr.word[-1])[0]
-            if not ok:
-                violations.append(RestrictionVertexMismatchError(name, e, "word does not chain"))
-            elif d != want_d or c != want_c:
+                try:
+                    d = read_word(ends, (), map(symbol_str, restr.word)).dom
+                except (UnknownSymbolError, NonComposableError):
+                    violations.append(
+                        RestrictionVertexMismatchError(name, e, "word does not chain"))
+                    continue
+                first, exp = restr.word[0]  # c of the word is c of its first symbol
+                c = ends[first][1 if exp == 1 else 0]
+            if d != want_d or c != want_c:
                 violations.append(RestrictionVertexMismatchError(
                     name, e, f"restriction has (d, c) = ({d}, {c}), rule needs ({want_d}, {want_c})"))
     return violations

@@ -2,14 +2,14 @@
 
 Every subcommand is one row of ``COMMANDS``: what its handler needs (nothing
 but matrices, a spec, a valid automaton, or a nucleus), the handler, and its
-flags.  ``dispatch`` builds the top parser plus the parser of the one command
-that argv names; only when argv names none (``-h``, no command, a misspelled
-or unclear one) does it build them all, so that argparse's messages list every
-choice.  The preamble the "needs" column asks for runs in a fixed order:
-read the spec, check validity, compute the nucleus, then call the handler.
+flags.  The parser tree of all commands is built once, on the first call of
+``dispatch``, and reused.  The preamble the "needs" column asks for runs in a
+fixed order: read the spec, check validity, compute the nucleus, then call
+the handler.
 
 Exit codes: 0 = property holds / computation done, 1 = property fails,
-2 = inconclusive (a semi-decision hit its bounds), 3 = input error; ``main``
+2 = inconclusive (a semi-decision hit its bounds), 3 = input error, or a
+report too large to render in memory (``--out`` streams it instead); ``main``
 exits 141 when standard output is closed before the report is written.
 ``--json`` switches every report to a machine-readable document with
 ``"schema": 1``; ``SELFSIM_MAX_STATES`` overrides the nucleus state budget.
@@ -18,6 +18,7 @@ exits 141 when standard output is closed before the report is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -314,34 +315,17 @@ COMMANDS = {
     "snf": (MATRICES, _cmd_snf, {"--json": _JSON, "--matrix": _REQUIRED}),
     "ktheory": (MATRICES, _cmd_ktheory, {"--json": _JSON, "--A": _REQUIRED, "--B": _REQUIRED}),
 }
-_METAVAR = "{" + ",".join(COMMANDS) + "}"
 
 
-def _command_name(argv):
-    """The table command argparse will read from argv, or None if it names none.
-
-    Only plain options may precede it: the top parser's options take no value,
-    so each is one token.  ``-``, ``--``, ``-1``, ``-.5`` and tokens with a
-    space may be positionals to argparse, so they end the search.
-    """
-    for arg in argv:
-        if arg in COMMANDS:
-            return arg
-        if not arg.startswith("-") or arg in ("-", "--") or " " in arg or arg[1] in "0123456789.":
-            return None
-    return None
-
-
-def _parser(argv):
+@functools.cache
+def _parser():
+    """The top parser with every command's parser, built on first use."""
     top = argparse.ArgumentParser(prog="selfsim",
                                   description="Self-similar groupoid actions on graphs")
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    name = _command_name(argv)
-    # With one subparser the metavar keeps the usage line listing every command.
-    sub = top.add_subparsers(dest="command", required=True, metavar=_METAVAR if name else None)
-    for each in [name] if name else COMMANDS:
-        needs, _, flags = COMMANDS[each]
-        p = sub.add_parser(each)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (needs, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name)
         for flag, kw in ({**_SPEC_FLAGS, **flags} if needs else flags).items():
             p.add_argument(flag, **kw)
     return top
@@ -368,7 +352,7 @@ def _render(report: dict, as_json: bool) -> str:
 def dispatch(argv, stdout=None) -> int:
     stream = stdout if stdout is not None else sys.stdout
     try:
-        args = _parser(argv).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return INPUT_ERROR if e.code else OK
     try:
@@ -383,6 +367,11 @@ def dispatch(argv, stdout=None) -> int:
         text = _render(report, args.json)
     except ValueError:  # str() of an integer past the int/str conversion limit
         code, text = INPUT_ERROR, _render(_digit_limit_error("the result"), args.json)
+    except MemoryError:
+        report = None  # free the report before rendering the error
+        code, text = INPUT_ERROR, _render(
+            {"error": "the report does not fit in memory; write it to a file with --out"},
+            args.json)
     print(text, file=stream)
     return code
 

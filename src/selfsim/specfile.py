@@ -11,10 +11,11 @@
     [options]
     max_states 10000
 
-Restriction words are whitespace-separated symbols, ``g`` or ``g^-1``;
-units are written as vertex names.  ``#`` starts a comment.  Path literals:
-finite ``1.2.3``, left-infinite ``(1)^inf . 2.3``, right-infinite
-``2.3 . (1)^inf``, bi-infinite ``(rho)^inf . mid . (pi)^inf @ n0``.
+Restriction words are element literals, read by ``automaton.read_word``:
+whitespace-separated symbols ``g`` or ``g^-1``, units written as vertex
+names.  ``#`` starts a comment.  Path literals: finite ``1.2.3``,
+left-infinite ``(1)^inf . 2.3``, right-infinite ``2.3 . (1)^inf``,
+bi-infinite ``(rho)^inf . mid . (pi)^inf @ n0``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .automaton import Automaton, Bounds, Element, GeneratorRule
-from .errors import SpecSyntaxError, UnknownSymbolError
+from .automaton import Automaton, Bounds, GeneratorRule, read_word, symbol_str
+from .errors import NonComposableError, SpecSyntaxError, UnknownSymbolError
 from .graphs import Graph, Path
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 
@@ -59,7 +60,6 @@ class SpecFile:
 
     def automaton(self, bounds: Bounds | None = None) -> Automaton:
         graph = self.graph()
-        vset = set(graph.vertices)
         ends = {g.name: (g.dom, g.cod) for g in self.generators}
         gens = {}
         for g in self.generators:
@@ -67,30 +67,10 @@ class SpecFile:
             for (edge, image, toks) in g.rules:
                 if not graph.has_edge(edge) or not graph.has_edge(image):
                     raise UnknownSymbolError(f"rule of {g.name!r} uses unknown edge")
-                # resolve tokens; units carry their declared vertex so that
-                # mis-declared restriction endpoints surface during validation
-                chain = []  # (symbol or None for unit, dom, cod)
-                for tok in toks:
-                    inv = tok.endswith("^-1")
-                    base = tok[:-3] if inv else tok
-                    if base in ends:
-                        d, c = ends[base]
-                        if inv:
-                            d, c = c, d
-                        chain.append(((base, -1 if inv else 1), d, c))
-                    elif tok in vset:
-                        chain.append((None, tok, tok))
-                    else:
-                        raise UnknownSymbolError(f"unknown symbol {tok!r} in rule of {g.name!r}")
-                if not chain:
-                    raise UnknownSymbolError(f"empty restriction in rule of {g.name!r}")
-                for (_, d1, _), (_, _, c2) in zip(chain, chain[1:]):
-                    if d1 != c2:
-                        raise UnknownSymbolError(
-                            f"restriction symbols do not chain in rule of {g.name!r}")
-                word = tuple(sym for (sym, _, _) in chain if sym is not None)
-                restr = Element(chain[-1][1], word)
-                rules[edge] = (image, restr)
+                try:  # a unit keeps its vertex, for validation to check
+                    rules[edge] = (image, read_word(ends, graph.vertices, toks))
+                except (UnknownSymbolError, NonComposableError) as e:
+                    raise UnknownSymbolError(f"{e} in rule of {g.name!r}") from None
             gens[g.name] = GeneratorRule(g.dom, g.cod, rules)
         return Automaton(graph, gens, bounds or self.bounds())
 
@@ -190,11 +170,7 @@ def spec_of_automaton(aut: Automaton) -> SpecFile:
     for name, rule in sorted(aut.generators.items()):
         rows = []
         for edge, (image, restr) in sorted(rule.rules.items()):
-            if restr.word:
-                toks = tuple(("{}^-1".format(n) if e < 0 else n) for (n, e) in restr.word)
-            else:
-                toks = (restr.dom,)
-            rows.append((edge, image, toks))
+            rows.append((edge, image, tuple(map(symbol_str, restr.word)) or (restr.dom,)))
         gens.append(GeneratorSpec(name, rule.dom, rule.cod, tuple(rows)))
     return SpecFile(
         vertices=tuple(sorted(aut.graph.vertices)),
@@ -288,6 +264,4 @@ def parse_path(graph: Graph, text: str, kind: str = "auto"):
 
 
 def format_path(obj) -> str:
-    if isinstance(obj, Path):
-        return ".".join(obj.edges) if obj.edges else f"(empty@{obj.base})"
     return str(obj)

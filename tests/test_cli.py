@@ -186,6 +186,21 @@ def test_schreier_level_17_fits_400_mb(tmp_path):
         assert sum(1 for line in f if "[label=" in line and "--" not in line) == 2 ** 18
 
 
+def test_schreier_report_past_memory_is_a_typed_error():
+    # JSON to standard output is rendered whole, which the limit does not
+    # allow at level 17; --out would stream it
+    resource = pytest.importorskip("resource")
+    limit = 400 << 20
+    proc = _cli("--json", "schreier", "--spec", EX310, "--level", "17",
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 3, stderr[-2000:]
+    assert b"Traceback" not in stderr, stderr[-2000:]
+    report = json.loads(stdout)
+    assert report["schema"] == 1 and "--out" in report["error"]
+
+
 def test_katsura_pipeline(tmp_path):
     out = tmp_path / "katsura.ss"
     code, data = run_json("katsura", "--A", "[[2,1],[2,2]]", "--B", "[[1,0],[1,1]]",
@@ -420,7 +435,7 @@ import contextlib, io, json, sys
 from selfsim import cli
 if sys.argv[1] == "oracle":
     from test_cli import _build_parser
-    cli._parser = lambda argv: _build_parser()
+    cli._parser = _build_parser
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
@@ -482,7 +497,7 @@ def test_table_parser_matches_oracle():
     assert sum(code == 0 and out.startswith("usage:") for out, _, code in want) == 20
 
 
-def test_dispatch_builds_only_the_chosen_parser(monkeypatch):
+def test_dispatch_builds_the_parser_tree_once(monkeypatch):
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -491,5 +506,14 @@ def test_dispatch_builds_only_the_chosen_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
     assert run("check", "regular", "--spec", EX310)[0] == 0
-    assert made == ["selfsim", "selfsim check"]
+    # the top parser and one parser per command, each built once
+    assert len(made) == 1 + len(cli.COMMANDS) == 18
+    assert made[0] == "selfsim" and len(set(made)) == 18
+    made.clear()
+    assert run("-h")[0] == 0
+    assert run("rk", "--spec", EX310, "--k", "x")[0] == 3
+    assert run("snf", "--matrix", "[[2,4],[6,8]]")[0] == 0
+    assert run("check", "regular", "--spec", EX310)[0] == 0
+    assert made == []

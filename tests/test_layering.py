@@ -34,3 +34,27 @@ def test_registry_is_read_only_where_allowed():
     # the scan sees the readers it allows, so it cannot pass by finding nothing
     assert ALLOWED <= readers
     assert any(module == "automaton" for module, _ in readers)
+
+
+def inverse_symbol_code() -> set:
+    """(module, line) of every string constant in the package's code, not its
+    docstrings, that holds the inverse marker ``^-1``."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        out |= {(path.stem, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "^-1" in node.value and id(node) not in docstrings}
+    return out
+
+
+def test_only_automaton_reads_or_writes_inverse_symbols():
+    found = inverse_symbol_code()
+    assert sorted(hit for hit in found if hit[0] != "automaton") == []
+    # the scan sees the one reader and writer, so it cannot pass by finding nothing
+    assert any(module == "automaton" for module, _ in found)
