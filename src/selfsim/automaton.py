@@ -110,7 +110,8 @@ class Automaton:
     Construction never raises for rule-level problems; ``violations`` holds
     whatever :func:`validate_automaton` found, and the action operations
     refuse to run while it is nonempty.  Vertex names double as unit
-    symbols, so generator names must not collide with vertex names.
+    symbols, so generator names must not collide with vertex names, and a
+    trailing ``^-1`` marks an inverse, so no generator name ends in it.
     """
 
     def __init__(self, graph: Graph, generators: dict[str, GeneratorRule],
@@ -121,6 +122,8 @@ class Automaton:
         for name in self.generators:
             if graph.has_edge(name) or name in set(graph.vertices):
                 raise AutomatonError(f"generator name {name!r} collides with a graph id")
+            if name.endswith("^-1"):  # read_word would take it for an inverse
+                raise AutomatonError(f"generator name {name!r} ends in the inverse marker ^-1")
         # generator name -> (d, c), the one endpoint map words are read by
         self._ends = {name: (rule.dom, rule.cod) for name, rule in self.generators.items()}
         self.violations = _validate(graph, self.generators, self._ends)

@@ -23,21 +23,25 @@ pair.  Regular = no cycle at all; non-Hausdorff = some cycle all of whose
 states can reach a unit state inside the digraph (the unit-reaching arcs
 are exactly the strongly fixed extensions).
 
-Unstable equivalence runs on the machine of the restriction closure of
-N u N^2 in the same way: a state either maps x's right tail onto y's, as
-a run checked until its (state, phase) pairs repeat, or it does not.
+Unstable equivalence runs on nuc.power(2), the machine of the restriction
+closure of N u N^2, in the same way: a state either maps x's right tail
+onto y's, as a run checked until its (state, phase) pairs repeat, or it
+does not.  Germ equality walks a pair of states of its restrictions'
+closure along y the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import lcm
 
-from .automaton import Automaton, Element, StateMachine, word_key
+from .automaton import Automaton, Element, StateMachine, reachable_closure
 from .errors import DomainMismatchError, NotStronglyConnectedError
 from .graphs import Graph, Path, bfs, cyclic_nodes, find_cycle, limit_nodes, validate_graph
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus
+from .schreier import build_schreier, default_generating_set
 
 
 def shift_class(graph: Graph, x: LeftInfinitePath) -> LeftInfinitePath:
@@ -302,26 +306,11 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
 
 
 def level_transitive(aut: Automaton, n: int, gen_set=None) -> bool:
-    """True iff the level-n Schreier graph is connected: union-find over the
-    columns of the level-n table, with no graph built."""
-    from .schreier import _label_set, _tower, default_generating_set
-
+    """True iff the level-n Schreier graph is connected."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    sm = _label_set(aut, gen_set if gen_set is not None else default_generating_set(aut))
-    for groups, cols in _tower(aut.graph, sm, n):
-        pass
-    root = list(range(sum(map(len, groups.values()))))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-    for dom, cod, col in zip(sm.doms, sm.cods, cols):
-        images = groups[cod]
-        for u, p in zip(groups[dom], col):
-            root[find(u)] = find(images[p])
-    return len({find(i) for i in range(len(root))}) <= 1
+    gens = gen_set if gen_set is not None else default_generating_set(aut)
+    return build_schreier(aut, gens, n).is_connected()
 
 
 # -- germs -----------------------------------------------------------------------
@@ -350,11 +339,12 @@ def make_germ(aut: Automaton, x: RightInfinitePath, m: int, g: Element, n: int,
     return Germ(x, m, g, n, y)
 
 
-def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus, max_steps: int = 10_000) -> bool:
+def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
     """Equality in the germ groupoid: same endpoints, same lag, and the two
-    restriction sequences along y agree from some depth on.  Both sequences
-    are eventually periodic over (state, state, phase), so the scan stops at
-    the first repeated triple."""
+    restriction sequences along y agree from some depth on.  Both run as a
+    pair of states on the machine of their restriction closure until the
+    states meet or a (state, state, phase) triple repeats past y's head; a
+    closure past the state budget raises ClosureLimitError."""
     aut = nuc.automaton
     graph = aut.graph
     if g1.x != g2.x or g1.y != g2.y or (g1.m - g1.n) != (g2.m - g2.n):
@@ -363,22 +353,19 @@ def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus, max_steps: int = 10_000) -> boo
     l0 = max(g1.n, g2.n)
     a = aut.restrict(g1.g, y.segment(graph, g1.n, l0))
     b = aut.restrict(g2.g, y.segment(graph, g2.n, l0))
+    sm = reachable_closure(aut, [a, b])
+    i, j = sm.state_index(aut, a), sm.state_index(aut, b)
     seen = set()
-    l = l0
-    while len(seen) <= max_steps:
-        ca, cb = aut.canonical_id(a), aut.canonical_id(b)
-        if ca == cb:
+    for l in count(l0):
+        if i == j:
             return True
-        phase = (l - len(y.head)) % len(y.cycle) if l >= len(y.head) else l - len(y.head)
-        key = (ca, cb, phase)
-        if l >= len(y.head) and key in seen:
-            return False
-        seen.add(key)
+        if l >= len(y.head):
+            key = (i, j, (l - len(y.head)) % len(y.cycle))
+            if key in seen:
+                return False
+            seen.add(key)
         e = y.edge_at(l + 1)
-        a = aut.restrict(a, Path.of(graph, [e]))
-        b = aut.restrict(b, Path.of(graph, [e]))
-        l += 1
-    return False
+        i, j = sm.rows[i][e][1], sm.rows[j][e][1]
 
 
 # -- stable and unstable equivalence ----------------------------------------------
@@ -399,21 +386,6 @@ def stable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
     return (False, None) if want_witness else False
 
 
-def _unstable_element_pool(nuc: Nucleus) -> StateMachine:
-    """The machine of the smallest restriction-closed set containing N and
-    N^2."""
-    from .automaton import reachable_closure
-
-    aut = nuc.automaton
-    seeds = {aut.canonical_id(s): s for s in nuc.states}
-    for g in nuc.states:
-        for h in nuc.states:
-            if h.dom == aut.cod(g):
-                prod = aut.compose(h, g)
-                seeds.setdefault(aut.canonical_id(prod), aut.canonical(prod))
-    return reachable_closure(aut, sorted(seeds.values(), key=lambda e: word_key(e.word)))
-
-
 def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
                         want_witness: bool = False):
     """True iff some g in the closure of N u N^2 maps x(M+1, inf) onto
@@ -422,7 +394,7 @@ def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
     only on (state, position mod R) with R the lcm of the right cycles, so
     a run that holds for |pool| R + 1 positions there holds forever."""
     aut = nuc.automaton
-    sm = _unstable_element_pool(nuc)
+    sm = nuc.power(2)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
     for m in range(0, max(0, b0) + R):

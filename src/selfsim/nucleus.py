@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .automaton import Automaton, Bounds, Element, StateMachine, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError
-from .graphs import limit_nodes
+from .graphs import limit_nodes, strongly_connected_components
 
 
 @dataclass
@@ -67,6 +67,21 @@ class Nucleus:
 
     def state_names(self) -> list[str]:
         return [s.name() for s in self.states]
+
+    def power(self, k: int) -> StateMachine:
+        """The machine of the restriction closure of N^k, the products of k
+        nucleus states, seeded in word_key order.  Each round multiplies the
+        products so far by the states: N^(k-1) lies in N^k, as the unit at
+        c(n) of a nucleus state n is a nucleus state."""
+        aut = self.automaton
+        seeds = {aut.canonical_id(s): s for s in self.states}
+        for _ in range(k - 1):
+            for g in list(seeds.values()):
+                for h in self.states:
+                    if h.dom == aut.cod(g):
+                        prod = aut.compose(h, g)
+                        seeds.setdefault(aut.canonical_id(prod), aut.canonical(prod))
+        return reachable_closure(aut, sorted(seeds.values(), key=lambda e: word_key(e.word)))
 
 
 def limit_restrictions(aut: Automaton, g: Element, budget: int | None = None) -> set[Element]:
@@ -156,40 +171,33 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
     return nuc
 
 
-def compute_Rk(nuc: Nucleus, k: int, max_depth: int = 256) -> int:
+def compute_Rk(nuc: Nucleus, k: int) -> int:
     """Minimal j with h|_mu in the nucleus for every h in N^k, mu in E^j.
 
-    Once a product's depth-j restrictions all sit in the nucleus they stay
-    there (the nucleus is restriction closed), so the per-product scan stops
-    at the first all-inside depth and R_k is the maximum over products.
+    Read off the machine of N^k (``Nucleus.power``) in one Tarjan pass: a
+    nucleus state has depth 0, any other state 1 + the largest depth of its
+    successors, and R_k is the largest depth.  A state outside the nucleus
+    on a cycle would never reach it, which the certificate rules out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k in nuc.r_k:
         return nuc.r_k[k]
-    aut = nuc.automaton
-    level = {aut.canonical_id(s): s for s in nuc.states}
-    for _ in range(k - 1):
-        nxt: dict[int, Element] = {}
-        for g in level.values():
-            for s in nuc.states:
-                if s.dom == aut.cod(g):
-                    prod = aut.compose(s, g)
-                    nxt.setdefault(aut.canonical_id(prod), aut.canonical(prod))
-        level = nxt
-
-    best = 0
-    for cid in level:
-        frontier = {cid}
-        depth = 0
-        while not frontier <= nuc.machine.index.keys():
-            if depth > max_depth:
-                raise DivergedError(f"R_{k} scan exceeded depth {max_depth}")
-            frontier = {succ for c in frontier for _, _, succ in aut._registry.row(c)}
-            depth += 1
-        best = max(best, depth)
-    nuc.r_k[k] = best
-    return best
+    sm = nuc.power(k)
+    succ = [[j for _, j in row.values()] for row in sm.rows]
+    inside = {i for c, i in sm.index.items() if c in nuc.machine.index}
+    depth = [0] * len(sm)
+    # components come successors first, so each depth reads finished ones
+    for comp in strongly_connected_components(range(len(sm)), succ.__getitem__):
+        for i in comp:
+            if i in inside:
+                continue
+            if len(comp) > 1 or i in succ[i]:
+                raise DivergedError(f"R_{k}: {sm.states[i].name()} lies on a cycle "
+                                    "of restrictions outside the nucleus")
+            depth[i] = 1 + max((depth[j] for j in succ[i]), default=0)
+    nuc.r_k[k] = max(depth)
+    return nuc.r_k[k]
 
 
 def moore_diagram(nuc: Nucleus, fmt: str = "json"):

@@ -264,11 +264,19 @@ class SchreierGraph:
             yield (*divmod(last, size), run)
 
     def is_connected(self) -> bool:
-        starts = [(v, 0) for v, grp in self.groups.items() if grp]
-        if not starts:
-            return True
-        reached = _search(_moves(self.machine, self.cols.items()), starts[0])
-        return sum(1 for _ in reached) == sum(map(len, self.groups.values()))
+        """Union-find over the columns: each arc joins mu and a.mu."""
+        sm, groups = self.machine, self.groups
+        root = list(range(sum(map(len, groups.values()))))
+
+        def find(i):
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+        for a, col in self.cols.items():
+            images = groups[sm.cods[a]]
+            for u, p in zip(groups[sm.doms[a]], col):
+                root[find(u)] = find(images[p])
+        return len({find(i) for i in range(len(root))}) <= 1
 
     def _vertex_names(self) -> list[str]:
         """str of each vertex path (its vertex when empty), built by prefixing."""

@@ -10,10 +10,12 @@
     2 -> 3 | b
     [options]
     max_states 10000
+    max_rounds 64
 
 Restriction words are element literals, read by ``automaton.read_word``:
 whitespace-separated symbols ``g`` or ``g^-1``, units written as vertex
-names.  ``#`` starts a comment.  Path literals: finite ``1.2.3``,
+names, so no generator name ends in ``^-1``.  The only options are the
+two above, integers >= 1 as for the CLI flags.  ``#`` starts a comment.  Path literals: finite ``1.2.3``,
 left-infinite ``(1)^inf . 2.3``, right-infinite ``2.3 . (1)^inf``,
 bi-infinite ``(rho)^inf . mid . (pi)^inf @ n0``.
 """
@@ -49,14 +51,7 @@ class SpecFile:
         return Graph(self.vertices, self.edges)
 
     def bounds(self) -> Bounds:
-        opts = dict(self.options)
-        try:
-            return Bounds(
-                max_states=int(opts.get("max_states", Bounds.max_states)),
-                max_rounds=int(opts.get("max_rounds", Bounds.max_rounds)),
-            )
-        except ValueError:
-            raise SpecSyntaxError("the options max_states and max_rounds take integers") from None
+        return Bounds(**{key: int(value) for key, value in self.options})
 
     def automaton(self, bounds: Bounds | None = None) -> Automaton:
         graph = self.graph()
@@ -135,6 +130,17 @@ def parse_spec(text: str) -> SpecFile:
             parts = line.split()
             if len(parts) != 2:
                 raise SpecSyntaxError("option lines are 'key value'", lineno, 1)
+            if parts[0] not in ("max_states", "max_rounds"):
+                raise SpecSyntaxError(f"unknown option {parts[0]!r}; the options are "
+                                      "max_states and max_rounds", lineno, 1)
+            try:
+                value = int(parts[1])
+            except ValueError:
+                raise SpecSyntaxError("the options max_states and max_rounds take integers",
+                                      lineno, 1) from None
+            if value < 1:
+                raise SpecSyntaxError(f"option {parts[0]} must be at least 1, got {value}",
+                                      lineno, 1)
             options.append((parts[0], parts[1]))
             continue
         raise SpecSyntaxError(f"content before any section: {line!r}", lineno, 1)

@@ -4,12 +4,13 @@ import pytest
 
 from selfsim.automaton import Automaton, Element, GeneratorRule, reachable_closure
 from selfsim.errors import (
+    AutomatonError,
     DomainMismatchError,
     NonComposableError,
     NotBijectiveOnEdgesError,
     RestrictionVertexMismatchError,
 )
-from selfsim.graphs import Path, enumerate_paths
+from selfsim.graphs import Graph, Path, enumerate_paths
 
 from conftest import build_ex310, unit
 
@@ -92,6 +93,16 @@ def test_validate_automaton_restriction_mismatch():
     aut = Automaton(g, gens)
     assert any(isinstance(v, RestrictionVertexMismatchError) for v in aut.violations)
 
+
+
+def test_generator_name_ending_in_inverse_marker_is_rejected():
+    # every token reader takes a trailing ^-1 for inversion, so x^-1 could
+    # not be written back into a spec or an element literal
+    g = Graph(["v"], [("0", "v", "v"), ("1", "v", "v")])
+    rules = {"0": ("1", unit("v")), "1": ("0", Element("v", (("x^-1", 1),)))}
+    with pytest.raises(AutomatonError, match=r"'x\^-1' ends in the inverse marker"):
+        Automaton(g, {"x^-1": GeneratorRule("v", "v", rules)})
+    assert Automaton(g, {"x^-2": GeneratorRule("v", "v", rules | {"1": ("0", unit("v"))})})
 
 def test_act_long_word(ex310):
     a = ex310.generator("a")

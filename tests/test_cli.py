@@ -322,6 +322,29 @@ def test_unreadable_inputs_are_input_errors(tmp_path):
     assert code == 3 and data["error"] == "unknown edge '9'"
 
 
+
+def test_spec_options_outside_the_bounds_are_input_errors(tmp_path):
+    # a one-vertex spec whose nucleus is one class; a bad option used to be
+    # dropped, or to turn it into a not-contracting-within-bound answer
+    base = "[graph]\nvertex v\nedge 0 : v -> v\n[generator a : v -> v]\n0 -> 0 | a\n"
+    spec = tmp_path / "one.ss"
+    spec.write_text(base)
+    assert run_json("check", "contracting", "--spec", str(spec)) == (
+        0, {"schema": 1, "result": "contracting", "nucleus_size": 1})
+    for line in ("max_states 0", "max_states -5", "max_rounds 0", "max_sates 5",
+                 "max_word_len 3"):
+        spec.write_text(base + f"[options]\n{line}\n")
+        code, data = run_json("check", "contracting", "--spec", str(spec))
+        assert code == 3 and data["error"].startswith("line 7, col 1: "), line
+
+
+def test_generator_name_ending_in_inverse_marker_is_an_input_error(tmp_path):
+    spec = tmp_path / "inv.ss"
+    spec.write_text("[graph]\nvertex v\nedge 0 : v -> v\nedge 1 : v -> v\n"
+                    "[generator x^-1 : v -> v]\n0 -> 1 | v\n1 -> 0 | v\n")
+    code, data = run_json("validate", "--spec", str(spec))
+    assert code == 3 and "'x^-1' ends in the inverse marker ^-1" in data["error"]
+
 def test_unwritable_outputs_are_input_errors(tmp_path):
     missing = str(tmp_path / "no" / "such" / "dir" / "out")
     for fmt in ("dot", "json"):

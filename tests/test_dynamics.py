@@ -35,8 +35,9 @@ from selfsim.dynamics import (
     shift_class,
     stable_equivalent,
     unstable_equivalent,
-    _unstable_element_pool,
 )
+
+from test_nucleus import old_unstable_element_pool
 
 
 
@@ -532,6 +533,63 @@ def test_germ_equal_vs_l_scan(ex310, nuc310):
         g1, g2 = pair
         assert germ_equal(g1, g2, nuc310) == l_scan_oracle(ex310, g1, g2, 32)
     assert found >= 50
+
+
+def old_germ_equal(g1, g2, nuc, max_steps=10_000):
+    """germ_equal as it was: both restrictions stepped along y by acting
+    words, class ids compared at each depth, until a (class, class, phase)
+    triple repeats past y's head or max_steps triples are seen."""
+    aut = nuc.automaton
+    graph = aut.graph
+    if g1.x != g2.x or g1.y != g2.y or (g1.m - g1.n) != (g2.m - g2.n):
+        return False
+    y = g1.y
+    l0 = max(g1.n, g2.n)
+    a = aut.restrict(g1.g, y.segment(graph, g1.n, l0))
+    b = aut.restrict(g2.g, y.segment(graph, g2.n, l0))
+    seen = set()
+    l = l0
+    while len(seen) <= max_steps:
+        ca, cb = aut.canonical_id(a), aut.canonical_id(b)
+        if ca == cb:
+            return True
+        phase = (l - len(y.head)) % len(y.cycle) if l >= len(y.head) else l - len(y.head)
+        key = (ca, cb, phase)
+        if l >= len(y.head) and key in seen:
+            return False
+        seen.add(key)
+        e = y.edge_at(l + 1)
+        a = aut.restrict(a, Path.of(graph, [e]))
+        b = aut.restrict(b, Path.of(graph, [e]))
+        l += 1
+    return False
+
+
+def test_germ_equal_vs_word_stepping():
+    answers = []
+    for spec in ("basilica", "ex310", "katsura", "nonhausdorff", "odometer"):
+        aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
+        nuc = compute_nucleus(aut)
+        rng = random.Random(SPECS.index(spec))
+        for _ in range(200):
+            pair = random_germ_pair(aut, rng)
+            if pair is not None:
+                for g1, g2 in (pair, pair[::-1]):
+                    answers.append(germ_equal(g1, g2, nuc))
+                    assert answers[-1] == old_germ_equal(g1, g2, nuc), (spec, g1, g2)
+    assert len(answers) > 1000 and 0 < answers.count(False) < len(answers)
+
+
+def test_germ_closure_past_budget_is_typed():
+    # the nucleus fits, but the 8-state closure of (b a)^3's restrictions does not
+    aut = parse_spec((ROOT / "specs" / "ex310.ss").read_text()).automaton(
+        Bounds(max_states=4))
+    nuc = compute_nucleus(aut, Bounds())
+    y = RightInfinitePath.make(aut.graph, [], ["1"])
+    g = aut.element("b a b a b a")
+    germ = make_germ(aut, aut.act_infinite(g, y), 0, g, 0, y)
+    with pytest.raises(ClosureLimitError):
+        germ_equal(germ, germ, nuc)
 
 
 # -- stable / unstable -------------------------------------------------------------
@@ -1128,15 +1186,27 @@ def test_nucleus_deciders_act_no_word(monkeypatch, ex310, nonhausdorff):
         assert calls == []
 
 
-# -- level transitivity: the built Schreier graph, kept as the oracle -------------
+# -- level transitivity: a search of the built Schreier graph, kept as the oracle -
+
+
+def bfs_is_connected(gamma):
+    """SchreierGraph.is_connected as it was: one search over the columns
+    from the first vertex, counting what it reaches."""
+    from selfsim.schreier import _moves, _search
+
+    starts = [(v, 0) for v, grp in gamma.groups.items() if grp]
+    if not starts:
+        return True
+    reached = _search(_moves(gamma.machine, gamma.cols.items()), starts[0])
+    return sum(1 for _ in reached) == sum(map(len, gamma.groups.values()))
 
 
 def old_level_transitive(aut, n, gen_set=None):
-    """Build Gamma_n and test its connectivity."""
+    """Build Gamma_n and search it for connectivity."""
     from selfsim.schreier import build_schreier, default_generating_set
 
     gens = gen_set if gen_set is not None else default_generating_set(aut)
-    return build_schreier(aut, gens, n).is_connected()
+    return bfs_is_connected(build_schreier(aut, gens, n))
 
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if s != "noncontracting"])
@@ -1188,7 +1258,7 @@ def old_unstable_equivalent(x, y, nuc, want_witness=False):
     closure of N u N^2 on x's right tail from every M, compared with y's."""
     aut = nuc.automaton
     graph = aut.graph
-    pool = [aut.canonical(s) for s in _unstable_element_pool(nuc).states]
+    pool = [aut.canonical(s) for s in old_unstable_element_pool(nuc).states]
     m0 = max(0, x.anchor + len(x.center), y.anchor + len(y.center))
     period = lcm(len(x.right_cycle), len(y.right_cycle))
     for m in range(0, m0 + period):
@@ -1225,7 +1295,7 @@ def _unstable_partners(aut, x, elements, rng):
 def test_unstable_vs_word_oracle(spec):
     aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
     nuc = compute_nucleus(aut)
-    pool = _unstable_element_pool(nuc).states
+    pool = old_unstable_element_pool(nuc).states
     rng = random.Random(SPECS.index(spec))
     answers = []
     ids = [e.id for e in aut.graph.edges]

@@ -1,7 +1,12 @@
-"""The one-representation rule: code that reads a finite restriction-closed
+"""Layering rules of the package, checked on its source.
+
+The one-representation rule: code that reads a finite restriction-closed
 set of classes reads its StateMachine.  The class registry's rows and
-representatives are read only inside automaton.py and by the code that
-walks class sets with no finite bound given in advance."""
+representatives are read only inside automaton.py, by compute_nucleus,
+which sorts each round's class representatives, and by check_recurrent,
+which walks words with no finite bound given in advance.  No module
+imports a private name of another, and only automaton.py reads or writes
+the inverse marker."""
 
 import ast
 from pathlib import Path
@@ -9,8 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "selfsim"
 
 # (module, top-level definition) pairs outside automaton.py that may name _registry
-ALLOWED = {("nucleus", "compute_nucleus"), ("nucleus", "compute_Rk"),
-           ("dynamics", "check_recurrent")}
+ALLOWED = {("nucleus", "compute_nucleus"), ("dynamics", "check_recurrent")}
 
 
 def registry_readers() -> set:
@@ -58,3 +62,20 @@ def test_only_automaton_reads_or_writes_inverse_symbols():
     assert sorted(hit for hit in found if hit[0] != "automaton") == []
     # the scan sees the one reader and writer, so it cannot pass by finding nothing
     assert any(module == "automaton" for module, _ in found)
+
+
+def private_imports(text: str) -> set:
+    """(module, name) for every ``from .module import _name`` in the source
+    text, at module level or inside a function."""
+    return {(node.module, alias.name) for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
+             for hit in private_imports(path.read_text())}
+    assert sorted(found) == []
+    # the scan sees a function-level import, so it cannot pass by finding nothing
+    assert private_imports("def f():\n    from .schreier import _tower, build\n") == {
+        ("schreier", "_tower")}

@@ -639,3 +639,105 @@ def test_moore_export_vs_dict_tables_katsura():
         _assert_export_matches_dict_tables(nuc)
         checked += 1
     assert checked == 150
+
+
+# -- the frontier walk and the N u N^2 pool, kept as oracles for Nucleus.power --
+
+
+def old_compute_Rk(nuc, k, max_depth=256):
+    """compute_Rk as it was: the products of k nucleus states as class ids,
+    each walked on the class rows depth by depth until its whole frontier
+    lies in the nucleus."""
+    from selfsim.errors import DivergedError
+
+    aut = nuc.automaton
+    level = {aut.canonical_id(s): s for s in nuc.states}
+    for _ in range(k - 1):
+        nxt = {}
+        for g in level.values():
+            for s in nuc.states:
+                if s.dom == aut.cod(g):
+                    prod = aut.compose(s, g)
+                    nxt.setdefault(aut.canonical_id(prod), aut.canonical(prod))
+        level = nxt
+    best = 0
+    for cid in level:
+        frontier = {cid}
+        depth = 0
+        while not frontier <= nuc.machine.index.keys():
+            if depth > max_depth:
+                raise DivergedError(f"R_{k} scan exceeded depth {max_depth}")
+            frontier = {succ for c in frontier for _, _, succ in aut._registry.row(c)}
+            depth += 1
+        best = max(best, depth)
+    return best
+
+
+def old_unstable_element_pool(nuc):
+    """The machine of the smallest restriction-closed set containing N and
+    N^2, as dynamics built it for unstable_equivalent."""
+    from selfsim.automaton import reachable_closure, word_key
+
+    aut = nuc.automaton
+    seeds = {aut.canonical_id(s): s for s in nuc.states}
+    for g in nuc.states:
+        for h in nuc.states:
+            if h.dom == aut.cod(g):
+                prod = aut.compose(h, g)
+                seeds.setdefault(aut.canonical_id(prod), aut.canonical(prod))
+    return reachable_closure(aut, sorted(seeds.values(), key=lambda e: word_key(e.word)))
+
+
+def _agree_with_power_oracles(build, ks):
+    """compute_Rk for k in ks and nuc.power(2) against the oracles, each on
+    its own fresh automaton from ``build``: a canonical representative can
+    shrink as later lookups find shorter words, so the pool's seed order,
+    which sorts representatives as first found, is compared between equal
+    call sequences."""
+    nuc, was = compute_nucleus(build()), compute_nucleus(build())
+    new, old = nuc.power(2), old_unstable_element_pool(was)
+    assert (new.states, new.rows, new.index) == (old.states, old.rows, old.index)
+    rks = [compute_Rk(nuc, k) for k in ks]
+    assert rks == [old_compute_Rk(was, k) for k in ks]
+    return rks
+
+
+@pytest.mark.parametrize("spec", ["basilica", "ex310", "katsura", "nonhausdorff", "odometer"])
+def test_rk_and_pool_vs_oracles_specs(spec):
+    text = (SPECS / f"{spec}.ss").read_text()
+    _agree_with_power_oracles(lambda: parse_spec(text).automaton(), (1, 2, 3, 4))
+
+
+def test_rk_and_pool_vs_oracles_katsura():
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    recorded = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())
+    checked = deep = 0
+    for e in recorded["pool"]:
+        want = recorded["answers"][canonical({"A": e["A"], "B": e["B"]}) + "/nucleus"]
+        if want is None or "inconclusive" in want.get("answer", ""):
+            continue
+        a, b = IntMatrix.of(e["A"]), IntMatrix.of(e["B"])
+        deep += _agree_with_power_oracles(lambda: katsura_automaton(a, b), (1, 2))[1] > 0
+        checked += 1
+    assert checked == 150 and deep > 0
+
+
+def test_rk_random_vs_frontier_walk():
+    # seeded small automata; about a sixth of such nuclei miss the unit at some vertex
+    from test_acceptance import _random_automaton
+
+    rng = random.Random(8)
+    checked = 0
+    while checked < 60:
+        aut = _random_automaton(rng)
+        nuc = compute_nucleus(aut) if aut is not None else None
+        if not isinstance(nuc, Nucleus):
+            continue
+        try:
+            want = [old_compute_Rk(nuc, k) for k in (1, 2, 3)]
+        except ClosureLimitError:
+            continue
+        assert [compute_Rk(nuc, k) for k in (1, 2, 3)] == want
+        checked += 1

@@ -73,6 +73,21 @@ def test_options_section_bounds():
     assert spec.bounds().max_states == 123
 
 
+@pytest.mark.parametrize("line, message", [
+    ("max_sates 5", "unknown option 'max_sates'; the options are max_states and max_rounds"),
+    ("max_word_len 3", "unknown option 'max_word_len'; the options are max_states and max_rounds"),
+    ("max_states many", "the options max_states and max_rounds take integers"),
+    ("max_states 0", "option max_states must be at least 1, got 0"),
+    ("max_states -5", "option max_states must be at least 1, got -5"),
+    ("max_rounds 0", "option max_rounds must be at least 1, got 0"),
+])
+def test_options_take_only_the_two_bounds_at_least_one(line, message):
+    text = f"[graph]\nvertex v\nedge 0 : v -> v\n[options]\nmax_rounds 9\n{line}\n"
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(text)
+    assert str(err.value) == f"line 6, col 1: {message}" and err.value.line == 6
+
+
 def test_spec_of_automaton_roundtrip(ex310):
     spec = spec_of_automaton(ex310)
     text = format_spec(spec)
