@@ -52,8 +52,10 @@ print("basilica-type nucleus size:", len(nucb))
 print(sorted(nucb.state_names()))
 
 # Contraction is only semi-decidable: a machine whose restriction words
-# double in length never certifies, and says so honestly.
-non = load("noncontracting.ss")
-res = compute_nucleus(non, Bounds(max_states=500, max_rounds=10))
+# double in length never certifies, and says so honestly.  Every search
+# reads the automaton's one Bounds.
+non = parse_spec((SPECS / "noncontracting.ss").read_text()).automaton(
+    Bounds(max_states=500, max_rounds=10))
+res = compute_nucleus(non)
 assert isinstance(res, NotContractingWithinBound)
 print("non-contracting example:", res.bound_hit, "budget", res.max_states)

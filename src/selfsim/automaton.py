@@ -20,7 +20,8 @@ revisited pair is assumed equal (sound because the visited relation is then
 a bisimulation, and by induction bisimilar words agree on all finite paths).
 When every rule restriction is a single signed symbol or a unit, restriction
 never lengthens words, so the search space is finite; longer rule words may
-grow, so searches carry a state budget and raise ClosureLimitError past it.
+grow, so searches stop at the automaton's ``bounds`` and words at
+_MAX_WORD_LEN symbols, raising ClosureLimitError past either.
 
 Class identification is memoised per automaton.  Every class id owns a row:
 the image edge and the successor class id for each edge of range_edges(d),
@@ -56,6 +57,9 @@ Symbol = tuple[str, int]
 # automaton's memo holds.  The heaviest Katsura systems would fill about
 # 400 k; at this size they lose no measurable time and peak memory stays flat.
 _CACHE_SYMBOLS = 1 << 18
+# Restriction words may grow when rule restrictions have length >= 2;
+# word_act_edge gives up past this length instead of diverging.
+_MAX_WORD_LEN = 4_096
 
 
 def symbol_str(sym: Symbol) -> str:
@@ -96,12 +100,9 @@ class GeneratorRule:
 
 
 @dataclass(frozen=True)
-class Bounds:
+class Bounds:  # an automaton's budgets, read by every search it runs
     max_states: int = 10_000
     max_rounds: int = 64
-    # restriction words may grow when rule restrictions have length >= 2;
-    # searches give up past this length instead of diverging
-    max_word_len: int = 4_096
 
 
 class Automaton:
@@ -188,7 +189,6 @@ class Automaton:
         if hit is not None:
             return hit
         moves = self._moves
-        limit = self.bounds.max_word_len
         img = edge
         pieces = []
         total = 0
@@ -200,8 +200,8 @@ class Automaton:
             if rw:
                 pieces.append(rw)
                 total += len(rw)
-                if total > limit:
-                    raise ClosureLimitError(limit, "restriction word growth")
+                if total > _MAX_WORD_LEN:
+                    raise ClosureLimitError(_MAX_WORD_LEN, "restriction word growth")
         pieces.reverse()
         out = tuple(chain.from_iterable(pieces))
         self._memo.put(key, (img, out), len(word) + len(out))
@@ -236,7 +236,7 @@ class Automaton:
             raise NonComposableError(f"d(h) = {h.dom} != c(g) = {self.cod(g)}")
         return Element(g.dom, h.word + g.word)
 
-    def equal(self, g: Element, h: Element, budget: int | None = None) -> bool:
+    def equal(self, g: Element, h: Element) -> bool:
         """True iff g and h define the same partial isomorphism of E*.
 
         Greatest-fixpoint bisimulation on restriction pairs; see the module
@@ -245,7 +245,7 @@ class Automaton:
         self._require_valid()
         if g.dom != h.dom or self.cod(g) != self.cod(h):
             return False
-        budget = budget if budget is not None else self.bounds.max_states
+        budget = self.bounds.max_states
         seen: set[tuple] = set()
         stack: list[tuple[tuple[Symbol, ...], tuple[Symbol, ...], str]] = [(g.word, h.word, g.dom)]
         while stack:
@@ -265,17 +265,17 @@ class Automaton:
                     stack.append((gr, hr, e.src))
         return True
 
-    def act_infinite(self, g: Element, x, budget: int | None = None):
+    def act_infinite(self, g: Element, x):
         """g . x for an eventually periodic right-infinite path x.
 
         Runs restrictions along x until the (canonical state, cycle phase)
         pair repeats, then closes the output cycle; the image is eventually
-        periodic with transient at most budget states."""
+        periodic with transient at most max_states states."""
         from .infinite_paths import RightInfinitePath
 
         if x.r(self.graph) != g.dom:
             raise DomainMismatchError(f"r(x) = {x.r(self.graph)} != d(g) = {g.dom}")
-        budget = budget if budget is not None else self.bounds.max_states
+        budget = self.bounds.max_states
         word = g.word
         out: list[str] = []
         seen: dict[tuple[int, int], int] = {}
@@ -284,7 +284,7 @@ class Automaton:
             if n > len(x.head):
                 phase = (n - len(x.head) - 1) % len(x.cycle)
                 state = Element(self.graph.r(x.edge_at(n)), word)
-                key = (self.canonical_id(state, budget), phase)
+                key = (self.canonical_id(state), phase)
                 if key in seen:
                     cut = seen[key]
                     return RightInfinitePath.make(self.graph, out[:cut], out[cut:])
@@ -297,13 +297,13 @@ class Automaton:
 
     # -- canonical classes -----------------------------------------------------
 
-    def canonical_id(self, g: Element, budget: int | None = None) -> int:
-        return self._registry.lookup(g, budget)[0]
+    def canonical_id(self, g: Element) -> int:
+        return self._registry.lookup(g)[0]
 
-    def canonical(self, g: Element, budget: int | None = None) -> Element:
+    def canonical(self, g: Element) -> Element:
         """The canonical representative of g's class: the shortlex-least
         word discovered so far (cosmetic; the class id is the identity)."""
-        return self._registry.lookup(g, budget)[1]
+        return self._registry.lookup(g)[1]
 
 
 def _inverse_word(word: tuple[Symbol, ...]) -> tuple[Symbol, ...]:
@@ -431,7 +431,7 @@ class _Registry:
             acts.append((img, tuple(deeper)))
         return (g.dom, aut.cod(g), tuple(acts))
 
-    def lookup(self, g: Element, budget: int | None = None) -> tuple[int, Element]:
+    def lookup(self, g: Element) -> tuple[int, Element]:
         aut = self.aut
         aut._require_valid()
         key = (g.dom, g.word)
@@ -441,7 +441,7 @@ class _Registry:
         fp = self._fingerprint(g)
         for cid in self.by_fp.get(fp, ()):
             rep = self.reps[cid]
-            if aut.equal(g, rep, budget):
+            if aut.equal(g, rep):
                 if word_key(g.word) < word_key(rep.word):
                     self.reps[cid] = g
                 break
@@ -453,7 +453,7 @@ class _Registry:
         aut._memo.put(key, cid, len(g.word))
         return cid, self.reps[cid]
 
-    def row(self, cid: int, budget: int | None = None) -> tuple[tuple[str, str, int], ...]:
+    def row(self, cid: int) -> tuple[tuple[str, str, int], ...]:
         row = self.rows[cid]
         if row is None:
             aut = self.aut
@@ -461,7 +461,7 @@ class _Registry:
             out = []
             for e in aut.graph.range_edges(g.dom):
                 img, rw = aut.word_act_edge(g.word, e.id)
-                out.append((e.id, img, self.lookup(Element(e.src, rw), budget)[0]))
+                out.append((e.id, img, self.lookup(Element(e.src, rw))[0]))
             row = self.rows[cid] = tuple(out)
         return row
 
@@ -502,23 +502,23 @@ class StateMachine:
         }
 
 
-def reachable_closure(aut: Automaton, seeds, budget: int | None = None) -> StateMachine:
+def reachable_closure(aut: Automaton, seeds) -> StateMachine:
     """Smallest restriction-closed set of canonical elements containing the
-    seeds (units reached by restriction included)."""
+    seeds (units included); ClosureLimitError past aut.bounds.max_states."""
     aut._require_valid()
-    budget = budget if budget is not None else aut.bounds.max_states
+    budget = aut.bounds.max_states
     registry = aut._registry
     order: list[int] = []  # class ids in BFS order
     index: dict[int, int] = {}
     for s in seeds:
-        cid = registry.lookup(s, budget)[0]
+        cid = registry.lookup(s)[0]
         if cid not in index:
             index[cid] = len(order)
             order.append(cid)
     rows: list[dict[str, tuple[str, int]]] = []
     for cid in order:  # order grows while it is walked
         row = {}
-        for eid, img, succ in registry.row(cid, budget):
+        for eid, img, succ in registry.row(cid):
             if succ not in index:
                 if len(order) >= budget:
                     raise ClosureLimitError(budget, "restriction closure")

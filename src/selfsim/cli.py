@@ -12,7 +12,7 @@ Exit codes: 0 = property holds / computation done, 1 = property fails,
 report too large to render in memory (``--out`` streams it instead); ``main``
 exits 141 when standard output is closed before the report is written.
 ``--json`` switches every report to a machine-readable document with
-``"schema": 1``; ``SELFSIM_MAX_STATES`` overrides the nucleus state budget.
+``"schema": 1``; ``SELFSIM_MAX_STATES`` overrides the spec's state budget.
 """
 
 from __future__ import annotations

@@ -371,38 +371,52 @@ def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
 # -- stable and unstable equivalence ----------------------------------------------
 
 
+def _least(holds, top: int) -> int | None:
+    """The least m < top with holds(m), or None, for holds monotone in m
+    (once true, true on): tests m = 0, 1, 3, 7, ..., top - 1, then bisects."""
+    lo, m = 0, 0  # holds is false below lo
+    while lo < top and not holds(m):
+        lo, m = m + 1, min(2 * m + 1, top - 1)
+    while lo < m:
+        mid = (lo + m) // 2
+        lo, m = (lo, mid) if holds(mid) else (mid + 1, m)
+    return m if lo < top else None
+
+
 def stable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
                       want_witness: bool = False):
     """True iff some left-truncation pair x(-inf,-m), y(-inf,-m) is
     asymptotically equivalent.  Truncating further preserves equivalence and
-    the truncation pairs are eventually periodic in m, so the scan bound
-    transient + lcm is complete."""
+    the truncation pairs are eventually periodic in m, so the search bound
+    transient + lcm is complete, and the least such m is found by _least."""
     graph = nuc.automaton.graph
     m0 = max(0, 1 - x.anchor, 1 - y.anchor)
     period = lcm(len(x.left_cycle), len(y.left_cycle))
-    for m in range(0, m0 + period):
-        if ae_equivalent(x.left_truncation(graph, -m), y.left_truncation(graph, -m), nuc):
-            return (True, m) if want_witness else True
-    return (False, None) if want_witness else False
+    m = _least(lambda m: ae_equivalent(x.left_truncation(graph, -m),
+                                       y.left_truncation(graph, -m), nuc), m0 + period)
+    return (m is not None, m) if want_witness else m is not None
 
 
 def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
                         want_witness: bool = False):
     """True iff some g in the closure of N u N^2 maps x(M+1, inf) onto
-    y(M+1, inf); monotone in M by restriction, periodic past the centers.
-    Each g runs on the pool's machine: right of the centers a step depends
-    only on (state, position mod R) with R the lcm of the right cycles, so
-    a run that holds for |pool| R + 1 positions there holds forever."""
-    aut = nuc.automaton
+    y(M+1, inf); monotone in M by restriction, periodic past the centers,
+    so the least M is found by _least.  Each g runs on the pool's machine:
+    right of the centers a step depends only on (state, position mod R) with
+    R the lcm of the right cycles, so a run that holds for |pool| R + 1
+    positions there holds forever.  The witness is the first such state."""
     sm = nuc.power(2)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
-    for m in range(0, max(0, b0) + R):
+
+    def first_state(m):
         end = max(m + 1, b0) + len(sm) * R + 1
-        for i in range(len(sm)):
-            if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None:
-                return (True, (m, aut.canonical(sm.states[i]))) if want_witness else True
-    return (False, None) if want_witness else False
+        return next((i for i in range(len(sm))
+                     if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None), None)
+    m = _least(lambda m: first_state(m) is not None, max(0, b0) + R)
+    if m is None or not want_witness:
+        return (m is not None, None) if want_witness else m is not None
+    return True, (m, nuc.automaton.canonical(sm.states[first_state(m)]))
 
 
 # -- the discerning-path utility ---------------------------------------------------

@@ -153,14 +153,11 @@ class RightInfinitePath:
         return graph.r(self.head[0]) if self.head else graph.r(self.cycle[0])
 
     def shift(self, graph: Graph, n: int = 1) -> "RightInfinitePath":
-        """Drop the first n edges (sigma^n)."""
-        head, cycle = list(self.head), list(self.cycle)
-        for _ in range(n):
-            if head:
-                head.pop(0)
-            else:
-                cycle.append(cycle.pop(0))
-        return RightInfinitePath.make(graph, head, cycle)
+        """Drop the first n >= 0 edges (sigma^n): the head's first ones,
+        then the rest as a rotation of the cycle."""
+        k = min(n, len(self.head))
+        r = (n - k) % len(self.cycle)
+        return RightInfinitePath.make(graph, self.head[k:], self.cycle[r:] + self.cycle[:r])
 
     def __str__(self):
         tail = f"({'.'.join(self.cycle)})^inf"

@@ -311,8 +311,8 @@ def katsura_automaton(a: IntMatrix, b: IntMatrix) -> Automaton:
     """The self-similar groupoid action of the Katsura system (A, B).
 
     Edge e_{i,j,m} (named ``e<i>_<j>_<m>``) points from vertex j to vertex i;
-    generator a_i fixes vertex i on both sides.  The modulus in the division
-    B_ij + m = l*A_ij + n is A_ij, which is what the worked rules force.
+    generator a_i fixes vertex i on both sides.  a_i.e_{i,j,m} = e_{i,j,n} with
+    restriction a_j^l, l of either sign, for B_ij + m = l*A_ij + n, 0 <= n < A_ij.
     """
     if a.rows != a.cols or (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatchError("A and B must be square of equal size")
@@ -341,7 +341,7 @@ def katsura_automaton(a: IntMatrix, b: IntMatrix) -> Automaton:
         for j in range(n):
             for m in range(a[i, j]):
                 l, r = divmod(b[i, j] + m, a[i, j])
-                word = tuple((f"a{j + 1}", 1) for _ in range(l))
+                word = ((f"a{j + 1}", 1 if l > 0 else -1),) * abs(l)
                 rules[f"e{i + 1}_{j + 1}_{m}"] = (
                     f"e{i + 1}_{j + 1}_{r}", Element(str(j + 1), word))
         gens[f"a{i + 1}"] = GeneratorRule(str(i + 1), str(i + 1), rules)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import Automaton, Bounds, Element, StateMachine, reachable_closure, word_key
+from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError
 from .graphs import limit_nodes, strongly_connected_components
 
@@ -84,16 +84,15 @@ class Nucleus:
         return reachable_closure(aut, sorted(seeds.values(), key=lambda e: word_key(e.word)))
 
 
-def limit_restrictions(aut: Automaton, g: Element, budget: int | None = None) -> set[Element]:
+def limit_restrictions(aut: Automaton, g: Element) -> set[Element]:
     """Canonical restrictions of g occurring at unboundedly many depths:
     the nodes of g's restriction digraph reachable from a directed cycle."""
-    budget = budget if budget is not None else aut.bounds.max_states
-    sm = reachable_closure(aut, [g], budget)
+    sm = reachable_closure(aut, [g])
     succ = [[j for _, j in row.values()] for row in sm.rows]
     return {sm.states[i] for i in limit_nodes(range(len(sm)), succ.__getitem__)}
 
 
-def _pair_limits(aut: Automaton, sm: StateMachine, touch, budget: int) -> dict[int, Element]:
+def _pair_limits(aut: Automaton, sm: StateMachine, touch) -> dict[int, Element]:
     """Class id -> witness for the limit restrictions of the products hg of
     composable pairs of states of ``sm`` with h or g in the states ``touch``
     (all pairs when None); a witness is a product whose own limit set holds
@@ -111,20 +110,18 @@ def _pair_limits(aut: Automaton, sm: StateMachine, touch, budget: int) -> dict[i
     out: dict[int, Element] = {}
     for node, cyc in limit_nodes(starts, succ).items():
         h, g = divmod(node, n)
-        out.setdefault(aut.canonical_id(aut.compose(elems[h], elems[g]), budget),
+        out.setdefault(aut.canonical_id(aut.compose(elems[h], elems[g])),
                        aut.compose(elems[cyc // n], elems[cyc % n]))
     return out
 
 
-def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
+def compute_nucleus(aut: Automaton):
     """Nucleus with closure certificate, or NotContractingWithinBound.
 
-    ``bounds`` sets the state budget and the round count only: word growth
-    stays capped by ``aut.bounds.max_word_len``, which word_act_edge reads
-    from the automaton."""
+    Every search reads ``aut.bounds``: its state budget caps each closure
+    and identification, and its round count the iteration."""
     aut._require_valid()
-    bounds = bounds or aut.bounds
-    budget = bounds.max_states
+    budget, rounds = aut.bounds.max_states, aut.bounds.max_rounds
 
     def reps_sorted(class_ids):
         # units tie on word_key; dom breaks the tie independently of hashing
@@ -132,39 +129,39 @@ def compute_nucleus(aut: Automaton, bounds: Bounds | None = None):
                       key=lambda e: (word_key(e.word), e.dom))
 
     try:
-        closure = reachable_closure(aut, aut.basic_elements(), budget)
-        sm = reachable_closure(aut, reps_sorted(closure.index), budget)
+        closure = reachable_closure(aut, aut.basic_elements())
+        sm = reachable_closure(aut, reps_sorted(closure.index))
 
         fresh = None  # round 1 scans every pair, later rounds those touching a new state
-        for _round in range(bounds.max_rounds):
-            found = _pair_limits(aut, sm, fresh, budget)
+        for _round in range(rounds):
+            found = _pair_limits(aut, sm, fresh)
             new = found.keys() - sm.index.keys()
             # limit sets are restriction closed, so this closure adds nothing
-            sm = reachable_closure(aut, reps_sorted([*sm.index, *new]), budget)
+            sm = reachable_closure(aut, reps_sorted([*sm.index, *new]))
             if len(sm) > budget:
-                return NotContractingWithinBound("max_states", budget, bounds.max_rounds)
+                return NotContractingWithinBound("max_states", budget, rounds)
             if not new:
                 break
             fresh = {sm.index[c] for c in new}
         else:
-            return NotContractingWithinBound("max_rounds", budget, bounds.max_rounds)
+            return NotContractingWithinBound("max_rounds", budget, rounds)
 
         # prune: the nucleus is the union of limit restrictions of pair
         # products of the fixpoint (unit factors make single elements pairs)
-        witnesses = _pair_limits(aut, sm, None, budget)
+        witnesses = _pair_limits(aut, sm, None)
         states = reps_sorted(witnesses)
 
         # certificate: symmetric, restriction-closed, absorbs pair products
         for s in states:
             if aut.canonical_id(aut.inverse(s)) not in witnesses:
                 raise DivergedError(f"nucleus not symmetric at {s.name()}")
-        machine = reachable_closure(aut, states, budget)
+        machine = reachable_closure(aut, states)
         if machine.index.keys() != witnesses.keys():
             raise DivergedError("nucleus not closed under restriction")
-        if not _pair_limits(aut, machine, None, budget).keys() <= witnesses.keys():
+        if not _pair_limits(aut, machine, None).keys() <= witnesses.keys():
             raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
-        return NotContractingWithinBound(e.what, budget, bounds.max_rounds)
+        return NotContractingWithinBound(e.what, budget, rounds)
 
     nuc = Nucleus(aut, tuple(states), machine)
     nuc.witnesses = {cid: aut.canonical(w) for cid, w in witnesses.items()}

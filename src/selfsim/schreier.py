@@ -48,13 +48,9 @@ from .graphs import Graph, Path, bfs, enumerate_paths
 from .infinite_paths import LeftInfinitePath
 
 
-def default_generating_set(aut: Automaton, nucleus=None) -> list[Element]:
-    """Generators, inverses and units (plus the nucleus when given), closed
-    under restriction."""
-    seeds = aut.basic_elements()
-    if nucleus is not None:
-        seeds.extend(nucleus.states)
-    return reachable_closure(aut, seeds).states
+def default_generating_set(aut: Automaton) -> list[Element]:
+    """Generators, inverses and units, closed under restriction."""
+    return reachable_closure(aut, aut.basic_elements()).states
 
 
 class _View(Sequence):
@@ -389,24 +385,19 @@ def geodesic_distance(gamma: SchreierGraph, mu: Path, nu: Path):
 
 
 def distance_profile(aut: Automaton, x: LeftInfinitePath, y: LeftInfinitePath,
-                     max_level: int, gen_set=None, nucleus=None,
-                     _cache: dict | None = None) -> list:
+                     max_level: int, gen_set=None) -> list:
     """Geodesic distances between the depth-n windows for n = 1..max_level;
-    bounded over all n exactly for asymptotically equivalent paths."""
-    gens = gen_set if gen_set is not None else default_generating_set(aut, nucleus)
+    bounded over all n exactly for asymptotically equivalent paths.  One
+    walk up the tower, with one level live."""
+    gens = gen_set if gen_set is not None else default_generating_set(aut)
     graph = aut.graph
-    levels = range(1, max_level + 1)
-    tables = _cache if _cache is not None else {}  # level -> (at, moves)
-    if not all(n in tables for n in levels):
-        sm = _label_set(aut, gens)
-        sizes = _sizes(graph, max_level)
-        for n, (_, cols) in enumerate(_tower(graph, sm, max_level)):
-            if n:
-                tables[n] = _at(graph, sizes[n - 1]), _moves(sm, enumerate(cols))
+    sm = _label_set(aut, gens)
+    sizes = _sizes(graph, max_level)
     out, px, py = [], 0, 0
-    for n in levels:
-        at, moves = tables[n]
-        ex, ey = x.edge_at(-n), y.edge_at(-n)
-        px, py = at[ex] + px, at[ey] + py  # first edge's block, then the tail's position
-        out.append(_distance(moves, (graph.r(ex), px), (graph.r(ey), py)))
+    for n, (_, cols) in enumerate(_tower(graph, sm, max_level)):
+        if n:
+            at = _at(graph, sizes[n - 1])
+            ex, ey = x.edge_at(-n), y.edge_at(-n)
+            px, py = at[ex] + px, at[ey] + py  # first edge's block, then the tail's position
+            out.append(_distance(_moves(sm, enumerate(cols)), (graph.r(ex), px), (graph.r(ey), py)))
     return out

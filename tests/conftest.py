@@ -27,6 +27,11 @@ def unit(v):
     return Element(v, ())
 
 
+def with_bounds(aut, bounds):
+    """The same rule table as a fresh automaton under ``bounds``."""
+    return Automaton(aut.graph, aut.generators, bounds)
+
+
 def build_ex310():
     """The two-vertex four-edge automaton: a.1=4|v, a.2=3|b, b.3=1|v, b.4=2|a."""
     g = Graph(["v", "w"], [("1", "v", "v"), ("2", "w", "v"),

@@ -26,6 +26,7 @@ from conftest import (
     build_nonhausdorff,
     build_odometer,
     record_criterion,
+    with_bounds,
 )
 from test_automaton import random_element, random_path_at
 from test_dynamics import brute_force_irregularity, l_scan_oracle, random_germ_pair, random_left_path
@@ -350,13 +351,12 @@ def _suite_germs(count):
 
 def _suite_distance_profile(pairs):
     rng = random.Random(7)
-    cache = {}
     bound = 1  # every ex310 nucleus element is a single symbol or unit
     done = 0
     while done < pairs:
         x = random_left_path(EX310, rng)
         y = random_left_path(EX310, rng)
-        prof = distance_profile(EX310, x, y, 12, gen_set=GENS310, _cache=cache)
+        prof = distance_profile(EX310, x, y, 12, gen_set=GENS310)
         if ae_equivalent(x, y, NUC310):
             if not all(d is not None and d <= bound for d in prof):
                 return False
@@ -383,8 +383,8 @@ def test_criterion_8_property_suites():
 
 
 def test_criterion_9_semidecision_honesty():
-    aut = build_noncontracting()
-    runs = [compute_nucleus(aut, Bounds(max_states=500, max_rounds=10)) for _ in range(3)]
+    aut = with_bounds(build_noncontracting(), Bounds(max_states=500, max_rounds=10))
+    runs = [compute_nucleus(aut) for _ in range(3)]
     ok = all(isinstance(r, NotContractingWithinBound) for r in runs) and \
         len({(r.bound_hit, r.max_states, r.max_rounds) for r in runs}) == 1
     record_criterion("9 (non-contracting automaton reports NotContractingWithinBound, "

@@ -104,6 +104,23 @@ def test_germ_eq_cli():
     assert code == 0 and data["equal"] is True
 
 
+def test_germ_eq_cli_far_offsets():
+    # shift drops the head and rotates the cycle once, not one edge per step
+    far = str(10 ** 12)
+    code, data = run_json(
+        "germ-eq", "--spec", EX310, "--x", "(1)^inf", "--y", "4 . (1)^inf",
+        "--m1", far, "--elem1", "v", "--n1", far, "--m2", far, "--elem2", "v", "--n2", far)
+    assert code == 0 and data["equal"] is True
+
+
+def test_stable_far_anchor_cli():
+    # the least truncation is found by galloping search, not a scan of 10^4 steps
+    code, data = run_json("stable", "--spec", EX310,
+                          "--x", "(2.3)^inf . 1 . (1)^inf @ -10000",
+                          "--y", "(3.2)^inf . 4 . (1)^inf @ -10000")
+    assert code == 1 and data["stable_equivalent"] is False
+
+
 def test_stable_unstable_cli():
     x = "(2.3)^inf . 1 . (1)^inf @ 0"
     y = "(3.2)^inf . 4 . (1)^inf @ 1"

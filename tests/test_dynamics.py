@@ -36,6 +36,7 @@ from selfsim.dynamics import (
     stable_equivalent,
     unstable_equivalent,
 )
+from selfsim.dynamics import _least, _run
 
 from test_nucleus import old_unstable_element_pool
 
@@ -581,10 +582,11 @@ def test_germ_equal_vs_word_stepping():
 
 
 def test_germ_closure_past_budget_is_typed():
-    # the nucleus fits, but the 8-state closure of (b a)^3's restrictions does not
+    # the 6-state nucleus fits, but the 8-state closure of (b a)^3's restrictions does not
     aut = parse_spec((ROOT / "specs" / "ex310.ss").read_text()).automaton(
-        Bounds(max_states=4))
-    nuc = compute_nucleus(aut, Bounds())
+        Bounds(max_states=6))
+    nuc = compute_nucleus(aut)
+    assert len(nuc) == 6
     y = RightInfinitePath.make(aut.graph, [], ["1"])
     g = aut.element("b a b a b a")
     germ = make_germ(aut, aut.act_infinite(g, y), 0, g, 0, y)
@@ -1330,3 +1332,91 @@ def test_unstable_acts_no_infinite_path(monkeypatch, ex310, nonhausdorff):
             unstable_equivalent(x, y, nuc, want_witness=True)
         monkeypatch.setattr(Automaton, "act_infinite", original)
     assert calls == []
+
+
+# -- the least witness: galloping search against the linear scans -------------------
+
+
+def test_least_on_every_monotone_predicate():
+    for top in range(40):
+        for first in range(top + 2):  # first >= top: false on the whole range
+            asked = []
+
+            def holds(m):
+                assert 0 <= m < top
+                asked.append(m)
+                return m >= first
+            assert _least(holds, top) == (first if first < top else None), (top, first)
+            assert len(asked) <= 2 * top.bit_length() + 1, (top, first, asked)
+
+
+def linear_stable_equivalent(x, y, nuc, want_witness=False):
+    """stable_equivalent as it was: a scan over m upward."""
+    graph = nuc.automaton.graph
+    m0 = max(0, 1 - x.anchor, 1 - y.anchor)
+    period = lcm(len(x.left_cycle), len(y.left_cycle))
+    for m in range(0, m0 + period):
+        if ae_equivalent(x.left_truncation(graph, -m), y.left_truncation(graph, -m), nuc):
+            return (True, m) if want_witness else True
+    return (False, None) if want_witness else False
+
+
+def linear_unstable_equivalent(x, y, nuc, want_witness=False):
+    """unstable_equivalent as it was: a scan over M upward, and at each M
+    over the states of nuc.power(2) in order."""
+    sm = nuc.power(2)
+    b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
+    R = lcm(len(x.right_cycle), len(y.right_cycle))
+    for m in range(0, max(0, b0) + R):
+        end = max(m + 1, b0) + len(sm) * R + 1
+        for i in range(len(sm)):
+            if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None:
+                return (True, (m, nuc.automaton.canonical(sm.states[i]))) if want_witness else True
+    return (False, None) if want_witness else False
+
+
+def _glued_partners(aut, nuc, x, rng):
+    """Paths that agree with x left of a random cut (stable partners) and
+    ones whose right part from a random cut is a nucleus state's image of
+    x's (unstable partners), glued to random other halves."""
+    g = aut.graph
+    c = rng.randint(x.anchor - 3, x.anchor + len(x.center) + 3)
+    z = x.left_truncation(g, c - 1)
+    for _ in range(10):
+        mid = _walk(g, rng, z.s(g), rng.randint(0, 3))
+        pi = _cycle_through(g, rng, g.s(mid[-1]) if mid else z.s(g), rng.randint(1, 4))
+        if pi is not None:
+            yield BiInfinitePath.make(g, z.cycle, z.tail + tuple(mid), pi, c - len(z.tail))
+            break
+    w = x.right_tail(g, c)
+    for h in rng.sample(nuc.states, min(3, len(nuc.states))):
+        if h.dom != w.r(g):
+            continue
+        hw = aut.act_infinite(h, w)
+        for _ in range(10):
+            left = random_left_path(aut, rng, max_cycle=4, max_tail=3)
+            if left.s(g) == g.r(hw.edge_at(1)):
+                yield BiInfinitePath.make(g, left.cycle, left.tail + hw.head, hw.cycle,
+                                          c - len(left.tail))
+                break
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s != "noncontracting"])
+def test_least_witnesses_match_the_linear_scans(spec):
+    aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
+    nuc = compute_nucleus(aut)
+    g = aut.graph
+    rng = random.Random(SPECS.index(spec) + 90)
+    late = {"stable": 0, "unstable": 0}
+    for _ in range(25):
+        x = random_bi_path(aut, rng)
+        x = BiInfinitePath.make(g, x.left_cycle, x.center, x.right_cycle, rng.randint(-9, 9))
+        for y in [random_bi_path(aut, rng), *_glued_partners(aut, nuc, x, rng)]:
+            for u, v in ((x, y), (y, x)):
+                got = stable_equivalent(u, v, nuc, want_witness=True)
+                assert got == linear_stable_equivalent(u, v, nuc, want_witness=True), (u, v)
+                late["stable"] += bool(got[1])
+                got = unstable_equivalent(u, v, nuc, want_witness=True)
+                assert got == linear_unstable_equivalent(u, v, nuc, want_witness=True), (u, v)
+                late["unstable"] += bool(got[0] and got[1][0])
+    assert late["stable"] > 0 and late["unstable"] > 0, late

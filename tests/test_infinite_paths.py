@@ -59,6 +59,28 @@ def test_right_infinite_basics(ex310):
     assert y.shift(g).prefix(3) == y.prefix(4)[1:]
 
 
+def test_right_shift_by_n_is_n_single_shifts(ex310, basilica):
+    rng = random.Random(31)
+    for aut in (ex310, basilica):
+        g = aut.graph
+        checked = 0
+        while checked < 30:
+            start = rng.choice(g.vertices)
+            head = _random_walk(g, rng, start, rng.randint(0, 5))
+            cyc = _random_cycle(g, rng, g.s(head[-1]) if head else start)
+            if cyc is None:
+                continue
+            x = RightInfinitePath.make(g, head, cyc)
+            stepped = x
+            for n in range(12):
+                assert x.shift(g, n) == stepped, (str(x), n)
+                stepped = stepped.shift(g)
+            # past the head, whole turns of the cycle change nothing
+            for n in range(len(x.head), len(x.head) + 4):
+                assert x.shift(g, n + 10 ** 12 * len(x.cycle)) == x.shift(g, n)
+            checked += 1
+
+
 def test_bi_infinite_windows_and_truncations(ex310):
     g = ex310.graph
     x = BiInfinitePath.make(g, ["2", "3"], ["1"], ["1"], anchor=0)

@@ -16,7 +16,7 @@ from selfsim.ktheory import (
     smith_normal_form,
 )
 from selfsim.nucleus import Nucleus, compute_nucleus
-from selfsim.automaton import validate_automaton
+from selfsim.automaton import Element, validate_automaton
 from selfsim.graphs import validate_graph
 
 A = IntMatrix.of([[2, 1], [2, 2]])
@@ -301,3 +301,44 @@ def test_katsura_bigger_restrictions():
     assert img0 == "e1_1_1" and len(restr0.word) == 2
     assert img1 == "e1_1_0" and len(restr1.word) == 3
     assert validate_automaton(aut) == []
+
+
+def test_katsura_negative_exponent_rules():
+    # -1 + 0 = (-1)*2 + 1 and -1 + 1 = 0*2 + 0: the first restriction is a1^-1
+    aut = katsura_automaton(IntMatrix.of([[2]]), IntMatrix.of([[-1]]))
+    assert validate_automaton(aut) == []
+    assert aut.generators["a1"].rules == {
+        "e1_1_0": ("e1_1_1", Element("1", (("a1", -1),))),
+        "e1_1_1": ("e1_1_0", Element("1", ())),
+    }
+
+
+def _random_katsura(rng):
+    """(A, B) with A in [0, 3] without zero rows and B in [-3, 3], zero where A is."""
+    n = rng.randint(1, 3)
+    while True:
+        a = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        if all(any(row) for row in a):
+            break
+    b = [[rng.randint(-3, 3) if a[i][j] else 0 for j in range(n)] for i in range(n)]
+    return a, b
+
+
+def test_katsura_powers_follow_the_division_rule():
+    # (a_i^k).e_{ij,m} = e_{ij,r} and a_i^k|_e = a_j^q where k B_ij + m = q A_ij + r
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(200):
+        a, b = _random_katsura(rng)
+        aut = katsura_automaton(IntMatrix.of(a), IntMatrix.of(b))
+        n = len(a)
+        for i, j, k in itertools.product(range(n), range(n), range(-3, 4)):
+            word = ((f"a{i + 1}", 1 if k > 0 else -1),) * abs(k)
+            for m in range(a[i][j]):
+                q, r = divmod(k * b[i][j] + m, a[i][j])
+                img, rw = aut.word_act_edge(word, f"e{i + 1}_{j + 1}_{m}")
+                assert img == f"e{i + 1}_{j + 1}_{r}"
+                assert {name for name, _ in rw} <= {f"a{j + 1}"}
+                assert sum(exp for _, exp in rw) == q
+                checked += 1
+    assert checked > 5000

@@ -6,7 +6,8 @@ representatives are read only inside automaton.py, by compute_nucleus,
 which sorts each round's class representatives, and by check_recurrent,
 which walks words with no finite bound given in advance.  No module
 imports a private name of another, and only automaton.py reads or writes
-the inverse marker."""
+the inverse marker.  Every bound has one owner, the automaton's Bounds:
+no function takes a per-call budget or cache."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,37 @@ def test_no_module_imports_a_private_name_of_another():
     # the scan sees a function-level import, so it cannot pass by finding nothing
     assert private_imports("def f():\n    from .schreier import _tower, build\n") == {
         ("schreier", "_tower")}
+
+
+def signatures(text: str) -> list:
+    """(name, parameter names) for every def in the source text, methods
+    and nested defs included."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+            out.append((node.name, tuple(p.arg for p in params if p)))
+    return out
+
+
+def class_fields(text: str, name: str) -> list:
+    """The annotated field names of the class ``name`` in the source text."""
+    return [stmt.target.id for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef) and node.name == name
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+
+
+def test_every_bound_is_read_from_the_automaton():
+    # the scans see a nested def's parameters and skip unannotated class
+    # attributes, so they cannot pass by finding nothing
+    sample = "class Bounds:\n    a: int = 1\n    b = 2\n\ndef f(x, *, budget=None):\n" \
+             "    def g(_cache):\n        pass\n"
+    assert signatures(sample) == [("f", ("x", "budget")), ("g", ("_cache",))]
+    assert class_fields(sample, "Bounds") == ["a"]
+    found = [(path.stem, *sig) for path in sorted(SRC.glob("*.py"))
+             for sig in signatures(path.read_text())]
+    assert [hit for hit in found if {"budget", "_cache"} & set(hit[2])] == []
+    assert [params for _, name, params in found if name == "compute_nucleus"] == [("aut",)]
+    assert class_fields((SRC / "automaton.py").read_text(), "Bounds") == ["max_states",
+                                                                          "max_rounds"]

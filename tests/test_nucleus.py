@@ -21,7 +21,7 @@ from selfsim.nucleus import (
 )
 from selfsim.specfile import parse_spec
 
-from conftest import build_noncontracting, unit
+from conftest import build_noncontracting, unit, with_bounds
 
 ROOT = FsPath(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -120,10 +120,10 @@ def test_nucleus_binary_swap():
 
 
 def test_noncontracting_reports_bound():
-    aut = build_noncontracting()
-    res = compute_nucleus(aut, Bounds(max_states=300, max_rounds=8))
+    aut = with_bounds(build_noncontracting(), Bounds(max_states=300, max_rounds=8))
+    res = compute_nucleus(aut)
     assert isinstance(res, NotContractingWithinBound)
-    res2 = compute_nucleus(aut, Bounds(max_states=300, max_rounds=8))
+    res2 = compute_nucleus(aut)
     assert (res.bound_hit, res.max_states) == (res2.bound_hit, res2.max_states)
 
 
@@ -284,18 +284,19 @@ def test_unit_only_nucleus():
 # -- the replaced reach scan, kept as a differential oracle --------------------
 
 
-def reach_scan_limit_restrictions(aut, g, budget):
+def reach_scan_limit_restrictions(aut, g):
     """Class ids of g's limit restrictions, the way they were found before
     the SCC pass: a closure walk that acts words and identifies every
     successor, then a DFS reach set per node; the cyclic nodes and what
     they reach are the limit set."""
+    budget = aut.bounds.max_states
     index = {aut.canonical_id(g): 0}
     order = [aut.canonical(g)]
     succ = [set()]
     for i, h in enumerate(order):
         for e in aut.graph.range_edges(h.dom):
             _, rw = aut.word_act_edge(h.word, e.id)
-            cid = aut.canonical_id(Element(e.src, rw), budget)
+            cid = aut.canonical_id(Element(e.src, rw))
             if cid not in index:
                 if len(order) >= budget:
                     raise ClosureLimitError(budget, "restriction closure")
@@ -326,24 +327,24 @@ def _pair_products(aut):
     return [aut.compose(h, g) for g in elems for h in elems if h.dom == aut.cod(g)]
 
 
-def _agree_with_reach_scan(aut, budget):
+def _agree_with_reach_scan(aut):
     for prod in _pair_products(aut):
         try:
-            want = reach_scan_limit_restrictions(aut, prod, budget)
+            want = reach_scan_limit_restrictions(aut, prod)
         except ClosureLimitError as e:
             with pytest.raises(ClosureLimitError) as got:
-                limit_restrictions(aut, prod, budget)
+                limit_restrictions(aut, prod)
             assert got.value.what == e.what
             continue
-        got = limit_restrictions(aut, prod, budget)
+        got = limit_restrictions(aut, prod)
         assert {aut.canonical_id(x) for x in got} == want, prod.name()
         assert {x.name() for x in got} == {aut.canonical(x).name() for x in got}
 
 
 @pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.ss")))
 def test_limit_restrictions_vs_reach_scan_specs(spec):
-    aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton()
-    _agree_with_reach_scan(aut, 200)
+    aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton(Bounds(max_states=200))
+    _agree_with_reach_scan(aut)
 
 
 def test_limit_restrictions_vs_reach_scan_random():
@@ -354,7 +355,7 @@ def test_limit_restrictions_vs_reach_scan_random():
     while checked < 40:
         aut = _random_automaton(rng)
         if aut is not None:
-            _agree_with_reach_scan(aut, aut.bounds.max_states)
+            _agree_with_reach_scan(aut)
             checked += 1
 
 
@@ -400,7 +401,7 @@ def test_state_index(ex310, basilica):
 # -- the replaced per-pair nucleus, kept as a differential oracle --------------
 
 
-def old_compute_nucleus(aut, bounds=None):
+def old_compute_nucleus(aut):
     """The nucleus as it was computed before the pair machine: one
     limit_restrictions closure per composable pair, in the round loop, the
     prune and the certificate."""
@@ -408,7 +409,7 @@ def old_compute_nucleus(aut, bounds=None):
     from selfsim.errors import DivergedError
 
     aut._require_valid()
-    bounds = bounds or aut.bounds
+    bounds = aut.bounds
     budget = bounds.max_states
 
     def pairs(elems):
@@ -417,7 +418,7 @@ def old_compute_nucleus(aut, bounds=None):
     def canon_sorted(elems):
         out = {}
         for e in elems:
-            cid, rep = aut._registry.lookup(e, budget)
+            cid, rep = aut._registry.lookup(e)
             out[cid] = rep
         return [aut.canonical(e) for e in sorted(out.values(),
                                                  key=lambda e: (word_key(e.word), e.dom))]
@@ -427,7 +428,7 @@ def old_compute_nucleus(aut, bounds=None):
         for name in sorted(aut.generators):
             seeds.append(aut.generator(name))
             seeds.append(aut.inverse(aut.generator(name)))
-        current = canon_sorted(reachable_closure(aut, seeds, budget).states)
+        current = canon_sorted(reachable_closure(aut, seeds).states)
         fresh = list(current)
         for _round in range(bounds.max_rounds):
             added = []
@@ -435,7 +436,7 @@ def old_compute_nucleus(aut, bounds=None):
             for h, g in pairs(current):
                 if aut.canonical_id(h) not in fresh_ids and aut.canonical_id(g) not in fresh_ids:
                     continue
-                added += limit_restrictions(aut, aut.compose(h, g), budget)
+                added += limit_restrictions(aut, aut.compose(h, g))
             merged = canon_sorted(current + added)
             if len(merged) > budget:
                 return NotContractingWithinBound("max_states", budget, bounds.max_rounds)
@@ -450,7 +451,7 @@ def old_compute_nucleus(aut, bounds=None):
         witnesses, pruned = {}, {}
         for h, g in pairs(current):
             prod = aut.compose(h, g)
-            for lim in limit_restrictions(aut, prod, budget):
+            for lim in limit_restrictions(aut, prod):
                 cid = aut.canonical_id(lim)
                 if cid not in pruned:
                     pruned[cid] = aut.canonical(lim)
@@ -460,11 +461,11 @@ def old_compute_nucleus(aut, bounds=None):
         for s in states:
             if aut.canonical_id(aut.inverse(s)) not in ids:
                 raise DivergedError(f"nucleus not symmetric at {s.name()}")
-        machine = reachable_closure(aut, states, budget)
+        machine = reachable_closure(aut, states)
         if {aut.canonical_id(s) for s in machine.states} != ids:
             raise DivergedError("nucleus not closed under restriction")
         for h, g in pairs(states):
-            for lim in limit_restrictions(aut, aut.compose(h, g), budget):
+            for lim in limit_restrictions(aut, aut.compose(h, g)):
                 if aut.canonical_id(lim) not in ids:
                     raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
@@ -476,21 +477,25 @@ def old_compute_nucleus(aut, bounds=None):
 
 def _agree_with_old_nucleus(build, bounds=None):
     """Both nuclei, each on a fresh automaton (class representatives depend
-    on the words a run has met): the same states, machine and bound, with
-    one exception.  The per-pair loop identified every transient product
-    too, so it can give up on an identification budget ("bisimulation",
+    on the words a run has met) under ``bounds`` (by default the built
+    automaton's own): the same states, machine and bound, with one
+    exception.  The per-pair loop identified every transient product too,
+    so it can give up on an identification budget ("bisimulation",
     "restriction closure") that the pair machine never meets; the pair
     machine may then decide, and the oracle must find the same nucleus with
     a tenfold state budget.  Returns the new result."""
-    want = old_compute_nucleus(build(), bounds)
-    aut = build()
-    got = compute_nucleus(aut, bounds)
+    def fresh(bounds=bounds):
+        aut = build()
+        return aut if bounds is None else with_bounds(aut, bounds)
+    want = old_compute_nucleus(fresh())
+    aut = fresh()
+    got = compute_nucleus(aut)
     if isinstance(want, NotContractingWithinBound):
         if want.bound_hit not in ("bisimulation", "restriction closure"):
             assert got == want
         elif isinstance(got, Nucleus):
-            b = bounds or aut.bounds
-            wider = old_compute_nucleus(build(), Bounds(10 * b.max_states, b.max_rounds))
+            b = aut.bounds
+            wider = old_compute_nucleus(fresh(Bounds(10 * b.max_states, b.max_rounds)))
             assert isinstance(wider, Nucleus) and wider.states == got.states
         return got
     assert isinstance(got, Nucleus)
@@ -560,9 +565,9 @@ def test_nucleus_makes_no_per_pair_closure(monkeypatch, ex310, basilica):
 
     calls = []
 
-    def counted(aut, g, budget=None):
+    def counted(aut, g):
         calls.append(g)
-        return limit_restrictions(aut, g, budget)
+        return limit_restrictions(aut, g)
     monkeypatch.setattr(nucleus, "limit_restrictions", counted)
     for aut in (ex310, basilica):
         assert isinstance(compute_nucleus(aut), Nucleus)

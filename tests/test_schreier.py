@@ -188,13 +188,12 @@ def test_distance_profile_vs_ae(ex310, gens310, nuc310):
     from selfsim.dynamics import ae_equivalent
 
     rng = random.Random(83)
-    cache = {}
     bound = 1  # every nucleus element is a single generator symbol or unit
     checked_eq = checked_ne = 0
     while checked_eq < 12 or checked_ne < 12:
         x = random_left_path(ex310, rng)
         y = random_left_path(ex310, rng)
-        prof = distance_profile(ex310, x, y, 12, gen_set=gens310, _cache=cache)
+        prof = distance_profile(ex310, x, y, 12, gen_set=gens310)
         if ae_equivalent(x, y, nuc310):
             checked_eq += 1
             assert all(d is not None and d <= bound for d in prof)
@@ -650,13 +649,12 @@ def test_distance_profile_vs_oracle_pool():
     for name, x, y in pool:
         if name not in auts:
             auts[name] = parse_spec((SPECS / f"{name}.ss").read_text()).automaton()
-            caches[name] = ({}, {}, default_generating_set(auts[name]))
+            caches[name] = ({}, default_generating_set(auts[name]))
         aut = auts[name]
-        new_cache, old_cache, gens = caches[name]
+        old_cache, gens = caches[name]
         px, py = parse_path(aut.graph, x, "left"), parse_path(aut.graph, y, "left")
         want = oracle_distance_profile(aut, px, py, 8, gens, old_cache)
         assert distance_profile(aut, px, py, 8, gen_set=gens) == want, (name, x, y)
-        assert distance_profile(aut, px, py, 8, gen_set=gens, _cache=new_cache) == want
     assert len(pool) >= 20
 
 
@@ -666,9 +664,9 @@ def test_distance_profile_vs_oracle_random(spec, top):
     aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton()
     gens = default_generating_set(aut)
     rng = random.Random(47)
-    new_cache, old_cache = {}, {}
+    old_cache = {}
     for _ in range(25):
         x, y = random_left_path(aut, rng), random_left_path(aut, rng)
         want = oracle_distance_profile(aut, x, y, top, gens, old_cache)
-        assert distance_profile(aut, x, y, top, gen_set=gens, _cache=new_cache) == want, (x, y)
-        assert distance_profile(aut, x, x, top, gen_set=gens, _cache=new_cache) == [0] * top
+        assert distance_profile(aut, x, y, top, gen_set=gens) == want, (x, y)
+        assert distance_profile(aut, x, x, top, gen_set=gens) == [0] * top
