@@ -26,14 +26,13 @@ are exactly the strongly fixed extensions).
 Unstable equivalence runs on nuc.power(2), the machine of the restriction
 closure of N u N^2, in the same way: a state either maps x's right tail
 onto y's, as a run checked until its (state, phase) pairs repeat, or it
-does not.  Germ equality walks a pair of states of its restrictions'
-closure along y the same way.
+does not.  Germ equality walks its elements' restriction closure along y
+the same way, once per element and once as a pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from math import lcm
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure
@@ -341,31 +340,32 @@ def make_germ(aut: Automaton, x: RightInfinitePath, m: int, g: Element, n: int,
 
 def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
     """Equality in the germ groupoid: same endpoints, same lag, and the two
-    restriction sequences along y agree from some depth on.  Both run as a
-    pair of states on the machine of their restriction closure until the
-    states meet or a (state, state, phase) triple repeats past y's head; a
-    closure past the state budget raises ClosureLimitError."""
+    restriction sequences along y agree from some depth on.  Walks on the
+    machine of the elements' restriction closure stop at the first repeated
+    (node, phase) pair past y's head: each element's state at l0 = max(n1, n2)
+    is read off its walk, and the germs are equal iff the pair walk from
+    there meets equal states.  Past the state budget: ClosureLimitError."""
     aut = nuc.automaton
-    graph = aut.graph
     if g1.x != g2.x or g1.y != g2.y or (g1.m - g1.n) != (g2.m - g2.n):
         return False
-    y = g1.y
-    l0 = max(g1.n, g2.n)
-    a = aut.restrict(g1.g, y.segment(graph, g1.n, l0))
-    b = aut.restrict(g2.g, y.segment(graph, g2.n, l0))
-    sm = reachable_closure(aut, [a, b])
-    i, j = sm.state_index(aut, a), sm.state_index(aut, b)
-    seen = set()
-    for l in count(l0):
-        if i == j:
-            return True
-        if l >= len(y.head):
-            key = (i, j, (l - len(y.head)) % len(y.cycle))
-            if key in seen:
-                return False
-            seen.add(key)
-        e = y.edge_at(l + 1)
-        i, j = sm.rows[i][e][1], sm.rows[j][e][1]
+    y, l0 = g1.y, max(g1.n, g2.n)
+    h, c = len(y.head), len(y.cycle)
+    sm = reachable_closure(aut, [g1.g, g2.g])
+
+    def walk(node, l):  # state tuples from position l to the first repeat, and its start
+        nodes, seen = [], {}
+        while (key := (node, min(l, h + (l - h) % c))) not in seen:  # phase past the head
+            seen[key] = len(nodes)
+            nodes.append(node)
+            node, l = tuple(sm.rows[i][y.edge_at(l + 1)][1] for i in node), l + 1
+        return nodes, seen[key]
+
+    def at_l0(g, n):  # the walk's node at l0: nodes[k:] repeats
+        nodes, k = walk((sm.state_index(aut, g),), n)
+        return nodes[min(l0 - n, k + (l0 - n - k) % (len(nodes) - k))]
+
+    pairs, _ = walk(at_l0(g1.g, g1.n) + at_l0(g2.g, g2.n), l0)
+    return any(i == j for i, j in pairs)
 
 
 # -- stable and unstable equivalence ----------------------------------------------

@@ -291,20 +291,21 @@ class AbelianGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
+def _coker_ker(m: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+    """(coker, ker) of m off one Smith diagonal; ker is free on the zero columns."""
+    nonzero = [x for x in smith_normal_form(m).diagonal() if x != 0]
+    return (AbelianGroup(m.rows - len(nonzero), tuple(x for x in nonzero if x > 1)),
+            AbelianGroup(m.cols - len(nonzero)))
+
+
 def cokernel(m: IntMatrix) -> AbelianGroup:
-    """Z^rows / im(m), read off the Smith diagonal."""
-    d = smith_normal_form(m).diagonal()
-    nonzero = [x for x in d if x != 0]
-    free = m.rows - len(nonzero)
-    torsion = tuple(x for x in nonzero if x > 1)
-    return AbelianGroup(free, torsion)
+    """Z^rows / im(m)."""
+    return _coker_ker(m)[0]
 
 
 def kernel(m: IntMatrix) -> AbelianGroup:
-    """ker(m) <= Z^cols is free of rank = number of zero Smith columns."""
-    d = smith_normal_form(m).diagonal()
-    rank = len([x for x in d if x != 0])
-    return AbelianGroup(m.cols - rank)
+    """ker(m) <= Z^cols."""
+    return _coker_ker(m)[1]
 
 
 def katsura_automaton(a: IntMatrix, b: IntMatrix) -> Automaton:
@@ -353,6 +354,6 @@ def katsura_ktheory(a: IntMatrix, b: IntMatrix) -> tuple[AbelianGroup, AbelianGr
     if a.rows != a.cols or (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatchError("A and B must be square of equal size")
     ident = IntMatrix.identity(a.rows)
-    k0 = cokernel(ident - a).direct_sum(kernel(ident - b))
-    k1 = cokernel(ident - b).direct_sum(kernel(ident - a))
-    return k0, k1
+    coker_a, ker_a = _coker_ker(ident - a)
+    coker_b, ker_b = _coker_ker(ident - b)
+    return coker_a.direct_sum(ker_b), coker_b.direct_sum(ker_a)

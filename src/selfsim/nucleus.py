@@ -8,11 +8,11 @@ reachable from a directed cycle.
 
 The computation iterates products of two: start from the restriction
 closure S of generators, inverses and units; repeatedly add the limit
-restrictions of all composable pairs; on fixpoint S, prune to the union of
-limit restrictions of pairs from S.  Restrictions of a k-fold product of S
-elements land, deep enough, in products of two (the restriction of a
-product is the product of restrictions), so the fixpoint property makes S
-a contracting core and the pruned set is the nucleus itself.
+restrictions of all composable pairs until S is a fixpoint.  Restrictions
+of a k-fold product of S elements land, deep enough, in products of two
+(the restriction of a product is the product of restrictions), so the
+fixpoint S is a contracting core, and the nucleus is what the rounds found:
+the limit sets of its pairs (a unit factor makes one element a pair).
 
 Each round holds S as the StateMachine of its class representatives in
 (word_key, dom) order.  As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of
@@ -118,8 +118,10 @@ def _pair_limits(aut: Automaton, sm: StateMachine, touch) -> dict[int, Element]:
 def compute_nucleus(aut: Automaton):
     """Nucleus with closure certificate, or NotContractingWithinBound.
 
-    Every search reads ``aut.bounds``: its state budget caps each closure
-    and identification, and its round count the iteration."""
+    Each pair of the fixpoint is scanned in one round, and its limit set
+    reads only the sub-machine it reaches, so the rounds' limit sets make up
+    the nucleus.  Every search reads ``aut.bounds``: its state budget caps
+    each closure and identification, and its round count the iteration."""
     aut._require_valid()
     budget, rounds = aut.bounds.max_states, aut.bounds.max_rounds
 
@@ -132,23 +134,20 @@ def compute_nucleus(aut: Automaton):
         closure = reachable_closure(aut, aut.basic_elements())
         sm = reachable_closure(aut, reps_sorted(closure.index))
 
-        fresh = None  # round 1 scans every pair, later rounds those touching a new state
+        witnesses, fresh = {}, None  # round 1: every pair; later: pairs touching a new state
         for _round in range(rounds):
-            found = _pair_limits(aut, sm, fresh)
-            new = found.keys() - sm.index.keys()
-            # limit sets are restriction closed, so this closure adds nothing
-            sm = reachable_closure(aut, reps_sorted([*sm.index, *new]))
-            if len(sm) > budget:
+            for cid, w in _pair_limits(aut, sm, fresh).items():
+                witnesses.setdefault(cid, w)
+            new = witnesses.keys() - sm.index.keys()
+            if new:  # limit sets are restriction closed, so this closure adds nothing
+                sm = reachable_closure(aut, reps_sorted([*sm.index, *new]))
+            if len(sm) > budget:  # seeds are not capped, so the first S may exceed it
                 return NotContractingWithinBound("max_states", budget, rounds)
             if not new:
                 break
             fresh = {sm.index[c] for c in new}
         else:
             return NotContractingWithinBound("max_rounds", budget, rounds)
-
-        # prune: the nucleus is the union of limit restrictions of pair
-        # products of the fixpoint (unit factors make single elements pairs)
-        witnesses = _pair_limits(aut, sm, None)
         states = reps_sorted(witnesses)
 
         # certificate: symmetric, restriction-closed, absorbs pair products

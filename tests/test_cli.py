@@ -113,6 +113,21 @@ def test_germ_eq_cli_far_offsets():
     assert code == 0 and data["equal"] is True
 
 
+def test_germ_eq_cli_offsets_far_apart():
+    # the state at n1 = 10^12 of the germ with n2 = 0 is read off its walk's
+    # repeat, not reached by 10^12 restrictions; a child process, so a
+    # regression times out instead of hanging the suite
+    far = str(10 ** 12)
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfsim.cli", "--json", "germ-eq", "--spec", EX310,
+         "--x", "(1)^inf", "--y", "(1)^inf", "--m1", far, "--elem1", "v", "--n1", far,
+         "--m2", "0", "--elem2", "v", "--n2", "0"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["equal"] is True
+
+
 def test_stable_far_anchor_cli():
     # the least truncation is found by galloping search, not a scan of 10^4 steps
     code, data = run_json("stable", "--spec", EX310,

@@ -581,6 +581,50 @@ def test_germ_equal_vs_word_stepping():
     assert len(answers) > 1000 and 0 < answers.count(False) < len(answers)
 
 
+def _far_germ_pairs(aut, rng):
+    """Germs [x, 0, g, n, y] and [x, d, h, n + d, y] with d in 1..40 and y
+    a ray with a head of up to 3 edges; h is g's restriction along
+    y(n, n + d), a unit or a random element.  The pairs make_germ accepts,
+    in both orders."""
+    from test_automaton import random_element
+
+    g = aut.graph
+    cyc = _cycle_through(g, rng, rng.choice(g.vertices), rng.randint(1, 4))
+    head = _walk_into(g, rng, g.r(cyc[0]), rng.randint(0, 3)) if cyc else None
+    if head is None:
+        return []
+    y = RightInfinitePath.make(g, head, cyc)
+    n, d = rng.randint(0, 3), rng.randint(1, 40)
+    elem = random_element(aut, rng, max_len=3)
+    if elem.dom != g.r(y.edge_at(n + 1)):
+        return []
+    x = aut.act_infinite(elem, y.shift(g, n))
+    g1 = make_germ(aut, x, 0, elem, n, y)
+    out = []
+    for h in (aut.restrict(elem, y.segment(g, n, n + d)), aut.unit(g.r(y.edge_at(n + d + 1))),
+              random_element(aut, rng, max_len=3)):
+        try:
+            g2 = make_germ(aut, x, d, h, n + d, y)
+        except DomainMismatchError:
+            continue
+        out += [(g1, g2), (g2, g1)]
+    return out
+
+
+def test_germ_equal_far_offsets_vs_word_stepping():
+    # one element's walk indexes into its repeat to reach the other's offset
+    answers = []
+    for spec in ("basilica", "ex310", "katsura", "nonhausdorff", "odometer"):
+        aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
+        nuc = compute_nucleus(aut)
+        rng = random.Random(100 + SPECS.index(spec))
+        for _ in range(150):
+            for g1, g2 in _far_germ_pairs(aut, rng):
+                answers.append(germ_equal(g1, g2, nuc))
+                assert answers[-1] == old_germ_equal(g1, g2, nuc), (spec, g1, g2)
+    assert len(answers) > 300 and 0 < answers.count(False) < len(answers)
+
+
 def test_germ_closure_past_budget_is_typed():
     # the 6-state nucleus fits, but the 8-state closure of (b a)^3's restrictions does not
     aut = parse_spec((ROOT / "specs" / "ex310.ss").read_text()).automaton(

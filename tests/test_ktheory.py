@@ -342,3 +342,43 @@ def test_katsura_powers_follow_the_division_rule():
                 assert sum(exp for _, exp in rw) == q
                 checked += 1
     assert checked > 5000
+
+
+def old_katsura_ktheory(a, b):
+    """katsura_ktheory as it was: one Smith normal form for each of the
+    cokernel and the kernel of I - A and of I - B."""
+    def old_cokernel(m):
+        nonzero = [x for x in smith_normal_form(m).diagonal() if x != 0]
+        return AbelianGroup(m.rows - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+    def old_kernel(m):
+        return AbelianGroup(m.cols - len([x for x in smith_normal_form(m).diagonal() if x != 0]))
+    ident = IntMatrix.identity(a.rows)
+    return (old_cokernel(ident - a).direct_sum(old_kernel(ident - b)),
+            old_cokernel(ident - b).direct_sum(old_kernel(ident - a)))
+
+
+def test_katsura_ktheory_one_snf_per_matrix(monkeypatch):
+    import selfsim.ktheory as ktheory
+
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    assert katsura_ktheory(A, B) == (AbelianGroup(1), AbelianGroup(1))
+    ident = IntMatrix.identity(2)
+    assert calls == [ident - A, ident - B]
+
+
+def test_katsura_ktheory_matches_four_snf_oracle():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # rank-deficient I - B: a free kernel part
+            b = [[int(i == j) for j in range(n)] for i in range(n)]
+        a, b = IntMatrix.of(a), IntMatrix.of(b)
+        assert katsura_ktheory(a, b) == old_katsura_ktheory(a, b)

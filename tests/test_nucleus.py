@@ -574,6 +574,28 @@ def test_nucleus_makes_no_per_pair_closure(monkeypatch, ex310, basilica):
     assert calls == []
 
 
+@pytest.mark.parametrize("spec, passes", [("basilica", 3), ("ex310", 2), ("katsura", 2),
+                                          ("nonhausdorff", 2), ("odometer", 2)])
+def test_nucleus_pair_passes_are_its_rounds_and_the_certificate(monkeypatch, spec, passes):
+    # the nucleus is the union of the rounds' limit sets: no pass over the
+    # fixpoint after the last round, only the certificate's over the nucleus
+    import selfsim.nucleus as nucleus
+
+    touched = []
+    pair_limits = nucleus._pair_limits
+
+    def counted(aut, sm, touch):
+        touched.append(touch)
+        return pair_limits(aut, sm, touch)
+    monkeypatch.setattr(nucleus, "_pair_limits", counted)
+    nuc = compute_nucleus(parse_spec((SPECS / f"{spec}.ss").read_text()).automaton())
+    assert isinstance(nuc, Nucleus)
+    assert len(touched) == passes
+    # round 1 and the certificate scan every pair, the rounds between only new ones
+    assert touched[0] is None and touched[-1] is None
+    assert all(t for t in touched[1:-1])
+
+
 # -- the dict-table export, kept as a differential oracle ----------------------
 
 
