@@ -468,17 +468,17 @@ class _Registry:
 
 @dataclass
 class StateMachine:
-    """A finite restriction-closed set of canonical elements as an integer
-    transducer.  ``rows[i]`` maps each edge of range_edges(doms[i]), in edge
-    id order, to (image edge, successor state): state i acts on e by the
-    image and restricts to the successor.  States are numbered in BFS order
-    from the seeds, so exports are deterministic."""
+    """A finite restriction-closed set of classes as an integer transducer.
+    ``rows[i]`` maps each edge of range_edges(doms[i]), in edge id order, to
+    (image edge, successor state): state i, a word of its class, acts on e by
+    the image and restricts to the successor.  reachable_closure numbers
+    states in BFS order from the seeds, so exports are deterministic."""
 
     states: list[Element]
     doms: list[str]
     cods: list[str]
     rows: list[dict[str, tuple[str, int]]]
-    # canonical class id -> state number, in state order
+    # canonical class id -> state number, in state order, for the registered classes
     index: dict[int, int] = field(default_factory=dict)
 
     def __len__(self):

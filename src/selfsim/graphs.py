@@ -219,6 +219,21 @@ def limit_nodes(nodes, succ) -> dict:
     return origin
 
 
+def refine(labels, succ) -> list[int]:
+    """Moore's refinement of a deterministic transducer on the nodes 0..n-1:
+    the coarsest partition into blocks of equal ``labels[v]`` whose nodes
+    have the same blocks at each position of succ[v].  Returns each node's
+    block, numbered by first node."""
+    keys, count = labels, -1
+    while True:  # each pass splits blocks by their successors' blocks
+        ids: dict = {}
+        block = [ids.setdefault(key, len(ids)) for key in keys]
+        if len(ids) == count:
+            return block
+        count = len(ids)
+        keys = [(b, *map(block.__getitem__, ws)) for b, ws in zip(block, succ)]
+
+
 def bfs(starts, succ):
     """Breadth-first search from ``starts`` over the arcs v -label-> w for
     (label, w) in succ(v).  Yields each reached node in dequeue order with

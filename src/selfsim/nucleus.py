@@ -1,27 +1,22 @@
 """Contracting detection and nucleus computation.
 
 The nucleus is the union over all groupoid elements g of the limit set of
-g's restrictions: the elements that occur as g|_mu at unboundedly many
-depths.  In the finite digraph whose nodes are g's canonical restrictions
-and whose arcs are single-edge restrictions, those are exactly the nodes
-reachable from a directed cycle.
+g's restrictions, the elements that occur as g|_mu at unboundedly many
+depths: the nodes of g's restriction digraph reachable from a cycle.
 
 The computation iterates products of two: start from the restriction
 closure S of generators, inverses and units; repeatedly add the limit
 restrictions of all composable pairs until S is a fixpoint.  Restrictions
-of a k-fold product of S elements land, deep enough, in products of two
-(the restriction of a product is the product of restrictions), so the
-fixpoint S is a contracting core, and the nucleus is what the rounds found:
-the limit sets of its pairs (a unit factor makes one element a pair).
+of a k-fold product land, deep enough, in products of two, so the fixpoint
+is a contracting core, and the nucleus is the limit sets of its pairs.
 
-Each round holds S as the StateMachine of its class representatives in
-(word_key, dom) order.  As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of
-hg are the products along the walks from (h, g) in the pair digraph on
-S x S with arcs (h, g) -e-> (h|_{g.e}, g|_e), read off the machine's rows;
-hg's limit set is the products at the pairs on or after a cycle that
-(h, g) reaches.  So one Tarjan pass gives every pair's limit set, and only
-those products are identified.  Exceeding the state or round budget yields
-NotContractingWithinBound, never a claim of non-contraction.
+As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of hg are the products
+along the walks (h, g) -e-> (h|_{g.e}, g|_e) on S x S, read off the rows
+of S's StateMachine.  One Tarjan pass gives every pair's limit set, and one
+Moore refinement of those pair nodes with S's states identifies their
+products: the rounds compare no words, and N^k is built the same way.
+Exceeding the state or round budget yields NotContractingWithinBound,
+never a claim of non-contraction.
 """
 
 from __future__ import annotations
@@ -30,7 +25,9 @@ from dataclasses import dataclass, field
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError
-from .graphs import limit_nodes, strongly_connected_components
+from .graphs import bfs, limit_nodes, refine, strongly_connected_components
+
+_PASS_STARTS = 1 << 13  # start pairs of one _pair_limits pass, whose pair nodes take memory
 
 
 @dataclass
@@ -49,12 +46,10 @@ class NotContractingWithinBound:
 class Nucleus:
     automaton: Automaton
     states: tuple[Element, ...]
-    # the closure of ``states`` seeded in order: state i is the class of
-    # states[i], and machine.index holds exactly the nucleus's class ids
+    # its state i is states[i]; machine.index holds exactly the nucleus's class ids
     machine: StateMachine
     # canonical class id -> a product word witnessing membership (minimality)
     witnesses: dict[int, Element] = field(default_factory=dict)
-    r_k: dict[int, int] = field(default_factory=dict)
 
     def __len__(self):
         return len(self.states)
@@ -69,19 +64,20 @@ class Nucleus:
         return [s.name() for s in self.states]
 
     def power(self, k: int) -> StateMachine:
-        """The machine of the restriction closure of N^k, the products of k
-        nucleus states, seeded in word_key order.  Each round multiplies the
-        products so far by the states: N^(k-1) lies in N^k, as the unit at
-        c(n) of a nucleus state n is a nucleus state."""
-        aut = self.automaton
-        seeds = {aut.canonical_id(s): s for s in self.states}
+        """The machine of N^k, the products of k nucleus states, in
+        (word_key, dom) order, its index the nucleus's class ids.  Each step
+        multiplies the states new in the step before by the nucleus: N^(k-1)
+        lies in N^k, as the unit at c(n) of a nucleus state n is in N."""
+        sm, n = _renumbered(self.machine, range(len(self))), 0  # a copy, to append to
         for _ in range(k - 1):
-            for g in list(seeds.values()):
-                for h in self.states:
-                    if h.dom == aut.cod(g):
-                        prod = aut.compose(h, g)
-                        seeds.setdefault(aut.canonical_id(prod), aut.canonical(prod))
-        return reachable_closure(aut, sorted(seeds.values(), key=lambda e: word_key(e.word)))
+            fresh, n = range(n, len(sm)), len(sm)
+            starts = [h * n + g for g in fresh for h in range(len(self))
+                      if sm.doms[h] == sm.cods[g]]
+            pairs = _PairSucc(sm)
+            nodes = bfs(starts, lambda v: ((None, w) for w in pairs[v]))
+            _product(sm, [v for v, _ in nodes], pairs)
+        return _renumbered(sm, sorted(range(len(sm)),
+                                      key=lambda i: (word_key(sm.states[i].word), sm.doms[i])))
 
 
 def limit_restrictions(aut: Automaton, g: Element) -> set[Element]:
@@ -92,27 +88,66 @@ def limit_restrictions(aut: Automaton, g: Element) -> set[Element]:
     return {sm.states[i] for i in limit_nodes(range(len(sm)), succ.__getitem__)}
 
 
+class _PairSucc(dict):
+    """The successors of the pair nodes h * |sm| + g, made on first use:
+    (h|_{g.e}, g|_e) for each edge e of range_edges(d(g)), in order."""
+
+    def __init__(self, sm: StateMachine):
+        self.n, self.rows = len(sm), sm.rows
+
+    def __missing__(self, node):
+        left, right = self.rows[node // self.n], self.rows[node % self.n]  # h acts on g.e
+        out = self[node] = [self.n * left[img][1] + g for img, g in right.values()]
+        return out
+
+
+def _product(sm: StateMachine, nodes, pairs: _PairSucc) -> dict[int, int]:
+    """Identify the pair nodes ``nodes``, closed under their successors
+    ``pairs``, by one Moore refinement with the states of ``sm``; return
+    node -> state.  A block that holds a state is that state, as the states
+    are pairwise inequivalent; any other block is appended to ``sm`` as a
+    new state, named by the shortlex-least product word h g among its nodes."""
+    n, m, states, rows = pairs.n, len(sm), sm.states, sm.rows  # nodes are h * n + g
+    pos = {v: m + i for i, v in enumerate(nodes)}  # the refined items: states, then nodes
+    ends = [*zip(sm.doms, sm.cods), *((sm.doms[v % n], sm.cods[v // n]) for v in nodes)]
+    images = [[img for img, _ in r.values()] for r in rows]
+    images += [[rows[v // n][img][0] for img in images[v % n]] for v in nodes]  # h.(g.e)
+    succ = [[j for _, j in r.values()] for r in rows] + [[pos[w] for w in pairs[v]] for v in nodes]
+    block = refine([(*end, *imgs) for end, imgs in zip(ends, images)], succ)
+    if block[:m] != list(range(m)):  # blocks are numbered by first item
+        raise DivergedError("two states of one machine act alike but are different classes")
+    for i, v in enumerate(nodes, m):
+        s = block[i]  # a new block is the state numbered by it
+        if s < m:
+            continue
+        w = Element(ends[i][0], states[v // n].word + states[v % n].word)
+        if s == len(states):  # the first node of a new class gives its row
+            states.append(w)
+            sm.doms.append(ends[i][0])
+            sm.cods.append(ends[i][1])
+            rows.append(dict(zip(rows[v % n], zip(images[i], map(block.__getitem__, succ[i])))))
+        elif word_key(w.word) < word_key(states[s].word):
+            states[s] = w
+    return dict(zip(nodes, block[m:]))
+
+
 def _pair_limits(aut: Automaton, sm: StateMachine, touch) -> dict[int, Element]:
-    """Class id -> witness for the limit restrictions of the products hg of
+    """State -> witness for the limit restrictions of the products hg of
     composable pairs of states of ``sm`` with h or g in the states ``touch``
-    (all pairs when None); a witness is a product whose own limit set holds
-    the class.  Pair nodes are integers h * |sm| + g, and their arcs are
-    made on demand from the rows, not stored."""
-    n, rows, elems = len(sm), sm.rows, sm.states
-
-    def succ(node):
-        h, g = divmod(node, n)
-        left = rows[h]  # h acts on the edge g.e
-        return [n * left[img][1] + g2 for img, g2 in rows[g].values()]
-
-    starts = (h * n + g for g, cod in enumerate(sm.cods) for h, dom in enumerate(sm.doms)
-              if dom == cod and (touch is None or h in touch or g in touch))
-    out: dict[int, Element] = {}
-    for node, cyc in limit_nodes(starts, succ).items():
-        h, g = divmod(node, n)
-        out.setdefault(aut.canonical_id(aut.compose(elems[h], elems[g])),
-                       aut.compose(elems[cyc // n], elems[cyc % n]))
-    return out
+    (all pairs when None); the classes not yet in ``sm`` are appended to it.
+    A witness is a product whose own limit set holds the class."""
+    n, doms, cods, elems = len(sm), sm.doms, sm.cods, sm.states
+    left = range(n) if touch is None else sorted(touch)  # h in touch, or any h
+    step = max(1, _PASS_STARTS // n)  # touch states per pass
+    pairs, cycle = _PairSucc(sm), {}
+    for part in (left[k:k + step] for k in range(0, len(left), step)):
+        right = () if touch is None else part  # g in touch
+        starts = dict.fromkeys([h * n + g for h in part for g in range(n) if doms[h] == cods[g]]
+                               + [h * n + g for g in right for h in range(n) if doms[h] == cods[g]])
+        pairs.clear()  # the last pass's nodes are classes of sm now
+        lims = limit_nodes(starts, pairs.__getitem__)
+        cycle.update({s: lims[v] for v, s in _product(sm, list(lims), pairs).items()})
+    return {s: aut.compose(elems[c // n], elems[c % n]) for s, c in cycle.items()}
 
 
 def compute_nucleus(aut: Automaton):
@@ -120,51 +155,53 @@ def compute_nucleus(aut: Automaton):
 
     Each pair of the fixpoint is scanned in one round, and its limit set
     reads only the sub-machine it reaches, so the rounds' limit sets make up
-    the nucleus.  Every search reads ``aut.bounds``: its state budget caps
-    each closure and identification, and its round count the iteration."""
+    the nucleus.  The state budget of ``aut.bounds`` caps S and the rounds'
+    machine, and its round count the iteration."""
     aut._require_valid()
     budget, rounds = aut.bounds.max_states, aut.bounds.max_rounds
-
-    def reps_sorted(class_ids):
-        # units tie on word_key; dom breaks the tie independently of hashing
-        return sorted((aut._registry.reps[c] for c in class_ids),
-                      key=lambda e: (word_key(e.word), e.dom))
-
     try:
-        closure = reachable_closure(aut, aut.basic_elements())
-        sm = reachable_closure(aut, reps_sorted(closure.index))
-
+        sm = reachable_closure(aut, aut.basic_elements())
         witnesses, fresh = {}, None  # round 1: every pair; later: pairs touching a new state
         for _round in range(rounds):
-            for cid, w in _pair_limits(aut, sm, fresh).items():
-                witnesses.setdefault(cid, w)
-            new = witnesses.keys() - sm.index.keys()
-            if new:  # limit sets are restriction closed, so this closure adds nothing
-                sm = reachable_closure(aut, reps_sorted([*sm.index, *new]))
-            if len(sm) > budget:  # seeds are not capped, so the first S may exceed it
+            n = len(sm)
+            witnesses = {**_pair_limits(aut, sm, fresh), **witnesses}
+            if len(sm) > budget:  # S is not capped by the rounds, so it may exceed it
                 return NotContractingWithinBound("max_states", budget, rounds)
-            if not new:
+            if len(sm) == n:
                 break
-            fresh = {sm.index[c] for c in new}
+            fresh = range(n, len(sm))
         else:
             return NotContractingWithinBound("max_rounds", budget, rounds)
-        states = reps_sorted(witnesses)
 
-        # certificate: symmetric, restriction-closed, absorbs pair products
-        for s in states:
-            if aut.canonical_id(aut.inverse(s)) not in witnesses:
-                raise DivergedError(f"nucleus not symmetric at {s.name()}")
-        machine = reachable_closure(aut, states)
-        if machine.index.keys() != witnesses.keys():
+        # certificate: the registry finds the rounds' machine, symmetric and closed
+        order = sorted(witnesses, key=lambda s: (word_key(sm.states[s].word), sm.doms[s]))
+        machine = reachable_closure(aut, [sm.states[s] for s in order])
+        if machine.rows != _renumbered(sm, order).rows:
             raise DivergedError("nucleus not closed under restriction")
-        if not _pair_limits(aut, machine, None).keys() <= witnesses.keys():
+        for s in machine.states:
+            if aut.canonical_id(aut.inverse(s)) not in machine.index:
+                raise DivergedError(f"nucleus not symmetric at {s.name()}")
+        _pair_limits(aut, machine, None)
+        if len(machine) > len(order):
             raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, rounds)
 
-    nuc = Nucleus(aut, tuple(states), machine)
-    nuc.witnesses = {cid: aut.canonical(w) for cid, w in witnesses.items()}
-    return nuc
+    return Nucleus(aut, tuple(machine.states), machine,
+                   {cid: aut.canonical(witnesses[s]) for cid, s in zip(machine.index, order)})
+
+
+def _renumbered(sm: StateMachine, order) -> StateMachine:
+    """The states ``order`` of ``sm`` as a machine, in that order and with
+    their classes in ``index``; a successor outside them becomes None."""
+    at = {s: i for i, s in enumerate(order)}
+    return StateMachine(
+        states=[sm.states[s] for s in order],
+        doms=[sm.doms[s] for s in order],
+        cods=[sm.cods[s] for s in order],
+        rows=[{e: (img, at.get(j)) for e, (img, j) in sm.rows[s].items()} for s in order],
+        index={c: at[s] for c, s in sm.index.items() if s in at},
+    )
 
 
 def compute_Rk(nuc: Nucleus, k: int) -> int:
@@ -177,11 +214,9 @@ def compute_Rk(nuc: Nucleus, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k in nuc.r_k:
-        return nuc.r_k[k]
     sm = nuc.power(k)
     succ = [[j for _, j in row.values()] for row in sm.rows]
-    inside = {i for c, i in sm.index.items() if c in nuc.machine.index}
+    inside = set(sm.index.values())
     depth = [0] * len(sm)
     # components come successors first, so each depth reads finished ones
     for comp in strongly_connected_components(range(len(sm)), succ.__getitem__):
@@ -192,8 +227,7 @@ def compute_Rk(nuc: Nucleus, k: int) -> int:
                 raise DivergedError(f"R_{k}: {sm.states[i].name()} lies on a cycle "
                                     "of restrictions outside the nucleus")
             depth[i] = 1 + max((depth[j] for j in succ[i]), default=0)
-    nuc.r_k[k] = max(depth)
-    return nuc.r_k[k]
+    return max(depth)
 
 
 def moore_diagram(nuc: Nucleus, fmt: str = "json"):

@@ -61,6 +61,12 @@ def test_rk():
     assert code == 0 and data["R_k"] == 2
 
 
+def test_rk_basilica_k6():
+    # N^6 has 11,810 classes, built on the nucleus's rows in about a second
+    code, data = run_json("rk", "--spec", BASILICA, "--k", "6")
+    assert code == 0 and (data["k"], data["R_k"]) == (6, 6)
+
+
 def test_check_subcommands():
     assert run("check", "regular", "--spec", EX310)[0] == 0
     assert run("check", "hausdorff", "--spec", EX310)[0] == 0

@@ -17,6 +17,7 @@ from selfsim.graphs import (
     enumerate_paths,
     find_cycle,
     limit_nodes,
+    refine,
     strongly_connected_components,
     validate_graph,
 )
@@ -348,3 +349,36 @@ def test_primitivity_of_a_long_cycle():
     assert rep.strongly_connected and not rep.primitive
     rep = validate_graph(Graph(vs, cycle + [("chord", vs[0], vs[2])]))
     assert rep.strongly_connected and rep.primitive
+
+
+def bisimilar_pairs(labels, succ):
+    """The pairs of nodes that no input word tells apart: the greatest
+    fixpoint from the label-equal pairs, dropping a pair once one of its
+    successor pairs, position by position, has been dropped."""
+    n = len(labels)
+    rel = {(u, v) for u in range(n) for v in range(n) if labels[u] == labels[v]}
+    while True:
+        keep = {(u, v) for u, v in rel if all(pair in rel for pair in zip(succ[u], succ[v]))}
+        if keep == rel:
+            return rel
+        rel = keep
+
+
+def test_refine_vs_pairwise_bisimulation():
+    # seeded random integer transducers; a label fixes the number of inputs,
+    # as a domain vertex fixes the edges a state reads
+    rng = random.Random(5)
+    merged = split = 0
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        labels = [rng.randint(0, 3) for _ in range(n)]
+        succ = [[rng.randrange(n) for _ in range(label % 3)] for label in labels]
+        block = refine(labels, succ)
+        assert {(u, v) for u in range(n) for v in range(n) if block[u] == block[v]} == \
+            bisimilar_pairs(labels, succ)
+        # blocks are numbered by their first node
+        assert sorted(set(block)) == list(range(max(block) + 1))
+        assert all(block[v] <= max(block[:v], default=-1) + 1 for v in range(n))
+        merged += len(set(block)) < n
+        split += len(set(block)) > len(set(labels))
+    assert merged > 50 and split > 50

@@ -2,11 +2,11 @@
 
 The one-representation rule: code that reads a finite restriction-closed
 set of classes reads its StateMachine.  The class registry's rows and
-representatives are read only inside automaton.py, by compute_nucleus,
-which sorts each round's class representatives, and by check_recurrent,
-which walks words with no finite bound given in advance.  No module
-imports a private name of another, and only automaton.py reads or writes
-the inverse marker.  Every bound has one owner, the automaton's Bounds:
+representatives are read only inside automaton.py and by check_recurrent,
+which walks words with no finite bound given in advance; the nucleus
+identifies its products on its machines' rows.  No module imports a
+private name of another, and only automaton.py reads or writes the
+inverse marker.  Every bound has one owner, the automaton's Bounds:
 no function takes a per-call budget or cache."""
 
 import ast
@@ -15,7 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "selfsim"
 
 # (module, top-level definition) pairs outside automaton.py that may name _registry
-ALLOWED = {("nucleus", "compute_nucleus"), ("dynamics", "check_recurrent")}
+ALLOWED = {("dynamics", "check_recurrent")}
 
 
 def registry_readers() -> set:

@@ -596,6 +596,190 @@ def test_nucleus_pair_passes_are_its_rounds_and_the_certificate(monkeypatch, spe
     assert all(t for t in touched[1:-1])
 
 
+# -- the word products, kept as a differential oracle for the product step ------
+
+
+def word_pair_limits(aut, sm, touch):
+    """_pair_limits as it was: class id -> witness for the limit products,
+    each identified by its word through the class registry."""
+    from selfsim.graphs import limit_nodes
+
+    n, rows, elems = len(sm), sm.rows, sm.states
+
+    def succ(node):
+        h, g = divmod(node, n)
+        left = rows[h]  # h acts on the edge g.e
+        return [n * left[img][1] + g2 for img, g2 in rows[g].values()]
+
+    starts = (h * n + g for g, cod in enumerate(sm.cods) for h, dom in enumerate(sm.doms)
+              if dom == cod and (touch is None or h in touch or g in touch))
+    out = {}
+    for node, cyc in limit_nodes(starts, succ).items():
+        h, g = divmod(node, n)
+        out.setdefault(aut.canonical_id(aut.compose(elems[h], elems[g])),
+                       aut.compose(elems[cyc // n], elems[cyc % n]))
+    return out
+
+
+def word_compute_nucleus(aut):
+    """compute_nucleus as it was before the product step: each round's limit
+    products identified by their words, and S re-closed from its sorted
+    class representatives every round."""
+    from selfsim.automaton import reachable_closure, word_key
+    from selfsim.errors import DivergedError
+
+    aut._require_valid()
+    budget, rounds = aut.bounds.max_states, aut.bounds.max_rounds
+
+    def reps_sorted(class_ids):
+        return sorted((aut._registry.reps[c] for c in class_ids),
+                      key=lambda e: (word_key(e.word), e.dom))
+
+    try:
+        closure = reachable_closure(aut, aut.basic_elements())
+        sm = reachable_closure(aut, reps_sorted(closure.index))
+        witnesses, fresh = {}, None
+        for _round in range(rounds):
+            for cid, w in word_pair_limits(aut, sm, fresh).items():
+                witnesses.setdefault(cid, w)
+            new = witnesses.keys() - sm.index.keys()
+            if new:
+                sm = reachable_closure(aut, reps_sorted([*sm.index, *new]))
+            if len(sm) > budget:
+                return NotContractingWithinBound("max_states", budget, rounds)
+            if not new:
+                break
+            fresh = {sm.index[c] for c in new}
+        else:
+            return NotContractingWithinBound("max_rounds", budget, rounds)
+        states = reps_sorted(witnesses)
+        for s in states:
+            if aut.canonical_id(aut.inverse(s)) not in witnesses:
+                raise DivergedError(f"nucleus not symmetric at {s.name()}")
+        machine = reachable_closure(aut, states)
+        if machine.index.keys() != witnesses.keys():
+            raise DivergedError("nucleus not closed under restriction")
+        if not word_pair_limits(aut, machine, None).keys() <= witnesses.keys():
+            raise DivergedError("contracting certificate failed")
+    except ClosureLimitError as e:
+        return NotContractingWithinBound(e.what, budget, rounds)
+    nuc = Nucleus(aut, tuple(states), machine)
+    nuc.witnesses = {cid: aut.canonical(w) for cid, w in witnesses.items()}
+    return nuc
+
+
+def recorded_katsura_nuclei():
+    """(A, B) of every Katsura system with a recorded nucleus."""
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    recorded = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())
+    out = []
+    for e in recorded["pool"]:
+        want = recorded["answers"][canonical({"A": e["A"], "B": e["B"]}) + "/nucleus"]
+        if want is not None and "inconclusive" not in want.get("answer", ""):
+            out.append((IntMatrix.of(e["A"]), IntMatrix.of(e["B"])))
+    return out
+
+
+def contracting_builders():
+    """Builders of fresh automata: the five contracting specs, then the 150
+    recorded Katsura nuclei."""
+    specs = [(SPECS / f"{s}.ss").read_text()
+             for s in ("basilica", "ex310", "katsura", "nonhausdorff", "odometer")]
+    return ([lambda text=text: parse_spec(text).automaton() for text in specs]
+            + [lambda a=a, b=b: katsura_automaton(a, b) for a, b in recorded_katsura_nuclei()])
+
+
+@pytest.mark.parametrize("pass_starts", [None, 1])
+def test_moore_json_vs_word_products(monkeypatch, pass_starts):
+    # pass_starts 1 scans the pairs of one state per pass, so later passes
+    # meet the classes that earlier passes of the round appended
+    import selfsim.nucleus as nucleus
+
+    if pass_starts is not None:
+        monkeypatch.setattr(nucleus, "_PASS_STARTS", pass_starts)
+    builders = contracting_builders()
+    assert len(builders) == 155
+    for build in builders:
+        want = word_compute_nucleus(build())
+        got = compute_nucleus(build())
+        assert isinstance(want, Nucleus) and isinstance(got, Nucleus)
+        assert json.dumps(moore_diagram(got, "json")) == json.dumps(moore_diagram(want, "json"))
+        assert got.states == want.states
+
+
+@pytest.mark.parametrize("pass_starts", [None, 1])
+def test_word_oracle_agrees_on_random_systems(monkeypatch, pass_starts):
+    # seeded random systems at 40 states and 5 rounds.  Where the word
+    # products gave up comparing two words ("bisimulation"), a budget that
+    # identification on the rows never meets, the rounds run on to their
+    # own state bound.
+    import selfsim.nucleus as nucleus
+    from test_acceptance import _random_automaton
+
+    if pass_starts is not None:
+        monkeypatch.setattr(nucleus, "_PASS_STARTS", pass_starts)
+    rng = random.Random(1)
+    seen = []
+    for _ in range(40):
+        aut = _random_automaton(rng)
+        if aut is None:
+            continue
+        bounds = Bounds(max_states=40, max_rounds=5)
+        want = word_compute_nucleus(with_bounds(aut, bounds))
+        got = compute_nucleus(with_bounds(aut, bounds))
+        if isinstance(want, Nucleus):
+            assert moore_diagram(got, "json") == moore_diagram(want, "json")
+        elif want.bound_hit == "bisimulation":
+            assert got == NotContractingWithinBound("max_states", 40, 5)
+        else:
+            assert got == want
+        seen.append(want.bound_hit if isinstance(want, NotContractingWithinBound) else "nucleus")
+    assert {"nucleus", "max_states", "bisimulation"} <= set(seen)
+
+
+def test_products_read_no_registry(monkeypatch):
+    # power and compute_Rk make no class lookup; compute_nucleus makes at
+    # most one registry miss (a word the memo does not know) per nucleus
+    # state after the closure S
+    from selfsim.automaton import _Registry, reachable_closure
+
+    lookup = _Registry.lookup
+    calls = {"lookups": 0, "misses": 0}
+
+    def counted(self, g):
+        calls["lookups"] += 1
+        calls["misses"] += self.aut._memo.get((g.dom, g.word)) is None
+        return lookup(self, g)
+    monkeypatch.setattr(_Registry, "lookup", counted)
+    worst = 0.0
+    for i, build in enumerate(contracting_builders()):
+        aut = build()
+        reachable_closure(aut, aut.basic_elements())
+        calls.update(lookups=0, misses=0)
+        nuc = compute_nucleus(aut)
+        assert calls["misses"] <= len(nuc)
+        worst = max(worst, calls["misses"] / len(nuc))
+        calls.update(lookups=0, misses=0)
+        k = 4 if i < 5 else 3
+        nuc.power(k)
+        compute_Rk(nuc, k)
+        assert calls["lookups"] == 0
+    assert worst > 0  # the counter sees the final machine's lookups
+
+
+def test_power_independent_of_lookup_history():
+    # a class's representative can shrink after it is first read; power reads
+    # the nucleus's machine only, so earlier lookups on the automaton do not
+    # reorder or rename its states
+    a, b = IntMatrix.of([[3, 2, 2], [1, 0, 1], [3, 3, 3]]), IntMatrix.of([[1, 0, 1], [2, 0, 2], [2, 1, 1]])
+    fresh = compute_nucleus(katsura_automaton(a, b))
+    used = compute_nucleus(katsura_automaton(a, b))
+    old_unstable_element_pool(used)  # registers every product of two nucleus states
+    assert fresh.power(2) == used.power(2)
+
+
 # -- the dict-table export, kept as a differential oracle ----------------------
 
 
@@ -717,13 +901,20 @@ def old_unstable_element_pool(nuc):
 
 def _agree_with_power_oracles(build, ks):
     """compute_Rk for k in ks and nuc.power(2) against the oracles, each on
-    its own fresh automaton from ``build``: a canonical representative can
-    shrink as later lookups find shorter words, so the pool's seed order,
-    which sorts representatives as first found, is compared between equal
-    call sequences."""
+    its own fresh automaton from ``build``.  The pool is renumbered by its
+    final representatives in (word_key, dom) order, as its seed order sorted
+    representatives as first found, which later lookups can shrink; and its
+    index is compared on the nucleus's class ids, the only ones power names,
+    as it registers no product."""
+    from selfsim.automaton import word_key
+    from selfsim.nucleus import _renumbered
+
     nuc, was = compute_nucleus(build()), compute_nucleus(build())
     new, old = nuc.power(2), old_unstable_element_pool(was)
-    assert (new.states, new.rows, new.index) == (old.states, old.rows, old.index)
+    old = _renumbered(old, sorted(range(len(old)), key=lambda i: (word_key(old.states[i].word),
+                                                                  old.doms[i])))
+    assert (new.states, new.rows) == (old.states, old.rows)
+    assert new.index == {c: i for c, i in old.index.items() if c in was.machine.index}
     rks = [compute_Rk(nuc, k) for k in ks]
     assert rks == [old_compute_Rk(was, k) for k in ks]
     return rks
