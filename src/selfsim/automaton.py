@@ -48,7 +48,7 @@ from .errors import (
     RestrictionVertexMismatchError,
     UnknownSymbolError,
 )
-from .graphs import Graph, Path
+from .graphs import Graph, Path, bfs, rho
 
 # A signed generator symbol: (name, +1) is g, (name, -1) is g^-1.
 Symbol = tuple[str, int]
@@ -268,32 +268,31 @@ class Automaton:
     def act_infinite(self, g: Element, x):
         """g . x for an eventually periodic right-infinite path x.
 
-        Runs restrictions along x until the (canonical state, cycle phase)
-        pair repeats, then closes the output cycle; the image is eventually
-        periodic with transient at most max_states states."""
+        Runs restrictions along x's head, then walks the (class id, cycle
+        phase) nodes past it with graphs.rho to the first repeat, which
+        closes the output cycle; the image is eventually periodic with
+        transient at most max_states states."""
         from .infinite_paths import RightInfinitePath
 
         if x.r(self.graph) != g.dom:
             raise DomainMismatchError(f"r(x) = {x.r(self.graph)} != d(g) = {g.dom}")
-        budget = self.bounds.max_states
-        word = g.word
-        out: list[str] = []
-        seen: dict[tuple[int, int], int] = {}
-        n = 1
-        while True:
-            if n > len(x.head):
-                phase = (n - len(x.head) - 1) % len(x.cycle)
-                state = Element(self.graph.r(x.edge_at(n)), word)
-                key = (self.canonical_id(state), phase)
-                if key in seen:
-                    cut = seen[key]
-                    return RightInfinitePath.make(self.graph, out[:cut], out[cut:])
-                if len(seen) > budget:
-                    raise ClosureLimitError(budget, "act_infinite cycle search")
-                seen[key] = len(out)
-            img, word = self.word_act_edge(word, x.edge_at(n))
+        budget, head, cycle = self.bounds.max_states, len(x.head), x.cycle
+        word, out = g.word, []
+        for e in x.head:
+            img, word = self.word_act_edge(word, e)
             out.append(img)
-            n += 1
+
+        def step(node):  # word is a word of node's class: rho steps along one walk
+            nonlocal word
+            if len(out) - head > budget:
+                raise ClosureLimitError(budget, "act_infinite cycle search")
+            e = cycle[node[1]]
+            img, word = self.word_act_edge(word, e)
+            out.append(img)
+            return self.canonical_id(Element(self.graph.s(e), word)), (node[1] + 1) % len(cycle)
+
+        _, cut = rho((self.canonical_id(Element(self.graph.r(cycle[0]), word)), 0), step)
+        return RightInfinitePath.make(self.graph, out[:head + cut], out[head + cut:])
 
     # -- canonical classes -----------------------------------------------------
 
@@ -504,28 +503,20 @@ class StateMachine:
 
 def reachable_closure(aut: Automaton, seeds) -> StateMachine:
     """Smallest restriction-closed set of canonical elements containing the
-    seeds (units included); ClosureLimitError past aut.bounds.max_states."""
+    seeds (units included); ClosureLimitError past aut.bounds.max_states.
+    The seeds themselves are not charged against the budget."""
     aut._require_valid()
     budget = aut.bounds.max_states
     registry = aut._registry
+    starts = dict.fromkeys(registry.lookup(s)[0] for s in seeds)
+    limit = max(budget, len(starts))
     order: list[int] = []  # class ids in BFS order
-    index: dict[int, int] = {}
-    for s in seeds:
-        cid = registry.lookup(s)[0]
-        if cid not in index:
-            index[cid] = len(order)
-            order.append(cid)
-    rows: list[dict[str, tuple[str, int]]] = []
-    for cid in order:  # order grows while it is walked
-        row = {}
-        for eid, img, succ in registry.row(cid):
-            if succ not in index:
-                if len(order) >= budget:
-                    raise ClosureLimitError(budget, "restriction closure")
-                index[succ] = len(order)
-                order.append(succ)
-            row[eid] = (img, index[succ])
-        rows.append(row)
+    for cid, parent in bfs(starts, lambda c: ((None, j) for _, _, j in registry.row(c))):
+        if len(parent) > limit:
+            raise ClosureLimitError(budget, "restriction closure")
+        order.append(cid)
+    index = {cid: i for i, cid in enumerate(order)}
+    rows = [{eid: (img, index[j]) for eid, img, j in registry.row(cid)} for cid in order]
     # read representatives last: later lookups may have found smaller words
     states = [registry.reps[cid] for cid in order]
     return StateMachine(

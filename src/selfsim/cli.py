@@ -131,7 +131,7 @@ def _cmd_act(args, aut):
 
 def _cmd_restrict(args, aut):
     r = aut.restrict(aut.element(args.elem), parse_path(aut.graph, args.path, "finite"))
-    return OK, {"result": aut.canonical(r).name()}
+    return OK, {"result": r.name()}
 
 
 def _cmd_eq(args, aut):

@@ -23,11 +23,11 @@ pair.  Regular = no cycle at all; non-Hausdorff = some cycle all of whose
 states can reach a unit state inside the digraph (the unit-reaching arcs
 are exactly the strongly fixed extensions).
 
-Unstable equivalence runs on nuc.power(2), the machine of the restriction
-closure of N u N^2, in the same way: a state either maps x's right tail
-onto y's, as a run checked until its (state, phase) pairs repeat, or it
-does not.  Germ equality walks its elements' restriction closure along y
-the same way, once per element and once as a pair.
+Right of the centers, bi-infinite and unstable equivalence (the latter on
+nuc.power(2), the machine of the closure of N u N^2) run a state with
+graphs.rho until its (state, phase) node repeats: a deterministic run that
+gets there without failing never fails.  Germ equality walks its elements'
+restriction closure along y the same way, once per element and as a pair.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from math import lcm
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure
 from .errors import DomainMismatchError, NotStronglyConnectedError
-from .graphs import Graph, Path, bfs, cyclic_nodes, find_cycle, limit_nodes, validate_graph
+from .graphs import (Graph, Path, bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho,
+                     validate_graph)
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus
 from .schreier import build_schreier, default_generating_set
@@ -50,15 +51,6 @@ def shift_class(graph: Graph, x: LeftInfinitePath) -> LeftInfinitePath:
 
 def _name(nuc: Nucleus, i: int) -> str:
     return nuc.automaton.canonical(nuc.states[i]).name()
-
-
-def _labels(parent: dict, v) -> list:
-    """The arc labels along a search's parent chain, from its start to v."""
-    out = []
-    while parent[v] is not None:
-        v, label = parent[v]
-        out.append(label)
-    return out[::-1]
 
 
 # -- the product transducer ----------------------------------------------------
@@ -101,6 +93,22 @@ def _run(sm: StateMachine, i: int, x_at, lo: int, hi: int, y_at=None):
     return out, i
 
 
+def _holds(sm: StateMachine, i: int, x, y, lo: int, b0: int, R: int) -> bool:
+    """Whether state i's run from position lo maps x's edges onto y's
+    forever.  _run takes it to b0.  From b0 on both paths repeat with period
+    R, so the run's next step depends only on its (state, phase) node, the
+    phase p standing for the positions b0 + p mod R: graphs.rho walks the
+    nodes to the first repeat or failure."""
+    def step(node):  # None when the run leaves the state's domain or misses y
+        i, p = node
+        hit = sm.rows[i].get(x.edge_at(b0 + p))
+        if hit is None or hit[0] != y.edge_at(b0 + p):
+            return None
+        return hit[1], (p + 1) % R
+    run = _run(sm, i, x.edge_at, lo, b0, y.edge_at)  # ([], i) when lo >= b0
+    return run is not None and rho((run[1], (max(lo, b0) - b0) % R), step) is not None
+
+
 def _left_arrival_states(nuc: Nucleus, x_at, y_at, boundary: int, L: int) -> list[int]:
     """States h_boundary admitting a left-infinite nucleus run on positions
     n < boundary that outputs y."""
@@ -139,15 +147,8 @@ def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
     members = set()
     for u in cyclic_nodes(steps, _succ(steps)):
         # outputs around u's cycle; the run is k-periodic left of u's position
-        cycle_out = []
-        v = u
-        while True:
-            v, img = steps[v]
-            cycle_out.append(img)
-            if v == u:
-                break
-        p0 = u[0]
-        n1 = (-T - 1) - ((-T - 1 - p0) % L)  # largest zone position = p0 mod L
+        cycle_out = [steps[v][1] for v in rho(u, lambda v: steps[v][0])[0]]
+        n1 = (-T - 1) - ((-T - 1 - u[0]) % L)  # largest zone position = u's phase mod L
         tail_out = [img for _i, img in _run(nuc.machine, u[1], x.edge_at, n1, 0)[0]]
         members.add(LeftInfinitePath.make(nuc.automaton.graph, cycle_out, tail_out))
     return sorted(members, key=lambda m: (m.cycle, m.tail))
@@ -157,13 +158,13 @@ def ae_equivalent_bi(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus) -> bool
     """Bi-infinite asymptotic equivalence: a left-infinite run that survives
     the centers and acts correctly on the right-infinite tails.  Right of
     the centers the run's next step depends only on (state, position mod R)
-    with R the lcm of the right cycles, so a run that holds for |nucleus| R
-    + 1 positions there has repeated a pair and holds forever."""
+    with R the lcm of the right cycles, so a run that reaches a repeated
+    (state, phase) pair there without failing holds forever (_holds)."""
     a0 = min(x.anchor, y.anchor)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     L = lcm(len(x.left_cycle), len(y.left_cycle))
-    end = b0 + len(nuc.machine) * lcm(len(x.right_cycle), len(y.right_cycle)) + 1
-    return any(_run(nuc.machine, h, x.edge_at, a0, end, y.edge_at) is not None
+    R = lcm(len(x.right_cycle), len(y.right_cycle))
+    return any(_holds(nuc.machine, h, x, y, a0, b0, R)
                for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, a0, L))
 
 
@@ -231,7 +232,7 @@ def is_hausdorff(nuc: Nucleus, want_witness: bool = False):
     states, labels = hit
     y = RightInfinitePath.make(nuc.automaton.graph, (), labels)
     # strongly fixed extension: shortest fixed path from the state into a unit
-    ext = next(_labels(parent, i) for i, parent in bfs([states[0]], arcs.__getitem__)
+    ext = next(bfs_labels(parent, i) for i, parent in bfs([states[0]], arcs.__getitem__)
                if nuc.states[i].is_unit)
     return False, NonHausdorffWitness(nuc.states[states[0]].name(), y, tuple(ext))
 
@@ -269,39 +270,28 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
                     targets[(e.id, f.id, aut.canonical_id(h))] = h
     unmet = set(targets)
 
-    seen_ids = set()
-    frontier = []
-    for g in basic:
-        cid = aut.canonical_id(g)
-        if cid not in seen_ids:
-            seen_ids.add(cid)
-            frontier.append(aut.canonical(g))
-            # a class row holds (e, g . e, class of g|_e): exactly the target keys
-            unmet.difference_update(aut._registry.row(cid))
-    length = 1
-    while unmet and length < depth:
-        nxt = []
-        for g in frontier:
-            for name in sorted(aut.generators):
-                for sym in (aut.generator(name), aut.inverse(aut.generator(name))):
-                    if sym.dom != aut.cod(g):
-                        continue
+    # a breadth-first search over classes from the basic ones: each class
+    # maps to the length and word it was first reached by, and is expanded
+    # by that word while the length is below depth
+    words = {aut.canonical_id(g): (1, aut.canonical(g)) for g in basic}
+
+    def longer(cid):  # the classes of s g, g the word of cid, s a generator or inverse
+        length, g = words[cid]
+        if length < depth:
+            for sym in basic:
+                if not sym.is_unit and sym.dom == aut.cod(g):
                     prod = aut.compose(sym, g)
-                    cid = aut.canonical_id(prod)
-                    if cid in seen_ids:
-                        continue
-                    seen_ids.add(cid)
-                    rep = aut.canonical(prod)
-                    nxt.append(rep)
-                    unmet.difference_update(aut._registry.row(cid))
-        frontier = nxt
-        length += 1
-        if not frontier:
-            break
-    if unmet:
-        missing = tuple(sorted(f"({e},{f},{targets[(e, f, c)].name()})" for (e, f, c) in unmet))
-        return RecurrenceReport(False, depth, missing)
-    return RecurrenceReport(True, depth)
+                    j = aut.canonical_id(prod)
+                    words.setdefault(j, (length + 1, aut.canonical(prod)))
+                    yield None, j
+
+    for cid, _parent in bfs(list(words), longer):
+        # a class row holds (e, g . e, class of g|_e): exactly the target keys
+        unmet.difference_update(aut._registry.row(cid))
+        if not unmet:
+            return RecurrenceReport(True, depth)
+    missing = tuple(sorted(f"({e},{f},{targets[(e, f, c)].name()})" for (e, f, c) in unmet))
+    return RecurrenceReport(False, depth, missing)
 
 
 def level_transitive(aut: Automaton, n: int, gen_set=None) -> bool:
@@ -340,11 +330,12 @@ def make_germ(aut: Automaton, x: RightInfinitePath, m: int, g: Element, n: int,
 
 def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
     """Equality in the germ groupoid: same endpoints, same lag, and the two
-    restriction sequences along y agree from some depth on.  Walks on the
-    machine of the elements' restriction closure stop at the first repeated
-    (node, phase) pair past y's head: each element's state at l0 = max(n1, n2)
-    is read off its walk, and the germs are equal iff the pair walk from
-    there meets equal states.  Past the state budget: ClosureLimitError."""
+    restriction sequences along y agree from some depth on.  graphs.rho
+    walks the machine of the elements' restriction closure along y, positions
+    past y's head folded onto one period, to the first repeated node: each
+    element's state at l0 = max(n1, n2) is read off its walk, and the germs
+    are equal iff the pair walk from there meets equal states.  Past the
+    state budget: ClosureLimitError."""
     aut = nuc.automaton
     if g1.x != g2.x or g1.y != g2.y or (g1.m - g1.n) != (g2.m - g2.n):
         return False
@@ -352,20 +343,19 @@ def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
     h, c = len(y.head), len(y.cycle)
     sm = reachable_closure(aut, [g1.g, g2.g])
 
-    def walk(node, l):  # state tuples from position l to the first repeat, and its start
-        nodes, seen = [], {}
-        while (key := (node, min(l, h + (l - h) % c))) not in seen:  # phase past the head
-            seen[key] = len(nodes)
-            nodes.append(node)
-            node, l = tuple(sm.rows[i][y.edge_at(l + 1)][1] for i in node), l + 1
-        return nodes, seen[key]
+    def fold(l):  # positions past y's head, onto one period
+        return min(l, h + (l - h) % c)
 
-    def at_l0(g, n):  # the walk's node at l0: nodes[k:] repeats
+    def walk(states, l):  # (state tuple, position) nodes from l to the first repeat, and its start
+        return rho((states, fold(l)), lambda u: (
+            tuple(sm.rows[i][y.edge_at(u[1] + 1)][1] for i in u[0]), fold(u[1] + 1)))
+
+    def at_l0(g, n):  # the walk's state tuple at l0: nodes[k:] repeats
         nodes, k = walk((sm.state_index(aut, g),), n)
-        return nodes[min(l0 - n, k + (l0 - n - k) % (len(nodes) - k))]
+        return nodes[min(l0 - n, k + (l0 - n - k) % (len(nodes) - k))][0]
 
     pairs, _ = walk(at_l0(g1.g, g1.n) + at_l0(g2.g, g2.n), l0)
-    return any(i == j for i, j in pairs)
+    return any(i == j for (i, j), _ in pairs)
 
 
 # -- stable and unstable equivalence ----------------------------------------------
@@ -403,16 +393,15 @@ def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
     y(M+1, inf); monotone in M by restriction, periodic past the centers,
     so the least M is found by _least.  Each g runs on the pool's machine:
     right of the centers a step depends only on (state, position mod R) with
-    R the lcm of the right cycles, so a run that holds for |pool| R + 1
-    positions there holds forever.  The witness is the first such state."""
+    R the lcm of the right cycles, so a run that reaches a repeated (state,
+    phase) pair there without failing holds forever (_holds).  The witness
+    is the first such state."""
     sm = nuc.power(2)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
 
     def first_state(m):
-        end = max(m + 1, b0) + len(sm) * R + 1
-        return next((i for i in range(len(sm))
-                     if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None), None)
+        return next((i for i in range(len(sm)) if _holds(sm, i, x, y, m + 1, b0, R)), None)
     m = _least(lambda m: first_state(m) is not None, max(0, b0) + R)
     if m is None or not want_witness:
         return (m is not None, None) if want_witness else m is not None
@@ -445,6 +434,6 @@ def find_discerning_path(nuc: Nucleus, max_len: int = 64) -> Path:
     for node, parent in bfs(starts, extend):
         depth[node] = 0 if parent[node] is None else depth[parent[node][0]] + 1
         if all(nuc.states[r].is_unit for _g, r in node[1]):
-            labels = _labels(parent, node)
+            labels = bfs_labels(parent, node)
             return Path(graph.r(labels[0]) if labels else node[0], tuple(labels))
     raise DomainMismatchError(f"no discerning path of length <= {max_len} found")

@@ -250,6 +250,30 @@ def bfs(starts, succ):
                 queue.append(w)
 
 
+def bfs_labels(parent: dict, v) -> list:
+    """The arc labels along a bfs parent chain from its start to v."""
+    out = []
+    while parent[v] is not None:
+        v, label = parent[v]
+        out.append(label)
+    return out[::-1]
+
+
+def rho(start, step):
+    """Walk the partial map ``step`` from ``start`` until a node repeats:
+    the nodes in walk order and the index k where their cycle starts (the
+    walk goes on as nodes[k:] forever), or None when step returns None
+    first.  step is called once per node, in walk order."""
+    nodes, seen, node = [], {}, start
+    while node not in seen:
+        seen[node] = len(nodes)
+        nodes.append(node)
+        node = step(node)
+        if node is None:
+            return None
+    return nodes, seen[node]
+
+
 def find_cycle(nodes, succ):
     """The first directed cycle that a depth-first search from ``nodes``, in
     order, closes over the arcs v -label-> w for (label, w) in succ(v): its

@@ -44,7 +44,7 @@ from itertools import accumulate, chain, repeat
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
 from .errors import VertexNotInLevelError
-from .graphs import Graph, Path, bfs, enumerate_paths
+from .graphs import Graph, Path, bfs, bfs_labels, enumerate_paths
 from .infinite_paths import LeftInfinitePath
 
 
@@ -148,22 +148,14 @@ def _moves(sm: StateMachine, cols) -> dict[str, list]:
     return moves
 
 
-def _search(moves, src):
-    """graphs.bfs from src over the nodes (vertex, position) and the arcs
-    (v, p) -> (cod, col[p]).  Each label's inverse is a label, so these
-    arcs reach what the undirected graph's edges do."""
-    return bfs([src], lambda node: [(None, (cod, col[node[1]]))
-                                    for col, cod in moves.get(node[0], ())])
-
-
 def _distance(moves, src, dst):
-    """Arcs on a shortest path from src to dst; None when unreachable."""
-    for node, parent in _search(moves, src):
+    """Arcs on a shortest path from src to dst, None when unreachable, over
+    the nodes (vertex, position) and the arcs (v, p) -> (cod, col[p]): each
+    label's inverse is a label, so these reach what the graph's edges do."""
+    for node, parent in bfs([src], lambda node: [(None, (cod, col[node[1]]))
+                                                 for col, cod in moves.get(node[0], ())]):
         if node == dst:  # the parent chain is a shortest path: count its arcs
-            d = 0
-            while parent[node] is not None:
-                node, d = parent[node][0], d + 1
-            return d
+            return len(bfs_labels(parent, node))
     return None
 
 

@@ -201,8 +201,8 @@ def _split_dots(chunk: str) -> list[str]:
 def parse_path(graph: Graph, text: str, kind: str = "auto"):
     """Parse a path literal; ``kind`` narrows to finite/left/right/bi."""
     text = text.strip()
-    anchor = 0
-    if "@" in text:
+    anchor, anchored = 0, "@" in text
+    if anchored:
         body, _, off = text.rpartition("@")
         text = body.strip()
         try:
@@ -249,6 +249,8 @@ def parse_path(graph: Graph, text: str, kind: str = "auto"):
     def edges_of(slice_):
         return [g[1] for g in slice_ if g[0] == "edge"]
 
+    if anchored and kind != "bi":
+        raise SpecSyntaxError("an '@ n0' anchor belongs only to a bi-infinite literal")
     if kind == "finite":
         if cyc_positions:
             raise SpecSyntaxError("finite path literal cannot contain ^inf")

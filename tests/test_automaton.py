@@ -272,3 +272,74 @@ def test_act_prefix_compatible(ex310):
         for k in range(7):
             prefix = Path(p.base, p.edges[:k]) if k else Path.empty(p.base)
             assert ex310.act(g, prefix).edges == img.edges[:k]
+
+
+def loop_reachable_closure(aut, seeds):
+    """reachable_closure as it was: a hand-rolled breadth-first loop that
+    charges every class past the seeds against max_states as it is found."""
+    from selfsim.automaton import StateMachine
+    from selfsim.errors import ClosureLimitError
+
+    budget, registry = aut.bounds.max_states, aut._registry
+    order, index = [], {}
+    for s in seeds:
+        cid = registry.lookup(s)[0]
+        if cid not in index:
+            index[cid] = len(order)
+            order.append(cid)
+    rows = []
+    for cid in order:
+        row = {}
+        for eid, img, succ in registry.row(cid):
+            if succ not in index:
+                if len(order) >= budget:
+                    raise ClosureLimitError(budget, "restriction closure")
+                index[succ] = len(order)
+                order.append(succ)
+            row[eid] = (img, index[succ])
+        rows.append(row)
+    states = [registry.reps[cid] for cid in order]
+    return StateMachine(states, [g.dom for g in states], [aut.cod(g) for g in states], rows, index)
+
+
+def test_reachable_closure_vs_loop_oracle():
+    from pathlib import Path as FsPath
+
+    from selfsim.automaton import Bounds
+    from selfsim.errors import ClosureLimitError
+    from selfsim.specfile import parse_spec
+
+    def outcome(closure, spec, max_states, seeds):
+        aut = spec.automaton(Bounds(max_states=max_states))  # a fresh registry each time
+        try:
+            sm = closure(aut, seeds)
+        except ClosureLimitError as e:
+            return str(e)
+        return sm.to_json(), sm.index
+
+    rng = random.Random(29)
+    answers = {"closed": 0, "past budget": 0, "closed, more seed classes than max_states": 0}
+    for path in sorted((FsPath(__file__).resolve().parent.parent / "specs").glob("*.ss")):
+        spec = parse_spec(path.read_text())
+        aut = spec.automaton()
+        pools = [[random_element(aut, rng, max_len=4) for _ in range(rng.randint(1, 6))]
+                 for _ in range(12)]
+        try:  # a restriction-closed seed set: the closure adds nothing to it
+            pools.append(reachable_closure(aut, aut.basic_elements()).states)
+        except ClosureLimitError:  # the non-contracting spec's closure grows words
+            pass
+        for seeds in pools:
+            try:
+                classes = len({aut.canonical_id(g) for g in seeds})
+            except ClosureLimitError:
+                classes = 0
+            for max_states in range(1, 16):
+                got = outcome(reachable_closure, spec, max_states, seeds)
+                assert got == outcome(loop_reachable_closure, spec, max_states, seeds), \
+                    (path.stem, seeds, max_states)
+                if isinstance(got, str):
+                    answers["past budget"] += 1
+                else:
+                    answers["closed"] += 1
+                    answers["closed, more seed classes than max_states"] += classes > max_states
+    assert min(answers.values()) > 0, answers

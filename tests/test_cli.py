@@ -102,6 +102,52 @@ def test_ae_class_shift():
     assert code == 0 and data["result"] == "(3.2)^inf"
 
 
+def test_anchor_on_a_one_sided_literal_is_an_input_error():
+    # an anchor positions a bi-infinite path only; elsewhere it was dropped
+    for flag, literal, cmd in (("--x", "(1)^inf . 2 @ 3", "shift"), ("--x", "(1)^inf @ 0", "class"),
+                               ("--path", "3.2.4 @ 1", "act")):
+        extra = ["--elem", "a b"] if cmd == "act" else []
+        code, data = run_json(cmd, "--spec", EX310, flag, literal, *extra)
+        assert code == 3 and "anchor" in data["error"], literal
+    code, data = run_json("shift", "--spec", EX310, "--x", "(1)^inf . 2")
+    assert code == 0 and data["result"] == "(1)^inf"
+
+
+def _restrict_cases():
+    """Seeded (spec, element, path) triples over the six specs: random
+    words of up to 4 symbols and paths of 1 to 5 edges at their domain."""
+    from selfsim.graphs import enumerate_paths
+    from selfsim.specfile import parse_spec
+    from test_automaton import random_element
+
+    rng = random.Random(41)
+    for spec in sorted(SPECS.glob("*.ss")):
+        aut = parse_spec(spec.read_text()).automaton()
+        for _ in range(25):
+            g = random_element(aut, rng, max_len=4)
+            p = rng.choice(enumerate_paths(aut.graph, rng.randint(1, 5), at=g.dom))
+            yield spec, g.name(), ".".join(p.edges)
+
+
+def test_restrict_prints_the_restriction_as_before():
+    """restrict prints r.name(); it printed aut.canonical(r).name(), which on
+    a fresh automaton is the first lookup, so it returns r itself."""
+    from selfsim.specfile import parse_path, parse_spec
+
+    count = 0
+    for spec, elem, literal in _restrict_cases():
+        aut = parse_spec(spec.read_text()).automaton()  # a fresh one, as each dispatch builds
+        r = aut.restrict(aut.element(elem), parse_path(aut.graph, literal, "finite"))
+        name = aut.canonical(r).name()
+        want_json = json.dumps({"schema": 1, "result": name}, indent=2) + "\n"
+        assert run("restrict", "--spec", str(spec), "--elem", elem, "--path", literal,
+                   "--json") == (0, want_json), (spec, elem, literal)
+        assert run("restrict", "--spec", str(spec), "--elem", elem, "--path", literal) == (
+            0, f"result: {name}\n")
+        count += 1
+    assert count == 150
+
+
 def test_germ_eq_cli():
     code, data = run_json(
         "germ-eq", "--spec", EX310, "--x", "4 . (1)^inf", "--y", "(1)^inf",

@@ -5,7 +5,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from selfsim.automaton import Automaton, Bounds, Element, GeneratorRule, word_key
+from selfsim.automaton import Automaton, Bounds, Element, GeneratorRule, reachable_closure, word_key
 from selfsim.errors import (
     ClosureLimitError,
     DomainMismatchError,
@@ -36,7 +36,7 @@ from selfsim.dynamics import (
     stable_equivalent,
     unstable_equivalent,
 )
-from selfsim.dynamics import _least, _run
+from selfsim.dynamics import _least, _left_arrival_states, _run
 
 from test_nucleus import old_unstable_element_pool
 
@@ -1238,12 +1238,15 @@ def test_nucleus_deciders_act_no_word(monkeypatch, ex310, nonhausdorff):
 def bfs_is_connected(gamma):
     """SchreierGraph.is_connected as it was: one search over the columns
     from the first vertex, counting what it reaches."""
-    from selfsim.schreier import _moves, _search
+    from selfsim.graphs import bfs
+    from selfsim.schreier import _moves
 
     starts = [(v, 0) for v, grp in gamma.groups.items() if grp]
     if not starts:
         return True
-    reached = _search(_moves(gamma.machine, gamma.cols.items()), starts[0])
+    moves = _moves(gamma.machine, gamma.cols.items())
+    reached = bfs(starts[:1], lambda node: [(None, (cod, col[node[1]]))
+                                           for col, cod in moves.get(node[0], ())])
     return sum(1 for _ in reached) == sum(map(len, gamma.groups.values()))
 
 
@@ -1464,3 +1467,139 @@ def test_least_witnesses_match_the_linear_scans(spec):
                 assert got == linear_unstable_equivalent(u, v, nuc, want_witness=True), (u, v)
                 late["unstable"] += bool(got[0] and got[1][0])
     assert late["stable"] > 0 and late["unstable"] > 0, late
+
+
+# -- repeat walks: the hand-rolled loops that graphs.rho replaced, kept as oracles --
+
+
+def loop_act_infinite(aut, g, x):
+    """Automaton.act_infinite as it was: restrictions run along x in one
+    loop until the (class id, cycle phase) pair repeats past x's head."""
+    budget = aut.bounds.max_states
+    word, out, seen, n = g.word, [], {}, 1
+    while True:
+        if n > len(x.head):
+            phase = (n - len(x.head) - 1) % len(x.cycle)
+            key = (aut.canonical_id(Element(aut.graph.r(x.edge_at(n)), word)), phase)
+            if key in seen:
+                cut = seen[key]
+                return RightInfinitePath.make(aut.graph, out[:cut], out[cut:])
+            if len(seen) > budget:
+                raise ClosureLimitError(budget, "act_infinite cycle search")
+            seen[key] = len(out)
+        img, word = aut.word_act_edge(word, x.edge_at(n))
+        out.append(img)
+        n += 1
+
+
+def loop_germ_equal(g1, g2, nuc):
+    """germ_equal as it was: each walk to the first repeated (state tuple,
+    phase) pair is a hand-rolled loop over unfolded positions."""
+    aut = nuc.automaton
+    if g1.x != g2.x or g1.y != g2.y or (g1.m - g1.n) != (g2.m - g2.n):
+        return False
+    y, l0 = g1.y, max(g1.n, g2.n)
+    h, c = len(y.head), len(y.cycle)
+    sm = reachable_closure(aut, [g1.g, g2.g])
+
+    def walk(node, l):
+        nodes, seen = [], {}
+        while (key := (node, min(l, h + (l - h) % c))) not in seen:
+            seen[key] = len(nodes)
+            nodes.append(node)
+            node, l = tuple(sm.rows[i][y.edge_at(l + 1)][1] for i in node), l + 1
+        return nodes, seen[key]
+
+    def at_l0(g, n):
+        nodes, k = walk((sm.state_index(aut, g),), n)
+        return nodes[min(l0 - n, k + (l0 - n - k) % (len(nodes) - k))]
+
+    pairs, _ = walk(at_l0(g1.g, g1.n) + at_l0(g2.g, g2.n), l0)
+    return any(i == j for i, j in pairs)
+
+
+def horizon_ae_equivalent_bi(x, y, nuc):
+    """ae_equivalent_bi as it was: each run checked up to a horizon of
+    |nucleus| R + 1 positions past the centers."""
+    a0 = min(x.anchor, y.anchor)
+    b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
+    L = lcm(len(x.left_cycle), len(y.left_cycle))
+    end = b0 + len(nuc.machine) * lcm(len(x.right_cycle), len(y.right_cycle)) + 1
+    return any(_run(nuc.machine, h, x.edge_at, a0, end, y.edge_at) is not None
+               for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, a0, L))
+
+
+def horizon_unstable_equivalent(x, y, nuc, want_witness=False):
+    """unstable_equivalent as it was: each run on nuc.power(2) checked up
+    to a horizon of |pool| R + 1 positions past the centers."""
+    sm = nuc.power(2)
+    b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
+    R = lcm(len(x.right_cycle), len(y.right_cycle))
+
+    def first_state(m):
+        end = max(m + 1, b0) + len(sm) * R + 1
+        return next((i for i in range(len(sm))
+                     if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None), None)
+    m = _least(lambda m: first_state(m) is not None, max(0, b0) + R)
+    if m is None or not want_witness:
+        return (m is not None, None) if want_witness else m is not None
+    return True, (m, nuc.automaton.canonical(sm.states[first_state(m)]))
+
+
+def _random_ray_and_element(aut, rng):
+    """A right-infinite path with a head of up to 3 edges and a random
+    element acting on it, or None."""
+    from test_automaton import random_element
+
+    g = aut.graph
+    cyc = _cycle_through(g, rng, rng.choice(g.vertices), rng.randint(1, 4))
+    head = _walk_into(g, rng, g.r(cyc[0]), rng.randint(0, 3)) if cyc else None
+    if head is None:
+        return None
+    y = RightInfinitePath.make(g, head, cyc)
+    for _ in range(20):
+        elem = random_element(aut, rng, max_len=4)
+        if elem.dom == y.r(g):
+            return elem, y
+    return None
+
+
+def test_repeat_walks_match_the_parent_loops():
+    rng = random.Random(171)
+    seen = {"act": 0, "act_past_budget": 0, "germ_true": 0, "germ_false": 0,
+            "bi_true": 0, "bi_false": 0, "unstable_true": 0, "unstable_false": 0}
+    for label, aut, nuc in _differential_systems():
+        if label.startswith("random"):
+            continue  # the six specs and the recorded Katsura nuclei
+        for _ in range(8):
+            hit = _random_ray_and_element(aut, rng)
+            if hit is None:
+                continue
+            elem, y = hit
+            got = _outcome(aut.act_infinite, elem, y)
+            assert got == _outcome(loop_act_infinite, aut, elem, y), (label, elem, y)
+            seen["act"] += got[0] == "ok"
+            # the cycle search budget: the same threshold and message
+            small = Automaton(aut.graph, aut.generators, Bounds(max_states=rng.randint(1, 3)))
+            got = _outcome(small.act_infinite, elem, y)
+            assert got == _outcome(loop_act_infinite, small, elem, y), (label, elem, y)
+            seen["act_past_budget"] += got[0] == "ClosureLimitError"
+        if nuc is None:
+            continue
+        for _ in range(6):
+            for g1, g2 in [*filter(None, [random_germ_pair(aut, rng)]), *_far_germ_pairs(aut, rng)]:
+                got = germ_equal(g1, g2, nuc)
+                assert got == loop_germ_equal(g1, g2, nuc), (label, g1, g2)
+                seen[f"germ_{str(got).lower()}"] += 1
+            u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
+            for w in [v, u, *list(_glued_pairs(aut, nuc, u))[:4]]:
+                for x, y in ((u, w), (w, u)):
+                    got = ae_equivalent_bi(x, y, nuc)
+                    assert got == horizon_ae_equivalent_bi(x, y, nuc), (label, x, y)
+                    seen[f"bi_{str(got).lower()}"] += 1
+            for x, y in ((u, u), (u, v), (v, u)):
+                got = unstable_equivalent(x, y, nuc, want_witness=True)
+                assert got == horizon_unstable_equivalent(x, y, nuc, want_witness=True), (label, x, y)
+                seen[f"unstable_{str(got[0]).lower()}"] += 1
+    # the comparison covers both answers of every decider, and the budget
+    assert all(seen.values()), seen

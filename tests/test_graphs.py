@@ -12,12 +12,14 @@ from selfsim.graphs import (
     Graph,
     Path,
     bfs,
+    bfs_labels,
     concat,
     cyclic_nodes,
     enumerate_paths,
     find_cycle,
     limit_nodes,
     refine,
+    rho,
     strongly_connected_components,
     validate_graph,
 )
@@ -243,12 +245,8 @@ def test_bfs_parent_chains_are_shortest_label_paths():
         succ = _random_labelled_digraph(rng, n)
         start = rng.randrange(n)
         for v, parent in bfs([start], succ.__getitem__):
-            labels, w = [], v
-            while parent[w] is not None:
-                w, label = parent[w]
-                labels.append(label)
-            labels.reverse()
-            assert w == start
+            labels = bfs_labels(parent, v)
+            assert labels or v == start
             # the labels spell a walk from start to v ...
             cur = start
             for label in labels:
@@ -260,6 +258,48 @@ def test_bfs_parent_chains_are_shortest_label_paths():
                 frontier = {x for u in frontier for _l, x in succ[u]}
                 k += 1
             assert k == len(labels)
+
+
+def test_rho_vs_brute_force_walk():
+    rng = random.Random(17)
+    outcomes = {"cycle": 0, "none": 0, "fixed point": 0}
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        # a random partial map on 0..n-1: a missing node steps to None
+        step = {v: rng.randrange(n) for v in range(n) if rng.random() < 0.85}
+        start = rng.randrange(n)
+        asked = []
+
+        def walk(v):
+            asked.append(v)
+            return step.get(v)
+        got = rho(start, walk)
+        trail, v = [start], step.get(start)  # brute force: walk, scanning the trail
+        while v is not None and v not in trail:
+            trail.append(v)
+            v = step.get(v)
+        if v is None:
+            assert got is None
+            outcomes["none"] += 1
+        else:
+            assert got == (trail, trail.index(v))
+            outcomes["fixed point" if len(trail) - trail.index(v) == 1 else "cycle"] += 1
+        # step was asked once per node, in walk order
+        assert asked == trail
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def test_rho_long_cycle():
+    # a cycle of 10^5 nodes behind a tail of 10^5, with tuple nodes
+    n = 100_000
+
+    def step(u):
+        i, part = u
+        if part == "tail":
+            return (i + 1, "tail") if i < n - 1 else (0, "cycle")
+        return (i + 1) % n, "cycle"
+    nodes, k = rho((0, "tail"), step)
+    assert (len(nodes), k) == (2 * n, n) and nodes[k] == (0, "cycle")
 
 
 def test_find_cycle_long_chain():

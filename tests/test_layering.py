@@ -7,7 +7,9 @@ which walks words with no finite bound given in advance; the nucleus
 identifies its products on its machines' rows.  No module imports a
 private name of another, and only automaton.py reads or writes the
 inverse marker.  Every bound has one owner, the automaton's Bounds:
-no function takes a per-call budget or cache."""
+no function takes a per-call budget or cache.  Every walk goes through
+graphs.py: outside the modules with their own algorithms, a while loop
+appears only where it is listed."""
 
 import ast
 from pathlib import Path
@@ -114,3 +116,42 @@ def test_every_bound_is_read_from_the_automaton():
     assert [params for _, name, params in found if name == "compute_nucleus"] == [("aut",)]
     assert class_fields((SRC / "automaton.py").read_text(), "Bounds") == ["max_states",
                                                                           "max_rounds"]
+
+
+# modules whose own algorithms keep their while loops: the graph helpers,
+# Smith normal form and the path normal forms
+WHILE_MODULES = {"graphs", "ktheory", "infinite_paths"}
+# (module, enclosing definitions) of the other while loops: a bisimulation,
+# a memo's eviction, a galloping search and a union-find; every run to a
+# repeat goes through graphs.rho and every breadth-first search through graphs.bfs
+ALLOWED_WHILE = {("automaton", "Automaton.equal"), ("automaton", "_SymbolMemo.put"),
+                 ("dynamics", "_least"), ("schreier", "SchreierGraph.is_connected.find")}
+
+
+def while_loops(text: str) -> list:
+    """The dotted names of the definitions enclosing each while loop in the
+    source text, in source order; "" for one at module level."""
+    out = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, names + [child.name])
+                continue
+            if isinstance(child, ast.While):
+                out.append(".".join(names))
+            visit(child, names)
+    visit(ast.parse(text), [])
+    return out
+
+
+def test_while_loops_only_where_allowed():
+    # the scan sees a nested def's loop, so it cannot pass by finding nothing
+    sample = "class C:\n    def f(self):\n        def g():\n            while 1:\n" \
+             "                while 0:\n                    pass\n"
+    assert while_loops(sample) == ["C.f.g", "C.f.g"]
+    found = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             if path.stem not in WHILE_MODULES for owner in while_loops(path.read_text())}
+    assert sorted(found - ALLOWED_WHILE) == []
+    # ... and the loops it allows, so the list cannot outlive them unnoticed
+    assert found == ALLOWED_WHILE

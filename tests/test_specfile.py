@@ -113,6 +113,18 @@ def test_parse_path_kinds(ex310):
     assert bi2 == BiInfinitePath.make(g, ["2", "3"], [], ["2", "3"], 2)
 
 
+def test_parse_path_anchor_only_on_bi_infinite_literals(ex310):
+    g = ex310.graph
+    for literal, kind in (("2.4 @ 3", "auto"), ("2.4 @ 0", "finite"), ("(1)^inf . 2 @ 3", "auto"),
+                          ("(1)^inf @ -1", "left"), ("4 . (1)^inf @ 2", "right"),
+                          ("(1)^inf . 2 @ 3", "bi")):
+        with pytest.raises(SpecSyntaxError):
+            parse_path(g, literal, kind)
+    assert parse_path(g, "(1)^inf . 2") == LeftInfinitePath.make(g, ["1"], ["2"])
+    assert parse_path(g, "(1)^inf . (1)^inf @ 3", "bi").anchor == 0  # one period: the seam is free
+    assert parse_path(g, "(2.3)^inf . 1 . (1)^inf @ -4").anchor == -4
+
+
 def test_parse_path_junction_errors(ex310):
     g = ex310.graph
     with pytest.raises(JunctionMismatchError):
