@@ -23,11 +23,10 @@ pair.  Regular = no cycle at all; non-Hausdorff = some cycle all of whose
 states can reach a unit state inside the digraph (the unit-reaching arcs
 are exactly the strongly fixed extensions).
 
-Right of the centers, bi-infinite and unstable equivalence (the latter on
-nuc.power(2), the machine of the closure of N u N^2) run a state with
-graphs.rho until its (state, phase) node repeats: a deterministic run that
-gets there without failing never fails.  Germ equality walks its elements'
-restriction closure along y the same way, once per element and as a pair.
+Bi-infinite, stable and unstable equivalence walk the sets of states that
+runs reach with graphs.rho, periodic zones folded onto one period, and read
+each answer and least witness off where the walk repeats or empties.  Germ
+equality walks its elements' restriction closure along y the same way.
 """
 
 from __future__ import annotations
@@ -38,10 +37,12 @@ from math import lcm
 from .automaton import Automaton, Element, StateMachine, reachable_closure
 from .errors import DomainMismatchError, NotStronglyConnectedError
 from .graphs import (Graph, Path, bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho,
-                     validate_graph)
+                     rho_at, validate_graph)
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus
 from .schreier import build_schreier, default_generating_set
+
+_MAX_DISCERNING_LEN = 64  # the longest path find_discerning_path tries
 
 
 def shift_class(graph: Graph, x: LeftInfinitePath) -> LeftInfinitePath:
@@ -93,22 +94,6 @@ def _run(sm: StateMachine, i: int, x_at, lo: int, hi: int, y_at=None):
     return out, i
 
 
-def _holds(sm: StateMachine, i: int, x, y, lo: int, b0: int, R: int) -> bool:
-    """Whether state i's run from position lo maps x's edges onto y's
-    forever.  _run takes it to b0.  From b0 on both paths repeat with period
-    R, so the run's next step depends only on its (state, phase) node, the
-    phase p standing for the positions b0 + p mod R: graphs.rho walks the
-    nodes to the first repeat or failure."""
-    def step(node):  # None when the run leaves the state's domain or misses y
-        i, p = node
-        hit = sm.rows[i].get(x.edge_at(b0 + p))
-        if hit is None or hit[0] != y.edge_at(b0 + p):
-            return None
-        return hit[1], (p + 1) % R
-    run = _run(sm, i, x.edge_at, lo, b0, y.edge_at)  # ([], i) when lo >= b0
-    return run is not None and rho((run[1], (max(lo, b0) - b0) % R), step) is not None
-
-
 def _left_arrival_states(nuc: Nucleus, x_at, y_at, boundary: int, L: int) -> list[int]:
     """States h_boundary admitting a left-infinite nucleus run on positions
     n < boundary that outputs y."""
@@ -141,8 +126,7 @@ def ae_equivalent(x: LeftInfinitePath, y: LeftInfinitePath, nuc: Nucleus,
 def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
     """All left-infinite paths asymptotically equivalent to x, read off the
     maximal consistent runs; at most |nucleus| of them."""
-    T = len(x.tail)
-    L = len(x.cycle)
+    T, L = len(x.tail), len(x.cycle)
     steps = _phase_steps(nuc, x.edge_at, None, -T, L)
     members = set()
     for u in cyclic_nodes(steps, _succ(steps)):
@@ -154,18 +138,30 @@ def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
     return sorted(members, key=lambda m: (m.cycle, m.tail))
 
 
-def ae_equivalent_bi(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus) -> bool:
-    """Bi-infinite asymptotic equivalence: a left-infinite run that survives
-    the centers and acts correctly on the right-infinite tails.  Right of
-    the centers the run's next step depends only on (state, position mod R)
-    with R the lcm of the right cycles, so a run that reaches a repeated
-    (state, phase) pair there without failing holds forever (_holds)."""
+def _arrival_walk(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus):
+    """graphs.rho's walk of the nodes (A, p) from a0, the least anchor: A is
+    the set of nucleus states that left-infinite runs mapping x onto y reach
+    at p, A(p + 1) its image; positions from b0, the end of the centers, fold
+    onto [b0, b0 + R).  It stops where A empties; ([], None) if A(a0) is."""
     a0 = min(x.anchor, y.anchor)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     L = lcm(len(x.left_cycle), len(y.left_cycle))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
-    return any(_holds(nuc.machine, h, x, y, a0, b0, R)
-               for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, a0, L))
+    rows = nuc.machine.rows
+
+    def step(node):
+        A, p = node
+        e, f = x.edge_at(p), y.edge_at(p)
+        A = frozenset(hit[1] for hit in (rows[i].get(e) for i in A) if hit and hit[0] == f)
+        return (A, p + 1 if p + 1 < b0 + R else b0) if A else None
+    start = frozenset(_left_arrival_states(nuc, x.edge_at, y.edge_at, a0, L))
+    return rho((start, a0), step) if start else ([], None)
+
+
+def ae_equivalent_bi(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus) -> bool:
+    """A run of nucleus states on all of Z mapping x onto y: by Koenig's
+    lemma, iff every set of _arrival_walk is nonempty, i.e. the walk repeats."""
+    return _arrival_walk(x, y, nuc)[1] is not None
 
 
 # -- regularity and Hausdorffness ------------------------------------------------
@@ -350,9 +346,8 @@ def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
         return rho((states, fold(l)), lambda u: (
             tuple(sm.rows[i][y.edge_at(u[1] + 1)][1] for i in u[0]), fold(u[1] + 1)))
 
-    def at_l0(g, n):  # the walk's state tuple at l0: nodes[k:] repeats
-        nodes, k = walk((sm.state_index(aut, g),), n)
-        return nodes[min(l0 - n, k + (l0 - n - k) % (len(nodes) - k))][0]
+    def at_l0(g, n):  # the walk's state tuple at l0
+        return rho_at(walk((sm.state_index(aut, g),), n), l0 - n)[0]
 
     pairs, _ = walk(at_l0(g1.g, g1.n) + at_l0(g2.g, g2.n), l0)
     return any(i == j for (i, j), _ in pairs)
@@ -361,57 +356,58 @@ def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
 # -- stable and unstable equivalence ----------------------------------------------
 
 
-def _least(holds, top: int) -> int | None:
-    """The least m < top with holds(m), or None, for holds monotone in m
-    (once true, true on): tests m = 0, 1, 3, 7, ..., top - 1, then bisects."""
-    lo, m = 0, 0  # holds is false below lo
-    while lo < top and not holds(m):
-        lo, m = m + 1, min(2 * m + 1, top - 1)
-    while lo < m:
-        mid = (lo + m) // 2
-        lo, m = (lo, mid) if holds(mid) else (mid + 1, m)
-    return m if lo < top else None
-
-
 def stable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
                       want_witness: bool = False):
     """True iff some left-truncation pair x(-inf,-m), y(-inf,-m) is
-    asymptotically equivalent.  Truncating further preserves equivalence and
-    the truncation pairs are eventually periodic in m, so the search bound
-    transient + lcm is complete, and the least such m is found by _least."""
-    graph = nuc.automaton.graph
-    m0 = max(0, 1 - x.anchor, 1 - y.anchor)
-    period = lcm(len(x.left_cycle), len(y.left_cycle))
-    m = _least(lambda m: ae_equivalent(x.left_truncation(graph, -m),
-                                       y.left_truncation(graph, -m), nuc), m0 + period)
-    return (m is not None, m) if want_witness else m is not None
+    asymptotically equivalent: _arrival_walk's set at -m + 1 is nonempty.
+    The sets are nonempty left of a0 iff at a0, and stay empty once empty,
+    so the least m is 0 if the walk repeats, else max(0, 2 - a0 - its length)."""
+    nodes, k = _arrival_walk(x, y, nuc)
+    if not nodes or not want_witness:
+        return (bool(nodes), None) if want_witness else bool(nodes)
+    return True, 0 if k is not None else max(0, 2 - min(x.anchor, y.anchor) - len(nodes))
 
 
 def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
                         want_witness: bool = False):
     """True iff some g in the closure of N u N^2 maps x(M+1, inf) onto
-    y(M+1, inf); monotone in M by restriction, periodic past the centers,
-    so the least M is found by _least.  Each g runs on the pool's machine:
-    right of the centers a step depends only on (state, position mod R) with
-    R the lcm of the right cycles, so a run that reaches a repeated (state,
-    phase) pair there without failing holds forever (_holds).  The witness
-    is the first such state."""
+    y(M+1, inf).  S(p), the states of nuc.power(2) whose run from p does so,
+    is read at p0 = max(b0, 1) off each state's rho run over (state, phase
+    mod R) nodes; then graphs.rho walks (S, p) leftward, S(p - 1) being the
+    states mapping x_{p-1} onto y_{p-1} into S(p), positions <= a0 folded
+    onto (a0 - L, a0], to p = 1 or an empty S.  M is 0 if S(1) is nonempty,
+    else p0 - (walk length); the witness is the least state of S(M + 1)."""
     sm = nuc.power(2)
+    a0 = min(x.anchor, y.anchor)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
+    L = lcm(len(x.left_cycle), len(y.left_cycle))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
+    p0 = max(b0, 1)
 
-    def first_state(m):
-        return next((i for i in range(len(sm)) if _holds(sm, i, x, y, m + 1, b0, R)), None)
-    m = _least(lambda m: first_state(m) is not None, max(0, b0) + R)
-    if m is None or not want_witness:
-        return (m is not None, None) if want_witness else m is not None
-    return True, (m, nuc.automaton.canonical(sm.states[first_state(m)]))
+    def right(node):  # a state's run at the positions b0 + q mod R
+        i, q = node
+        hit = sm.rows[i].get(x.edge_at(b0 + q))
+        return (hit[1], (q + 1) % R) if hit and hit[0] == y.edge_at(b0 + q) else None
+
+    def left(node):  # S(p) to S(p - 1); a self-loop at p = 1 ends the walk
+        S, p = node
+        if p == 1:
+            return node
+        e, wanted = x.edge_at(p - 1), {(y.edge_at(p - 1), j) for j in S}
+        S = frozenset(i for i, row in enumerate(sm.rows) if row.get(e) in wanted)
+        return (S, p - 1 if p - 1 > a0 - L else a0) if S else None
+    start = frozenset(i for i in range(len(sm)) if rho((i, (p0 - b0) % R), right)[1] is not None)
+    if not start or not want_witness:
+        return (bool(start), None) if want_witness else bool(start)
+    walk = rho((start, p0), left)
+    m = 0 if walk[1] is not None else max(0, p0 - len(walk[0]))
+    return True, (m, nuc.automaton.canonical(sm.states[min(rho_at(walk, p0 - m - 1)[0])]))
 
 
 # -- the discerning-path utility ---------------------------------------------------
 
 
-def find_discerning_path(nuc: Nucleus, max_len: int = 64) -> Path:
+def find_discerning_path(nuc: Nucleus) -> Path:
     """A path mu such that every nucleus state fixing mu strongly fixes all
     of its extensions (its restriction there is a unit).  BFS over the
     surviving (state, restriction) pairs, so the result is shortest."""
@@ -424,7 +420,7 @@ def find_discerning_path(nuc: Nucleus, max_len: int = 64) -> Path:
 
     def extend(node):
         u, pairs = node
-        if depth[node] >= max_len:
+        if depth[node] >= _MAX_DISCERNING_LEN:
             return
         for e in graph.range_edges(u):
             # the states still fixing mu e, with their restrictions there
@@ -436,4 +432,4 @@ def find_discerning_path(nuc: Nucleus, max_len: int = 64) -> Path:
         if all(nuc.states[r].is_unit for _g, r in node[1]):
             labels = bfs_labels(parent, node)
             return Path(graph.r(labels[0]) if labels else node[0], tuple(labels))
-    raise DomainMismatchError(f"no discerning path of length <= {max_len} found")
+    raise DomainMismatchError(f"no discerning path of length <= {_MAX_DISCERNING_LEN} found")

@@ -67,9 +67,6 @@ class Graph:
         self._into = {v: tuple(e for e in self.edges if e.dst == v) for v in self.vertices}
         self._out = {v: tuple(e for e in self.edges if e.src == v) for v in self.vertices}
 
-    def edge(self, eid: str) -> Edge:
-        return self._by_id[eid]
-
     def has_edge(self, eid: str) -> bool:
         return eid in self._by_id
 
@@ -260,18 +257,25 @@ def bfs_labels(parent: dict, v) -> list:
 
 
 def rho(start, step):
-    """Walk the partial map ``step`` from ``start`` until a node repeats:
-    the nodes in walk order and the index k where their cycle starts (the
-    walk goes on as nodes[k:] forever), or None when step returns None
-    first.  step is called once per node, in walk order."""
-    nodes, seen, node = [], {}, start
+    """Walk the partial map ``step`` from ``start`` until a node repeats or
+    step returns None: the nodes in walk order and the index k where their
+    cycle starts (the walk goes on as nodes[k:] forever), or None for k when
+    the walk stops.  step is called once per node, in walk order."""
+    seen, node = {}, start  # node -> walk index, in walk order
     while node not in seen:
-        seen[node] = len(nodes)
-        nodes.append(node)
+        seen[node] = len(seen)
         node = step(node)
         if node is None:
-            return None
-    return nodes, seen[node]
+            return list(seen), None
+    return list(seen), seen[node]
+
+
+def rho_at(walk, n: int):
+    """The node n steps along a walk (nodes, k) of rho; None past a stop."""
+    nodes, k = walk
+    if n < len(nodes):
+        return nodes[n]
+    return None if k is None else nodes[k + (n - k) % (len(nodes) - k)]
 
 
 def find_cycle(nodes, succ):

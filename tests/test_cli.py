@@ -181,11 +181,27 @@ def test_germ_eq_cli_offsets_far_apart():
 
 
 def test_stable_far_anchor_cli():
-    # the least truncation is found by galloping search, not a scan of 10^4 steps
+    # the least truncation is read off where the walk of state sets from the
+    # anchors stops, not found by a scan of 10^4 steps
     code, data = run_json("stable", "--spec", EX310,
                           "--x", "(2.3)^inf . 1 . (1)^inf @ -10000",
                           "--y", "(3.2)^inf . 4 . (1)^inf @ -10000")
     assert code == 1 and data["stable_equivalent"] is False
+
+
+def test_unstable_far_anchor_cli():
+    # the least M is read off one leftward walk of state sets that folds the
+    # left-periodic zone, so 10^6 positions cost no more than ten; a child
+    # process, so a regression times out instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfsim.cli", "--json", "unstable", "--spec", EX310,
+         "--x", "(2.3)^inf . 1 . (1)^inf @ 1000000", "--y", "(3.2)^inf . 4 . (1)^inf @ 1000001"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    data = json.loads(proc.stdout)
+    assert data["unstable_equivalent"] is True
+    assert data["witness"] == {"M": 999_999, "element": "b a"}
 
 
 def test_stable_unstable_cli():

@@ -12,7 +12,7 @@ from selfsim.errors import (
     JunctionMismatchError,
     NotStronglyConnectedError,
 )
-from selfsim.graphs import Graph, Path, cyclic_nodes, limit_nodes, validate_graph
+from selfsim.graphs import Graph, Path, cyclic_nodes, limit_nodes, rho, validate_graph
 from selfsim.infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from selfsim.ktheory import IntMatrix, katsura_automaton
 from selfsim.nucleus import Nucleus, compute_nucleus
@@ -36,7 +36,8 @@ from selfsim.dynamics import (
     stable_equivalent,
     unstable_equivalent,
 )
-from selfsim.dynamics import _least, _left_arrival_states, _run
+from selfsim import dynamics
+from selfsim.dynamics import _left_arrival_states, _run
 
 from test_nucleus import old_unstable_element_pool
 
@@ -1166,7 +1167,7 @@ def _glued_pairs(aut, nuc, x):
                 continue
 
 
-def test_nucleus_deciders_match_word_oracles():
+def test_nucleus_deciders_match_word_oracles(monkeypatch):
     rng = random.Random(77)
     seen = {"ae_true": 0, "bi_true": 0, "irregular": 0, "non_hausdorff": 0, "discerning": 0}
     for label, aut, nuc in _differential_systems():
@@ -1182,7 +1183,9 @@ def test_nucleus_deciders_match_word_oracles():
         disc = _outcome(find_discerning_path, nuc)
         assert disc == _outcome(old_find_discerning_path, nuc), label
         seen["discerning"] += disc[0] == "ok"
-        assert _outcome(find_discerning_path, nuc, 1) == _outcome(old_find_discerning_path, nuc, 1)
+        with monkeypatch.context() as patch:  # the length cap is a module constant
+            patch.setattr(dynamics, "_MAX_DISCERNING_LEN", 1)
+            assert _outcome(find_discerning_path, nuc) == _outcome(old_find_discerning_path, nuc, 1)
         for _ in range(6):
             x, y = random_left_path(aut, rng), random_left_path(aut, rng)
             cls = ae_class(x, nuc)
@@ -1381,7 +1384,70 @@ def test_unstable_acts_no_infinite_path(monkeypatch, ex310, nonhausdorff):
     assert calls == []
 
 
-# -- the least witness: galloping search against the linear scans -------------------
+# -- the least witness: the galloping search and the linear scans, kept as oracles --
+
+
+def galloping_least(holds, top: int) -> int | None:
+    """The least m < top with holds(m), or None, for holds monotone in m
+    (once true, true on): tests m = 0, 1, 3, 7, ..., top - 1, then bisects."""
+    lo, m = 0, 0  # holds is false below lo
+    while lo < top and not holds(m):
+        lo, m = m + 1, min(2 * m + 1, top - 1)
+    while lo < m:
+        mid = (lo + m) // 2
+        lo, m = (lo, mid) if holds(mid) else (mid + 1, m)
+    return m if lo < top else None
+
+
+def galloping_holds(sm, i: int, x, y, lo: int, b0: int, R: int) -> bool:
+    """Whether state i's run from position lo maps x's edges onto y's
+    forever.  _run takes it to b0.  From b0 on both paths repeat with period
+    R, so the run's next step depends only on its (state, phase) node, the
+    phase p standing for the positions b0 + p mod R: graphs.rho walks the
+    nodes to the first repeat or failure."""
+    def step(node):  # None when the run leaves the state's domain or misses y
+        i, p = node
+        hit = sm.rows[i].get(x.edge_at(b0 + p))
+        if hit is None or hit[0] != y.edge_at(b0 + p):
+            return None
+        return hit[1], (p + 1) % R
+    run = _run(sm, i, x.edge_at, lo, b0, y.edge_at)  # ([], i) when lo >= b0
+    # rho returns (nodes, None) for a walk that stops
+    return run is not None and rho((run[1], (max(lo, b0) - b0) % R), step)[1] is not None
+
+
+def galloping_stable_equivalent(x, y, nuc, want_witness=False):
+    """True iff some left-truncation pair x(-inf,-m), y(-inf,-m) is
+    asymptotically equivalent.  Truncating further preserves equivalence and
+    the truncation pairs are eventually periodic in m, so the search bound
+    transient + lcm is complete, and the least such m is found by
+    galloping_least."""
+    graph = nuc.automaton.graph
+    m0 = max(0, 1 - x.anchor, 1 - y.anchor)
+    period = lcm(len(x.left_cycle), len(y.left_cycle))
+    m = galloping_least(lambda m: ae_equivalent(x.left_truncation(graph, -m),
+                                                y.left_truncation(graph, -m), nuc), m0 + period)
+    return (m is not None, m) if want_witness else m is not None
+
+
+def galloping_unstable_equivalent(x, y, nuc, want_witness=False):
+    """True iff some g in the closure of N u N^2 maps x(M+1, inf) onto
+    y(M+1, inf); monotone in M by restriction, periodic past the centers,
+    so the least M is found by galloping_least.  Each g runs on the pool's
+    machine: right of the centers a step depends only on (state, position
+    mod R) with R the lcm of the right cycles, so a run that reaches a
+    repeated (state, phase) pair there without failing holds forever
+    (galloping_holds).  The witness is the first such state."""
+    sm = nuc.power(2)
+    b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
+    R = lcm(len(x.right_cycle), len(y.right_cycle))
+
+    def first_state(m):
+        return next((i for i in range(len(sm)) if galloping_holds(sm, i, x, y, m + 1, b0, R)), None)
+    m = galloping_least(lambda m: first_state(m) is not None, max(0, b0) + R)
+    if m is None or not want_witness:
+        return (m is not None, None) if want_witness else m is not None
+    return True, (m, nuc.automaton.canonical(sm.states[first_state(m)]))
 
 
 def test_least_on_every_monotone_predicate():
@@ -1393,7 +1459,7 @@ def test_least_on_every_monotone_predicate():
                 assert 0 <= m < top
                 asked.append(m)
                 return m >= first
-            assert _least(holds, top) == (first if first < top else None), (top, first)
+            assert galloping_least(holds, top) == (first if first < top else None), (top, first)
             assert len(asked) <= 2 * top.bit_length() + 1, (top, first, asked)
 
 
@@ -1469,6 +1535,70 @@ def test_least_witnesses_match_the_linear_scans(spec):
     assert late["stable"] > 0 and late["unstable"] > 0, late
 
 
+# -- the set walks against the galloping search -------------------------------------
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s != "noncontracting"])
+def test_set_walks_match_the_galloping_search(spec):
+    aut = parse_spec((ROOT / "specs" / f"{spec}.ss").read_text()).automaton()
+    nuc = compute_nucleus(aut)
+    g = aut.graph
+    rng = random.Random(SPECS.index(spec) + 180)
+    seen = {"stable_late": 0, "unstable_late": 0, "bi_true": 0, "bi_false": 0}
+    for a in range(-40, 41):
+        x, y = random_bi_path(aut, rng), random_bi_path(aut, rng)
+        x = BiInfinitePath.make(g, x.left_cycle, x.center, x.right_cycle, a)
+        y = BiInfinitePath.make(g, y.left_cycle, y.center, y.right_cycle, a + rng.randint(-3, 3))
+        for w in [y, *_glued_partners(aut, nuc, x, rng)]:
+            for u, v in ((x, w), (w, x)):
+                got = stable_equivalent(u, v, nuc, want_witness=True)
+                assert got == galloping_stable_equivalent(u, v, nuc, want_witness=True), (u, v)
+                assert stable_equivalent(u, v, nuc) == got[0]
+                seen["stable_late"] += bool(got[1])
+                got = unstable_equivalent(u, v, nuc, want_witness=True)
+                assert got == galloping_unstable_equivalent(u, v, nuc, want_witness=True), (u, v)
+                assert unstable_equivalent(u, v, nuc) == got[0]
+                seen["unstable_late"] += bool(got[0] and got[1][0])
+                got = ae_equivalent_bi(u, v, nuc)
+                assert got == horizon_ae_equivalent_bi(u, v, nuc), (u, v)
+                seen[f"bi_{str(got).lower()}"] += 1
+    # nonzero least witnesses occur, so the walks' stopping points are compared
+    assert all(seen.values()), seen
+
+
+def test_set_walks_cost_the_same_at_far_anchors(monkeypatch, ex310, nuc310):
+    # the pair at anchors a, a + 1 for a = +-10^3 and +-10^5: the number of
+    # edges read does not depend on a
+    g = ex310.graph
+    calls = []
+    original = BiInfinitePath.edge_at
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    deciders = {"stable": stable_equivalent, "unstable": unstable_equivalent,
+                "bi": lambda x, y, nuc, want_witness: ae_equivalent_bi(x, y, nuc)}
+    answers, counts = {}, {}
+    for a in (10 ** 3, -10 ** 3, 10 ** 5, -10 ** 5):
+        x = BiInfinitePath.make(g, ["2", "3"], ["1"], ["1"], a)
+        y = BiInfinitePath.make(g, ["3", "2"], ["4"], ["1"], a + 1)
+        for name, decide in deciders.items():
+            monkeypatch.setattr(BiInfinitePath, "edge_at", counted)
+            answers[name, a] = decide(x, y, nuc310, want_witness=True)
+            monkeypatch.setattr(BiInfinitePath, "edge_at", original)
+            counts[name, a > 0, abs(a)] = len(calls)
+            calls.clear()
+    for a in (10 ** 3, 10 ** 5):
+        ok, (m, elem) = answers["unstable", a]
+        assert ok and m == a - 1 and elem.name() == "b a"
+        assert answers["stable", -a] == (True, a + 1)
+        assert answers["stable", a] == (True, 0) and answers["unstable", -a][1][0] == 0
+    for name in deciders:
+        for positive in (True, False):
+            assert counts[name, positive, 10 ** 3] == counts[name, positive, 10 ** 5] > 0, counts
+
+
 # -- repeat walks: the hand-rolled loops that graphs.rho replaced, kept as oracles --
 
 
@@ -1540,7 +1670,7 @@ def horizon_unstable_equivalent(x, y, nuc, want_witness=False):
         end = max(m + 1, b0) + len(sm) * R + 1
         return next((i for i in range(len(sm))
                      if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None), None)
-    m = _least(lambda m: first_state(m) is not None, max(0, b0) + R)
+    m = galloping_least(lambda m: first_state(m) is not None, max(0, b0) + R)
     if m is None or not want_witness:
         return (m is not None, None) if want_witness else m is not None
     return True, (m, nuc.automaton.canonical(sm.states[first_state(m)]))

@@ -20,6 +20,7 @@ from selfsim.graphs import (
     limit_nodes,
     refine,
     rho,
+    rho_at,
     strongly_connected_components,
     validate_graph,
 )
@@ -278,8 +279,8 @@ def test_rho_vs_brute_force_walk():
         while v is not None and v not in trail:
             trail.append(v)
             v = step.get(v)
-        if v is None:
-            assert got is None
+        if v is None:  # a walk that stops returns its nodes, and None for the cycle
+            assert got == (trail, None)
             outcomes["none"] += 1
         else:
             assert got == (trail, trail.index(v))
@@ -300,6 +301,34 @@ def test_rho_long_cycle():
         return (i + 1) % n, "cycle"
     nodes, k = rho((0, "tail"), step)
     assert (len(nodes), k) == (2 * n, n) and nodes[k] == (0, "cycle")
+
+
+def test_rho_at_vs_brute_force_walk():
+    rng = random.Random(17)  # the partial maps of test_rho_vs_brute_force_walk
+    outcomes = {"inside": 0, "past a stop": 0, "around a cycle": 0}
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        step = {v: rng.randrange(n) for v in range(n) if rng.random() < 0.85}
+        start = rng.randrange(n)
+        walk = rho(start, step.get)
+        v = start  # brute force: take the steps one at a time
+        for steps in range(3 * n):
+            assert rho_at(walk, steps) == v, (step, start, steps)
+            if steps < len(walk[0]):
+                outcomes["inside"] += 1
+            else:
+                outcomes["past a stop" if walk[1] is None else "around a cycle"] += 1
+            v = step.get(v)  # None stays None
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_rho_at_far_along_a_cycle():
+    # 10^12 steps around a cycle of 7 behind a tail of 3 are read off, not taken
+    walk = rho(0, lambda v: v + 1 if v < 9 else 3)
+    assert walk == (list(range(10)), 3)
+    far = 10 ** 12
+    assert rho_at(walk, far) == 3 + (far - 3) % 7
+    assert rho_at(rho(0, lambda v: v + 1 if v < 9 else None), far) is None
 
 
 def test_find_cycle_long_chain():

@@ -122,10 +122,10 @@ def test_every_bound_is_read_from_the_automaton():
 # Smith normal form and the path normal forms
 WHILE_MODULES = {"graphs", "ktheory", "infinite_paths"}
 # (module, enclosing definitions) of the other while loops: a bisimulation,
-# a memo's eviction, a galloping search and a union-find; every run to a
-# repeat goes through graphs.rho and every breadth-first search through graphs.bfs
+# a memo's eviction and a union-find; every run to a repeat goes through
+# graphs.rho and every breadth-first search through graphs.bfs
 ALLOWED_WHILE = {("automaton", "Automaton.equal"), ("automaton", "_SymbolMemo.put"),
-                 ("dynamics", "_least"), ("schreier", "SchreierGraph.is_connected.find")}
+                 ("schreier", "SchreierGraph.is_connected.find")}
 
 
 def while_loops(text: str) -> list:
