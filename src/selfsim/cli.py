@@ -7,7 +7,8 @@ flags.  The parser tree of all commands is built once, on the first call of
 fixed order: read the spec, check validity, compute the nucleus, then call
 the handler.
 
-Exit codes: 0 = property holds / computation done, 1 = property fails,
+Exit codes: 0 = property holds / computation done, 1 = property fails
+(also when a command needs a nucleus and a certificate proves none exists),
 2 = inconclusive (a semi-decision hit its bounds), 3 = input error, or a
 report too large to render in memory (``--out`` streams it instead); ``main``
 exits 141 when standard output is closed before the report is written.
@@ -27,7 +28,7 @@ from pathlib import Path as FsPath
 
 from . import dynamics
 from .automaton import Bounds
-from .errors import ClosureLimitError, SelfSimError
+from .errors import ClosureLimitError, NotContractingError, SelfSimError
 from .graphs import validate_graph
 from .ktheory import IntMatrix, katsura_automaton, katsura_ktheory, smith_normal_form
 from .nucleus import NotContractingWithinBound, compute_Rk, compute_nucleus, moore_diagram
@@ -361,6 +362,8 @@ def dispatch(argv, stdout=None) -> int:
         code, report = e.code, e.report
     except ClosureLimitError as e:
         code, report = INCONCLUSIVE, {"result": "inconclusive", "error": str(e)}
+    except NotContractingError as e:  # every command that computes a nucleus
+        code, report = FAIL, e.certificate.as_dict()
     except SelfSimError as e:
         code, report = INPUT_ERROR, {"error": str(e)}
     try:

@@ -61,6 +61,16 @@ class DivergedError(SelfSimError):
     """A computation that a verified certificate says must terminate did not."""
 
 
+class NotContractingError(SelfSimError):
+    """A finite certificate, a nucleus.NotContracting held in ``certificate``,
+    proves that the action is not contracting."""
+
+    def __init__(self, certificate):
+        self.certificate = certificate
+        super().__init__(f"not contracting: {certificate.state.name()} fixes the cycle "
+                         f"{'.'.join(certificate.cycle)} and has infinite order")
+
+
 class NotStronglyConnectedError(SelfSimError):
     """Operation requires a strongly connected graph."""
 

@@ -15,8 +15,15 @@ along the walks (h, g) -e-> (h|_{g.e}, g|_e) on S x S, read off the rows
 of S's StateMachine.  One Tarjan pass gives every pair's limit set, and one
 Moore refinement of those pair nodes with S's states identifies their
 products: the rounds compare no words, and N^k is built the same way.
-Exceeding the state or round budget yields NotContractingWithinBound,
-never a claim of non-contraction.
+
+Before the rounds, one search on S's machine looks for a finite proof of
+non-contraction: a non-unit state c on a cycle mu of fixed arcs (c.mu = mu,
+c|_mu = c) whose order is infinite, so that every power c^n lies in its own
+limit set.  The order proof follows Muntyan-Savchuk and Klimann-Picantin-
+Savchuk: if e's orbit under x has length k, order(x) is a multiple of
+k * order(x^k|_e), so a cycle of such arcs with orbit lengths multiplying to
+more than 1 forbids a finite order.  A proof raises NotContractingError;
+exceeding the state or round budget yields NotContractingWithinBound.
 """
 
 from __future__ import annotations
@@ -24,10 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
-from .errors import ClosureLimitError, DivergedError
-from .graphs import bfs, limit_nodes, refine, strongly_connected_components
+from .errors import ClosureLimitError, DivergedError, NotContractingError
+from .graphs import (bfs, bfs_labels, find_cycle, limit_nodes, refine, rho,
+                     strongly_connected_components)
 
 _PASS_STARTS = 1 << 13  # start pairs of one _pair_limits pass, whose pair nodes take memory
+# States of the certificate search's machine, at most: its product names can
+# double in length with each step (512 states took 127 MB on one Katsura
+# system), and no certificate seen needed more than 104.
+_SEARCH_STATES = 1 << 8
 
 
 @dataclass
@@ -40,6 +52,25 @@ class NotContractingWithinBound:
 
     def __bool__(self):
         return False
+
+
+@dataclass
+class NotContracting:
+    """A proof that no finite nucleus exists: ``state`` c fixes the closed
+    path ``cycle`` mu with c|_mu = c and has infinite order.  ``chain`` lists
+    the links (x, k, e, x^k|_e), k the length of e's orbit under x: it starts
+    at c, each link's restriction is the next link's x, and the last link's
+    is an earlier x, closing a cycle whose orbit lengths multiply past 1."""
+
+    state: Element
+    cycle: tuple[str, ...]
+    chain: tuple[tuple[Element, int, str, Element], ...]
+
+    def as_dict(self):
+        return {"result": "not-contracting", "state": self.state.name(),
+                "cycle": ".".join(self.cycle),
+                "order_chain": [{"state": x.name(), "orbit": k, "edge": e, "restriction": y.name()}
+                                for x, k, e, y in self.chain]}
 
 
 @dataclass
@@ -71,11 +102,8 @@ class Nucleus:
         sm, n = _renumbered(self.machine, range(len(self))), 0  # a copy, to append to
         for _ in range(k - 1):
             fresh, n = range(n, len(sm)), len(sm)
-            starts = [h * n + g for g in fresh for h in range(len(self))
-                      if sm.doms[h] == sm.cods[g]]
-            pairs = _PairSucc(sm)
-            nodes = bfs(starts, lambda v: ((None, w) for w in pairs[v]))
-            _product(sm, [v for v, _ in nodes], pairs)
+            _multiply(sm, [h * n + g for g in fresh for h in range(len(self))
+                           if sm.doms[h] == sm.cods[g]])
         return _renumbered(sm, sorted(range(len(sm)),
                                       key=lambda i: (word_key(sm.states[i].word), sm.doms[i])))
 
@@ -131,6 +159,14 @@ def _product(sm: StateMachine, nodes, pairs: _PairSucc) -> dict[int, int]:
     return dict(zip(nodes, block[m:]))
 
 
+def _multiply(sm: StateMachine, starts) -> dict[int, int]:
+    """The pair nodes h * |sm| + g in ``starts`` and all they reach,
+    identified by _product with the states of ``sm``: node -> state."""
+    pairs = _PairSucc(sm)
+    nodes = bfs(starts, lambda v: ((None, w) for w in pairs[v]))
+    return _product(sm, [v for v, _ in nodes], pairs)
+
+
 def _pair_limits(aut: Automaton, sm: StateMachine, touch) -> dict[int, Element]:
     """State -> witness for the limit restrictions of the products hg of
     composable pairs of states of ``sm`` with h or g in the states ``touch``
@@ -161,6 +197,9 @@ def compute_nucleus(aut: Automaton):
     budget, rounds = aut.bounds.max_states, aut.bounds.max_rounds
     try:
         sm = reachable_closure(aut, aut.basic_elements())
+        proof = _non_contraction(sm, min(budget, _SEARCH_STATES))
+        if proof is not None:
+            raise NotContractingError(proof)
         witnesses, fresh = {}, None  # round 1: every pair; later: pairs touching a new state
         for _round in range(rounds):
             n = len(sm)
@@ -189,6 +228,75 @@ def compute_nucleus(aut: Automaton):
 
     return Nucleus(aut, tuple(machine.states), machine,
                    {cid: aut.canonical(witnesses[s]) for cid, s in zip(machine.index, order)})
+
+
+def _non_contraction(sm: StateMachine, limit: int) -> NotContracting | None:
+    """A certificate on the machine of S, or None.  c is the first state of
+    a cycle of fixed arcs i -e-> j (row entry e -> (e, j)) among non-units,
+    found in each such strongly connected component, since an arc x -> x|_e
+    with x.e = e makes order(x|_e) divide order(x)."""
+    states, work = sm.states, None
+    fixed = [[(e, j) for e, (img, j) in row.items() if img == e and not states[j].is_unit]
+             for row in sm.rows]  # a unit fixes every edge, and restricts to units
+    starts = [i for i, arcs in enumerate(fixed) if arcs]
+    for comp in strongly_connected_components(starts, lambda i: [j for _, j in fixed[i]]):
+        inside = set(comp)
+        found = find_cycle(comp[:1], lambda i: [(e, j) for e, j in fixed[i] if j in inside])
+        if found is None:
+            continue
+        if work is None:  # a copy, to append the products to
+            work = _renumbered(sm, range(len(sm)))
+        chain = _order_chain(work, found[0][0], limit)
+        if chain:
+            return NotContracting(states[found[0][0]], tuple(found[1]), chain)
+    return None
+
+
+def _order_chain(sm: StateMachine, c: int, limit: int):
+    """Links proving that state c of ``sm`` has infinite order, or None.
+    The arcs x -(x, k, e)-> x^k|_e, k the length of e's orbit under x, are
+    explored from c; x^k|_e is the product of x's restrictions along the
+    orbit, appended to ``sm`` by _product, and past ``limit`` states no arc
+    is added.  An arc with k > 1 inside a strongly connected component
+    closes a cycle of orbit product > 1; the explored arcs are searched for
+    one at 1, 2, 4, ... nodes, so a near cycle ends the walk early and the
+    searches cost O(nodes) in all.  Units, of order 1, are left out."""
+    links = {}
+
+    def arcs(x):
+        out = links[x] = []
+        row = sm.rows[x]
+        for e in row if len(sm) <= limit else ():  # past the limit, no arcs
+            orbit = rho(e, lambda f: row[f][0])[0]
+            # x^k|_e = x|_{x^(k-1).e} ... x|_{x.e} x|_e, its unit factors left out
+            factors = [row[f][1] for f in orbit if not sm.states[row[f][1]].is_unit]
+            y = factors[0] if factors else None
+            for r in factors[1:]:
+                start = r * len(sm) + y
+                y = _multiply(sm, [start])[start]
+            if y is not None and not sm.states[y].is_unit:
+                out.append(((x, len(orbit), e), y))
+        return out
+
+    def succ(x):  # a node not yet expanded has no arcs
+        return links.get(x, ())
+
+    def closed(parent):  # the chain through an arc k > 1 inside a component, if any
+        comps = strongly_connected_components([c], lambda x: [y for _, y in succ(x)])
+        comp = {x: i for i, xs in enumerate(comps) for x in xs}
+        hit = next(((link, y) for x in links for link, y in links[x]
+                    if link[1] > 1 and comp[x] == comp[y]), None)
+        if hit is None:
+            return None
+        (u, _, _), w = hit
+        back = next(p for x, p in bfs([w], succ) if x == u)
+        path = [*bfs_labels(parent, u), hit[0], *bfs_labels(back, u)]
+        ends = [x for x, _, _ in path[1:]] + [u]
+        return tuple((sm.states[x], k, e, sm.states[y]) for (x, k, e), y in zip(path, ends))
+    for n, (_, parent) in enumerate(bfs([c], arcs)):
+        if n & (n - 1) == 0 and (chain := closed(parent)):
+            return chain
+    return closed(parent)
 
 
 def _renumbered(sm: StateMachine, order) -> StateMachine:

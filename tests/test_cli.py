@@ -313,6 +313,25 @@ def test_katsura_pipeline(tmp_path):
     assert code == 0 and data["nucleus_size"] == 6
 
 
+def test_not_contracting_certificate_cli(tmp_path):
+    # the Katsura 3x3: the certificate answers "property fails" for check
+    # contracting and for every command that needs a nucleus
+    out = tmp_path / "k33.ss"
+    code, _ = run_json("katsura", "--A", "[[3,1,1],[1,3,1],[1,1,3]]",
+                       "--B", "[[1,1,0],[0,1,1],[1,0,1]]", "--spec-out", str(out))
+    assert code == 0
+    reports = [run_json(*argv, "--spec", str(out))
+               for argv in (["check", "contracting"], ["nucleus"], ["rk", "--k", "2"])]
+    assert all(code == 1 for code, _ in reports)
+    data = reports[0][1]
+    assert all(report == data for _, report in reports)
+    assert data["result"] == "not-contracting" and data["state"] == "a3"
+    assert data["cycle"] and data["order_chain"]
+    assert {"state", "orbit", "edge", "restriction"} == data["order_chain"][0].keys()
+    code, text = run("nucleus", "--spec", str(out))
+    assert code == 1 and text.startswith("result: not-contracting\nstate: a3\n")
+
+
 def test_snf_and_ktheory_cli():
     code, data = run_json("snf", "--matrix", "[[0,0],[-1,0]]")
     assert code == 0 and data["diagonal"] == [1, 0]

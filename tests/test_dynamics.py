@@ -1117,6 +1117,7 @@ def _differential_systems():
     automata with a nucleus, the root-order system, and the first 20
     Katsura systems of the katsura-ladder pool that have a nucleus."""
     from test_acceptance import _random_automaton
+    from test_nucleus import nucleus_unless_certified
 
     out = []
     for spec in SPECS:
@@ -1129,7 +1130,7 @@ def _differential_systems():
         aut = _random_automaton(rng)
         if aut is None:
             continue
-        nuc = compute_nucleus(aut)
+        nuc = nucleus_unless_certified(aut)
         if isinstance(nuc, Nucleus):
             out.append((f"random{found}", aut, nuc))
             found += 1

@@ -8,7 +8,7 @@ from pathlib import Path as FsPath
 import pytest
 
 from selfsim.automaton import _CACHE_SYMBOLS, Automaton, Bounds, Element, GeneratorRule
-from selfsim.errors import ClosureLimitError
+from selfsim.errors import ClosureLimitError, NotContractingError
 from selfsim.graphs import Graph, Path
 from selfsim.ktheory import IntMatrix, katsura_automaton
 from selfsim.nucleus import (
@@ -122,7 +122,8 @@ def test_nucleus_binary_swap():
 def test_noncontracting_reports_bound():
     aut = with_bounds(build_noncontracting(), Bounds(max_states=300, max_rounds=8))
     res = compute_nucleus(aut)
-    assert isinstance(res, NotContractingWithinBound)
+    # S itself grows words (h|_0 = h h), so no certificate search runs
+    assert res == NotContractingWithinBound("restriction word growth", 300, 8)
     res2 = compute_nucleus(aut)
     assert (res.bound_hit, res.max_states) == (res2.bound_hit, res2.max_states)
 
@@ -483,13 +484,18 @@ def _agree_with_old_nucleus(build, bounds=None):
     so it can give up on an identification budget ("bisimulation",
     "restriction closure") that the pair machine never meets; the pair
     machine may then decide, and the oracle must find the same nucleus with
-    a tenfold state budget.  Returns the new result."""
+    a tenfold state budget.  Returns the new result, or None where a
+    certificate proves that no nucleus exists and the oracle hit a bound."""
     def fresh(bounds=bounds):
         aut = build()
         return aut if bounds is None else with_bounds(aut, bounds)
     want = old_compute_nucleus(fresh())
     aut = fresh()
-    got = compute_nucleus(aut)
+    try:
+        got = compute_nucleus(aut)
+    except NotContractingError:  # a certificate: the oracle found no nucleus either
+        assert isinstance(want, NotContractingWithinBound)
+        return None
     if isinstance(want, NotContractingWithinBound):
         if want.bound_hit not in ("bisimulation", "restriction closure"):
             assert got == want
@@ -668,6 +674,18 @@ def word_compute_nucleus(aut):
     return nuc
 
 
+def nucleus_unless_certified(aut):
+    """compute_nucleus(aut), or where a certificate proves that no nucleus
+    exists, the word oracle's result on a fresh automaton, which must be a
+    bound: loops that pass over bounded results pass over these, checked."""
+    try:
+        return compute_nucleus(aut)
+    except NotContractingError:
+        want = word_compute_nucleus(with_bounds(aut, aut.bounds))
+        assert isinstance(want, NotContractingWithinBound)
+        return want
+
+
 def recorded_katsura_nuclei():
     """(A, B) of every Katsura system with a recorded nucleus."""
     def canonical(obj):
@@ -714,7 +732,7 @@ def test_word_oracle_agrees_on_random_systems(monkeypatch, pass_starts):
     # seeded random systems at 40 states and 5 rounds.  Where the word
     # products gave up comparing two words ("bisimulation"), a budget that
     # identification on the rows never meets, the rounds run on to their
-    # own state bound.
+    # own state bound, or find the nucleus the words find at 400 states.
     import selfsim.nucleus as nucleus
     from test_acceptance import _random_automaton
 
@@ -722,21 +740,29 @@ def test_word_oracle_agrees_on_random_systems(monkeypatch, pass_starts):
         monkeypatch.setattr(nucleus, "_PASS_STARTS", pass_starts)
     rng = random.Random(1)
     seen = []
-    for _ in range(40):
+    for _ in range(150):  # a certificate answers the first systems that hit a bound
         aut = _random_automaton(rng)
         if aut is None:
             continue
         bounds = Bounds(max_states=40, max_rounds=5)
         want = word_compute_nucleus(with_bounds(aut, bounds))
-        got = compute_nucleus(with_bounds(aut, bounds))
+        try:
+            got = compute_nucleus(with_bounds(aut, bounds))
+        except NotContractingError:
+            assert isinstance(want, NotContractingWithinBound)
+            seen.append("certificate")
+            continue
         if isinstance(want, Nucleus):
             assert moore_diagram(got, "json") == moore_diagram(want, "json")
+        elif want.bound_hit == "bisimulation" and isinstance(got, Nucleus):
+            wider = word_compute_nucleus(with_bounds(aut, Bounds(max_states=400, max_rounds=5)))
+            assert moore_diagram(got, "json") == moore_diagram(wider, "json")
         elif want.bound_hit == "bisimulation":
             assert got == NotContractingWithinBound("max_states", 40, 5)
         else:
             assert got == want
         seen.append(want.bound_hit if isinstance(want, NotContractingWithinBound) else "nucleus")
-    assert {"nucleus", "max_states", "bisimulation"} <= set(seen)
+    assert {"nucleus", "max_states", "bisimulation", "certificate"} <= set(seen)
 
 
 def test_products_read_no_registry(monkeypatch):
@@ -950,7 +976,7 @@ def test_rk_random_vs_frontier_walk():
     checked = 0
     while checked < 60:
         aut = _random_automaton(rng)
-        nuc = compute_nucleus(aut) if aut is not None else None
+        nuc = nucleus_unless_certified(aut) if aut is not None else None
         if not isinstance(nuc, Nucleus):
             continue
         try:
@@ -959,3 +985,101 @@ def test_rk_random_vs_frontier_walk():
             continue
         assert [compute_Rk(nuc, k) for k in (1, 2, 3)] == want
         checked += 1
+
+
+# -- the non-contraction certificate ------------------------------------------------
+
+
+def verify_certificate(aut, cert):
+    """Re-verify a NotContracting certificate by words alone: c fixes mu with
+    c|_mu = c, each link's x^k moves e around an orbit of length k and
+    restricts there to the next link's state, and the chain closes a cycle
+    whose orbit lengths multiply past 1.  The words are compared on a fresh
+    automaton under the default bounds."""
+    from math import prod
+
+    aut = with_bounds(aut, Bounds())
+    c, graph = cert.state, aut.graph
+    mu = Path.of(graph, cert.cycle)
+    assert not c.is_unit and aut.act(c, mu) == mu and aut.equal(aut.restrict(c, mu), c)
+    assert aut.equal(cert.chain[0][0], c)
+    for i, (x, k, e, y) in enumerate(cert.chain):
+        edge, power = Path.of(graph, [e]), x
+        for j in range(1, k):
+            assert aut.act(power, edge) != edge
+            power = aut.compose(x, power)
+        assert aut.act(power, edge) == edge and aut.equal(aut.restrict(power, edge), y)
+        assert i + 1 == len(cert.chain) or aut.equal(y, cert.chain[i + 1][0])
+    start = next(i for i, (x, *_) in enumerate(cert.chain) if aut.equal(x, cert.chain[-1][3]))
+    assert prod(k for _, k, _, _ in cert.chain[start:]) > 1
+
+
+def ladder_hangs():
+    """The Katsura systems katsura-ladder runs that hit the nucleus deadline
+    when they were recorded: the Katsura 3x3 and the first recorded hung
+    system of each size 2 and 3."""
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    recorded = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())
+    hung = [e for e in recorded["pool"] if e["nucleus_ms"] is None]
+    systems = [([[3, 1, 1], [1, 3, 1], [1, 1, 3]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]])]
+    systems += [next((e["A"], e["B"]) for e in hung if len(e["A"]) == n) for n in (2, 3)]
+    assert all(recorded["answers"][canonical({"A": a, "B": b}) + "/nucleus"] is None
+               for a, b in systems)
+    return systems
+
+
+def test_certificate_decides_the_ladder_hangs():
+    import time
+
+    from selfsim.errors import NotContractingError
+
+    for a, b in ladder_hangs():
+        aut = katsura_automaton(IntMatrix.of(a), IntMatrix.of(b))
+        start = time.perf_counter()
+        with pytest.raises(NotContractingError) as caught:
+            compute_nucleus(aut)
+        assert time.perf_counter() - start < 0.01
+        verify_certificate(aut, caught.value.certificate)
+
+
+def test_certificate_adds_no_arc_past_max_states():
+    # below |S| states the search on S adds no arc, finds nothing, and the
+    # first round ends at the state bound, as the rounds did without it
+    from selfsim.automaton import reachable_closure
+
+    for a, b in ladder_hangs():
+        aut = katsura_automaton(IntMatrix.of(a), IntMatrix.of(b))
+        size = len(reachable_closure(aut, aut.basic_elements()))
+        tight = with_bounds(aut, Bounds(max_states=size - 1))
+        assert compute_nucleus(tight) == NotContractingWithinBound("max_states", size - 1, 64)
+
+
+def test_certificate_never_fires_on_a_nucleus():
+    # the 155 contracting systems and 1,000 seeded random automata at 40
+    # states and 5 rounds: where the word oracle finds a nucleus, so does
+    # compute_nucleus; every certificate holds by words, and there the
+    # oracle hit a bound
+    from selfsim.errors import NotContractingError
+    from test_acceptance import _random_automaton
+
+    for build in contracting_builders():
+        assert isinstance(compute_nucleus(build()), Nucleus)
+    rng = random.Random(19)
+    seen = {"nucleus": 0, "certificate": 0, "bound": 0}
+    while sum(seen.values()) < 1000:
+        aut = _random_automaton(rng)
+        if aut is None:
+            continue
+        want = word_compute_nucleus(with_bounds(aut, aut.bounds))
+        try:
+            got = compute_nucleus(aut)
+        except NotContractingError as e:
+            assert isinstance(want, NotContractingWithinBound)
+            verify_certificate(aut, e.certificate)
+            seen["certificate"] += 1
+            continue
+        assert isinstance(got, Nucleus) or not isinstance(want, Nucleus)
+        seen["nucleus" if isinstance(got, Nucleus) else "bound"] += 1
+    assert all(seen.values()), seen
