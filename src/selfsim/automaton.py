@@ -11,8 +11,21 @@ The action extends to paths by g.(e mu) = (g.e)(g|_e . mu), to words by
     (hg).mu = h.(g.mu)        (hg)|_mu = (h|_{g.mu}) (g|_mu)
 
 and to inverses by g^-1|_eta = (g|_{g^-1.eta})^-1.  Groupoid elements are
-domain-tagged signed words; ``read_word`` is the one reader of their
-literals, for element arguments, spec-file rules and validation alike.
+domain-tagged words of runs: a run (g, k), k a nonzero integer, is the power
+g^k, and adjacent runs never share name and sign, so every word written out
+symbol by symbol (its expanded word) has exactly one canonical form.  No
+word is freely reduced and no exponent is reduced modulo an order: g g^-1
+stays two runs.  ``join`` builds every word; ``read_word`` is the one
+reader of their literals, for element arguments, spec-file rules and
+validation alike.  Names, listings and the shortlex order read the
+expanded word.
+
+A run (s, k) acts on an edge e through an orbit table, made on first use by
+one graphs.rho walk of s from e: the orbit e = e_0, ..., e_{L-1}, the prefix
+restrictions s^r|_e for r <= L and the orbit product P = s^L|_e.  With
+k = qL + r the image is e_r and s^k|_e = (s^r|_e) P^q, so a Katsura power
+a^k costs O(L), not O(k).  A walk that stops (s is not a loop) serves
+|k| = 1 only.
 Two words are identified exactly when they act identically on every finite
 path.  That identity is decided by a greatest-fixpoint bisimulation on
 restriction pairs: a pair refutes if it disagrees on some edge image, and a
@@ -21,7 +34,7 @@ a bisimulation, and by induction bisimilar words agree on all finite paths).
 When every rule restriction is a single signed symbol or a unit, restriction
 never lengthens words, so the search space is finite; longer rule words may
 grow, so searches stop at the automaton's ``bounds`` and words at
-_MAX_WORD_LEN symbols, raising ClosureLimitError past either.
+_MAX_WORD_LEN expanded symbols, raising ClosureLimitError past either.
 
 Class identification is memoised per automaton.  Every class id owns a row:
 the image edge and the successor class id for each edge of range_edges(d),
@@ -29,7 +42,7 @@ filled once from the representative current at first use (the row is a
 class invariant).  A restriction closure renumbers its classes' rows by
 state into a StateMachine, the one table that the nucleus, dynamics,
 Schreier and export code read.  The act cache and the word->class memo
-share one memo bounded by _CACHE_SYMBOLS symbols in total and evict oldest
+share one memo bounded by _CACHE_SYMBOLS runs in total and evict oldest
 first, so their contents depend only on the sequence of calls.
 """
 
@@ -37,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import repeat
 
 from .errors import (
     AutomatonError,
@@ -50,27 +63,46 @@ from .errors import (
 )
 from .graphs import Graph, Path, bfs, rho
 
-# A signed generator symbol: (name, +1) is g, (name, -1) is g^-1.
+# A run of one generator: (name, k) with k != 0 is g^k; (name, -1) is g^-1.
 Symbol = tuple[str, int]
 
-# Upper bound on the symbols (key words plus restriction words) that one
-# automaton's memo holds.  The heaviest Katsura systems would fill about
-# 400 k; at this size they lose no measurable time and peak memory stays flat.
+# Upper bound on the runs (key words plus restriction words) that one
+# automaton's memo holds.  The heaviest recorded Katsura systems fill about
+# 51 k in a 5 s nucleus search, so the bound leaves room and memory stays flat.
 _CACHE_SYMBOLS = 1 << 18
 # Restriction words may grow when rule restrictions have length >= 2;
-# word_act_edge gives up past this length instead of diverging.
+# word_act_edge gives up past this expanded length instead of diverging.
 _MAX_WORD_LEN = 4_096
 
 
+def _tokens(word):
+    """The expanded word: one symbol string per generator letter."""
+    for name, k in word:
+        yield from repeat(name if k > 0 else f"{name}^-1", abs(k))
+
+
 def symbol_str(sym: Symbol) -> str:
-    name, exp = sym
-    return name if exp == 1 else f"{name}^-1"
+    """A run written out: ``g g`` for (g, 2), ``g^-1`` for (g, -1)."""
+    return " ".join(_tokens((sym,)))
+
+
+def join(*words) -> tuple[Symbol, ...]:
+    """The canonical word of the runs of ``words`` in order: adjacent runs of
+    one name and sign merge, and nothing cancels."""
+    out: list[Symbol] = []
+    for word in words:
+        for name, k in word:
+            if out and out[-1][0] == name and (out[-1][1] > 0) == (k > 0):
+                out[-1] = (name, out[-1][1] + k)
+            else:
+                out.append((name, k))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Element:
-    """A groupoid element: a signed word over the generators, tagged with
-    its domain vertex.  The empty word is the unit at ``dom``."""
+    """A groupoid element: a canonical word of runs over the generators,
+    tagged with its domain vertex.  The empty word is the unit at ``dom``."""
 
     dom: str
     word: tuple[Symbol, ...] = ()
@@ -80,15 +112,15 @@ class Element:
         return not self.word
 
     def name(self) -> str:
-        return " ".join(symbol_str(s) for s in self.word) if self.word else self.dom
+        return " ".join(_tokens(self.word)) if self.word else self.dom
 
     def __str__(self):
         return self.name()
 
 
 def word_key(word: tuple[Symbol, ...]):
-    """Shortlex order on signed words; used for canonical representatives."""
-    return (len(word), tuple(symbol_str(s) for s in word))
+    """Shortlex order on expanded words; used for canonical representatives."""
+    return (sum(abs(k) for _, k in word), tuple(_tokens(word)))
 
 
 @dataclass(frozen=True)
@@ -132,12 +164,15 @@ class Automaton:
         self._moves: dict[Symbol, dict[str, tuple[str, tuple[Symbol, ...]]]] = {}
         if not self.violations:
             for name, rule in self.generators.items():
-                self._moves[(name, 1)] = {e: (img, r.word) for e, (img, r) in rule.rules.items()}
-                self._moves[(name, -1)] = {img: (e, _inverse_word(r.word))
-                                           for e, (img, r) in rule.rules.items()}
+                rows = {e: (img, join(r.word)) for e, (img, r) in rule.rules.items()}
+                self._moves[(name, 1)] = rows
+                self._moves[(name, -1)] = {img: (e, _inverse_word(w))
+                                           for e, (img, w) in rows.items()}
+        # (name, k > 0, edge) -> orbit table of the signed symbol; see _orbit
+        self._orbits: dict[tuple[str, bool, str], tuple] = {}
         self._registry = _Registry(self)
         # (word, edge) -> (image, restriction word) and (dom, word) -> class
-        # id share one memo, bounded by the symbols it holds
+        # id share one memo, bounded by the runs it holds
         self._memo = _SymbolMemo(_CACHE_SYMBOLS)
 
     # -- element constructors -------------------------------------------------
@@ -167,9 +202,9 @@ class Automaton:
     # -- endpoint maps ---------------------------------------------------------
 
     def sym_endpoints(self, sym: Symbol) -> tuple[str, str]:
-        """(d, c) of a signed symbol."""
+        """(d, c) of a run."""
         d, c = self._ends[sym[0]]
-        return (d, c) if sym[1] == 1 else (c, d)
+        return (d, c) if sym[1] > 0 else (c, d)
 
     def cod(self, g: Element) -> str:
         return self.sym_endpoints(g.word[0])[1] if g.word else g.dom
@@ -181,31 +216,59 @@ class Automaton:
             raise self.violations[0]
 
     def word_act_edge(self, word: tuple[Symbol, ...], edge: str) -> tuple[str, tuple[Symbol, ...]]:
-        """Image and restriction word of a signed word on a single edge."""
+        """Image and restriction word of a word on a single edge, one orbit
+        table read per run; see the module docstring."""
         if self.violations:  # _require_valid, inlined on the hottest path
             raise self.violations[0]
         key = (word, edge)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        moves = self._moves
+        orbits = self._orbits
         img = edge
         pieces = []
-        total = 0
-        for sym in reversed(word):
-            hit = moves[sym].get(img)
-            if hit is None:
-                raise DomainMismatchError(f"{symbol_str(sym)} does not act on edge {img!r}")
-            img, rw = hit
-            if rw:
-                pieces.append(rw)
-                total += len(rw)
-                if total > _MAX_WORD_LEN:
-                    raise ClosureLimitError(_MAX_WORD_LEN, "restriction word growth")
-        pieces.reverse()
-        out = tuple(chain.from_iterable(pieces))
+        total = 0  # expanded length of the restriction so far
+        for name, k in reversed(word):
+            table = orbits.get((name, k > 0, img)) or self._orbit(name, k > 0, img)
+            nodes, prefix, sizes, loop = table
+            n = abs(k)
+            q, r = divmod(n, len(nodes)) if loop else (0, min(n, len(nodes) - 1))
+            total += sizes[r] + q * sizes[-1]
+            if total > _MAX_WORD_LEN:
+                raise ClosureLimitError(_MAX_WORD_LEN, "restriction word growth")
+            if r < n and not loop:  # the walk stopped at nodes[r]
+                raise DomainMismatchError(
+                    f"{symbol_str((name, k // n))} does not act on edge {nodes[r]!r}")
+            img, orbit = nodes[r], prefix[-1]
+            if q and orbit:  # s^k|_e = (s^r|_e) P^q, P the orbit product
+                if len(orbit) == 1:
+                    pieces.append(((orbit[0][0], orbit[0][1] * q),))
+                else:
+                    pieces += [orbit] * q
+            if prefix[r]:
+                pieces.append(prefix[r])
+        out = pieces[0] if len(pieces) == 1 else join(*reversed(pieces))  # pieces are canonical
         self._memo.put(key, (img, out), len(word) + len(out))
         return img, out
+
+    def _orbit(self, name: str, positive: bool, edge: str) -> tuple:
+        """The orbit table of name^{+-1} at edge: (nodes, prefix, sizes, loop)
+        with nodes the graphs.rho walk from edge, prefix[r] = s^r|_edge for
+        r up to the walk's steps, sizes their expanded lengths, and loop
+        whether the walk closed (then prefix[-1] is the orbit product)."""
+        move = self._moves[name, 1 if positive else -1]
+        prefix, sizes = [()], [0]
+
+        def step(e):
+            hit = move.get(e)
+            if hit is None:
+                return None
+            prefix.append(join(hit[1], prefix[-1]))
+            sizes.append(sizes[-1] + sum(abs(k) for _, k in hit[1]))
+            return hit[0]
+        nodes, start = rho(edge, step)
+        table = self._orbits[name, positive, edge] = (nodes, prefix, sizes, start is not None)
+        return table
 
     def act(self, g: Element, p: Path) -> Path:
         """g . p, defined when r(p) = d(g); length preserving."""
@@ -234,7 +297,7 @@ class Automaton:
         """h after g; defined when d(h) = c(g)."""
         if h.dom != self.cod(g):
             raise NonComposableError(f"d(h) = {h.dom} != c(g) = {self.cod(g)}")
-        return Element(g.dom, h.word + g.word)
+        return Element(g.dom, join(h.word, g.word))
 
     def equal(self, g: Element, h: Element) -> bool:
         """True iff g and h define the same partial isomorphism of E*.
@@ -335,7 +398,7 @@ def read_word(ends, vertices, tokens) -> Element:
     for (_, d, _), (_, _, c) in zip(syms, syms[1:]):
         if d != c:
             raise NonComposableError("adjacent symbols do not chain")
-    return Element(syms[-1][1], tuple(sym for sym, _, _ in syms if sym))
+    return Element(syms[-1][1], join(sym for sym, _, _ in syms if sym))
 
 
 def _validate(graph: Graph, generators: dict[str, GeneratorRule], ends):
@@ -361,13 +424,13 @@ def _validate(graph: Graph, generators: dict[str, GeneratorRule], ends):
             d = c = restr.dom
             if restr.word:
                 try:
-                    d = read_word(ends, (), map(symbol_str, restr.word)).dom
+                    d = read_word(ends, (), restr.name()).dom
                 except (UnknownSymbolError, NonComposableError):
                     violations.append(
                         RestrictionVertexMismatchError(name, e, "word does not chain"))
                     continue
                 first, exp = restr.word[0]  # c of the word is c of its first symbol
-                c = ends[first][1 if exp == 1 else 0]
+                c = ends[first][1 if exp > 0 else 0]
             if d != want_d or c != want_c:
                 violations.append(RestrictionVertexMismatchError(
                     name, e, f"restriction has (d, c) = ({d}, {c}), rule needs ({want_d}, {want_c})"))
@@ -380,7 +443,7 @@ def validate_automaton(a: Automaton):
 
 
 class _SymbolMemo(dict):
-    """A memo bounded by the total length of the words its entries hold;
+    """A memo bounded by the total number of runs its entries' words hold;
     past the bound it drops the oldest entries first."""
 
     def __init__(self, limit: int):

@@ -342,7 +342,7 @@ def katsura_automaton(a: IntMatrix, b: IntMatrix) -> Automaton:
         for j in range(n):
             for m in range(a[i, j]):
                 l, r = divmod(b[i, j] + m, a[i, j])
-                word = ((f"a{j + 1}", 1 if l > 0 else -1),) * abs(l)
+                word = ((f"a{j + 1}", l),) if l else ()
                 rules[f"e{i + 1}_{j + 1}_{m}"] = (
                     f"e{i + 1}_{j + 1}_{r}", Element(str(j + 1), word))
         gens[f"a{i + 1}"] = GeneratorRule(str(i + 1), str(i + 1), rules)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
+from .automaton import Automaton, Element, StateMachine, join, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError, NotContractingError
 from .graphs import (bfs, bfs_labels, find_cycle, limit_nodes, refine, rho,
                      strongly_connected_components)
@@ -148,7 +148,7 @@ def _product(sm: StateMachine, nodes, pairs: _PairSucc) -> dict[int, int]:
         s = block[i]  # a new block is the state numbered by it
         if s < m:
             continue
-        w = Element(ends[i][0], states[v // n].word + states[v % n].word)
+        w = Element(ends[i][0], join(states[v // n].word, states[v % n].word))
         if s == len(states):  # the first node of a new class gives its row
             states.append(w)
             sm.doms.append(ends[i][0])

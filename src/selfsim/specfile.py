@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .automaton import Automaton, Bounds, GeneratorRule, read_word, symbol_str
+from .automaton import Automaton, Bounds, GeneratorRule, read_word
 from .errors import NonComposableError, SpecSyntaxError, UnknownSymbolError
 from .graphs import Graph, Path
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
@@ -176,7 +176,7 @@ def spec_of_automaton(aut: Automaton) -> SpecFile:
     for name, rule in sorted(aut.generators.items()):
         rows = []
         for edge, (image, restr) in sorted(rule.rules.items()):
-            rows.append((edge, image, tuple(map(symbol_str, restr.word)) or (restr.dom,)))
+            rows.append((edge, image, tuple(restr.name().split())))
         gens.append(GeneratorSpec(name, rule.dom, rule.cod, tuple(rows)))
     return SpecFile(
         vertices=tuple(sorted(aut.graph.vertices)),

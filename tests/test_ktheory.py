@@ -298,8 +298,8 @@ def test_katsura_bigger_restrictions():
     assert rule["e1_1_0"] == (rule["e1_1_0"][0], rule["e1_1_0"][1])
     img0, restr0 = rule["e1_1_0"]
     img1, restr1 = rule["e1_1_1"]
-    assert img0 == "e1_1_1" and len(restr0.word) == 2
-    assert img1 == "e1_1_0" and len(restr1.word) == 3
+    assert img0 == "e1_1_1" and restr0.word == (("a1", 2),) and restr0.name() == "a1 a1"
+    assert img1 == "e1_1_0" and restr1.word == (("a1", 3),) and restr1.name() == "a1 a1 a1"
     assert validate_automaton(aut) == []
 
 
