@@ -17,8 +17,8 @@ symbol by symbol (its expanded word) has exactly one canonical form.  No
 word is freely reduced and no exponent is reduced modulo an order: g g^-1
 stays two runs.  ``join`` builds every word; ``read_word`` is the one
 reader of their literals, for element arguments, spec-file rules and
-validation alike.  Names, listings and the shortlex order read the
-expanded word.
+validation alike.  Names and listings read the expanded word; the
+shortlex order reads the runs.
 
 A run (s, k) acts on an edge e through an orbit table, made on first use by
 one graphs.rho walk of s from e: the orbit e = e_0, ..., e_{L-1}, the prefix
@@ -119,8 +119,14 @@ class Element:
 
 
 def word_key(word: tuple[Symbol, ...]):
-    """Shortlex order on expanded words; used for canonical representatives."""
-    return (sum(abs(k) for _, k in word), tuple(_tokens(word)))
+    """Shortlex order on expanded words, read off the runs; used for
+    canonical representatives.  After the length, a run of token t and length
+    n is (t, 0, n) when the next token sorts below t, (t, 1, 0) at the end and
+    (t, 2, -n) when it sorts above: adjacent runs never share a token."""
+    tokens = [name if k > 0 else f"{name}^-1" for name, k in word]
+    return (sum(abs(k) for _, k in word),
+            tuple((t, 1, 0) if u is None else (t, 0, abs(k)) if u < t else (t, 2, -abs(k))
+                  for t, u, (_, k) in zip(tokens, tokens[1:] + [None], word)))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,10 @@ class UnknownSymbolError(SelfSimError):
 
 
 class ClosureLimitError(SelfSimError):
-    """A restriction-closure or bisimulation search exceeded its state budget."""
+    """A search exceeded one of its budgets: ``bound`` states of a
+    restriction closure or an act_infinite cycle search, ``bound`` pairs of a
+    bisimulation, or ``bound`` expanded symbols of a restriction word, with
+    ``what`` naming the search."""
 
     def __init__(self, bound: int, what: str = "closure"):
         self.bound = bound

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import JunctionMismatchError
-from .graphs import Graph, Path
+from .graphs import Graph
 
 
 def _primitive(word: tuple[str, ...]) -> tuple[str, ...]:
@@ -82,17 +82,6 @@ class LeftInfinitePath:
         # the periodic zone ends at position -len(tail)-1 with cycle[-1]
         return self.cycle[(len(self.tail) + n) % len(self.cycle)]
 
-    def window(self, n: int) -> list[str]:
-        """The last n edges, as a left-to-right list (positions -n .. -1)."""
-        return [self.edge_at(i) for i in range(-n, 0)]
-
-    def window_path(self, graph: Graph, n: int) -> Path:
-        edges = self.window(n)
-        return Path.of(graph, edges) if edges else Path.empty(self.s(graph))
-
-    def s(self, graph: Graph) -> str:
-        return graph.s(self.tail[-1]) if self.tail else graph.s(self.cycle[-1])
-
     def shift(self, graph: Graph) -> "LeftInfinitePath":
         """Delete the rightmost edge (the one-sided shift)."""
         if self.tail:
@@ -134,20 +123,6 @@ class RightInfinitePath:
         if n <= len(self.head):
             return self.head[n - 1]
         return self.cycle[(n - len(self.head) - 1) % len(self.cycle)]
-
-    def prefix(self, n: int) -> list[str]:
-        return [self.edge_at(i) for i in range(1, n + 1)]
-
-    def prefix_path(self, graph: Graph, n: int) -> Path:
-        edges = self.prefix(n)
-        return Path.of(graph, edges) if edges else Path.empty(self.r(graph))
-
-    def segment(self, graph: Graph, n: int, l: int) -> Path:
-        """y(n, l) = y_{n+1} ... y_l (empty at r(y_{n+1}) when l = n)."""
-        if l < n:
-            raise IndexError("segment needs l >= n")
-        edges = [self.edge_at(i) for i in range(n + 1, l + 1)]
-        return Path.of(graph, edges) if edges else Path.empty(graph.r(self.edge_at(n + 1)))
 
     def r(self, graph: Graph) -> str:
         return graph.r(self.head[0]) if self.head else graph.r(self.cycle[0])
@@ -222,43 +197,6 @@ class BiInfinitePath:
         if n < a + t:
             return self.center[n - a]
         return self.right_cycle[(n - a - t) % len(self.right_cycle)]
-
-    def window(self, m: int, n: int) -> list[str]:
-        """Edges x_m ... x_n inclusive."""
-        return [self.edge_at(i) for i in range(m, n + 1)]
-
-    def left_truncation(self, graph: Graph, n: int) -> LeftInfinitePath:
-        """x(-inf, n) = ... x_{n-1} x_n as a left-infinite path."""
-        a = self.anchor
-        if n < a:
-            p = len(self.left_cycle)
-            rot = (n - a + 1) % p
-            cyc = self.left_cycle[rot:] + self.left_cycle[:rot]
-            return LeftInfinitePath.make(graph, cyc)
-        return LeftInfinitePath.make(graph, self.left_cycle, self.window(a, n))
-
-    def right_tail(self, graph: Graph, m: int) -> RightInfinitePath:
-        """x(m, inf) = x_m x_{m+1} ... as a right-infinite path."""
-        a, t = self.anchor, len(self.center)
-        if m >= a + t:
-            q = len(self.right_cycle)
-            rot = (m - a - t) % q
-            cyc = self.right_cycle[rot:] + self.right_cycle[:rot]
-            return RightInfinitePath.make(graph, (), cyc)
-        return RightInfinitePath.make(graph, self.window(m, a + t - 1), self.right_cycle)
-
-    def translate(self, graph: Graph, k: int = 1) -> "BiInfinitePath":
-        """tau^k: (tau x)_n = x_{n-k}."""
-        return BiInfinitePath.make(graph, self.left_cycle, self.center,
-                                   self.right_cycle, self.anchor + k)
-
-    def agrees_with(self, other: "BiInfinitePath") -> bool:
-        lo = min(self.anchor, other.anchor)
-        hi = max(self.anchor + len(self.center), other.anchor + len(other.center))
-        lcm_l = lcm(len(self.left_cycle), len(other.left_cycle))
-        lcm_r = lcm(len(self.right_cycle), len(other.right_cycle))
-        return all(self.edge_at(i) == other.edge_at(i)
-                   for i in range(lo - lcm_l, hi + lcm_r + 1))
 
     def __str__(self):
         mid = ".".join(self.center)

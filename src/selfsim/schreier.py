@@ -210,10 +210,6 @@ class SchreierGraph:
             raise VertexNotInLevelError(f"{p} is not a vertex of level {self.level}")
         return pos
 
-    def vertex_index(self, p: Path) -> int:
-        pos = self._vertex_position(p)
-        return self.groups[p.base][pos]
-
     def undirected_edges(self):
         """Edges deduplicated across orientation and inverse labels, keyed
         (min index, max index) with a sorted label tuple."""

@@ -219,7 +219,7 @@ def test_criterion_7_regularity_and_hausdorffness():
         if aut is None:
             continue
         nuc = nucleus_unless_certified(aut)
-        if not isinstance(nuc, Nucleus) or len(nuc.non_units()) > 10:
+        if not isinstance(nuc, Nucleus) or sum(not s.is_unit for s in nuc.states) > 10:
             continue
         fuzzed.append((aut, nuc))
     agree = 0

@@ -102,6 +102,45 @@ def _cycle_through(g, rng, start, max_len):
     return None
 
 
+# -- path views that only the tests read: the library walks edge_at ----------------
+
+
+def window(x, lo, hi):
+    """The edges x_lo ... x_{hi-1} of an infinite path."""
+    return [x.edge_at(i) for i in range(lo, hi)]
+
+
+def segment(graph, y, n, l):
+    """y(n, l) = y_{n+1} ... y_l of a right-infinite path, empty at
+    r(y_{n+1}) when l = n."""
+    edges = window(y, n + 1, l + 1)
+    return Path.of(graph, edges) if edges else Path.empty(graph.r(y.edge_at(n + 1)))
+
+
+def left_truncation(graph, x, n):
+    """x(-inf, n) = ... x_{n-1} x_n of a bi-infinite path: its cycle ends
+    at n or where x's left cycle ends, whichever comes first."""
+    b = min(n, x.anchor - 1)
+    return LeftInfinitePath.make(graph, window(x, b + 1 - len(x.left_cycle), b + 1),
+                                 window(x, b + 1, n + 1))
+
+
+def right_tail(graph, x, m):
+    """x(m, inf) = x_m x_{m+1} ... of a bi-infinite path: its cycle starts
+    at m or where x's right cycle starts, whichever comes last."""
+    c = max(m, x.anchor + len(x.center))
+    return RightInfinitePath.make(graph, window(x, m, c), window(x, c, c + len(x.right_cycle)))
+
+
+def translate(graph, x, k):
+    """tau^k x, with (tau x)_n = x_{n-1}."""
+    return BiInfinitePath.make(graph, x.left_cycle, x.center, x.right_cycle, x.anchor + k)
+
+
+def non_units(nuc):
+    return [s for s in nuc.states if not s.is_unit]
+
+
 # -- asymptotic equivalence ------------------------------------------------------
 
 
@@ -221,7 +260,7 @@ def test_fiber_bijectivity_on_classes(ex310, nuc310):
     rng = random.Random(37)
     for _ in range(40):
         x = random_left_path(ex310, rng)
-        exts = [e for e in g.edges if g.r(e.id) == x.s(g)]
+        exts = [e for e in g.edges if g.r(e.id) == g.s(x.edge_at(-1))]
         for e in exts:
             xe = LeftInfinitePath.make(g, x.cycle, x.tail + (e.id,))
             cls_up = ae_class(xe, nuc310)
@@ -248,7 +287,7 @@ def test_ae_can_cross_source_vertices():
     nuc = compute_nucleus(aut)
     x = LeftInfinitePath.make(g, ["e"], [])
     y = LeftInfinitePath.make(g, ["f"], [])
-    assert x.s(g) == "u" and y.s(g) == "v"
+    assert g.s(x.edge_at(-1)) == "u" and g.s(y.edge_at(-1)) == "v"
     assert ae_equivalent(x, y, nuc)
     assert sorted(str(m) for m in ae_class(x, nuc)) == ["(e)^inf", "(f)^inf"]
 
@@ -273,7 +312,7 @@ def test_ae_bi_implies_truncation_ae_and_transitive(ex310, nuc310):
         if ae_equivalent_bi(x, y, nuc310):
             pairs += 1
             for n in range(-6, 7):
-                assert ae_equivalent(x.left_truncation(g, n), y.left_truncation(g, n), nuc310)
+                assert ae_equivalent(left_truncation(g, x, n), left_truncation(g, y, n), nuc310)
         z = random_bi_path(ex310, rng)
         if ae_equivalent_bi(x, y, nuc310) and ae_equivalent_bi(y, z, nuc310):
             assert ae_equivalent_bi(x, z, nuc310)
@@ -286,7 +325,7 @@ def test_ae_bi_implies_truncation_ae_and_transitive(ex310, nuc310):
 def brute_force_irregularity(aut, nuc, depth):
     """Search for a nucleus state with a fixed path of the given length whose
     intermediate restrictions are never units."""
-    for h in nuc.non_units():
+    for h in non_units(nuc):
         frontier = [(h, h.dom)]
         for _ in range(depth):
             nxt = []
@@ -337,7 +376,7 @@ def test_nonhausdorff_witness(nonhausdorff):
     # the witness path really is fixed with never-unit restrictions
     state = elem
     for n in range(1, 9):
-        p = y.prefix_path(g.graph, n)
+        p = segment(g.graph, y, 0, n)
         assert g.act(elem, p) == p
         assert not g.equal(g.restrict(elem, p), g.unit(p.s(g.graph)))
     ok2, wit2 = is_hausdorff(nuc, want_witness=True)
@@ -345,7 +384,7 @@ def test_nonhausdorff_witness(nonhausdorff):
     mu = list(wit2.strongly_fixed_extension)
     # every prefix of the fixed path extends to a strongly fixed path
     for n in range(0, 6):
-        lam = y.prefix(n) + mu
+        lam = window(y, 1, n + 1) + mu
         p = Path.of(g.graph, lam)
         assert g.act(elem, p) == p
         assert g.restrict(elem, p).is_unit
@@ -441,7 +480,7 @@ def test_germ_equal_with_headed_ray(ex310, nuc310):
     y = RightInfinitePath.make(g, ["4"], ["1"])  # 4 . 1 . 1 ...
     b = ex310.generator("b")
     x = ex310.act_infinite(b, y)  # 2 . 4 . 1 ...
-    assert x.prefix(3) == ["2", "4", "1"]
+    assert window(x, 1, 4) == ["2", "4", "1"]
     g1 = make_germ(ex310, x, 0, b, 0, y)
     g2 = make_germ(ex310, x, 2, ex310.unit("v"), 2, y)
     # b|_{41} = a|_1 = unit, so the germs merge at depth 2
@@ -465,8 +504,8 @@ def l_scan_oracle(aut, g1, g2, depth):
     if g1.x != g2.x or g1.y != g2.y or (g1.m - g1.n) != (g2.m - g2.n):
         return False
     for l in range(max(g1.n, g2.n), depth):
-        a = aut.restrict(g1.g, g1.y.segment(graph, g1.n, l))
-        b = aut.restrict(g2.g, g2.y.segment(graph, g2.n, l))
+        a = aut.restrict(g1.g, segment(graph, g1.y, g1.n, l))
+        b = aut.restrict(g2.g, segment(graph, g2.y, g2.n, l))
         if aut.equal(a, b):
             return True
     return False
@@ -547,8 +586,8 @@ def old_germ_equal(g1, g2, nuc, max_steps=10_000):
         return False
     y = g1.y
     l0 = max(g1.n, g2.n)
-    a = aut.restrict(g1.g, y.segment(graph, g1.n, l0))
-    b = aut.restrict(g2.g, y.segment(graph, g2.n, l0))
+    a = aut.restrict(g1.g, segment(graph, y, g1.n, l0))
+    b = aut.restrict(g2.g, segment(graph, y, g2.n, l0))
     seen = set()
     l = l0
     while len(seen) <= max_steps:
@@ -602,7 +641,7 @@ def _far_germ_pairs(aut, rng):
     x = aut.act_infinite(elem, y.shift(g, n))
     g1 = make_germ(aut, x, 0, elem, n, y)
     out = []
-    for h in (aut.restrict(elem, y.segment(g, n, n + d)), aut.unit(g.r(y.edge_at(n + d + 1))),
+    for h in (aut.restrict(elem, segment(g, y, n, n + d)), aut.unit(g.r(y.edge_at(n + d + 1))),
               random_element(aut, rng, max_len=3)):
         try:
             g2 = make_germ(aut, x, d, h, n + d, y)
@@ -665,7 +704,7 @@ def test_stable_respects_translation(ex310, nuc310):
         x = random_bi_path(ex310, rng)
         y = random_bi_path(ex310, rng)
         st = stable_equivalent(x, y, nuc310)
-        assert st == stable_equivalent(x.translate(g, 1), y.translate(g, 1), nuc310)
+        assert st == stable_equivalent(translate(g, x, 1), translate(g, y, 1), nuc310)
 
 
 def test_unstable_reflexive_and_witness(ex310, nuc310):
@@ -749,7 +788,7 @@ def test_recurrent_nucleus_generates(odometer):
 def test_discerning_path(ex310, nuc310, nonhausdorff):
     g = ex310.graph
     mu = find_discerning_path(nuc310)
-    for h in nuc310.non_units():
+    for h in non_units(nuc310):
         if h.dom != mu.r(g):
             continue
         if ex310.act(h, mu) == mu:
@@ -757,7 +796,7 @@ def test_discerning_path(ex310, nuc310, nonhausdorff):
     nucnh = compute_nucleus(nonhausdorff)
     mu2 = find_discerning_path(nucnh)
     gnh = nonhausdorff.graph
-    for h in nucnh.non_units():
+    for h in non_units(nucnh):
         if h.dom == mu2.r(gnh) and nonhausdorff.act(h, mu2) == mu2:
             assert nonhausdorff.restrict(h, mu2).is_unit
 
@@ -875,7 +914,7 @@ def old_ae_equivalent_bi(x, y, nuc):
     a0 = min(x.anchor, y.anchor)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     L = lcm(len(x.left_cycle), len(y.left_cycle))
-    ty, tx = y.right_tail(graph, b0), x.right_tail(graph, b0)
+    ty, tx = right_tail(graph, y, b0), right_tail(graph, x, b0)
     for h in old_left_arrival_states(aut, nuc, x.edge_at, y.edge_at, a0, L):
         state, ok = h, True
         for n in range(a0, b0):
@@ -1155,8 +1194,8 @@ def _glued_pairs(aut, nuc, x):
     state g acting there; these include the equivalent partners."""
     graph = aut.graph
     b = x.anchor + len(x.center)
-    right = x.right_tail(graph, b)
-    for z in old_ae_class(x.left_truncation(graph, b - 1), nuc):
+    right = right_tail(graph, x, b)
+    for z in old_ae_class(left_truncation(graph, x, b - 1), nuc):
         for g in nuc.states:
             if g.dom != right.r(graph):
                 continue
@@ -1315,8 +1354,8 @@ def old_unstable_equivalent(x, y, nuc, want_witness=False):
     m0 = max(0, x.anchor + len(x.center), y.anchor + len(y.center))
     period = lcm(len(x.right_cycle), len(y.right_cycle))
     for m in range(0, m0 + period):
-        tx = x.right_tail(graph, m + 1)
-        ty = y.right_tail(graph, m + 1)
+        tx = right_tail(graph, x, m + 1)
+        ty = right_tail(graph, y, m + 1)
         for g in pool:
             if g.dom != tx.r(graph) or aut.cod(g) != ty.r(graph):
                 continue
@@ -1331,14 +1370,14 @@ def _unstable_partners(aut, x, elements, rng):
     unstably equivalent to x."""
     graph = aut.graph
     b = x.anchor + len(x.center)
-    tail = x.right_tail(graph, b)
+    tail = right_tail(graph, x, b)
     for g in elements:
         if g.dom != tail.r(graph):
             continue
         w = aut.act_infinite(g, tail)
         for _ in range(10):
             z = random_left_path(aut, rng, max_cycle=4, max_tail=3)
-            if z.s(graph) == graph.r(w.edge_at(1)):
+            if graph.s(z.edge_at(-1)) == graph.r(w.edge_at(1)):
                 yield BiInfinitePath.make(graph, z.cycle, z.tail + w.head, w.cycle,
                                           b - len(z.tail))
                 break
@@ -1358,7 +1397,7 @@ def test_unstable_vs_word_oracle(spec):
             v = BiInfinitePath.make(aut.graph, v.left_cycle, v.center,
                                     rng.choices(ids, k=rng.randint(1, 4)), v.anchor)
         partners = list(_unstable_partners(aut, u, pool, rng))
-        for w in [v, u.translate(aut.graph, 1)] + rng.sample(partners, min(6, len(partners))):
+        for w in [v, translate(aut.graph, u, 1)] + rng.sample(partners, min(6, len(partners))):
             for x, y in ((u, w), (w, u)):
                 got = unstable_equivalent(x, y, nuc, want_witness=True)
                 assert got == old_unstable_equivalent(x, y, nuc, want_witness=True), (x, y)
@@ -1426,8 +1465,8 @@ def galloping_stable_equivalent(x, y, nuc, want_witness=False):
     graph = nuc.automaton.graph
     m0 = max(0, 1 - x.anchor, 1 - y.anchor)
     period = lcm(len(x.left_cycle), len(y.left_cycle))
-    m = galloping_least(lambda m: ae_equivalent(x.left_truncation(graph, -m),
-                                                y.left_truncation(graph, -m), nuc), m0 + period)
+    m = galloping_least(lambda m: ae_equivalent(left_truncation(graph, x, -m),
+                                                left_truncation(graph, y, -m), nuc), m0 + period)
     return (m is not None, m) if want_witness else m is not None
 
 
@@ -1470,7 +1509,7 @@ def linear_stable_equivalent(x, y, nuc, want_witness=False):
     m0 = max(0, 1 - x.anchor, 1 - y.anchor)
     period = lcm(len(x.left_cycle), len(y.left_cycle))
     for m in range(0, m0 + period):
-        if ae_equivalent(x.left_truncation(graph, -m), y.left_truncation(graph, -m), nuc):
+        if ae_equivalent(left_truncation(graph, x, -m), left_truncation(graph, y, -m), nuc):
             return (True, m) if want_witness else True
     return (False, None) if want_witness else False
 
@@ -1495,21 +1534,21 @@ def _glued_partners(aut, nuc, x, rng):
     x's (unstable partners), glued to random other halves."""
     g = aut.graph
     c = rng.randint(x.anchor - 3, x.anchor + len(x.center) + 3)
-    z = x.left_truncation(g, c - 1)
+    z = left_truncation(g, x, c - 1)
     for _ in range(10):
-        mid = _walk(g, rng, z.s(g), rng.randint(0, 3))
-        pi = _cycle_through(g, rng, g.s(mid[-1]) if mid else z.s(g), rng.randint(1, 4))
+        mid = _walk(g, rng, g.s(z.edge_at(-1)), rng.randint(0, 3))
+        pi = _cycle_through(g, rng, g.s(mid[-1] if mid else z.edge_at(-1)), rng.randint(1, 4))
         if pi is not None:
             yield BiInfinitePath.make(g, z.cycle, z.tail + tuple(mid), pi, c - len(z.tail))
             break
-    w = x.right_tail(g, c)
+    w = right_tail(g, x, c)
     for h in rng.sample(nuc.states, min(3, len(nuc.states))):
         if h.dom != w.r(g):
             continue
         hw = aut.act_infinite(h, w)
         for _ in range(10):
             left = random_left_path(aut, rng, max_cycle=4, max_tail=3)
-            if left.s(g) == g.r(hw.edge_at(1)):
+            if g.s(left.edge_at(-1)) == g.r(hw.edge_at(1)):
                 yield BiInfinitePath.make(g, left.cycle, left.tail + hw.head, hw.cycle,
                                           c - len(left.tail))
                 break

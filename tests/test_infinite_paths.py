@@ -32,9 +32,8 @@ def test_left_infinite_window(ex310):
     g = ex310.graph
     x = LeftInfinitePath.make(g, ["2", "3"], ["1", "1"])
     # positions -6..-1 of (2.3)^inf . 1.1  are  2 3 2 3 1 1
-    assert x.window(6) == ["2", "3", "2", "3", "1", "1"]
+    assert [x.edge_at(i) for i in range(-6, 0)] == ["2", "3", "2", "3", "1", "1"]
     assert x.edge_at(-1) == "1" and x.edge_at(-3) == "3" and x.edge_at(-4) == "2"
-    assert x.window_path(g, 4).edges == ("2", "3", "1", "1")
 
 
 def test_left_shift(ex310):
@@ -51,12 +50,10 @@ def test_right_infinite_basics(ex310):
     g = ex310.graph
     x = RightInfinitePath.make(g, ["4"], ["1"])
     assert x.r(g) == "w"
-    assert x.prefix(4) == ["4", "1", "1", "1"]
-    assert x.segment(g, 1, 3).edges == ("1", "1")
-    assert x.segment(g, 0, 0).edges == ()
+    assert [x.edge_at(i) for i in range(1, 5)] == ["4", "1", "1", "1"]
     y = RightInfinitePath.make(g, ["2", "3"], ["2", "3"])  # head absorbed
     assert y.head == () and len(y.cycle) == 2
-    assert y.shift(g).prefix(3) == y.prefix(4)[1:]
+    assert [y.shift(g).edge_at(i) for i in range(1, 4)] == [y.edge_at(i) for i in range(2, 5)]
 
 
 def test_right_shift_by_n_is_n_single_shifts(ex310, basilica):
@@ -81,21 +78,6 @@ def test_right_shift_by_n_is_n_single_shifts(ex310, basilica):
             checked += 1
 
 
-def test_bi_infinite_windows_and_truncations(ex310):
-    g = ex310.graph
-    x = BiInfinitePath.make(g, ["2", "3"], ["1"], ["1"], anchor=0)
-    # left zone ends with ...2.3 at position -1; center edge 1 at 0; right 1s
-    assert x.window(-2, 2) == ["2", "3", "1", "1", "1"]
-    lt = x.left_truncation(g, -1)
-    assert lt == LeftInfinitePath.make(g, ["2", "3"], [])
-    lt2 = x.left_truncation(g, 1)
-    assert lt2 == LeftInfinitePath.make(g, ["2", "3"], ["1", "1"])
-    rt = x.right_tail(g, 0)
-    assert rt == RightInfinitePath.make(g, [], ["1"])
-    rt2 = x.right_tail(g, -2)
-    assert rt2 == RightInfinitePath.make(g, ["2", "3"], ["1"])
-
-
 def test_bi_infinite_globally_periodic_seam(ex310):
     g = ex310.graph
     a = BiInfinitePath.make(g, ["1"], [], ["1"], anchor=0)
@@ -104,7 +86,6 @@ def test_bi_infinite_globally_periodic_seam(ex310):
     c = BiInfinitePath.make(g, ["2", "3"], [], ["2", "3"], anchor=0)
     d = BiInfinitePath.make(g, ["3", "2"], [], ["3", "2"], anchor=1)
     assert c == d
-    assert c.agrees_with(d)
     e = BiInfinitePath.make(g, ["3", "2"], [], ["3", "2"], anchor=0)
     assert e != c
     assert [e.edge_at(i) for i in (-2, -1, 0, 1)] == ["3", "2", "3", "2"]
@@ -120,14 +101,6 @@ def test_bi_infinite_absorption(ex310):
     assert x.edge_at(1) == "3" and x.edge_at(2) == "1"
 
 
-def test_bi_infinite_translate(ex310):
-    g = ex310.graph
-    x = BiInfinitePath.make(g, ["2", "3"], ["1"], ["1"], anchor=0)
-    t = x.translate(g, 3)
-    for i in range(-6, 7):
-        assert t.edge_at(i) == x.edge_at(i - 3)
-
-
 def test_edge_consistency_random(ex310, basilica):
     # every consecutive pair in any window satisfies s(x_i) = r(x_{i+1})
     rng = random.Random(5)
@@ -140,7 +113,7 @@ def test_edge_consistency_random(ex310, basilica):
                 continue
             tail = _random_walk(g, rng, g.s(cyc[-1]), rng.randint(0, 4))
             x = LeftInfinitePath.make(g, cyc, tail)
-            win = x.window(12)
+            win = [x.edge_at(i) for i in range(-12, 0)]
             for a, b in zip(win, win[1:]):
                 assert g.s(a) == g.r(b)
 

@@ -9,12 +9,15 @@ private name of another, and only automaton.py reads or writes the
 inverse marker.  Every bound has one owner, the automaton's Bounds:
 no function takes a per-call budget or cache.  Every walk goes through
 graphs.py: outside the modules with their own algorithms, a while loop
-appears only where it is listed."""
+appears only where it is listed.  No code only tests reach: every
+function, method or class the package defines is read somewhere in src/,
+bench/ or demos/ outside its own definition."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "selfsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "selfsim"
 
 # (module, top-level definition) pairs outside automaton.py that may name _registry
 ALLOWED = {("dynamics", "check_recurrent")}
@@ -155,3 +158,57 @@ def test_while_loops_only_where_allowed():
     assert sorted(found - ALLOWED_WHILE) == []
     # ... and the loops it allows, so the list cannot outlive them unnoticed
     assert found == ALLOWED_WHILE
+
+
+def name_sites(text: str) -> dict:
+    """name -> the lines where the source text reads it: as a name, an
+    attribute, an imported name, or a string constant that is an identifier
+    (an ``__all__`` entry, a getattr)."""
+    sites = {}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            name = node.value
+        else:
+            continue
+        sites.setdefault(name, []).append(node.lineno)
+    return sites
+
+
+def unread_definitions(package: dict, readers: dict) -> list:
+    """(file, name) of each function, method or class defined in the files
+    ``package`` (file -> source text), dunders excluded, whose name no file
+    of ``readers`` reads outside the definition's own lines."""
+    sites = {path: name_sites(text) for path, text in readers.items()}
+    out = []
+    for path, text in package.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(where != path or line not in own
+                       for where, found in sites.items() for line in found.get(node.name, ())):
+                out.append((path, node.name))
+    return out
+
+
+def test_no_definition_is_reached_only_by_tests():
+    # the scan flags a method only a test calls and a function that only
+    # calls itself, so it cannot pass by finding nothing
+    lib = {"lib.py": "def helper():\n    return 1\n\ndef api():\n    return helper()\n\n"
+                     "def recurse(n):\n    return recurse(n - 1)\n\n"
+                     "class C:\n    def tested(self):\n        pass\n\n"
+                     "    def __len__(self):\n        return 0\n"}
+    demo = {"demo.py": "from lib import C, api\napi()\n"}
+    assert unread_definitions(lib, {**lib, **demo}) == [("lib.py", "recurse"), ("lib.py", "tested")]
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = {str(p.relative_to(ROOT)): p.read_text()
+               for d in ("bench", "demos") for p in sorted((ROOT / d).glob("*.py"))}
+    assert unread_definitions(package, {**package, **readers}) == []

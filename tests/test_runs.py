@@ -8,10 +8,16 @@ the same image, the same expanded restriction, or the same exception with
 the same message.  The other tests check that every word the calculus
 returns is canonical, that a Katsura power costs O(orbit) work whatever its
 exponent, and that ``equal`` counts the pairs it counted before.
+``expanded_word_key`` is the shortlex key as it was when it spelled words
+out; ``word_key`` reads the runs and orders every random pair as it did.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from itertools import chain, repeat
 from pathlib import Path as FsPath
 
 import pytest
@@ -364,3 +370,97 @@ def test_equal_counts_the_pairs_it_counted_before():
                     ClosureLimitError, str(ClosureLimitError(count - 1, "bisimulation")))
             kinds.add(want if isinstance(want, bool) else want[0].__name__)
     assert {True, False} <= kinds
+
+
+# -- the shortlex key -------------------------------------------------------------------
+
+
+def expanded_word_key(word):
+    """automaton.word_key as it was before it read runs: the length, then the
+    expanded word as a tuple of symbol strings."""
+    return (sum(abs(k) for _, k in word), tuple(chain.from_iterable(
+        repeat(name if k > 0 else f"{name}^-1", abs(k)) for name, k in word)))
+
+
+def random_word(rng, max_exp, max_runs=4):
+    """A canonical word of random runs over three names, one a prefix of
+    another, so that the tokens a, a1, a^-1 and b sort in a mixed order."""
+    return join([(rng.choice(("a", "a1", "b")), rng.choice((1, -1)) * rng.randint(1, max_exp))
+                 for _ in range(rng.randint(0, max_runs))])
+
+
+def same_length_partner(rng, word, max_exp):
+    """A random canonical word of the same expanded length that shares a
+    random number of leading runs with ``word``, the last of them maybe
+    shortened."""
+    head = list(word[:rng.randint(0, len(word))])
+    if head and rng.random() < 0.5:
+        name, k = head[-1]
+        head[-1] = (name, (1 if k > 0 else -1) * rng.randint(1, abs(k)))
+    rest = sum(abs(k) for _, k in word) - sum(abs(k) for _, k in head)
+    while rest:
+        n = rng.randint(1, min(rest, max_exp))
+        head.append((rng.choice(("a", "a1", "b")), rng.choice((1, -1)) * n))
+        rest -= n
+    return join(head)
+
+
+def test_word_key_orders_as_the_expanded_word():
+    rng = random.Random(24)
+    seen = {"<": 0, "==": 0, ">": 0, "same length": 0, "10^5 or longer": 0}
+    for i in range(20_000):
+        max_exp = 10**6 if i % 200 == 0 else rng.choice((1, 3, 8))
+        x = random_word(rng, max_exp, max_runs=3 if max_exp > 8 else 5)
+        y = same_length_partner(rng, x, max_exp) if i % 2 else random_word(rng, max_exp)
+        (ox, nx), (oy, ny) = [(expanded_word_key(w), automaton.word_key(w)) for w in (x, y)]
+        assert (nx < ny, nx == ny, ny < nx) == (ox < oy, ox == oy, oy < ox), (x, y)
+        seen["<" if ox < oy else "==" if ox == oy else ">"] += 1
+        seen["same length"] += ox[0] == oy[0]
+        seen["10^5 or longer"] += ox[0] >= 10**5
+    assert min(seen.values()) > 50, seen
+    assert automaton.word_key(()) < automaton.word_key((("a", -1),))
+
+
+# runs argv[1] in a grandchild with its address space capped at 1 GiB, then
+# prints the grandchild's peak RSS in KiB: a child's own peak starts at its
+# parent's, which would count the test process
+LAUNCHER = """import resource, subprocess, sys
+cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+code = subprocess.run([sys.executable, "-c", sys.argv[1]], preexec_fn=cap).returncode
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def child(code):
+    """Run ``code`` in a fresh Python on this source tree, so that a
+    regression fails or times out instead of filling the machine: (its
+    stdout, its peak RSS in KiB)."""
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, code], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    *out, peak = proc.stdout.splitlines()
+    return "\n".join(out), int(peak)
+
+
+def test_word_key_does_not_expand_a_run():
+    # spelled out, a1^(10^12) would take 8 TB of token pointers
+    out, _ = child("from selfsim.automaton import word_key\n"
+                   "print(word_key(((\"a1\", 10**12),)))\n")
+    assert out == str((10**12, (("a1", 1, 0),)))
+
+
+def test_the_certificate_search_at_2048_states_stays_small():
+    # the order chain a1 -> a2^2 -> a1^2 -> a2^4 -> ... doubles its exponents
+    # and never closes; with names spelled out to compare them, 2,048 states
+    # took 777 MB and about a minute
+    out, peak_kib = child(
+        "from selfsim import nucleus\n"
+        "from selfsim.automaton import reachable_closure\n"
+        "from selfsim.ktheory import IntMatrix, katsura_automaton\n"
+        "aut = katsura_automaton(IntMatrix.of([[2, 3], [2, 3]]), IntMatrix.of([[2, 2], [2, 0]]))\n"
+        "sm = reachable_closure(aut, aut.basic_elements())\n"
+        "print(nucleus._non_contraction(sm, 2048))\n")
+    assert out == "None"
+    assert peak_kib < 100 * 1024

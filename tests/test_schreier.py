@@ -451,13 +451,6 @@ def test_psi_walks_no_tower(monkeypatch):
     assert walks == [6]
 
 
-def test_vertex_index_is_built_on_first_lookup(ex310, gens310):
-    gamma = build_schreier(ex310, gens310, 3)
-    assert not hasattr(gamma, "_index")
-    for i, p in enumerate(gamma.vertices):
-        assert gamma.vertex_index(p) == i
-
-
 # -- the class-id-keyed tower, kept as an oracle for the machine's tower --------
 
 
@@ -541,15 +534,18 @@ def test_views_index_like_lists(ex310, gens310):
     assert list(gamma.vertices) == enumerate_paths(ex310.graph, 4)
 
 
-def test_vertex_index_rejects_non_vertices(ex310, gens310):
+def test_geodesic_distance_rejects_non_vertices(ex310, gens310):
     gamma = build_schreier(ex310, gens310, 2)
+    v0 = gamma.vertices[0]
     for p in (Path("w", ("2", "3")),  # r(2) = v
               Path("v", ("2",)), Path("v", ("2", "3", "1")),  # wrong length
               Path("v", ("2", "2")),  # s(2) != r(2)
               Path("u", ("2", "3")), Path("v", ("9", "3"))):
         with pytest.raises(VertexNotInLevelError):
-            gamma.vertex_index(p)
-    assert build_schreier(ex310, gens310, 0).vertex_index(Path.empty("w")) == 1
+            geodesic_distance(gamma, p, v0)
+        with pytest.raises(VertexNotInLevelError):
+            geodesic_distance(gamma, v0, p)
+    assert geodesic_distance(build_schreier(ex310, gens310, 0), Path.empty("w"), Path.empty("w")) == 0
 
 
 class _CountedSeq:
@@ -604,7 +600,7 @@ def test_exports_psi_and_profiles_read_only_columns(monkeypatch):
 
 def oracle_distance_profile(aut, x, y, max_level, gens, cache):
     """distance_profile before it searched the columns: per level a whole
-    graph (a Path per vertex, a vertex_index dict, undirected adjacency
+    graph (a Path per vertex, a dict of vertex indices, undirected adjacency
     sets), then a BFS from one window to the other."""
     from selfsim.schreier import _label_set, _tower
 
@@ -626,7 +622,7 @@ def oracle_distance_profile(aut, x, y, max_level, gens, cache):
     out = []
     for n in range(1, max_level + 1):
         index, adj = cache[n]
-        mu, nu = x.window_path(graph, n), y.window_path(graph, n)
+        mu, nu = (Path.of(graph, [z.edge_at(i) for i in range(-n, 0)]) for z in (x, y))
         src, dst = index[(mu.base, mu.edges)], index[(nu.base, nu.edges)]
         dist, queue = {src: 0}, [src]
         for u in queue:
