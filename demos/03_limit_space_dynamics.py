@@ -17,7 +17,6 @@ from selfsim import (
     level_transitive,
     parse_path,
     parse_spec,
-    shift_class,
 )
 
 SPECS = FsPath(__file__).resolve().parent.parent / "specs"
@@ -37,14 +36,14 @@ print("class of (1)^inf:", [str(m) for m in ae_class(x, nuc)])
 y = parse_path(g, "(2.3)^inf")
 print("class of (2.3)^inf:", [str(m) for m in ae_class(y, nuc)])
 z = parse_path(g, "(4.2)^inf")
-ok, wit = ae_equivalent(y, z, nuc, want_witness=True)
+ok, wit = ae_equivalent(y, z, nuc)
 print("(2.3)^inf ~ (4.2)^inf?", ok, "entered the tail in state", wit.entry_state)
 
 # the shift deletes the rightmost edge and rotates the cycle presentation
-print("shift (2.3)^inf =", shift_class(g, y))
+print("shift (2.3)^inf =", y.shift(g))
 
 # Deciders for the shift dynamics:
-print("regular?", is_regular(nuc), " hausdorff?", is_hausdorff(nuc))
+print("regular?", is_regular(nuc)[0], " hausdorff?", is_hausdorff(nuc)[0])
 print("level-transitive up to 8?", all(level_transitive(aut, n) for n in range(1, 9)))
 
 # An irregular, non-Hausdorff machine: h fixes the loop 0 with restriction
@@ -52,8 +51,8 @@ print("level-transitive up to 8?", all(level_transitive(aut, n) for n in range(1
 # cycle reaches a unit).
 nh = load("nonhausdorff.ss")
 nuch = compute_nucleus(nh)
-ok, wit = is_regular(nuch, want_witness=True)
+ok, wit = is_regular(nuch)
 print("nonhausdorff.ss regular?", ok, "witness:", wit.element, "fixes", wit.fixed_path)
-ok, wit = is_hausdorff(nuch, want_witness=True)
+ok, wit = is_hausdorff(nuch)
 print("nonhausdorff.ss hausdorff?", ok,
       "strongly fixed extension:", ".".join(wit.strongly_fixed_extension))

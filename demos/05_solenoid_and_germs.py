@@ -33,18 +33,18 @@ print("y =", y)
 
 print("bi-infinite ae(x, x):", ae_equivalent_bi(x, x, nuc))
 
-ok, m = stable_equivalent(x, y, nuc, want_witness=True)
+ok, m = stable_equivalent(x, y, nuc)
 print("stable(x, y):", ok, "at truncation depth m =", m)
 
 # x(1, inf) = 1 1 1 ... while y(1, inf) = 4 1 1 ...; the generator a maps
 # one onto the other (a.1 = 4 with unit restriction), so the witness is
 # (M, g) = (0, a).
-ok, (M, elem) = unstable_equivalent(x, y, nuc, want_witness=True)
+ok, (M, elem) = unstable_equivalent(x, y, nuc)
 print("unstable(x, y):", ok, "witness M =", M, "g =", elem.name())
 
 z = parse_path(g, "(1)^inf . (1)^inf @ 0")
-print("stable(x, all-ones):", stable_equivalent(x, z, nuc))
-print("unstable(x, all-ones):", unstable_equivalent(x, z, nuc))
+print("stable(x, all-ones):", stable_equivalent(x, z, nuc)[0])
+print("unstable(x, all-ones):", unstable_equivalent(x, z, nuc)[0])
 
 # Germs [x, m, g, n, y]: the two germs below differ in their element (a
 # versus a unit) but have the same restrictions from depth 1 on, so they

@@ -15,7 +15,6 @@ from selfsim import (
     kernel,
     cokernel,
     smith_normal_form,
-    validate_automaton,
 )
 from selfsim.specfile import spec_of_automaton
 
@@ -23,7 +22,7 @@ A = IntMatrix.of([[2, 1], [2, 2]])
 B = IntMatrix.of([[1, 0], [1, 1]])
 
 aut = katsura_automaton(A, B)
-assert validate_automaton(aut) == []
+assert aut.violations == []
 print(format_spec(spec_of_automaton(aut)))
 
 nuc = compute_nucleus(aut)

@@ -15,7 +15,6 @@ from .automaton import (
     GeneratorRule,
     StateMachine,
     reachable_closure,
-    validate_automaton,
 )
 from .dynamics import (
     Germ,
@@ -29,7 +28,6 @@ from .dynamics import (
     is_regular,
     level_transitive,
     make_germ,
-    shift_class,
     stable_equivalent,
     unstable_equivalent,
 )
@@ -61,7 +59,7 @@ from .schreier import (
     geodesic_distance,
     project_psi,
 )
-from .specfile import SpecFile, format_path, format_spec, parse_path, parse_spec
+from .specfile import SpecFile, format_spec, parse_path, parse_spec
 
 __version__ = "0.1.0"
 
@@ -73,10 +71,10 @@ __all__ = [
     "ae_class", "ae_equivalent", "ae_equivalent_bi", "build_schreier",
     "check_recurrent", "cokernel", "compute_Rk", "compute_nucleus", "concat",
     "default_generating_set", "distance_profile", "enumerate_paths",
-    "find_discerning_path", "format_path", "format_spec", "geodesic_distance",
+    "find_discerning_path", "format_spec", "geodesic_distance",
     "germ_equal", "is_hausdorff", "is_regular", "katsura_automaton",
     "katsura_ktheory", "kernel", "level_transitive", "limit_restrictions",
     "make_germ", "moore_diagram", "parse_path", "parse_spec", "project_psi",
-    "reachable_closure", "shift_class", "smith_normal_form", "stable_equivalent",
-    "unstable_equivalent", "validate_automaton", "validate_graph",
+    "reachable_closure", "smith_normal_form", "stable_equivalent",
+    "unstable_equivalent", "validate_graph",
 ]

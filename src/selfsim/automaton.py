@@ -146,11 +146,11 @@ class Bounds:  # an automaton's budgets, read by every search it runs
 class Automaton:
     """A validated-on-demand rule table over a fixed graph.
 
-    Construction never raises for rule-level problems; ``violations`` holds
-    whatever :func:`validate_automaton` found, and the action operations
-    refuse to run while it is nonempty.  Vertex names double as unit
-    symbols, so generator names must not collide with vertex names, and a
-    trailing ``^-1`` marks an inverse, so no generator name ends in it.
+    Construction never raises for rule-level problems; ``violations`` lists
+    them in deterministic order, and the action operations refuse to run
+    while it is nonempty.  Vertex names double as unit symbols, so generator
+    names must not collide with vertex names, and a trailing ``^-1`` marks
+    an inverse, so no generator name ends in it.
     """
 
     def __init__(self, graph: Graph, generators: dict[str, GeneratorRule],
@@ -441,11 +441,6 @@ def _validate(graph: Graph, generators: dict[str, GeneratorRule], ends):
                 violations.append(RestrictionVertexMismatchError(
                     name, e, f"restriction has (d, c) = ({d}, {c}), rule needs ({want_d}, {want_c})"))
     return violations
-
-
-def validate_automaton(a: Automaton):
-    """ok == empty list; otherwise the violations, in deterministic order."""
-    return list(a.violations)
 
 
 class _SymbolMemo(dict):

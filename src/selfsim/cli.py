@@ -33,7 +33,7 @@ from .graphs import validate_graph
 from .ktheory import IntMatrix, katsura_automaton, katsura_ktheory, smith_normal_form
 from .nucleus import NotContractingWithinBound, compute_Rk, compute_nucleus, moore_diagram
 from .schreier import build_schreier, default_generating_set
-from .specfile import format_path, format_spec, parse_path, parse_spec, spec_of_automaton
+from .specfile import format_spec, parse_path, parse_spec, spec_of_automaton
 
 OK, FAIL, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
 # What a handler needs; each level includes the ones before it.
@@ -127,7 +127,7 @@ def _cmd_validate(args, aut):
 
 def _cmd_act(args, aut):
     img = aut.act(aut.element(args.elem), parse_path(aut.graph, args.path, "finite"))
-    return OK, {"result": format_path(img)}
+    return OK, {"result": str(img)}
 
 
 def _cmd_restrict(args, aut):
@@ -171,12 +171,12 @@ def _cmd_check(args, aut):
                               "missing": list(rep.missing)[:10]}
     nuc = _nucleus(aut)
     if prop == "regular":
-        ok, wit = dynamics.is_regular(nuc, want_witness=True)
+        ok, wit = dynamics.is_regular(nuc)
         report = {"regular": ok}
         if wit:
             report["witness"] = {"element": wit.element, "fixed_path": str(wit.fixed_path)}
         return (OK if ok else FAIL), report
-    ok, wit = dynamics.is_hausdorff(nuc, want_witness=True)
+    ok, wit = dynamics.is_hausdorff(nuc)
     report = {"hausdorff": ok}
     if wit:
         report["witness"] = {"element": wit.element, "fixed_path": str(wit.fixed_path),
@@ -186,8 +186,7 @@ def _cmd_check(args, aut):
 
 def _cmd_ae(args, aut, nuc):
     x = parse_path(aut.graph, args.x, "left")
-    ok, wit = dynamics.ae_equivalent(x, parse_path(aut.graph, args.y, "left"), nuc,
-                                     want_witness=True)
+    ok, wit = dynamics.ae_equivalent(x, parse_path(aut.graph, args.y, "left"), nuc)
     report = {"equivalent": ok}
     if wit:
         report["witness"] = {"entry_state": wit.entry_state,
@@ -202,7 +201,7 @@ def _cmd_class(args, aut, nuc):
 
 def _cmd_shift(args, aut):
     x = parse_path(aut.graph, args.x, "left")
-    return OK, {"result": str(dynamics.shift_class(aut.graph, x))}
+    return OK, {"result": str(x.shift(aut.graph))}
 
 
 def _cmd_germ_eq(args, aut, nuc):
@@ -216,8 +215,7 @@ def _cmd_germ_eq(args, aut, nuc):
 
 def _cmd_stable(args, aut, nuc):
     x = parse_path(aut.graph, args.x, "bi")
-    ok, m = dynamics.stable_equivalent(x, parse_path(aut.graph, args.y, "bi"), nuc,
-                                       want_witness=True)
+    ok, m = dynamics.stable_equivalent(x, parse_path(aut.graph, args.y, "bi"), nuc)
     report = {"stable_equivalent": ok}
     if ok:
         report["witness_m"] = m
@@ -226,8 +224,7 @@ def _cmd_stable(args, aut, nuc):
 
 def _cmd_unstable(args, aut, nuc):
     x = parse_path(aut.graph, args.x, "bi")
-    ok, wit = dynamics.unstable_equivalent(x, parse_path(aut.graph, args.y, "bi"), nuc,
-                                           want_witness=True)
+    ok, wit = dynamics.unstable_equivalent(x, parse_path(aut.graph, args.y, "bi"), nuc)
     report = {"unstable_equivalent": ok}
     if ok:
         report["witness"] = {"M": wit[0], "element": wit[1].name()}

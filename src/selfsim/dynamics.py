@@ -36,18 +36,13 @@ from math import lcm
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure
 from .errors import DomainMismatchError, NotStronglyConnectedError
-from .graphs import (Graph, Path, bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho,
-                     rho_at, validate_graph)
+from .graphs import (Path, bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho, rho_at,
+                     validate_graph)
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus
 from .schreier import build_schreier, default_generating_set
 
 _MAX_DISCERNING_LEN = 64  # the longest path find_discerning_path tries
-
-
-def shift_class(graph: Graph, x: LeftInfinitePath) -> LeftInfinitePath:
-    """Delete the rightmost edge; descends to asymptotic-equivalence classes."""
-    return x.shift(graph)
 
 
 def _name(nuc: Nucleus, i: int) -> str:
@@ -81,9 +76,8 @@ def _succ(steps: dict):
 
 def _run(sm: StateMachine, i: int, x_at, lo: int, hi: int, y_at=None):
     """Run state i along x's edges at positions lo .. hi-1: the list of
-    (state, output edge) and the state reached, or None when an edge falls
-    outside the current state's domain or, with ``y_at``, an output is not
-    y's edge."""
+    (state, output edge), or None when an edge falls outside the current
+    state's domain or, with ``y_at``, an output is not y's edge."""
     out = []
     for n in range(lo, hi):
         hit = sm.rows[i].get(x_at(n))
@@ -91,7 +85,7 @@ def _run(sm: StateMachine, i: int, x_at, lo: int, hi: int, y_at=None):
             return None
         out.append((i, hit[0]))
         i = hit[1]
-    return out, i
+    return out
 
 
 def _left_arrival_states(nuc: Nucleus, x_at, y_at, boundary: int, L: int) -> list[int]:
@@ -108,19 +102,17 @@ class AeWitness:
     tail_run: tuple[tuple[int, str, str], ...]  # (position, state name, output edge)
 
 
-def ae_equivalent(x: LeftInfinitePath, y: LeftInfinitePath, nuc: Nucleus,
-                  want_witness: bool = False):
-    """Nucleus-run decision of x ~_ae y for left-infinite paths."""
+def ae_equivalent(x: LeftInfinitePath, y: LeftInfinitePath, nuc: Nucleus):
+    """Nucleus-run decision of x ~_ae y for left-infinite paths:
+    (True, AeWitness) or (False, None)."""
     T = max(len(x.tail), len(y.tail))
     L = lcm(len(x.cycle), len(y.cycle))
     for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, -T, L):
         run = _run(nuc.machine, h, x.edge_at, -T, 0, y.edge_at)
         if run is not None:
-            if want_witness:
-                return True, AeWitness(_name(nuc, h), tuple(
-                    (n, _name(nuc, i), img) for n, (i, img) in zip(range(-T, 0), run[0])))
-            return True
-    return (False, None) if want_witness else False
+            return True, AeWitness(_name(nuc, h), tuple(
+                (n, _name(nuc, i), img) for n, (i, img) in zip(range(-T, 0), run)))
+    return False, None
 
 
 def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
@@ -133,7 +125,7 @@ def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
         # outputs around u's cycle; the run is k-periodic left of u's position
         cycle_out = [steps[v][1] for v in rho(u, lambda v: steps[v][0])[0]]
         n1 = (-T - 1) - ((-T - 1 - u[0]) % L)  # largest zone position = u's phase mod L
-        tail_out = [img for _i, img in _run(nuc.machine, u[1], x.edge_at, n1, 0)[0]]
+        tail_out = [img for _i, img in _run(nuc.machine, u[1], x.edge_at, n1, 0)]
         members.add(LeftInfinitePath.make(nuc.automaton.graph, cycle_out, tail_out))
     return sorted(members, key=lambda m: (m.cycle, m.tail))
 
@@ -194,24 +186,23 @@ class NonHausdorffWitness:
     strongly_fixed_extension: tuple[str, ...]
 
 
-def is_regular(nuc: Nucleus, want_witness: bool = False):
+def is_regular(nuc: Nucleus):
     """Regular iff the fixed-edge digraph on non-unit nucleus states is
-    acyclic; a cycle yields g and y = (cycle edges)^inf with g . y = y and
-    never-unit restrictions along y."""
+    acyclic: (True, None); a cycle yields g and y = (cycle edges)^inf with
+    g . y = y and never-unit restrictions along y: (False, IrregularityWitness)."""
     arcs = _fixed_edge_digraph(nuc)
     hit = _fixed_cycle(nuc, arcs, {i for i, s in enumerate(nuc.states) if not s.is_unit})
     if hit is None:
-        return (True, None) if want_witness else True
-    if not want_witness:
-        return False
+        return True, None
     states, labels = hit
     y = RightInfinitePath.make(nuc.automaton.graph, (), labels)
     return False, IrregularityWitness(nuc.states[states[0]].name(), y)
 
 
-def is_hausdorff(nuc: Nucleus, want_witness: bool = False):
+def is_hausdorff(nuc: Nucleus):
     """Hausdorff iff no cycle of non-unit states in the fixed-edge digraph
-    consists entirely of states that can reach a unit state in it."""
+    consists entirely of states that can reach a unit state in it:
+    (True, None) or (False, NonHausdorffWitness)."""
     arcs = _fixed_edge_digraph(nuc)
     units = [i for i, s in enumerate(nuc.states) if s.is_unit]
     into: list[list] = [[] for _ in arcs]
@@ -222,9 +213,7 @@ def is_hausdorff(nuc: Nucleus, want_witness: bool = False):
     pool = {i for i, _parent in bfs(units, into.__getitem__)}.difference(units)
     hit = _fixed_cycle(nuc, arcs, pool)
     if hit is None:
-        return (True, None) if want_witness else True
-    if not want_witness:
-        return False
+        return True, None
     states, labels = hit
     y = RightInfinitePath.make(nuc.automaton.graph, (), labels)
     # strongly fixed extension: shortest fixed path from the state into a unit
@@ -241,10 +230,6 @@ class RecurrenceReport:
     recurrent: bool          # False means inconclusive, never "not recurrent"
     depth: int
     missing: tuple[str, ...] = ()
-
-    @property
-    def inconclusive(self) -> bool:
-        return not self.recurrent
 
 
 def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
@@ -356,27 +341,27 @@ def germ_equal(g1: Germ, g2: Germ, nuc: Nucleus) -> bool:
 # -- stable and unstable equivalence ----------------------------------------------
 
 
-def stable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
-                      want_witness: bool = False):
-    """True iff some left-truncation pair x(-inf,-m), y(-inf,-m) is
-    asymptotically equivalent: _arrival_walk's set at -m + 1 is nonempty.
-    The sets are nonempty left of a0 iff at a0, and stay empty once empty,
-    so the least m is 0 if the walk repeats, else max(0, 2 - a0 - its length)."""
+def stable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus):
+    """(True, least m) iff some left-truncation pair x(-inf,-m), y(-inf,-m)
+    is asymptotically equivalent: _arrival_walk's set at -m + 1 is nonempty;
+    else (False, None).  The sets are nonempty left of a0 iff at a0, and stay
+    empty once empty, so m is 0 if the walk repeats, else
+    max(0, 2 - a0 - its length)."""
     nodes, k = _arrival_walk(x, y, nuc)
-    if not nodes or not want_witness:
-        return (bool(nodes), None) if want_witness else bool(nodes)
+    if not nodes:
+        return False, None
     return True, 0 if k is not None else max(0, 2 - min(x.anchor, y.anchor) - len(nodes))
 
 
-def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
-                        want_witness: bool = False):
-    """True iff some g in the closure of N u N^2 maps x(M+1, inf) onto
+def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus):
+    """(True, (M, g)) iff some g in the closure of N u N^2 maps x(M+1, inf) onto
     y(M+1, inf).  S(p), the states of nuc.power(2) whose run from p does so,
     is read at p0 = max(b0, 1) off each state's rho run over (state, phase
     mod R) nodes; then graphs.rho walks (S, p) leftward, S(p - 1) being the
     states mapping x_{p-1} onto y_{p-1} into S(p), positions <= a0 folded
     onto (a0 - L, a0], to p = 1 or an empty S.  M is 0 if S(1) is nonempty,
-    else p0 - (walk length); the witness is the least state of S(M + 1)."""
+    else p0 - (walk length); g is the least state of S(M + 1).  Else
+    (False, None)."""
     sm = nuc.power(2)
     a0 = min(x.anchor, y.anchor)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
@@ -397,8 +382,8 @@ def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus,
         S = frozenset(i for i, row in enumerate(sm.rows) if row.get(e) in wanted)
         return (S, p - 1 if p - 1 > a0 - L else a0) if S else None
     start = frozenset(i for i in range(len(sm)) if rho((i, (p0 - b0) % R), right)[1] is not None)
-    if not start or not want_witness:
-        return (bool(start), None) if want_witness else bool(start)
+    if not start:
+        return False, None
     walk = rho((start, p0), left)
     m = 0 if walk[1] is not None else max(0, p0 - len(walk[0]))
     return True, (m, nuc.automaton.canonical(sm.states[min(rho_at(walk, p0 - m - 1)[0])]))

@@ -83,7 +83,8 @@ class LeftInfinitePath:
         return self.cycle[(len(self.tail) + n) % len(self.cycle)]
 
     def shift(self, graph: Graph) -> "LeftInfinitePath":
-        """Delete the rightmost edge (the one-sided shift)."""
+        """Delete the rightmost edge (the one-sided shift); it descends to
+        asymptotic-equivalence classes."""
         if self.tail:
             return LeftInfinitePath.make(graph, self.cycle, self.tail[:-1])
         rotated = self.cycle[-1:] + self.cycle[:-1]

@@ -172,10 +172,6 @@ class SchreierGraph:
     cols: dict[int, array]  # label state -> column, in arc order
 
     @property
-    def gen_set(self) -> list[Element]:
-        return self.machine.states
-
-    @property
     def vertices(self) -> Sequence[Path]:
         """E^n in enumerate_paths order, as a view."""
         graph, level = self.automaton.graph, self.level

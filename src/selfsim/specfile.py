@@ -269,7 +269,3 @@ def parse_path(graph: Graph, text: str, kind: str = "auto"):
         mid = edges_of(groups[1:-1])
         return BiInfinitePath.make(graph, groups[0][1], mid, groups[-1][1], anchor)
     raise SpecSyntaxError(f"unknown path kind {kind!r}")
-
-
-def format_path(obj) -> str:
-    return str(obj)

@@ -32,7 +32,6 @@ from selfsim.dynamics import (
     is_regular,
     level_transitive,
     make_germ,
-    shift_class,
     stable_equivalent,
     unstable_equivalent,
 )
@@ -146,7 +145,7 @@ def non_units(nuc):
 
 def test_ae_reflexive_with_unit_witness(ex310, nuc310):
     x = LeftInfinitePath.make(ex310.graph, ["1"], [])
-    ok, wit = ae_equivalent(x, x, nuc310, want_witness=True)
+    ok, wit = ae_equivalent(x, x, nuc310)
     assert ok and wit.entry_state == "v"
 
 
@@ -154,7 +153,7 @@ def test_ae_class_of_loop_is_singleton(ex310, nuc310):
     x = LeftInfinitePath.make(ex310.graph, ["1"], [])
     assert ae_class(x, nuc310) == [x]
     y = LeftInfinitePath.make(ex310.graph, ["1"], ["2", "4"])
-    assert not ae_equivalent(x, y, nuc310)
+    assert not ae_equivalent(x, y, nuc310)[0]
 
 
 def test_ae_equivalence_laws_and_class_bound(ex310, nuc310):
@@ -164,15 +163,15 @@ def test_ae_equivalence_laws_and_class_bound(ex310, nuc310):
         x = random_left_path(aut, rng)
         y = random_left_path(aut, rng)
         z = random_left_path(aut, rng)
-        assert ae_equivalent(x, x, nuc310)
-        assert ae_equivalent(x, y, nuc310) == ae_equivalent(y, x, nuc310)
-        if ae_equivalent(x, y, nuc310) and ae_equivalent(y, z, nuc310):
-            assert ae_equivalent(x, z, nuc310)
+        assert ae_equivalent(x, x, nuc310)[0]
+        assert ae_equivalent(x, y, nuc310)[0] == ae_equivalent(y, x, nuc310)[0]
+        if ae_equivalent(x, y, nuc310)[0] and ae_equivalent(y, z, nuc310)[0]:
+            assert ae_equivalent(x, z, nuc310)[0]
         cls = ae_class(x, nuc310)
         assert x in cls
         assert len(cls) <= len(nuc310)
         for m in cls:
-            assert ae_equivalent(x, m, nuc310)
+            assert ae_equivalent(x, m, nuc310)[0]
 
 
 def subset_construction_ae_oracle(aut, nuc, x, y):
@@ -223,7 +222,7 @@ def test_ae_vs_subset_construction_oracle(ex310, nuc310):
             y = rng.choice(ae_class(x, nuc310))  # guarantee equivalent pairs
         else:
             y = random_left_path(ex310, rng)
-        got = ae_equivalent(x, y, nuc310)
+        got = ae_equivalent(x, y, nuc310)[0]
         want = subset_construction_ae_oracle(ex310, nuc310, x, y)
         assert got == want, (str(x), str(y))
         if got:
@@ -239,19 +238,19 @@ def test_ae_class_consistency(ex310, nuc310):
     for _ in range(40):
         x = random_left_path(ex310, rng)
         y = random_left_path(ex310, rng)
-        assert (y in ae_class(x, nuc310)) == ae_equivalent(x, y, nuc310)
+        assert (y in ae_class(x, nuc310)) == ae_equivalent(x, y, nuc310)[0]
 
 
 def test_shift_well_defined_on_classes(ex310, nuc310):
     g = ex310.graph
-    assert shift_class(g, LeftInfinitePath.make(g, ["2", "3"], [])) == \
+    assert LeftInfinitePath.make(g, ["2", "3"], []).shift(g) == \
         LeftInfinitePath.make(g, ["3", "2"], [])
     rng = random.Random(31)
     for _ in range(150):
         x = random_left_path(ex310, rng)
         y = random_left_path(ex310, rng)
-        if ae_equivalent(x, y, nuc310):
-            assert ae_equivalent(shift_class(g, x), shift_class(g, y), nuc310)
+        if ae_equivalent(x, y, nuc310)[0]:
+            assert ae_equivalent(x.shift(g), y.shift(g), nuc310)[0]
 
 
 def test_fiber_bijectivity_on_classes(ex310, nuc310):
@@ -265,7 +264,7 @@ def test_fiber_bijectivity_on_classes(ex310, nuc310):
             xe = LeftInfinitePath.make(g, x.cycle, x.tail + (e.id,))
             cls_up = ae_class(xe, nuc310)
             cls_dn = ae_class(x, nuc310)
-            images = [shift_class(g, m) for m in cls_up]
+            images = [m.shift(g) for m in cls_up]
             assert len({(m.cycle, m.tail) for m in images}) == len(cls_up)
             for m in images:
                 assert m in cls_dn
@@ -288,7 +287,7 @@ def test_ae_can_cross_source_vertices():
     x = LeftInfinitePath.make(g, ["e"], [])
     y = LeftInfinitePath.make(g, ["f"], [])
     assert g.s(x.edge_at(-1)) == "u" and g.s(y.edge_at(-1)) == "v"
-    assert ae_equivalent(x, y, nuc)
+    assert ae_equivalent(x, y, nuc)[0]
     assert sorted(str(m) for m in ae_class(x, nuc)) == ["(e)^inf", "(f)^inf"]
 
 
@@ -312,7 +311,7 @@ def test_ae_bi_implies_truncation_ae_and_transitive(ex310, nuc310):
         if ae_equivalent_bi(x, y, nuc310):
             pairs += 1
             for n in range(-6, 7):
-                assert ae_equivalent(left_truncation(g, x, n), left_truncation(g, y, n), nuc310)
+                assert ae_equivalent(left_truncation(g, x, n), left_truncation(g, y, n), nuc310)[0]
         z = random_bi_path(ex310, rng)
         if ae_equivalent_bi(x, y, nuc310) and ae_equivalent_bi(y, z, nuc310):
             assert ae_equivalent_bi(x, z, nuc310)
@@ -347,28 +346,28 @@ def brute_force_irregularity(aut, nuc, depth):
 
 
 def test_regular_ex310_and_basilica(nuc310, nucbas):
-    assert is_regular(nuc310)
-    assert is_regular(nucbas)
-    assert is_hausdorff(nuc310)
-    assert is_hausdorff(nucbas)
+    assert is_regular(nuc310)[0]
+    assert is_regular(nucbas)[0]
+    assert is_hausdorff(nuc310)[0]
+    assert is_hausdorff(nucbas)[0]
 
 
 def test_regular_vs_brute_force(ex310, basilica, nonhausdorff, odometer):
     for aut in (ex310, basilica, nonhausdorff, odometer):
         nuc = compute_nucleus(aut)
         depth = max(10, len(nuc) + 1)
-        assert is_regular(nuc) == (not brute_force_irregularity(aut, nuc, depth))
+        assert is_regular(nuc)[0] == (not brute_force_irregularity(aut, nuc, depth))
 
 
 def test_odometer_regular_vacuously(odometer):
     nuc = compute_nucleus(odometer)
-    assert is_regular(nuc)
-    assert is_hausdorff(nuc)
+    assert is_regular(nuc)[0]
+    assert is_hausdorff(nuc)[0]
 
 
 def test_nonhausdorff_witness(nonhausdorff):
     nuc = compute_nucleus(nonhausdorff)
-    ok, wit = is_regular(nuc, want_witness=True)
+    ok, wit = is_regular(nuc)
     assert not ok
     g = nonhausdorff
     y = wit.fixed_path
@@ -379,7 +378,7 @@ def test_nonhausdorff_witness(nonhausdorff):
         p = segment(g.graph, y, 0, n)
         assert g.act(elem, p) == p
         assert not g.equal(g.restrict(elem, p), g.unit(p.s(g.graph)))
-    ok2, wit2 = is_hausdorff(nuc, want_witness=True)
+    ok2, wit2 = is_hausdorff(nuc)
     assert not ok2
     mu = list(wit2.strongly_fixed_extension)
     # every prefix of the fixed path extends to a strongly fixed path
@@ -406,15 +405,15 @@ def test_hausdorff_but_irregular():
         }),
     })
     nuc = compute_nucleus(aut)
-    assert not is_regular(nuc)
-    assert is_hausdorff(nuc)
+    assert not is_regular(nuc)[0]
+    assert is_hausdorff(nuc)[0]
 
 
 def test_regular_implies_hausdorff_everywhere(ex310, basilica, odometer, nonhausdorff):
     for aut in (ex310, basilica, odometer, nonhausdorff):
         nuc = compute_nucleus(aut)
-        if is_regular(nuc):
-            assert is_hausdorff(nuc)
+        if is_regular(nuc)[0]:
+            assert is_hausdorff(nuc)[0]
 
 
 # -- recurrence / level transitivity ----------------------------------------------
@@ -684,17 +683,17 @@ def test_germ_closure_past_budget_is_typed():
 def test_stable_reflexive_and_finite_right_difference(ex310, nuc310):
     g = ex310.graph
     x = BiInfinitePath.make(g, ["2", "3"], [], ["1"], 0)
-    ok, m = stable_equivalent(x, x, nuc310, want_witness=True)
+    ok, m = stable_equivalent(x, x, nuc310)
     assert ok and m == 0
     y = BiInfinitePath.make(g, ["2", "3"], ["1", "1", "2", "4"], ["1"], 0)
-    assert stable_equivalent(x, y, nuc310)
+    assert stable_equivalent(x, y, nuc310)[0]
 
 
 def test_stable_negative(ex310, nuc310):
     g = ex310.graph
     x = BiInfinitePath.make(g, ["1"], [], ["1"], 0)
     y = BiInfinitePath.make(g, ["2", "3"], [], ["2", "3"], 0)
-    assert not stable_equivalent(x, y, nuc310)
+    assert not stable_equivalent(x, y, nuc310)[0]
 
 
 def test_stable_respects_translation(ex310, nuc310):
@@ -703,14 +702,14 @@ def test_stable_respects_translation(ex310, nuc310):
     for _ in range(60):
         x = random_bi_path(ex310, rng)
         y = random_bi_path(ex310, rng)
-        st = stable_equivalent(x, y, nuc310)
-        assert st == stable_equivalent(translate(g, x, 1), translate(g, y, 1), nuc310)
+        st = stable_equivalent(x, y, nuc310)[0]
+        assert st == stable_equivalent(translate(g, x, 1), translate(g, y, 1), nuc310)[0]
 
 
 def test_unstable_reflexive_and_witness(ex310, nuc310):
     g = ex310.graph
     x = BiInfinitePath.make(g, ["2", "3"], [], ["1"], 0)
-    ok, wit = unstable_equivalent(x, x, nuc310, want_witness=True)
+    ok, wit = unstable_equivalent(x, x, nuc310)
     assert ok and wit[0] == 0 and wit[1].is_unit
 
 
@@ -720,7 +719,7 @@ def test_unstable_a_witness(ex310, nuc310):
     x = BiInfinitePath.make(g, ["2", "3"], ["1"], ["1"], 0)
     y = BiInfinitePath.make(g, ["3", "2"], ["4"], ["1"], 1)
     assert x.edge_at(1) == "1" and y.edge_at(1) == "4"
-    ok, (m, elem) = unstable_equivalent(x, y, nuc310, want_witness=True)
+    ok, (m, elem) = unstable_equivalent(x, y, nuc310)
     assert ok
     assert m == 0 and elem.name() == "a"
 
@@ -730,14 +729,14 @@ def test_unstable_symmetry_via_inverse(ex310, nuc310):
     for _ in range(60):
         x = random_bi_path(ex310, rng)
         y = random_bi_path(ex310, rng)
-        assert unstable_equivalent(x, y, nuc310) == unstable_equivalent(y, x, nuc310)
+        assert unstable_equivalent(x, y, nuc310)[0] == unstable_equivalent(y, x, nuc310)[0]
 
 
 def test_unstable_negative(ex310, nuc310):
     g = ex310.graph
     x = BiInfinitePath.make(g, ["1"], [], ["1"], 0)
     y = BiInfinitePath.make(g, ["2", "3"], [], ["2", "3"], 0)
-    assert not unstable_equivalent(x, y, nuc310)
+    assert not unstable_equivalent(x, y, nuc310)[0]
 
 
 def test_regular_iff_principal_isotropy(ex310, nuc310, nonhausdorff):
@@ -757,7 +756,7 @@ def test_regular_iff_principal_isotropy(ex310, nuc310, nonhausdorff):
     h = nonhausdorff.generator("h")
     iso2 = make_germ(nonhausdorff, y, 0, h, 0, y)
     unit2 = make_germ(nonhausdorff, y, 0, nonhausdorff.unit("v"), 0, y)
-    assert not is_regular(nucnh)
+    assert not is_regular(nucnh)[0]
     assert not germ_equal(iso2, unit2, nucnh)
 
 
@@ -844,7 +843,7 @@ def old_left_arrival_states(aut, nuc, edge_x, edge_y, boundary, L):
     return sorted(arrivals.values(), key=lambda h: (word_key(h.word), h.dom))
 
 
-def old_ae_equivalent(x, y, nuc, want_witness=False):
+def old_ae_equivalent(x, y, nuc):
     aut = nuc.automaton
     graph = aut.graph
     T = max(len(x.tail), len(y.tail))
@@ -863,10 +862,8 @@ def old_ae_equivalent(x, y, nuc, want_witness=False):
             run.append((n, aut.canonical(state).name(), img))
             state = Element(graph.s(e), rw)
         if ok:
-            if want_witness:
-                return True, AeWitness(aut.canonical(h).name(), tuple(run))
-            return True
-    return (False, None) if want_witness else False
+            return True, AeWitness(aut.canonical(h).name(), tuple(run))
+    return False, None
 
 
 def old_ae_class(x, nuc):
@@ -999,22 +996,20 @@ def old_path_to_unit(start, arcs, unit_ids):
     return []
 
 
-def old_is_regular(nuc, want_witness=False):
+def old_is_regular(nuc):
     aut = nuc.automaton
     arcs = old_fixed_edge_digraph(nuc)
     unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
     non_units = {aut.canonical_id(s) for s in nuc.states} - unit_ids
     hit = old_find_cycle(non_units, arcs, non_units)
     if hit is None:
-        return (True, None) if want_witness else True
-    if not want_witness:
-        return False
+        return True, None
     states, labels = hit
     rep = next(s for s in nuc.states if aut.canonical_id(s) == states[0])
     return False, IrregularityWitness(rep.name(), RightInfinitePath.make(aut.graph, (), labels))
 
 
-def old_is_hausdorff(nuc, want_witness=False):
+def old_is_hausdorff(nuc):
     aut = nuc.automaton
     arcs = old_fixed_edge_digraph(nuc)
     unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
@@ -1030,9 +1025,7 @@ def old_is_hausdorff(nuc, want_witness=False):
     pool = (all_ids - unit_ids) & reaching
     hit = old_find_cycle(pool, arcs, pool)
     if hit is None:
-        return (True, None) if want_witness else True
-    if not want_witness:
-        return False
+        return True, None
     states, labels = hit
     rep = next(s for s in nuc.states if aut.canonical_id(s) == states[0])
     y = RightInfinitePath.make(aut.graph, (), labels)
@@ -1215,11 +1208,12 @@ def test_nucleus_deciders_match_word_oracles(monkeypatch):
         assert _outcome(check_recurrent, aut, depth) == _outcome(old_check_recurrent, aut, depth), label
         if nuc is None:
             continue
-        for want in (False, True):
-            assert is_regular(nuc, want) == old_is_regular(nuc, want), label
-            assert is_hausdorff(nuc, want) == old_is_hausdorff(nuc, want), label
-        seen["irregular"] += not is_regular(nuc)
-        seen["non_hausdorff"] += not is_hausdorff(nuc)
+        regular, wit = is_regular(nuc)
+        assert (regular, wit) == old_is_regular(nuc), label
+        hausdorff, wit = is_hausdorff(nuc)
+        assert (hausdorff, wit) == old_is_hausdorff(nuc), label
+        seen["irregular"] += not regular
+        seen["non_hausdorff"] += not hausdorff
         disc = _outcome(find_discerning_path, nuc)
         assert disc == _outcome(old_find_discerning_path, nuc), label
         seen["discerning"] += disc[0] == "ok"
@@ -1231,10 +1225,9 @@ def test_nucleus_deciders_match_word_oracles(monkeypatch):
             cls = ae_class(x, nuc)
             assert cls == old_ae_class(x, nuc), (label, x)
             for z in [y] + cls:
-                for want in (False, True):
-                    assert ae_equivalent(x, z, nuc, want) == old_ae_equivalent(x, z, nuc, want), \
-                        (label, x, z)
-                seen["ae_true"] += ae_equivalent(x, z, nuc)
+                ok, wit = ae_equivalent(x, z, nuc)
+                assert (ok, wit) == old_ae_equivalent(x, z, nuc), (label, x, z)
+                seen["ae_true"] += ok
             u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
             partners = [v, u] + list(_glued_pairs(aut, nuc, u))[:8]
             for w in partners:
@@ -1260,13 +1253,16 @@ def test_nucleus_deciders_act_no_word(monkeypatch, ex310, nonhausdorff):
         x, y = random_left_path(aut, rng), random_left_path(aut, rng)
         u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
         monkeypatch.setattr(Automaton, "word_act_edge", counted)
-        ae_equivalent(x, x, nuc, want_witness=True)
-        ae_equivalent(x, y, nuc, want_witness=True)
+        assert ae_equivalent(x, x, nuc)[0]
+        ok, wit = ae_equivalent(x, y, nuc)
+        assert (wit is None) != ok
         ae_class(x, nuc)
         ae_equivalent_bi(u, u, nuc)
         ae_equivalent_bi(u, v, nuc)
-        is_regular(nuc, want_witness=True)
-        is_hausdorff(nuc, want_witness=True)
+        regular, wit = is_regular(nuc)
+        assert (wit is None) == regular
+        hausdorff, wit = is_hausdorff(nuc)
+        assert (wit is None) == hausdorff
         try:
             find_discerning_path(nuc)
         except DomainMismatchError:
@@ -1345,7 +1341,7 @@ def test_level_transitive_vs_built_graph_random():
 # -- unstable equivalence: the word-based scan, kept as the oracle ----------------
 
 
-def old_unstable_equivalent(x, y, nuc, want_witness=False):
+def old_unstable_equivalent(x, y, nuc):
     """unstable_equivalent as it was: act_infinite of each element of the
     closure of N u N^2 on x's right tail from every M, compared with y's."""
     aut = nuc.automaton
@@ -1360,8 +1356,8 @@ def old_unstable_equivalent(x, y, nuc, want_witness=False):
             if g.dom != tx.r(graph) or aut.cod(g) != ty.r(graph):
                 continue
             if aut.act_infinite(g, tx) == ty:
-                return (True, (m, g)) if want_witness else True
-    return (False, None) if want_witness else False
+                return True, (m, g)
+    return False, None
 
 
 def _unstable_partners(aut, x, elements, rng):
@@ -1399,9 +1395,9 @@ def test_unstable_vs_word_oracle(spec):
         partners = list(_unstable_partners(aut, u, pool, rng))
         for w in [v, translate(aut.graph, u, 1)] + rng.sample(partners, min(6, len(partners))):
             for x, y in ((u, w), (w, u)):
-                got = unstable_equivalent(x, y, nuc, want_witness=True)
-                assert got == old_unstable_equivalent(x, y, nuc, want_witness=True), (x, y)
-                answers.append(got[0])
+                ok, wit = unstable_equivalent(x, y, nuc)
+                assert (ok, wit) == old_unstable_equivalent(x, y, nuc), (x, y)
+                answers.append(ok)
     assert 0 < answers.count(True) < len(answers)
 
 
@@ -1419,7 +1415,8 @@ def test_unstable_acts_no_infinite_path(monkeypatch, ex310, nonhausdorff):
         u, v = random_bi_path(aut, rng), random_bi_path(aut, rng)
         monkeypatch.setattr(Automaton, "act_infinite", counted)
         for x, y in ((u, u), (u, v), (v, u)):
-            unstable_equivalent(x, y, nuc, want_witness=True)
+            ok, wit = unstable_equivalent(x, y, nuc)
+            assert (wit is None) != ok
         monkeypatch.setattr(Automaton, "act_infinite", original)
     assert calls == []
 
@@ -1451,12 +1448,17 @@ def galloping_holds(sm, i: int, x, y, lo: int, b0: int, R: int) -> bool:
         if hit is None or hit[0] != y.edge_at(b0 + p):
             return None
         return hit[1], (p + 1) % R
-    run = _run(sm, i, x.edge_at, lo, b0, y.edge_at)  # ([], i) when lo >= b0
+    run = _run(sm, i, x.edge_at, lo, b0, y.edge_at)  # [] when lo >= b0
+    if run is None:
+        return False
+    if run:  # the state reached at b0: the last step's successor
+        j, _ = run[-1]
+        i = sm.rows[j][x.edge_at(b0 - 1)][1]
     # rho returns (nodes, None) for a walk that stops
-    return run is not None and rho((run[1], (max(lo, b0) - b0) % R), step)[1] is not None
+    return rho((i, (max(lo, b0) - b0) % R), step)[1] is not None
 
 
-def galloping_stable_equivalent(x, y, nuc, want_witness=False):
+def galloping_stable_equivalent(x, y, nuc):
     """True iff some left-truncation pair x(-inf,-m), y(-inf,-m) is
     asymptotically equivalent.  Truncating further preserves equivalence and
     the truncation pairs are eventually periodic in m, so the search bound
@@ -1465,12 +1467,12 @@ def galloping_stable_equivalent(x, y, nuc, want_witness=False):
     graph = nuc.automaton.graph
     m0 = max(0, 1 - x.anchor, 1 - y.anchor)
     period = lcm(len(x.left_cycle), len(y.left_cycle))
-    m = galloping_least(lambda m: ae_equivalent(left_truncation(graph, x, -m),
-                                                left_truncation(graph, y, -m), nuc), m0 + period)
-    return (m is not None, m) if want_witness else m is not None
+    m = galloping_least(lambda m: ae_equivalent(
+        left_truncation(graph, x, -m), left_truncation(graph, y, -m), nuc)[0], m0 + period)
+    return m is not None, m
 
 
-def galloping_unstable_equivalent(x, y, nuc, want_witness=False):
+def galloping_unstable_equivalent(x, y, nuc):
     """True iff some g in the closure of N u N^2 maps x(M+1, inf) onto
     y(M+1, inf); monotone in M by restriction, periodic past the centers,
     so the least M is found by galloping_least.  Each g runs on the pool's
@@ -1485,8 +1487,8 @@ def galloping_unstable_equivalent(x, y, nuc, want_witness=False):
     def first_state(m):
         return next((i for i in range(len(sm)) if galloping_holds(sm, i, x, y, m + 1, b0, R)), None)
     m = galloping_least(lambda m: first_state(m) is not None, max(0, b0) + R)
-    if m is None or not want_witness:
-        return (m is not None, None) if want_witness else m is not None
+    if m is None:
+        return False, None
     return True, (m, nuc.automaton.canonical(sm.states[first_state(m)]))
 
 
@@ -1503,18 +1505,18 @@ def test_least_on_every_monotone_predicate():
             assert len(asked) <= 2 * top.bit_length() + 1, (top, first, asked)
 
 
-def linear_stable_equivalent(x, y, nuc, want_witness=False):
+def linear_stable_equivalent(x, y, nuc):
     """stable_equivalent as it was: a scan over m upward."""
     graph = nuc.automaton.graph
     m0 = max(0, 1 - x.anchor, 1 - y.anchor)
     period = lcm(len(x.left_cycle), len(y.left_cycle))
     for m in range(0, m0 + period):
-        if ae_equivalent(left_truncation(graph, x, -m), left_truncation(graph, y, -m), nuc):
-            return (True, m) if want_witness else True
-    return (False, None) if want_witness else False
+        if ae_equivalent(left_truncation(graph, x, -m), left_truncation(graph, y, -m), nuc)[0]:
+            return True, m
+    return False, None
 
 
-def linear_unstable_equivalent(x, y, nuc, want_witness=False):
+def linear_unstable_equivalent(x, y, nuc):
     """unstable_equivalent as it was: a scan over M upward, and at each M
     over the states of nuc.power(2) in order."""
     sm = nuc.power(2)
@@ -1524,8 +1526,8 @@ def linear_unstable_equivalent(x, y, nuc, want_witness=False):
         end = max(m + 1, b0) + len(sm) * R + 1
         for i in range(len(sm)):
             if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None:
-                return (True, (m, nuc.automaton.canonical(sm.states[i]))) if want_witness else True
-    return (False, None) if want_witness else False
+                return True, (m, nuc.automaton.canonical(sm.states[i]))
+    return False, None
 
 
 def _glued_partners(aut, nuc, x, rng):
@@ -1566,12 +1568,12 @@ def test_least_witnesses_match_the_linear_scans(spec):
         x = BiInfinitePath.make(g, x.left_cycle, x.center, x.right_cycle, rng.randint(-9, 9))
         for y in [random_bi_path(aut, rng), *_glued_partners(aut, nuc, x, rng)]:
             for u, v in ((x, y), (y, x)):
-                got = stable_equivalent(u, v, nuc, want_witness=True)
-                assert got == linear_stable_equivalent(u, v, nuc, want_witness=True), (u, v)
-                late["stable"] += bool(got[1])
-                got = unstable_equivalent(u, v, nuc, want_witness=True)
-                assert got == linear_unstable_equivalent(u, v, nuc, want_witness=True), (u, v)
-                late["unstable"] += bool(got[0] and got[1][0])
+                ok, m = stable_equivalent(u, v, nuc)
+                assert (ok, m) == linear_stable_equivalent(u, v, nuc), (u, v)
+                late["stable"] += bool(m)
+                ok, wit = unstable_equivalent(u, v, nuc)
+                assert (ok, wit) == linear_unstable_equivalent(u, v, nuc), (u, v)
+                late["unstable"] += bool(ok and wit[0])
     assert late["stable"] > 0 and late["unstable"] > 0, late
 
 
@@ -1591,14 +1593,12 @@ def test_set_walks_match_the_galloping_search(spec):
         y = BiInfinitePath.make(g, y.left_cycle, y.center, y.right_cycle, a + rng.randint(-3, 3))
         for w in [y, *_glued_partners(aut, nuc, x, rng)]:
             for u, v in ((x, w), (w, x)):
-                got = stable_equivalent(u, v, nuc, want_witness=True)
-                assert got == galloping_stable_equivalent(u, v, nuc, want_witness=True), (u, v)
-                assert stable_equivalent(u, v, nuc) == got[0]
-                seen["stable_late"] += bool(got[1])
-                got = unstable_equivalent(u, v, nuc, want_witness=True)
-                assert got == galloping_unstable_equivalent(u, v, nuc, want_witness=True), (u, v)
-                assert unstable_equivalent(u, v, nuc) == got[0]
-                seen["unstable_late"] += bool(got[0] and got[1][0])
+                ok, m = stable_equivalent(u, v, nuc)
+                assert (ok, m) == galloping_stable_equivalent(u, v, nuc), (u, v)
+                seen["stable_late"] += bool(m)
+                ok, wit = unstable_equivalent(u, v, nuc)
+                assert (ok, wit) == galloping_unstable_equivalent(u, v, nuc), (u, v)
+                seen["unstable_late"] += bool(ok and wit[0])
                 got = ae_equivalent_bi(u, v, nuc)
                 assert got == horizon_ae_equivalent_bi(u, v, nuc), (u, v)
                 seen[f"bi_{str(got).lower()}"] += 1
@@ -1618,14 +1618,14 @@ def test_set_walks_cost_the_same_at_far_anchors(monkeypatch, ex310, nuc310):
         return original(self, n)
 
     deciders = {"stable": stable_equivalent, "unstable": unstable_equivalent,
-                "bi": lambda x, y, nuc, want_witness: ae_equivalent_bi(x, y, nuc)}
+                "bi": ae_equivalent_bi}
     answers, counts = {}, {}
     for a in (10 ** 3, -10 ** 3, 10 ** 5, -10 ** 5):
         x = BiInfinitePath.make(g, ["2", "3"], ["1"], ["1"], a)
         y = BiInfinitePath.make(g, ["3", "2"], ["4"], ["1"], a + 1)
         for name, decide in deciders.items():
             monkeypatch.setattr(BiInfinitePath, "edge_at", counted)
-            answers[name, a] = decide(x, y, nuc310, want_witness=True)
+            answers[name, a] = decide(x, y, nuc310)
             monkeypatch.setattr(BiInfinitePath, "edge_at", original)
             counts[name, a > 0, abs(a)] = len(calls)
             calls.clear()
@@ -1699,7 +1699,7 @@ def horizon_ae_equivalent_bi(x, y, nuc):
                for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, a0, L))
 
 
-def horizon_unstable_equivalent(x, y, nuc, want_witness=False):
+def horizon_unstable_equivalent(x, y, nuc):
     """unstable_equivalent as it was: each run on nuc.power(2) checked up
     to a horizon of |pool| R + 1 positions past the centers."""
     sm = nuc.power(2)
@@ -1711,8 +1711,8 @@ def horizon_unstable_equivalent(x, y, nuc, want_witness=False):
         return next((i for i in range(len(sm))
                      if _run(sm, i, x.edge_at, m + 1, end, y.edge_at) is not None), None)
     m = galloping_least(lambda m: first_state(m) is not None, max(0, b0) + R)
-    if m is None or not want_witness:
-        return (m is not None, None) if want_witness else m is not None
+    if m is None:
+        return False, None
     return True, (m, nuc.automaton.canonical(sm.states[first_state(m)]))
 
 
@@ -1768,8 +1768,8 @@ def test_repeat_walks_match_the_parent_loops():
                     assert got == horizon_ae_equivalent_bi(x, y, nuc), (label, x, y)
                     seen[f"bi_{str(got).lower()}"] += 1
             for x, y in ((u, u), (u, v), (v, u)):
-                got = unstable_equivalent(x, y, nuc, want_witness=True)
-                assert got == horizon_unstable_equivalent(x, y, nuc, want_witness=True), (label, x, y)
-                seen[f"unstable_{str(got[0]).lower()}"] += 1
+                ok, wit = unstable_equivalent(x, y, nuc)
+                assert (ok, wit) == horizon_unstable_equivalent(x, y, nuc), (label, x, y)
+                seen[f"unstable_{str(ok).lower()}"] += 1
     # the comparison covers both answers of every decider, and the budget
     assert all(seen.values()), seen

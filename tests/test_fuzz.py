@@ -20,7 +20,6 @@ from selfsim.infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfini
 from selfsim.specfile import (
     GeneratorSpec,
     SpecFile,
-    format_path,
     format_spec,
     parse_path,
     parse_spec,
@@ -131,7 +130,7 @@ def test_path_literals_round_trip_or_raise_selfsim_errors():
             except SelfSimError:
                 continue
             kind = kind_of[type(path)]
-            assert parse_path(graph, format_path(path), kind) == path, literal
+            assert parse_path(graph, str(path), kind) == path, literal
             parsed[kind] += 1
     assert min(parsed.values()) > 20, parsed
 

@@ -16,7 +16,7 @@ from selfsim.ktheory import (
     smith_normal_form,
 )
 from selfsim.nucleus import Nucleus, compute_nucleus
-from selfsim.automaton import Element, validate_automaton
+from selfsim.automaton import Element
 from selfsim.graphs import validate_graph
 
 A = IntMatrix.of([[2, 1], [2, 2]])
@@ -221,7 +221,7 @@ def _relabel():
 
 def test_katsura_automaton_rules():
     aut = katsura_automaton(A, B)
-    assert validate_automaton(aut) == []
+    assert aut.violations == []
     lab = _relabel()
     got = {}
     for name, rule in aut.generators.items():
@@ -300,13 +300,13 @@ def test_katsura_bigger_restrictions():
     img1, restr1 = rule["e1_1_1"]
     assert img0 == "e1_1_1" and restr0.word == (("a1", 2),) and restr0.name() == "a1 a1"
     assert img1 == "e1_1_0" and restr1.word == (("a1", 3),) and restr1.name() == "a1 a1 a1"
-    assert validate_automaton(aut) == []
+    assert aut.violations == []
 
 
 def test_katsura_negative_exponent_rules():
     # -1 + 0 = (-1)*2 + 1 and -1 + 1 = 0*2 + 0: the first restriction is a1^-1
     aut = katsura_automaton(IntMatrix.of([[2]]), IntMatrix.of([[-1]]))
-    assert validate_automaton(aut) == []
+    assert aut.violations == []
     assert aut.generators["a1"].rules == {
         "e1_1_0": ("e1_1_1", Element("1", (("a1", -1),))),
         "e1_1_1": ("e1_1_0", Element("1", ())),

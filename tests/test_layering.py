@@ -11,7 +11,8 @@ no function takes a per-call budget or cache.  Every walk goes through
 graphs.py: outside the modules with their own algorithms, a while loop
 appears only where it is listed.  No code only tests reach: every
 function, method or class the package defines is read somewhere in src/,
-bench/ or demos/ outside its own definition."""
+bench/ or demos/ outside its own definition.  Every call of a decider that
+returns (answer, witness) unpacks or subscripts its result."""
 
 import ast
 from pathlib import Path
@@ -162,18 +163,21 @@ def test_while_loops_only_where_allowed():
 
 def name_sites(text: str) -> dict:
     """name -> the lines where the source text reads it: as a name, an
-    attribute, an imported name, or a string constant that is an identifier
-    (an ``__all__`` entry, a getattr)."""
+    attribute, an imported name, or an ``__all__`` entry.  Any other string
+    constant is text, not a read."""
+    tree = ast.parse(text)
+    exported = {id(elt) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for elt in getattr(node.value, "elts", ())}
     sites = {}
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.alias):
             name = node.name.rpartition(".")[2]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
+        elif id(node) in exported:
             name = node.value
         else:
             continue
@@ -200,15 +204,54 @@ def unread_definitions(package: dict, readers: dict) -> list:
 
 
 def test_no_definition_is_reached_only_by_tests():
-    # the scan flags a method only a test calls and a function that only
-    # calls itself, so it cannot pass by finding nothing
+    # the scan flags a method only a test calls, a function that only calls
+    # itself and a property whose name appears only in other strings, and
+    # takes an __all__ entry as a read, so it cannot pass by finding nothing
     lib = {"lib.py": "def helper():\n    return 1\n\ndef api():\n    return helper()\n\n"
                      "def recurse(n):\n    return recurse(n - 1)\n\n"
+                     "def exported():\n    pass\n\n"
                      "class C:\n    def tested(self):\n        pass\n\n"
-                     "    def __len__(self):\n        return 0\n"}
-    demo = {"demo.py": "from lib import C, api\napi()\n"}
-    assert unread_definitions(lib, {**lib, **demo}) == [("lib.py", "recurse"), ("lib.py", "tested")]
+                     "    @property\n    def worded(self):\n        return 'worded'\n\n"
+                     "    def __len__(self):\n        return 0\n\n"
+                     "__all__ = ['exported']\n"}
+    demo = {"demo.py": "from lib import C, api\napi()\nprint({'worded': 1}, 'tested')\n"}
+    assert unread_definitions(lib, {**lib, **demo}) == [
+        ("lib.py", "recurse"), ("lib.py", "tested"), ("lib.py", "worded")]
     package = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = {str(p.relative_to(ROOT)): p.read_text()
                for d in ("bench", "demos") for p in sorted((ROOT / d).glob("*.py"))}
     assert unread_definitions(package, {**package, **readers}) == []
+
+
+# the deciders that return (answer, witness) on every outcome
+DECIDERS = {"ae_equivalent", "is_regular", "is_hausdorff", "stable_equivalent",
+            "unstable_equivalent"}
+
+
+def bare_decider_calls(text: str) -> list:
+    """Lines of the calls of DECIDERS in the source text whose result is
+    neither unpacked into two names nor subscripted.  A tuple is always
+    truthy, and == or != on two results would compare their witnesses."""
+    tree = ast.parse(text)
+    taken = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript)
+             or isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Tuple) and len(node.targets[0].elts) == 2}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in taken
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in DECIDERS]
+
+
+def test_decider_results_are_unpacked_or_subscripted():
+    # the scan flags a truthiness test, a comparison of two results, a
+    # one-name assignment and a discarded call, and passes unpacking and
+    # indexing, so it cannot pass by finding nothing
+    sample = "assert is_regular(nuc)\nassert a(x, y) == dynamics.ae_equivalent(y, x, n)\n" \
+             "got = stable_equivalent(x, y, n)\nunstable_equivalent(x, y, n)\n" \
+             "ok, wit = is_hausdorff(nuc)\nok, (m, g) = unstable_equivalent(x, y, n)\n" \
+             "assert not dynamics.is_regular(nuc)[0]\n"
+    assert sorted(bare_decider_calls(sample)) == [1, 2, 3, 4]
+    found = [(str(p.relative_to(ROOT)), line)
+             for d in (SRC, ROOT / "tests", ROOT / "demos") for p in sorted(d.glob("*.py"))
+             for line in bare_decider_calls(p.read_text())]
+    assert found == []

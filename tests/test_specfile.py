@@ -2,7 +2,6 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from selfsim.automaton import validate_automaton
 from selfsim.errors import (
     JunctionMismatchError,
     RestrictionVertexMismatchError,
@@ -12,7 +11,7 @@ from selfsim.errors import (
 from selfsim.graphs import Path
 from selfsim.infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from selfsim.nucleus import compute_nucleus
-from selfsim.specfile import format_path, format_spec, parse_path, parse_spec, spec_of_automaton
+from selfsim.specfile import format_spec, parse_path, parse_spec, spec_of_automaton
 
 SPECS = FsPath(__file__).resolve().parent.parent / "specs"
 
@@ -24,7 +23,7 @@ def read(name):
 def test_parse_ex310_roundtrip():
     spec = parse_spec(read("ex310.ss"))
     aut = spec.automaton()
-    assert validate_automaton(aut) == []
+    assert aut.violations == []
     nuc = compute_nucleus(aut)
     assert len(nuc) == 6
     # parse . format is the identity on SpecFile; format . parse idempotent
@@ -36,7 +35,7 @@ def test_parse_ex310_roundtrip():
 def test_parse_basilica():
     spec = parse_spec(read("basilica.ss"))
     aut = spec.automaton()
-    assert validate_automaton(aut) == []
+    assert aut.violations == []
     nuc = compute_nucleus(aut)
     # see the decisions notes: the minimal core has 14 classes, not 12
     assert len(nuc) == 14
@@ -45,7 +44,7 @@ def test_parse_basilica():
 def test_empty_generators_section():
     spec = parse_spec("[graph]\nvertex v\nedge 0 : v -> v\n")
     aut = spec.automaton()
-    assert validate_automaton(aut) == []
+    assert aut.violations == []
     nuc = compute_nucleus(aut)
     assert nuc.state_names() == ["v"]
 
@@ -93,7 +92,7 @@ def test_spec_of_automaton_roundtrip(ex310):
     text = format_spec(spec)
     again = parse_spec(text)
     aut = again.automaton()
-    assert validate_automaton(aut) == []
+    assert aut.violations == []
     assert len(compute_nucleus(aut)) == 6
 
 
@@ -138,5 +137,5 @@ def test_parse_path_junction_errors(ex310):
 
 def test_format_path(ex310):
     g = ex310.graph
-    assert format_path(Path.of(g, ["3", "2", "3"])) == "3.2.3"
-    assert format_path(parse_path(g, "(1)^inf . 2.4")) == "(1)^inf . 2.4"
+    assert str(Path.of(g, ["3", "2", "3"])) == "3.2.3"
+    assert str(parse_path(g, "(1)^inf . 2.4")) == "(1)^inf . 2.4"
