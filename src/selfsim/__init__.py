@@ -22,7 +22,6 @@ from .dynamics import (
     ae_equivalent,
     ae_equivalent_bi,
     check_recurrent,
-    find_discerning_path,
     germ_equal,
     is_hausdorff,
     is_regular,
@@ -71,7 +70,7 @@ __all__ = [
     "ae_class", "ae_equivalent", "ae_equivalent_bi", "build_schreier",
     "check_recurrent", "cokernel", "compute_Rk", "compute_nucleus", "concat",
     "default_generating_set", "distance_profile", "enumerate_paths",
-    "find_discerning_path", "format_spec", "geodesic_distance",
+    "format_spec", "geodesic_distance",
     "germ_equal", "is_hausdorff", "is_regular", "katsura_automaton",
     "katsura_ktheory", "kernel", "level_transitive", "limit_restrictions",
     "make_germ", "moore_diagram", "parse_path", "parse_spec", "project_psi",

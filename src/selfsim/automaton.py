@@ -114,9 +114,6 @@ class Element:
     def name(self) -> str:
         return " ".join(_tokens(self.word)) if self.word else self.dom
 
-    def __str__(self):
-        return self.name()
-
 
 def word_key(word: tuple[Symbol, ...]):
     """Shortlex order on expanded words, read off the runs; used for
@@ -429,14 +426,16 @@ def _validate(graph: Graph, generators: dict[str, GeneratorRule], ends):
             want_d, want_c = graph.s(e), graph.s(img)
             d = c = restr.dom
             if restr.word:
-                try:
-                    d = read_word(ends, (), restr.name()).dom
-                except (UnknownSymbolError, NonComposableError):
+                # (d, c) of each run's letters, read off the run, never spelled
+                # out: a run of two or more letters chains only on a loop
+                ends_of = [ends[g] if k > 0 else ends[g][::-1] for g, k in restr.word if g in ends]
+                if (len(ends_of) < len(restr.word)
+                        or any(abs(k) > 1 and x != y for (_, k), (x, y) in zip(restr.word, ends_of))
+                        or any(x != y for (x, _), (_, y) in zip(ends_of, ends_of[1:]))):
                     violations.append(
                         RestrictionVertexMismatchError(name, e, "word does not chain"))
                     continue
-                first, exp = restr.word[0]  # c of the word is c of its first symbol
-                c = ends[first][1 if exp > 0 else 0]
+                d, c = ends_of[-1][0], ends_of[0][1]  # d of its last run, c of its first
             if d != want_d or c != want_c:
                 violations.append(RestrictionVertexMismatchError(
                     name, e, f"restriction has (d, c) = ({d}, {c}), rule needs ({want_d}, {want_c})"))
@@ -546,6 +545,19 @@ class StateMachine:
 
     def __len__(self):
         return len(self.states)
+
+    def renumbered(self, order) -> StateMachine:
+        """The states ``order`` as a machine, in that order and with their
+        classes in ``index``; a successor outside them becomes None."""
+        at = {s: i for i, s in enumerate(order)}
+        cid = {s: c for c, s in self.index.items()}
+        return StateMachine(
+            states=[self.states[s] for s in order],
+            doms=[self.doms[s] for s in order],
+            cods=[self.cods[s] for s in order],
+            rows=[{e: (img, at.get(j)) for e, (img, j) in self.rows[s].items()} for s in order],
+            index={cid[s]: i for i, s in enumerate(order) if s in cid},
+        )
 
     def state_index(self, aut: Automaton, g: Element) -> int | None:
         return self.index.get(aut.canonical_id(g))

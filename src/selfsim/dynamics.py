@@ -36,13 +36,11 @@ from math import lcm
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure
 from .errors import DomainMismatchError, NotStronglyConnectedError
-from .graphs import (Path, bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho, rho_at,
+from .graphs import (bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho, rho_at,
                      validate_graph)
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus
 from .schreier import build_schreier, default_generating_set
-
-_MAX_DISCERNING_LEN = 64  # the longest path find_discerning_path tries
 
 
 def _name(nuc: Nucleus, i: int) -> str:
@@ -388,33 +386,3 @@ def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus):
     m = 0 if walk[1] is not None else max(0, p0 - len(walk[0]))
     return True, (m, nuc.automaton.canonical(sm.states[min(rho_at(walk, p0 - m - 1)[0])]))
 
-
-# -- the discerning-path utility ---------------------------------------------------
-
-
-def find_discerning_path(nuc: Nucleus) -> Path:
-    """A path mu such that every nucleus state fixing mu strongly fixes all
-    of its extensions (its restriction there is a unit).  BFS over the
-    surviving (state, restriction) pairs, so the result is shortest."""
-    sm = nuc.machine
-    graph = nuc.automaton.graph
-    non_units = [i for i, s in enumerate(nuc.states) if not s.is_unit]
-    starts = [(v, frozenset((i, i) for i in non_units if sm.doms[i] == v))
-              for v in graph.vertices]
-    depth: dict = {}
-
-    def extend(node):
-        u, pairs = node
-        if depth[node] >= _MAX_DISCERNING_LEN:
-            return
-        for e in graph.range_edges(u):
-            # the states still fixing mu e, with their restrictions there
-            yield e.id, (e.src, frozenset((g, sm.rows[r][e.id][1]) for g, r in pairs
-                                          if sm.rows[r][e.id][0] == e.id))
-
-    for node, parent in bfs(starts, extend):
-        depth[node] = 0 if parent[node] is None else depth[parent[node][0]] + 1
-        if all(nuc.states[r].is_unit for _g, r in node[1]):
-            labels = bfs_labels(parent, node)
-            return Path(graph.r(labels[0]) if labels else node[0], tuple(labels))
-    raise DomainMismatchError(f"no discerning path of length <= {_MAX_DISCERNING_LEN} found")

@@ -90,9 +90,6 @@ class Graph:
         """E^1 v: edges e with s(e) = v."""
         return self._out[v]
 
-    def __repr__(self):
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
 
 @dataclass(frozen=True)
 class Path:

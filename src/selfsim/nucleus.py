@@ -52,9 +52,6 @@ class NotContractingWithinBound:
     max_states: int
     max_rounds: int
 
-    def __bool__(self):
-        return False
-
 
 @dataclass
 class NotContracting:
@@ -87,9 +84,6 @@ class Nucleus:
     def __len__(self):
         return len(self.states)
 
-    def __contains__(self, g: Element) -> bool:
-        return self.automaton.canonical_id(g) in self.machine.index
-
     def state_names(self) -> list[str]:
         return [s.name() for s in self.states]
 
@@ -98,13 +92,13 @@ class Nucleus:
         (word_key, dom) order, its index the nucleus's class ids.  Each step
         multiplies the states new in the step before by the nucleus: N^(k-1)
         lies in N^k, as the unit at c(n) of a nucleus state n is in N."""
-        sm, n = _renumbered(self.machine, range(len(self))), 0  # a copy, to append to
+        sm, n = self.machine.renumbered(range(len(self))), 0  # a copy, to append to
         for _ in range(k - 1):
             fresh, n = range(n, len(sm)), len(sm)
             _multiply(sm, [h * n + g for g in fresh for h in range(len(self))
                            if sm.doms[h] == sm.cods[g]])
-        return _renumbered(sm, sorted(range(len(sm)),
-                                      key=lambda i: (word_key(sm.states[i].word), sm.doms[i])))
+        return sm.renumbered(sorted(range(len(sm)),
+                                    key=lambda i: (word_key(sm.states[i].word), sm.doms[i])))
 
 
 def limit_restrictions(aut: Automaton, g: Element) -> set[Element]:
@@ -214,7 +208,7 @@ def compute_nucleus(aut: Automaton):
         # certificate: the registry finds the rounds' machine, symmetric and closed
         order = sorted(witnesses, key=lambda s: (word_key(sm.states[s].word), sm.doms[s]))
         machine = reachable_closure(aut, [sm.states[s] for s in order])
-        if machine.rows != _renumbered(sm, order).rows:
+        if machine.rows != sm.renumbered(order).rows:
             raise DivergedError("nucleus not closed under restriction")
         for s in machine.states:
             if aut.canonical_id(aut.inverse(s)) not in machine.index:
@@ -244,7 +238,7 @@ def _non_contraction(sm: StateMachine, limit: int) -> NotContracting | None:
         if found is None:
             continue
         if work is None:  # a copy, to append the products to
-            work = _renumbered(sm, range(len(sm)))
+            work = sm.renumbered(range(len(sm)))
         chain = _order_chain(work, found[0][0], limit)
         if chain:
             return NotContracting(states[found[0][0]], tuple(found[1]), chain)
@@ -296,19 +290,6 @@ def _order_chain(sm: StateMachine, c: int, limit: int):
         if n & (n - 1) == 0 and (chain := closed(parent)):
             return chain
     return closed(parent)
-
-
-def _renumbered(sm: StateMachine, order) -> StateMachine:
-    """The states ``order`` of ``sm`` as a machine, in that order and with
-    their classes in ``index``; a successor outside them becomes None."""
-    at = {s: i for i, s in enumerate(order)}
-    return StateMachine(
-        states=[sm.states[s] for s in order],
-        doms=[sm.doms[s] for s in order],
-        cods=[sm.cods[s] for s in order],
-        rows=[{e: (img, at.get(j)) for e, (img, j) in sm.rows[s].items()} for s in order],
-        index={c: at[s] for c, s in sm.index.items() if s in at},
-    )
 
 
 def compute_Rk(nuc: Nucleus, k: int) -> int:

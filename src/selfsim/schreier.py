@@ -298,7 +298,7 @@ def _label_set(aut: Automaton, gen_set) -> StateMachine:
     both = reachable_closure(aut, closure.states + [aut.inverse(a) for a in closure.states])
     if len(both) != len(closure):
         warnings.warn("generating set was not closed under inverses; extended")
-    return reachable_closure(aut, sorted(both.states, key=lambda e: word_key(e.word)))
+    return both.renumbered(sorted(range(len(both)), key=lambda i: word_key(both.states[i].word)))
 
 
 def _tower(graph: Graph, sm: StateMachine, n: int):

@@ -26,7 +26,6 @@ from selfsim.dynamics import (
     ae_equivalent,
     ae_equivalent_bi,
     check_recurrent,
-    find_discerning_path,
     germ_equal,
     is_hausdorff,
     is_regular,
@@ -35,7 +34,6 @@ from selfsim.dynamics import (
     stable_equivalent,
     unstable_equivalent,
 )
-from selfsim import dynamics
 from selfsim.dynamics import _left_arrival_states, _run
 
 from test_nucleus import old_unstable_element_pool
@@ -781,25 +779,6 @@ def test_recurrent_nucleus_generates(odometer):
         assert odometer.canonical_id(odometer.generator(name)) in span
 
 
-# -- discerning paths ---------------------------------------------------------------
-
-
-def test_discerning_path(ex310, nuc310, nonhausdorff):
-    g = ex310.graph
-    mu = find_discerning_path(nuc310)
-    for h in non_units(nuc310):
-        if h.dom != mu.r(g):
-            continue
-        if ex310.act(h, mu) == mu:
-            assert ex310.restrict(h, mu).is_unit
-    nucnh = compute_nucleus(nonhausdorff)
-    mu2 = find_discerning_path(nucnh)
-    gnh = nonhausdorff.graph
-    for h in non_units(nucnh):
-        if h.dom == mu2.r(gnh) and nonhausdorff.act(h, mu2) == mu2:
-            assert nonhausdorff.restrict(h, mu2).is_unit
-
-
 # -- the word-based deciders, kept as differential oracles ----------------------------
 #
 # Before the deciders read the nucleus's Moore machine they acted words on
@@ -1033,38 +1012,6 @@ def old_is_hausdorff(nuc):
     return False, NonHausdorffWitness(rep.name(), y, tuple(ext))
 
 
-def old_find_discerning_path(nuc, max_len=64):
-    aut = nuc.automaton
-    graph = aut.graph
-    start_states = {v: frozenset((aut.canonical_id(h), aut.canonical_id(h))
-                                 for h in nuc.states if not h.is_unit and h.dom == v)
-                    for v in graph.vertices}
-    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
-    state_of = {aut.canonical_id(s): s for s in nuc.states}
-    queue, seen = [], set()
-    for v in sorted(graph.vertices):
-        queue.append((Path.empty(v), start_states[v]))
-        seen.add((v, start_states[v]))
-    while queue:
-        mu, pairs = queue.pop(0)
-        if all(rc in unit_ids for (_g, rc) in pairs):
-            return mu
-        if len(mu) >= max_len:
-            continue
-        for e in graph.range_edges(mu.s(graph)):
-            nxt = []
-            for (gc, rc) in pairs:
-                img, rw = aut.word_act_edge(state_of[rc].word, e.id)
-                if img == e.id:
-                    nxt.append((gc, aut.canonical_id(Element(e.src, rw))))
-            nxt = frozenset(nxt)
-            if (e.src, nxt) in seen:
-                continue
-            seen.add((e.src, nxt))
-            queue.append((Path(mu.r(graph) if mu.edges else mu.base, mu.edges + (e.id,)), nxt))
-    raise DomainMismatchError(f"no discerning path of length <= {max_len} found")
-
-
 def old_check_recurrent(aut, depth=6):
     graph = aut.graph
     if not validate_graph(graph).strongly_connected:
@@ -1200,9 +1147,9 @@ def _glued_pairs(aut, nuc, x):
                 continue
 
 
-def test_nucleus_deciders_match_word_oracles(monkeypatch):
+def test_nucleus_deciders_match_word_oracles():
     rng = random.Random(77)
-    seen = {"ae_true": 0, "bi_true": 0, "irregular": 0, "non_hausdorff": 0, "discerning": 0}
+    seen = {"ae_true": 0, "bi_true": 0, "irregular": 0, "non_hausdorff": 0}
     for label, aut, nuc in _differential_systems():
         depth = 4 if label in SPECS else 3
         assert _outcome(check_recurrent, aut, depth) == _outcome(old_check_recurrent, aut, depth), label
@@ -1214,12 +1161,6 @@ def test_nucleus_deciders_match_word_oracles(monkeypatch):
         assert (hausdorff, wit) == old_is_hausdorff(nuc), label
         seen["irregular"] += not regular
         seen["non_hausdorff"] += not hausdorff
-        disc = _outcome(find_discerning_path, nuc)
-        assert disc == _outcome(old_find_discerning_path, nuc), label
-        seen["discerning"] += disc[0] == "ok"
-        with monkeypatch.context() as patch:  # the length cap is a module constant
-            patch.setattr(dynamics, "_MAX_DISCERNING_LEN", 1)
-            assert _outcome(find_discerning_path, nuc) == _outcome(old_find_discerning_path, nuc, 1)
         for _ in range(6):
             x, y = random_left_path(aut, rng), random_left_path(aut, rng)
             cls = ae_class(x, nuc)
@@ -1263,10 +1204,6 @@ def test_nucleus_deciders_act_no_word(monkeypatch, ex310, nonhausdorff):
         assert (wit is None) == regular
         hausdorff, wit = is_hausdorff(nuc)
         assert (wit is None) == hausdorff
-        try:
-            find_discerning_path(nuc)
-        except DomainMismatchError:
-            pass
         monkeypatch.setattr(Automaton, "word_act_edge", original)
         assert calls == []
 

@@ -10,8 +10,9 @@ inverse marker.  Every bound has one owner, the automaton's Bounds:
 no function takes a per-call budget or cache.  Every walk goes through
 graphs.py: outside the modules with their own algorithms, a while loop
 appears only where it is listed.  No code only tests reach: every
-function, method or class the package defines is read somewhere in src/,
-bench/ or demos/ outside its own definition.  Every call of a decider that
+function, method or class the package defines, dunders aside, is read
+somewhere in src/, bench/ or demos/ outside its own definition, and a
+re-export in ``__init__.py`` is no such read.  Every call of a decider that
 returns (answer, witness) unpacks or subscripts its result."""
 
 import ast
@@ -163,22 +164,16 @@ def test_while_loops_only_where_allowed():
 
 def name_sites(text: str) -> dict:
     """name -> the lines where the source text reads it: as a name, an
-    attribute, an imported name, or an ``__all__`` entry.  Any other string
-    constant is text, not a read."""
-    tree = ast.parse(text)
-    exported = {id(elt) for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                for elt in getattr(node.value, "elts", ())}
+    attribute or an imported name.  A string constant, an ``__all__`` entry
+    included, is text, not a read."""
     sites = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.alias):
             name = node.name.rpartition(".")[2]
-        elif id(node) in exported:
-            name = node.value
         else:
             continue
         sites.setdefault(name, []).append(node.lineno)
@@ -188,8 +183,10 @@ def name_sites(text: str) -> dict:
 def unread_definitions(package: dict, readers: dict) -> list:
     """(file, name) of each function, method or class defined in the files
     ``package`` (file -> source text), dunders excluded, whose name no file
-    of ``readers`` reads outside the definition's own lines."""
-    sites = {path: name_sites(text) for path, text in readers.items()}
+    of ``readers`` reads outside the definition's own lines.  An
+    ``__init__.py`` is no reader: a re-export alone reaches nothing."""
+    sites = {path: name_sites(text) for path, text in readers.items()
+             if Path(path).name != "__init__.py"}
     out = []
     for path, text in package.items():
         for node in ast.walk(ast.parse(text)):
@@ -204,19 +201,20 @@ def unread_definitions(package: dict, readers: dict) -> list:
 
 
 def test_no_definition_is_reached_only_by_tests():
-    # the scan flags a method only a test calls, a function that only calls
-    # itself and a property whose name appears only in other strings, and
-    # takes an __all__ entry as a read, so it cannot pass by finding nothing
+    # the scan flags a function that only calls itself, one that only the
+    # package's __init__.py imports and lists in __all__, a method only a test
+    # calls and a property whose name appears only in other strings, so it
+    # cannot pass by finding nothing
     lib = {"lib.py": "def helper():\n    return 1\n\ndef api():\n    return helper()\n\n"
                      "def recurse(n):\n    return recurse(n - 1)\n\n"
                      "def exported():\n    pass\n\n"
                      "class C:\n    def tested(self):\n        pass\n\n"
                      "    @property\n    def worded(self):\n        return 'worded'\n\n"
-                     "    def __len__(self):\n        return 0\n\n"
-                     "__all__ = ['exported']\n"}
+                     "    def __len__(self):\n        return 0\n",
+           "__init__.py": "from .lib import C, api, exported\n__all__ = ['C', 'api', 'exported']\n"}
     demo = {"demo.py": "from lib import C, api\napi()\nprint({'worded': 1}, 'tested')\n"}
     assert unread_definitions(lib, {**lib, **demo}) == [
-        ("lib.py", "recurse"), ("lib.py", "tested"), ("lib.py", "worded")]
+        ("lib.py", "recurse"), ("lib.py", "exported"), ("lib.py", "tested"), ("lib.py", "worded")]
     package = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = {str(p.relative_to(ROOT)): p.read_text()
                for d in ("bench", "demos") for p in sorted((ROOT / d).glob("*.py"))}

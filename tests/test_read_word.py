@@ -295,3 +295,35 @@ def test_validate_matches_old_validator(spec):
     assert {True, False, "word", "unknown", "edge", "KeyError"} <= seen
     if len(vertices) > 2:
         assert "restriction" in seen
+
+
+# -- runs are validated as runs -----------------------------------------------------
+
+
+def test_validate_reads_runs_not_letters(monkeypatch):
+    """A run (g, k) is checked in O(1), never spelled out as k letters."""
+    from selfsim import automaton
+    from selfsim.ktheory import IntMatrix, katsura_automaton
+
+    def spelled(word):
+        raise AssertionError(f"spelled out {word!r}")
+
+    monkeypatch.setattr(automaton, "_tokens", spelled)
+    aut = katsura_automaton(IntMatrix.of([[2]]), IntMatrix.of([[10 ** 12]]))
+    assert aut.violations == []
+    assert aut.generators["a1"].rules["e1_1_1"][1].word == (("a1", 5 * 10 ** 11),)
+
+
+@pytest.mark.parametrize("k", [2, -2, 3])
+def test_validate_rejects_a_power_of_a_non_loop(k):
+    """b : w -> v is no loop, so b b does not chain, though each b fits the
+    rule's (d, c) = (w, v) and no two runs are adjacent: old_validate, which
+    checks adjacent symbols only, never reaches this case."""
+    aut = parse_spec((SPECS[0].parent / "ex310.ss").read_text()).automaton()
+    a = aut.generators["a"]
+    rules = {**a.rules, "2": ("3", Element("w", (("b", k),)))}
+    got = Automaton(aut.graph, {**aut.generators, "a": GeneratorRule("v", "w", rules)})
+    assert [str(v) for v in got.violations] == [
+        str(RestrictionVertexMismatchError("a", "2", "word does not chain"))]
+    with pytest.raises(NonComposableError):  # the spelled-out word does not chain either
+        aut.element(" ".join(["b" if k > 0 else "b^-1"] * abs(k)))

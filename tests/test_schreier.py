@@ -514,6 +514,35 @@ def test_label_set_warnings(ex310):
         build_schreier(ex310, default_generating_set(ex310), 3)
 
 
+def old_label_set(aut, gen_set):
+    """``_label_set`` before StateMachine.renumbered: a third closure, seeded
+    with the states in word_key order, renumbered them."""
+    closure = reachable_closure(aut, gen_set)
+    both = reachable_closure(aut, closure.states + [aut.inverse(a) for a in closure.states])
+    return reachable_closure(aut, sorted(both.states, key=lambda e: word_key(e.word)))
+
+
+@pytest.mark.parametrize("spec", ["basilica", "ex310", "katsura", "noncontracting",
+                                  "nonhausdorff", "odometer"])
+def test_label_set_vs_third_closure(spec):
+    from selfsim.schreier import _label_set
+
+    build = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton
+
+    def gen_sets(aut):  # units, the default set, and one generator alone
+        units = [aut.unit(v) for v in aut.graph.vertices]
+        return [units] if spec == "noncontracting" else [
+            units, default_generating_set(aut), [aut.generator(sorted(aut.generators)[0])]]
+
+    for k in range(len(gen_sets(build()))):
+        aut, was = build(), build()  # each side registers its classes in the same order
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            new, old = _label_set(aut, gen_sets(aut)[k]), old_label_set(was, gen_sets(was)[k])
+        assert (new.states, new.doms, new.cods, new.rows) == (old.states, old.doms, old.cods, old.rows)
+        assert list(new.index.items()) == list(old.index.items())  # in state order
+
+
 # -- the views over the columns --------------------------------------------------
 
 
