@@ -113,9 +113,6 @@ class Path:
                 raise NonComposableError(f"s({a}) = {graph.s(a)} != r({b}) = {graph.r(b)}")
         return Path(graph.r(ids[0]), ids)
 
-    def __len__(self):
-        return len(self.edges)
-
     def r(self, graph: Graph) -> str:
         return graph.r(self.edges[0]) if self.edges else self.base
 
@@ -124,6 +121,11 @@ class Path:
 
     def __str__(self):
         return ".".join(self.edges) if self.edges else f"(empty@{self.base})"
+
+
+def dot_escape(name: str) -> str:
+    """name with backslash and double quote escaped, for a quoted DOT string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def concat(graph: Graph, p: Path, q: Path) -> Path:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .automaton import Automaton, Element, StateMachine, join, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError, NotContractingError
-from .graphs import (bfs, bfs_labels, find_cycle, limit_nodes, refine, rho,
+from .graphs import (bfs, bfs_labels, dot_escape, find_cycle, limit_nodes, refine, rho,
                      strongly_connected_components)
 
 _PASS_STARTS = 1 << 13  # start pairs of one _pair_limits pass, whose pair nodes take memory
@@ -329,9 +329,10 @@ def moore_diagram(nuc: Nucleus, fmt: str = "json"):
         lines = ["digraph nucleus {"]
         for i, s in enumerate(sm.states):
             shape = "doublecircle" if s.is_unit else "circle"
-            lines.append(f'  n{i} [label="{s.name()}", shape={shape}];')
+            lines.append(f'  n{i} [label="{dot_escape(s.name())}", shape={shape}];')
         for i, row in enumerate(sm.rows):
-            lines += [f'  n{i} -> n{j} [label="{e}/{img}"];' for e, (img, j) in row.items()]
+            lines += [f'  n{i} -> n{j} [label="{dot_escape(f"{e}/{img}")}"];'
+                      for e, (img, j) in row.items()]
         lines.append("}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")

@@ -23,8 +23,9 @@ array('l') columns, and its vertices and arcs (and psi's arc_map) are
 read-only views over them, in the order and with the types the lists had.
 Read backwards, the identity says block e of a's column is all of a|_e's
 column one level down, shifted by at[a.e]: psi_n slices Gamma_n's columns
-and walks no tower.  The exports take each label with its inverse, whose
-arcs are its own reversed, and deduplicate undirected edges by integer keys.
+and walks no tower.  The exports take each label with its inverse, whose arcs
+are its own reversed, and merge the labels' edge keys u * size + v (u <= v)
+into one key -> label bit mask map by set operations, then sort the keys.
 
 Geodesic distance between the depth-n windows of two left-infinite paths
 stays bounded over n exactly when the paths are asymptotically equivalent,
@@ -44,7 +45,7 @@ from itertools import accumulate, chain, repeat
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
 from .errors import VertexNotInLevelError
-from .graphs import Graph, Path, bfs, bfs_labels, enumerate_paths
+from .graphs import Graph, Path, bfs, bfs_labels, dot_escape, enumerate_paths
 from .infinite_paths import LeftInfinitePath
 
 
@@ -209,11 +210,14 @@ class SchreierGraph:
     def undirected_edges(self):
         """Edges deduplicated across orientation and inverse labels, keyed
         (min index, max index) with a sorted label tuple."""
-        return {(u, v): labels for u, v, labels in self._edges()}
+        keys, masks, size, labels = self._edges()
+        return {(k // size, k % size): labels[m] for k, m in zip(keys, masks)}
 
     def _edges(self):
-        """(u, v, labels) for each undirected edge, u <= v, in (u, v) order;
-        a label is named by the lesser name of it and its inverse."""
+        """(keys, masks, size, labels): each undirected edge u <= v as the
+        key u * size + v, keys in increasing order, and its label mask; bit r
+        of a mask marks the r-th label name and labels[mask] is the tuple of
+        those names.  A label is named by the lesser name of it and its inverse."""
         aut, sm, groups = self.automaton, self.machine, self.groups
         size = sum(map(len, groups.values()))
         named, paired = [], set()
@@ -223,25 +227,19 @@ class SchreierGraph:
                 paired.add(sm.state_index(aut, inv))
                 named.append((a, min(aut.canonical(g).name(), aut.canonical(inv).name())))
         names = sorted({name for _, name in named})
-        width = len(names)
-        keys = set()  # (min * size + max) * width + the label name's rank
+        masks = {}  # key -> the bits of its label names
         for a, name in named:
-            r, images = names.index(name), groups[sm.cods[a]]
-            keys.update([(u * size + v if u <= v else v * size + u) * width + r
-                         for u, v in zip(groups[sm.doms[a]], map(images.__getitem__, self.cols[a]))])
-        keys = sorted(keys)
-        singles = [(name,) for name in names]
-        last, run = -1, ()
-        for key in keys:
-            edge, r = divmod(key, width)
-            if edge == last:
-                run += singles[r]
-                continue
-            if run:
-                yield (*divmod(last, size), run)
-            last, run = edge, singles[r]
-        if run:
-            yield (*divmod(last, size), run)
+            bit, images = 1 << names.index(name), groups[sm.cods[a]]
+            edges = {u * size + v if u <= v else v * size + u
+                     for u, p in zip(groups[sm.doms[a]], self.cols[a]) for v in [images[p]]}
+            shared = edges.intersection(masks)
+            masks.update(zip(shared, map(bit.__or__, map(masks.__getitem__, shared))))
+            edges -= shared
+            masks.update(zip(edges, repeat(bit)))
+        labels = {m: tuple(n for r, n in enumerate(names) if m >> r & 1) for m in {*masks.values()}}
+        # no mask bits in the keys: to 2^15 vertices they fit CPython's fast one-digit ints
+        keys = sorted(masks)
+        return keys, [*map(masks.__getitem__, keys)], size, labels
 
     def is_connected(self) -> bool:
         """Union-find over the columns: each arc joins mu and a.mu."""
@@ -258,31 +256,38 @@ class SchreierGraph:
                 root[find(u)] = find(images[p])
         return len({find(i) for i in range(len(root))}) <= 1
 
-    def _vertex_names(self) -> list[str]:
-        """str of each vertex path (its vertex when empty), built by prefixing."""
+    def _vertex_names(self, quote=str) -> list[str]:
+        """str of each vertex path (its vertex when empty), built by prefixing,
+        with quote applied to each vertex and edge name."""
         graph = self.automaton.graph
         if not self.level:
-            return list(graph.vertices)
+            return list(map(quote, graph.vertices))
         dotted = dict.fromkeys(graph.vertices, [""])  # "." + name, by range
         for _ in range(self.level - 1):
-            dotted = {v: [f".{e.id}{t}" for e in graph.range_edges(v) for t in dotted[e.src]]
-                      for v in graph.vertices}
-        return [e.id + t for e in graph.edges for t in dotted[e.src]]
+            dotted = {v: [s + t for e in graph.range_edges(v) for s in [f".{quote(e.id)}"]
+                          for t in dotted[e.src]] for v in graph.vertices}
+        return [s + t for e in graph.edges for s in [quote(e.id)] for t in dotted[e.src]]
 
     def to_json(self) -> dict:
         names = self._vertex_names()
+        keys, masks, size, labels = self._edges()
         return {
             "schema": 1,
             "level": self.level,
             "vertices": names,
-            "edges": [{"u": names[u], "v": names[v], "labels": [*labels]}
-                      for u, v, labels in self._edges()],
+            "edges": [{"u": names[k // size], "v": names[k % size], "labels": [*labels[m]]}
+                      for k, m in zip(keys, masks)],
         }
 
     def to_dot(self) -> str:
+        keys, masks, size, labels = self._edges()
+        joined = {m: dot_escape(",".join(t)) for m, t in labels.items()}
         lines = [f"graph schreier_level_{self.level} {{"]
-        lines += [f'  v{i} [label="{name}"];' for i, name in enumerate(self._vertex_names())]
-        lines += [f'  v{u} -- v{v} [label="{",".join(labels)}"];' for u, v, labels in self._edges()]
+        lines += [f'  v{i} [label="{name}"];'
+                  for i, name in enumerate(self._vertex_names(dot_escape))]
+        lines += [f'  v{k // size} -- v{k % size} [label="{joined[m]}"];'
+                  for k, m in zip(keys, masks)]
+        del keys, masks  # before the text doubles the lines
         lines.append("}")
         return "\n".join(lines)
 
@@ -309,8 +314,8 @@ def _tower(graph: Graph, sm: StateMachine, n: int):
     yield _groups(graph, sizes, 0), cols
     for k in range(1, n + 1):
         at = _at(graph, sizes[k - 1])
-        cols = [[at[img] + p for img, succ in row.values() for p in cols[succ]]
-                for row in sm.rows]
+        cols = [[s + p for img, succ in row.values() for s in [at[img]] for p in cols[succ]]
+                for row in sm.rows]  # s: one lookup of at[a.e] per block
         yield _groups(graph, sizes, k), cols
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path as FsPath
@@ -251,6 +252,37 @@ def test_schreier_out_writes_dot(tmp_path):
     assert code == 0 and data == {"schema": 1, "written": str(out)}
     aut = parse_spec(FsPath(EX310).read_text()).automaton()
     assert out.read_text() == build_schreier(aut, default_generating_set(aut), 3).to_dot() + "\n"
+
+
+DOT_LABEL = re.compile(r'\[label="((?:[^"\\]|\\.)*)"[,\]]')
+
+
+def dot_labels(dot):
+    """The unescaped label of each node and edge line; a label that is not
+    one well-formed DOT string fails."""
+    out = []
+    for line in dot.splitlines()[1:-1]:
+        m = DOT_LABEL.search(line)
+        assert m, line
+        out.append(re.sub(r"\\(.)", r"\1", m.group(1)))
+    return out
+
+
+def test_dot_labels_are_escaped(tmp_path):
+    # odometer with a generator named q"x, a vertex named v\ and an edge named 0\
+    spec = tmp_path / "quotes.ss"
+    spec.write_text('[graph]\nvertex v\\\nedge 0\\ : v\\ -> v\\\nedge 1 : v\\ -> v\\\n'
+                    '[generator q"x : v\\ -> v\\]\n0\\ -> 1 | v\\\n1 -> 0\\ | q"x\n')
+    code, gamma = run_json("schreier", "--spec", str(spec), "--level", "2")
+    assert code == 0 and gamma["vertices"] == ["0\\.0\\", "0\\.1", "1.0\\", "1.1"]
+    code, data = run_json("schreier", "--spec", str(spec), "--level", "2", "--format", "dot")
+    assert code == 0 and dot_labels(data["dot"]) == gamma["vertices"] + [
+        ",".join(e["labels"]) for e in gamma["edges"]]
+    code, nuc = run_json("nucleus", "--spec", str(spec))
+    assert code == 0 and {s["name"] for s in nuc["states"]} == {"v\\", 'q"x', 'q"x^-1'}
+    code, data = run_json("nucleus", "--spec", str(spec), "--format", "dot")
+    assert code == 0 and dot_labels(data["dot"]) == [s["name"] for s in nuc["states"]] + [
+        f'{t["edge"]}/{t["image"]}' for t in nuc["transitions"]]
 
 
 def _cli(*argv, **kwargs):

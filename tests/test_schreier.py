@@ -362,6 +362,67 @@ def test_tower_vs_oracle_random():
         checked += 1
 
 
+# t is an involution, so its column holds both mu -> t.mu and t.mu -> mu;
+# s and t agree on every path 0 mu, so those edges carry two label pairs; at
+# level 0 every label is the one loop
+MERGES = """[graph]
+vertex v
+edge 0 : v -> v
+edge 1 : v -> v
+[generator s : v -> v]
+0 -> 1 | v
+1 -> 0 | s
+[generator t : v -> v]
+0 -> 1 | v
+1 -> 0 | v
+"""
+
+
+def test_exports_merge_involutions_shared_edges_and_loops():
+    aut = parse_spec(MERGES).automaton()
+    gens = default_generating_set(aut)
+    for n in range(7):
+        assert_matches_oracle(aut, gens, n)
+    assert build_schreier(aut, gens, 0).undirected_edges() == {(0, 0): ("s", "t", "v")}
+    gamma = build_schreier(aut, gens, 6)
+    col = gamma.cols[gamma.machine.state_index(aut, aut.generator("t"))]
+    assert all(col[col[p]] == p != col[p] for p in range(len(col)))
+    edges = gamma.undirected_edges()
+    assert sum(labels == ("s", "t") for labels in edges.values()) == 2 ** 5
+    assert all(edges[u, u] == ("v",) for u in range(2 ** 6))
+
+
+def test_exports_agree_above_the_oracle_limit():
+    # basilica level 12 (8,192 vertices), the size the benchmark exports
+    aut = build_basilica()
+    gamma = build_schreier(aut, default_generating_set(aut), 12)
+    edges = gamma.undirected_edges()
+    assert edges == oracle_undirected_edges(gamma)
+    doc, dot = gamma.to_json(), gamma.to_dot()
+    names = doc["vertices"]
+    assert doc["edges"] == [{"u": names[u], "v": names[v], "labels": list(labels)}
+                            for (u, v), labels in edges.items()]
+    assert [line for line in dot.splitlines() if " -- " in line] == [
+        f'  v{u} -- v{v} [label="{",".join(labels)}"];' for (u, v), labels in edges.items()]
+
+
+def test_exports_keep_no_state():
+    # a JSON export must leave nothing behind for a DOT export to reuse
+    aut = build_basilica()
+    gamma = build_schreier(aut, default_generating_set(aut), 8)
+    before = dict(vars(gamma))
+    tables = ({a: col.tolist() for a, col in gamma.cols.items()},
+              {v: g.tolist() for v, g in gamma.groups.items()})
+    dot = gamma.to_dot()
+    gamma.to_json()
+    gamma.undirected_edges()
+    assert vars(gamma).keys() == before.keys()
+    assert all(vars(gamma)[k] is v for k, v in before.items())
+    assert tables == ({a: col.tolist() for a, col in gamma.cols.items()},
+                      {v: g.tolist() for v, g in gamma.groups.items()})
+    assert gamma.to_dot() == dot
+
+
 def test_tower_acts_no_word_per_vertex(monkeypatch):
     calls = {"act": 0, "word_act_edge": 0}
 
@@ -621,7 +682,7 @@ def test_exports_psi_and_profiles_read_only_columns(monkeypatch):
     y = LeftInfinitePath.make(aut.graph, ["0", "1"])
     assert distance_profile(aut, x, y, 6, gen_set=gens) and reads == []
     list(gamma.arcs)
-    assert gamma.vertices[0] and reads == ["arcs", "vertices"]
+    assert gamma.vertices[0].edges and reads == ["arcs", "vertices"]
 
 
 # -- distance_profile as it was, kept as an oracle --------------------------------
