@@ -36,14 +36,15 @@ never lengthens words, so the search space is finite; longer rule words may
 grow, so searches stop at the automaton's ``bounds`` and words at
 _MAX_WORD_LEN expanded symbols, raising ClosureLimitError past either.
 
-Class identification is memoised per automaton.  Every class id owns a row:
-the image edge and the successor class id for each edge of range_edges(d),
-filled once from the representative current at first use (the row is a
-class invariant).  A restriction closure renumbers its classes' rows by
-state into a StateMachine, the one table that the nucleus, dynamics,
-Schreier and export code read.  The act cache and the word->class memo
-share one memo bounded by _CACHE_SYMBOLS runs in total and evict oldest
-first, so their contents depend only on the sequence of calls.
+Class identification is memoised per automaton, through a discrimination
+tree that runs one bisimulation per lookup (_Registry).  Every class id owns
+a row: the image edge and the successor class id for each edge of
+range_edges(d), filled once from the representative current at first use
+(the row is a class invariant).  A restriction closure renumbers its
+classes' rows by state into a StateMachine, the one table that the nucleus,
+dynamics, Schreier and export code read.  The act cache and the word->class
+memo share one memo bounded by _CACHE_SYMBOLS runs in total and evict
+oldest first, so their contents depend only on the sequence of calls.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .errors import (
     RestrictionVertexMismatchError,
     UnknownSymbolError,
 )
-from .graphs import Graph, Path, bfs, rho
+from .graphs import Graph, Path, bfs, bfs_labels, rho
 
 # A run of one generator: (name, k) with k != 0 is g^k; (name, -1) is g^-1.
 Symbol = tuple[str, int]
@@ -147,7 +148,8 @@ class Automaton:
     them in deterministic order, and the action operations refuse to run
     while it is nonempty.  Vertex names double as unit symbols, so generator
     names must not collide with vertex names, and a trailing ``^-1`` marks
-    an inverse, so no generator name ends in it.
+    an inverse, so no generator name ends in it; Schreier DOT labels join
+    names with commas, so no generator or vertex name holds one.
     """
 
     def __init__(self, graph: Graph, generators: dict[str, GeneratorRule],
@@ -160,6 +162,9 @@ class Automaton:
                 raise AutomatonError(f"generator name {name!r} collides with a graph id")
             if name.endswith("^-1"):  # read_word would take it for an inverse
                 raise AutomatonError(f"generator name {name!r} ends in the inverse marker ^-1")
+        for name in (*self.generators, *graph.vertices):
+            if "," in name:  # a Schreier DOT label joins its names with ","
+                raise AutomatonError(f"name {name!r} holds the DOT label separator ','")
         # generator name -> (d, c), the one endpoint map words are read by
         self._ends = {name: (rule.dom, rule.cod) for name, rule in self.generators.items()}
         self.violations = _validate(graph, self.generators, self._ends)
@@ -277,12 +282,15 @@ class Automaton:
         """g . p, defined when r(p) = d(g); length preserving."""
         if p.r(self.graph) != g.dom:
             raise DomainMismatchError(f"r(path) = {p.r(self.graph)} != d(g) = {g.dom}")
-        word = g.word
+        return Path(self.cod(g), self._images(g.word, p.edges))
+
+    def _images(self, word, path: tuple[str, ...]) -> tuple[str, ...]:
+        """The image edges of a word along a path of edge ids: act without its check."""
         out = []
-        for e in p.edges:
+        for e in path:
             img, word = self.word_act_edge(word, e)
             out.append(img)
-        return Path(self.cod(g), tuple(out))
+        return tuple(out)
 
     def restrict(self, g: Element, p: Path) -> Element:
         """g|_p, defined when r(p) = d(g)."""
@@ -303,33 +311,33 @@ class Automaton:
         return Element(g.dom, join(h.word, g.word))
 
     def equal(self, g: Element, h: Element) -> bool:
-        """True iff g and h define the same partial isomorphism of E*.
-
-        Greatest-fixpoint bisimulation on restriction pairs; see the module
-        docstring for the soundness argument and the budget caveat.
-        """
+        """True iff g and h define the same partial isomorphism of E*."""
         self._require_valid()
-        if g.dom != h.dom or self.cod(g) != self.cod(h):
-            return False
+        return g.dom == h.dom and self.cod(g) == self.cod(h) and self._discerning_path(g, h) is None
+
+    def _discerning_path(self, g: Element, h: Element) -> tuple[str, ...] | None:
+        """None when g and h, of one domain, act alike on every finite path, else
+        the edge ids of a path from d(g) on whose last edge their images differ:
+        the module docstring's bisimulation, depth first, under its budget."""
         budget = self.bounds.max_states
-        seen: set[tuple] = set()
-        stack: list[tuple[tuple[Symbol, ...], tuple[Symbol, ...], str]] = [(g.word, h.word, g.dom)]
+        seen: dict[tuple, tuple | None] = {}  # pair -> (parent pair, edge id), as graphs.bfs
+        stack: list[tuple] = [(g.word, h.word, g.dom, None)]
         while stack:
-            gw, hw, dom = stack.pop()
+            gw, hw, dom, via = stack.pop()
             key = (gw, hw)
             if key in seen:
                 continue
-            seen.add(key)
+            seen[key] = via
             if len(seen) > budget:
                 raise ClosureLimitError(budget, "bisimulation")
             for e in self.graph.range_edges(dom):
                 gi, gr = self.word_act_edge(gw, e.id)
                 hi, hr = self.word_act_edge(hw, e.id)
                 if gi != hi:
-                    return False
+                    return (*bfs_labels(seen, key), e.id)
                 if gr != hr:
-                    stack.append((gr, hr, e.src))
-        return True
+                    stack.append((gr, hr, e.src, (key, e.id)))
+        return None
 
     def act_infinite(self, g: Element, x):
         """g . x for an eventually periodic right-infinite path x.
@@ -464,20 +472,32 @@ class _SymbolMemo(dict):
             self.symbols -= n
 
 
+@dataclass(eq=False)
+class _Split:
+    """A discrimination tree node: subtrees keyed by images along ``path``."""
+
+    path: tuple[str, ...]  # edge ids
+    children: dict
+
+
 class _Registry:
     """Canonical-class registry: maps elements to stable class ids.
 
-    Candidates are pre-filtered by a depth-2 action fingerprint (a class
-    invariant), then confirmed with equal().  The first element of a class
-    fixes its id; the stored representative word is replaced whenever a
-    shortlex-smaller member shows up.  ``rows[cid]`` holds, once asked for,
-    (edge id, image edge, successor class id) for each edge of the class's
-    range_edges(d).
+    Below a depth-2 action fingerprint, classes sit in a Kearns-Vazirani
+    discrimination tree: g sifts down each _Split to the child keyed by its
+    images along the split's path, a class invariant, so only the class at
+    its leaf can be g's, and one bisimulation decides; a refutation's path
+    turns the leaf into a split.  A sift whose words outgrow a path compares
+    g with each class below that split, in id order, and else raises.  The
+    first element of a class fixes its id; the stored representative word is
+    replaced whenever a shortlex-smaller member shows up.  ``rows[cid]``
+    holds, once asked for, (edge id, image edge, successor class id) for
+    each edge of the class's range_edges(d).
     """
 
     def __init__(self, aut: Automaton):
         self.aut = aut
-        self.by_fp: dict[tuple, list[int]] = {}
+        self.by_fp: dict[tuple, int | _Split] = {}  # fingerprint -> tree
         self.reps: list[Element] = []
         self.rows: list[tuple[tuple[str, str, int], ...] | None] = []
 
@@ -501,17 +521,35 @@ class _Registry:
         if cached is not None:
             return cached, self.reps[cached]
         fp = self._fingerprint(g)
-        for cid in self.by_fp.get(fp, ()):
-            rep = self.reps[cid]
-            if aut.equal(g, rep):
-                if word_key(g.word) < word_key(rep.word):
-                    self.reps[cid] = g
-                break
+        walk = [self.by_fp.get(fp)]  # the sift: from a split, the child for g's images on its path
+        at = [(self.by_fp, fp)]  # the dict and key each node of the walk hangs at
+        try:
+            for node in walk:  # the walk grows while it is read
+                if isinstance(node, _Split):
+                    at.append((node.children, aut._images(g.word, node.path)))
+                    walk.append(node.children.get(at[-1][1]))
+        except ClosureLimitError:  # g outgrew the path of walk[-1]: scan the classes below it
+            below = bfs([walk[-1]], lambda n: ((None, c) for c in n.children.values())
+                        if isinstance(n, _Split) else ())
+            leaf, path = next((c for c in sorted(n for n, _ in below if isinstance(n, int))
+                               if aut.equal(g, self.reps[c])), None), None
+            if leaf is None:
+                raise
         else:
-            cid = len(self.reps)
+            leaf = walk[-1]
+            path = aut._discerning_path(g, self.reps[leaf]) if isinstance(leaf, int) else ()
+        if path is None:  # g is of leaf's class
+            cid = leaf
+            if word_key(g.word) < word_key(self.reps[cid].word):
+                self.reps[cid] = g
+        else:  # a new class, which differs from leaf's, if any, on path
+            up, k = at[-1]
+            cid = up[k] = len(self.reps)
             self.reps.append(g)
             self.rows.append(None)
-            self.by_fp.setdefault(fp, []).append(cid)
+            if path:
+                up[k] = _Split(path, {aut._images(self.reps[leaf].word, path): leaf,
+                                      aut._images(g.word, path): cid})
         aut._memo.put(key, cid, len(g.word))
         return cid, self.reps[cid]
 

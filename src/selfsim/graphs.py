@@ -137,24 +137,21 @@ def concat(graph: Graph, p: Path, q: Path) -> Path:
     return Path(p.r(graph), p.edges + q.edges)
 
 
-def enumerate_paths(graph: Graph, n: int, at: str | None = None) -> list[Path]:
-    """All of E^n (or vE^n when ``at`` is given), lexicographic by edge ids.
+def enumerate_paths(graph: Graph, n: int) -> list[Path]:
+    """All of E^n, lexicographic by edge ids.
 
     Built by prefixing: the length-k paths with range v are e mu for e in
     vE^1 and mu a length-(k-1) path with range s(e), so walking the edges in
     id order keeps every level lexicographic with no sort."""
     if n < 0:
         raise ValueError("path length must be >= 0")
-    if at is not None and at not in graph.vertices:
-        raise UnknownSymbolError(f"unknown vertex {at!r}")
     if n == 0:
-        return [Path.empty(v) for v in ([at] if at is not None else graph.vertices)]
+        return [Path.empty(v) for v in graph.vertices]
     seqs = dict.fromkeys(graph.vertices, [()])  # range vertex -> edge tuples
     for _ in range(n - 1):
         seqs = {v: [(e.id,) + t for e in graph.range_edges(v) for t in seqs[e.src]]
                 for v in graph.vertices}
-    return [Path(e.dst, (e.id,) + t)
-            for e in (graph.edges if at is None else graph.range_edges(at)) for t in seqs[e.src]]
+    return [Path(e.dst, (e.id,) + t) for e in graph.edges for t in seqs[e.src]]
 
 
 def strongly_connected_components(nodes, succ) -> list[list]:

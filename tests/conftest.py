@@ -1,7 +1,7 @@
 import pytest
 
 from selfsim.automaton import Automaton, Element, GeneratorRule
-from selfsim.graphs import Graph
+from selfsim.graphs import Graph, enumerate_paths
 
 # Acceptance results collected by tests/test_acceptance.py; printed in the
 # terminal summary so every criterion gets its own pass/fail line.
@@ -25,6 +25,11 @@ def pytest_terminal_summary(terminalreporter):
 
 def unit(v):
     return Element(v, ())
+
+
+def paths_at(graph, n, v):
+    """vE^n: the paths of E^n with range v, in enumerate_paths order."""
+    return [p for p in enumerate_paths(graph, n) if p.r(graph) == v]
 
 
 def with_bounds(aut, bounds):

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from selfsim.automaton import Automaton, Bounds, Element, GeneratorRule
-from selfsim.graphs import Graph, Path, concat, enumerate_paths
+from selfsim.graphs import Graph, Path, concat
 from selfsim.ktheory import AbelianGroup, IntMatrix, katsura_automaton, katsura_ktheory, smith_normal_form
 from selfsim.nucleus import NotContractingWithinBound, Nucleus, compute_nucleus
 from selfsim.schreier import build_schreier, default_generating_set, distance_profile, project_psi
@@ -25,6 +25,7 @@ from conftest import (
     build_noncontracting,
     build_nonhausdorff,
     build_odometer,
+    paths_at,
     record_criterion,
     with_bounds,
 )
@@ -273,7 +274,7 @@ def _oracle_tables_equal(aut, g, h, depth):
     if g.dom != h.dom or aut.cod(g) != aut.cod(h):
         return False
     for n in range(1, depth + 1):
-        for p in enumerate_paths(aut.graph, n, at=g.dom):
+        for p in paths_at(aut.graph, n, g.dom):
             if aut.act(g, p) != aut.act(h, p):
                 return False
     return True

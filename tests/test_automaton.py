@@ -10,9 +10,9 @@ from selfsim.errors import (
     NotBijectiveOnEdgesError,
     RestrictionVertexMismatchError,
 )
-from selfsim.graphs import Graph, Path, enumerate_paths
+from selfsim.graphs import Graph, Path
 
-from conftest import build_ex310, unit
+from conftest import build_ex310, paths_at, unit
 
 
 def path(aut, literal):
@@ -22,7 +22,7 @@ def path(aut, literal):
 def act_table_oracle(aut, g, n):
     """Brute force: the map of g on all length-n paths at d(g)."""
     out = {}
-    for p in enumerate_paths(aut.graph, n, at=g.dom):
+    for p in paths_at(aut.graph, n, g.dom):
         out[p.edges] = aut.act(g, p).edges
     return out
 
@@ -168,7 +168,7 @@ def test_compose_with_inverse_is_unit(ex310):
     gg = ex310.compose(a, ex310.inverse(a))
     # oracle: brute-force action comparison on wE^2
     assert gg.dom == "w"
-    for p in enumerate_paths(ex310.graph, 2, at="w"):
+    for p in paths_at(ex310.graph, 2, "w"):
         assert ex310.act(gg, p) == p
     assert ex310.equal(gg, ex310.unit("w"))
 
@@ -200,7 +200,7 @@ def test_action_is_bijection_per_level(ex310):
             table = act_table_oracle(ex310, g, n)
             images = set(table.values())
             assert len(images) == len(table)
-            target = {p.edges for p in enumerate_paths(ex310.graph, n, at=ex310.cod(g))}
+            target = {p.edges for p in paths_at(ex310.graph, n, ex310.cod(g))}
             assert images == target
 
 

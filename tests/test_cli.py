@@ -117,8 +117,8 @@ def test_anchor_on_a_one_sided_literal_is_an_input_error():
 def _restrict_cases():
     """Seeded (spec, element, path) triples over the six specs: random
     words of up to 4 symbols and paths of 1 to 5 edges at their domain."""
-    from selfsim.graphs import enumerate_paths
     from selfsim.specfile import parse_spec
+    from conftest import paths_at
     from test_automaton import random_element
 
     rng = random.Random(41)
@@ -126,7 +126,7 @@ def _restrict_cases():
         aut = parse_spec(spec.read_text()).automaton()
         for _ in range(25):
             g = random_element(aut, rng, max_len=4)
-            p = rng.choice(enumerate_paths(aut.graph, rng.randint(1, 5), at=g.dom))
+            p = rng.choice(paths_at(aut.graph, rng.randint(1, 5), g.dom))
             yield spec, g.name(), ".".join(p.edges)
 
 
@@ -495,6 +495,18 @@ def test_generator_name_ending_in_inverse_marker_is_an_input_error(tmp_path):
                     "[generator x^-1 : v -> v]\n0 -> 1 | v\n1 -> 0 | v\n")
     code, data = run_json("validate", "--spec", str(spec))
     assert code == 3 and "'x^-1' ends in the inverse marker ^-1" in data["error"]
+
+
+def test_names_holding_a_comma_are_input_errors(tmp_path):
+    # a Schreier DOT label joins its names with ",", so a generator a,b on
+    # odometer's graph would print the loop's labels as "a,b,v"
+    spec = tmp_path / "comma.ss"
+    for gen, v, bad in (("a,b", "v", "a,b"), ("a", "v,w", "v,w")):
+        spec.write_text(f"[graph]\nvertex {v}\nedge 0 : {v} -> {v}\nedge 1 : {v} -> {v}\n"
+                        f"[generator {gen} : {v} -> {v}]\n0 -> 1 | {v}\n1 -> 0 | {gen}\n")
+        code, data = run_json("schreier", "--spec", str(spec), "--level", "0", "--format", "dot")
+        assert code == 3 and f"name {bad!r} holds the DOT label separator" in data["error"], data
+
 
 def test_unwritable_outputs_are_input_errors(tmp_path):
     missing = str(tmp_path / "no" / "such" / "dir" / "out")

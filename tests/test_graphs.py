@@ -6,7 +6,6 @@ from selfsim.errors import (
     DanglingEndpointError,
     DuplicateIdError,
     NonComposableError,
-    UnknownSymbolError,
 )
 from selfsim.graphs import (
     Graph,
@@ -25,7 +24,7 @@ from selfsim.graphs import (
     validate_graph,
 )
 
-from conftest import build_basilica, build_ex310
+from conftest import build_basilica, build_ex310, paths_at
 
 
 def brute_force_pairs(g):
@@ -116,18 +115,17 @@ def test_enumerate_paths_counts_match_adjacency_powers():
 
 def test_path_range_source_at_filter():
     g = build_ex310().graph
-    for p in enumerate_paths(g, 3, at="v"):
+    for p in paths_at(g, 3, "v"):
         assert p.r(g) == "v"
         for a, b in zip(p.edges, p.edges[1:]):
             assert g.s(a) == g.r(b)
 
 
-def old_enumerate_paths(graph, n, at=None):
+def old_enumerate_paths(graph, n):
     """enumerate_paths as it was: paths extended on the right from every
     root, one Path per intermediate path, then sorted."""
-    roots = [at] if at is not None else list(graph.vertices)
     out = []
-    for v in roots:
+    for v in graph.vertices:
         level = [Path.empty(v)]
         for _ in range(n):
             level = [Path(v, p.edges + (e.id,)) for p in level for e in graph.range_edges(p.s(graph))]
@@ -150,15 +148,6 @@ def test_enumerate_paths_vs_sorted_extension():
         g = _random_graph(rng)
         for n in range(5):
             assert enumerate_paths(g, n) == old_enumerate_paths(g, n), (g.edges, n)
-            for v in g.vertices:
-                assert enumerate_paths(g, n, at=v) == old_enumerate_paths(g, n, at=v)
-
-
-@pytest.mark.parametrize("n", range(4))
-def test_enumerate_paths_unknown_vertex(n):
-    g = build_ex310().graph
-    with pytest.raises(UnknownSymbolError):
-        enumerate_paths(g, n, at="nope")
 
 
 def _reach(succ, v):

@@ -129,7 +129,7 @@ WHILE_MODULES = {"graphs", "ktheory", "infinite_paths"}
 # (module, enclosing definitions) of the other while loops: a bisimulation,
 # a memo's eviction and a union-find; every run to a repeat goes through
 # graphs.rho and every breadth-first search through graphs.bfs
-ALLOWED_WHILE = {("automaton", "Automaton.equal"), ("automaton", "_SymbolMemo.put"),
+ALLOWED_WHILE = {("automaton", "Automaton._discerning_path"), ("automaton", "_SymbolMemo.put"),
                  ("schreier", "SchreierGraph.is_connected.find")}
 
 

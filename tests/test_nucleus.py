@@ -21,7 +21,7 @@ from selfsim.nucleus import (
 )
 from selfsim.specfile import parse_spec
 
-from conftest import build_noncontracting, unit, with_bounds
+from conftest import build_noncontracting, paths_at, unit, with_bounds
 
 ROOT = FsPath(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -55,10 +55,9 @@ def test_limit_restrictions_ab(ex310):
     assert ex310.canonical_id(ba) not in ids
     assert ex310.canonical_id(ab) not in ids
     # brute-force oracle: ba occurs only at depth 1, never at depth >= 2
-    from selfsim.graphs import enumerate_paths
     for n in (2, 3, 4, 5):
         reached = {ex310.canonical_id(ex310.restrict(ab, p))
-                   for p in enumerate_paths(ex310.graph, n, at=ab.dom)}
+                   for p in paths_at(ex310.graph, n, ab.dom)}
         assert ex310.canonical_id(ba) not in reached
         assert reached <= ids
 
@@ -196,7 +195,6 @@ def test_nucleus_vs_enumeration_oracle(ex310, basilica):
 def rk_bruteforce(nuc, k, jmax=10):
     """Directly scan depths: the least j with every depth-j restriction of
     every k-fold nucleus product inside the nucleus."""
-    from selfsim.graphs import enumerate_paths
 
     aut = nuc.automaton
     layer = {aut.canonical_id(s): s for s in nuc.states}
@@ -211,7 +209,7 @@ def rk_bruteforce(nuc, k, jmax=10):
     for j in range(jmax + 1):
         if all(aut.canonical_id(aut.restrict(h, mu)) in nuc.machine.index
                for h in layer.values()
-               for mu in enumerate_paths(aut.graph, j, at=h.dom)):
+               for mu in paths_at(aut.graph, j, h.dom)):
             return j
     raise AssertionError(f"R_{k} exceeds {jmax}")
 

@@ -19,7 +19,7 @@ from selfsim.schreier import (
 )
 from selfsim.specfile import parse_spec
 
-from conftest import build_basilica
+from conftest import build_basilica, paths_at
 from test_dynamics import random_left_path
 
 SPECS = FsPath(__file__).resolve().parent.parent / "specs"
@@ -488,7 +488,7 @@ def test_enumerate_paths_vs_old_tower(spec):
             break
         assert enumerate_paths(graph, n) == paths, n
         for v in graph.vertices:
-            assert enumerate_paths(graph, n, at=v) == [paths[j] for j in groups[v]], (n, v)
+            assert paths_at(graph, n, v) == [paths[j] for j in groups[v]], (n, v)
         top = n
     assert top >= 7
 
