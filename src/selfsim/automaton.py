@@ -487,12 +487,11 @@ class _Registry:
     discrimination tree: g sifts down each _Split to the child keyed by its
     images along the split's path, a class invariant, so only the class at
     its leaf can be g's, and one bisimulation decides; a refutation's path
-    turns the leaf into a split.  A sift whose words outgrow a path compares
-    g with each class below that split, in id order, and else raises.  The
-    first element of a class fixes its id; the stored representative word is
-    replaced whenever a shortlex-smaller member shows up.  ``rows[cid]``
-    holds, once asked for, (edge id, image edge, successor class id) for
-    each edge of the class's range_edges(d).
+    turns the leaf into a split.  A sift whose words outgrow a path raises
+    ClosureLimitError.  The first element of a class fixes its id; the stored
+    representative word is replaced whenever a shortlex-smaller member shows
+    up.  ``rows[cid]`` holds, once asked for, (edge id, image edge, successor
+    class id) for each edge of the class's range_edges(d).
     """
 
     def __init__(self, aut: Automaton):
@@ -523,21 +522,12 @@ class _Registry:
         fp = self._fingerprint(g)
         walk = [self.by_fp.get(fp)]  # the sift: from a split, the child for g's images on its path
         at = [(self.by_fp, fp)]  # the dict and key each node of the walk hangs at
-        try:
-            for node in walk:  # the walk grows while it is read
-                if isinstance(node, _Split):
-                    at.append((node.children, aut._images(g.word, node.path)))
-                    walk.append(node.children.get(at[-1][1]))
-        except ClosureLimitError:  # g outgrew the path of walk[-1]: scan the classes below it
-            below = bfs([walk[-1]], lambda n: ((None, c) for c in n.children.values())
-                        if isinstance(n, _Split) else ())
-            leaf, path = next((c for c in sorted(n for n, _ in below if isinstance(n, int))
-                               if aut.equal(g, self.reps[c])), None), None
-            if leaf is None:
-                raise
-        else:
-            leaf = walk[-1]
-            path = aut._discerning_path(g, self.reps[leaf]) if isinstance(leaf, int) else ()
+        for node in walk:  # the walk grows while it is read
+            if isinstance(node, _Split):
+                at.append((node.children, aut._images(g.word, node.path)))
+                walk.append(node.children.get(at[-1][1]))
+        leaf = walk[-1]
+        path = aut._discerning_path(g, self.reps[leaf]) if isinstance(leaf, int) else ()
         if path is None:  # g is of leaf's class
             cid = leaf
             if word_key(g.word) < word_key(self.reps[cid].word):

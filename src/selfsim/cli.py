@@ -9,9 +9,10 @@ the handler.
 
 Exit codes: 0 = property holds / computation done, 1 = property fails
 (also when a command needs a nucleus and a certificate proves none exists),
-2 = inconclusive (a semi-decision hit its bounds), 3 = input error, or a
-report too large to render in memory (``--out`` streams it instead); ``main``
-exits 141 when standard output is closed before the report is written.
+2 = inconclusive (a semi-decision hit its bounds, or a computation ran out
+of memory), 3 = input error, or a report too large to render in memory
+(``--out`` streams it instead); ``main`` exits 141 when standard output is
+closed before the report is written.
 ``--json`` switches every report to a machine-readable document with
 ``"schema": 1``; ``SELFSIM_MAX_STATES`` overrides the spec's state budget.
 """
@@ -359,6 +360,8 @@ def dispatch(argv, stdout=None) -> int:
         code, report = e.code, e.report
     except ClosureLimitError as e:
         code, report = INCONCLUSIVE, {"result": "inconclusive", "error": str(e)}
+    except MemoryError:  # a resource bound, as the budgets are
+        code, report = INCONCLUSIVE, {"result": "inconclusive", "error": "out of memory"}
     except NotContractingError as e:  # every command that computes a nucleus
         code, report = FAIL, e.certificate.as_dict()
     except SelfSimError as e:

@@ -180,12 +180,13 @@ def _pair_limits(aut: Automaton, sm: StateMachine, touch) -> dict[int, Element]:
 
 
 def compute_nucleus(aut: Automaton):
-    """Nucleus with closure certificate, or NotContractingWithinBound.
+    """Nucleus, checked closed and symmetric, or NotContractingWithinBound.
 
     Each pair of the fixpoint is scanned in one round, and its limit set
     reads only the sub-machine it reaches, so the rounds' limit sets make up
-    the nucleus.  The state budget of ``aut.bounds`` caps S and the rounds'
-    machine, and its round count the iteration."""
+    the nucleus, and a pass over N's pairs would find no class: that
+    re-scan runs in the tests only.  The state budget of ``aut.bounds`` caps
+    S and the rounds' machine, and its round count the iteration."""
     aut._require_valid()
     budget, rounds = aut.bounds.max_states, aut.bounds.max_rounds
     try:
@@ -205,7 +206,7 @@ def compute_nucleus(aut: Automaton):
         else:
             return NotContractingWithinBound("max_rounds", budget, rounds)
 
-        # certificate: the registry finds the rounds' machine, symmetric and closed
+        # the registry finds the rounds' machine: its class ids, closed and symmetric
         order = sorted(witnesses, key=lambda s: (word_key(sm.states[s].word), sm.doms[s]))
         machine = reachable_closure(aut, [sm.states[s] for s in order])
         if machine.rows != sm.renumbered(order).rows:
@@ -213,9 +214,6 @@ def compute_nucleus(aut: Automaton):
         for s in machine.states:
             if aut.canonical_id(aut.inverse(s)) not in machine.index:
                 raise DivergedError(f"nucleus not symmetric at {s.name()}")
-        _pair_limits(aut, machine, None)
-        if len(machine) > len(order):
-            raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, rounds)
 
@@ -298,7 +296,8 @@ def compute_Rk(nuc: Nucleus, k: int) -> int:
     Read off the machine of N^k (``Nucleus.power``) in one Tarjan pass: a
     nucleus state has depth 0, any other state 1 + the largest depth of its
     successors, and R_k is the largest depth.  A state outside the nucleus
-    on a cycle would never reach it, which the certificate rules out.
+    on a cycle would be a limit restriction outside the nucleus, which the
+    nucleus, holding every limit set, rules out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

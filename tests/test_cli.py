@@ -333,6 +333,16 @@ def test_schreier_report_past_memory_is_a_typed_error():
     assert report["schema"] == 1 and "--out" in report["error"]
 
 
+def test_compute_past_memory_is_inconclusive(monkeypatch):
+    # a MemoryError while computing, not rendering, is typed like a bound
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "build_schreier", out_of_memory)
+    code, data = run_json("schreier", "--spec", EX310, "--level", "20")
+    assert code == 2
+    assert data == {"result": "inconclusive", "error": "out of memory", "schema": 1}
+
+
 def test_katsura_pipeline(tmp_path):
     out = tmp_path / "katsura.ss"
     code, data = run_json("katsura", "--A", "[[2,1],[2,2]]", "--B", "[[1,0],[1,1]]",

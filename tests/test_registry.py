@@ -10,8 +10,8 @@ the same order, and leaves the same representatives and rows: the six
 specs' nuclei with their ``power(3)``, and the katsura-ladder systems whose
 restriction closure outgrows its words, up to that bound.  ``equal``
 answers as ``old_equal`` on seeded random pairs.  A counter test pins one
-bisimulation per fresh lookup on one such system, and a lowered word bound
-sends a sift to the scan below its split.
+bisimulation per fresh lookup on one such system, and a sift that outgrows
+a lowered word bound raises.
 """
 
 import random
@@ -22,7 +22,7 @@ import selfsim.automaton as automaton
 from selfsim.automaton import (
     _CACHE_SYMBOLS, Automaton, Element, GeneratorRule, _Registry, _SymbolMemo, word_key)
 from selfsim.errors import ClosureLimitError, NotContractingError, SelfSimError
-from selfsim.graphs import Graph, Path
+from selfsim.graphs import Graph
 from selfsim.nucleus import Nucleus, compute_nucleus
 
 from test_runs import SPEC_NAMES, katsura, ladder_systems, random_runs, spec_automaton
@@ -231,29 +231,26 @@ def growing_automaton():
     })
 
 
-def test_a_sift_that_outgrows_its_words_scans_below_the_split(monkeypatch):
+def test_a_sift_that_outgrows_its_words_raises(monkeypatch):
     # h d is class 0 and the unit class 1, split on 0.0.0.0.  Under a bound
     # of 6 symbols, and with the memo of the longer walks emptied, k d
-    # outgrows that path at its third edge (h^8 f); its restriction along 0
-    # is h h d1, as for h d, so the scan below the split decides it.  With a
-    # bound that stays fixed, the scan finds no class: the walk it would have
-    # to match is its class representative's, which fit when it was keyed.
+    # outgrows that path at its third edge (h^8 f), and the sift raises
+    # without a bisimulation or a new class.  No program lowers the bound
+    # during an automaton's life; at a fixed bound, a scan of the classes
+    # below the split could match none, as each of their walks fit when it
+    # was keyed.
     calls = []
-    equal = automaton.Automaton.equal
-    monkeypatch.setattr(automaton.Automaton, "equal",
-                        lambda aut, g, h: calls.append(g) or equal(aut, g, h))
-    tree = logged(growing_automaton())
-    scan = growing_automaton()
-    logged(scan, ScanRegistry(scan))
-    for aut in (tree, scan):
-        assert [aut.canonical_id(aut.element(w)) for w in ("h d", "v")] == [0, 1]
-        aut._memo = _SymbolMemo(_CACHE_SYMBOLS)
+    discern = automaton.Automaton._discerning_path
+    monkeypatch.setattr(automaton.Automaton, "_discerning_path",
+                        lambda aut, g, h: calls.append(g) or discern(aut, g, h))
+    aut = logged(growing_automaton())
+    assert [aut.canonical_id(aut.element(w)) for w in ("h d", "v")] == [0, 1]
+    aut._memo = _SymbolMemo(_CACHE_SYMBOLS)
     monkeypatch.setattr(automaton, "_MAX_WORD_LEN", 6)
-    kd = tree.element("k d")
+    kd = aut.element("k d")
+    calls.clear()
     with pytest.raises(ClosureLimitError, match="restriction word growth"):
-        tree.act(kd, Path.of(tree.graph, ["0", "0", "0", "0"]))
-    for aut in (tree, scan):
-        assert aut.canonical_id(kd) == 0
-    assert calls == [kd]  # the scan below the split ran, and stopped at class 0
-    assert tree._registry.log == scan._registry.log
-    assert tree._registry.reps == scan._registry.reps
+        aut.canonical_id(kd)
+    assert calls == []
+    assert aut._registry.log[-1][:3] == (kd.dom, kd.word, "ClosureLimitError")
+    assert len(aut._registry.reps) == 2
