@@ -39,7 +39,7 @@ from .errors import DomainMismatchError, NotStronglyConnectedError
 from .graphs import (bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho, rho_at,
                      validate_graph)
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
-from .nucleus import Nucleus
+from .nucleus import Nucleus, product_layers
 from .schreier import build_schreier, default_generating_set
 
 
@@ -231,45 +231,29 @@ class RecurrenceReport:
 
 
 def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
-    """Search words of length <= depth realizing every (e, f, h) with h a
-    generator, inverse or unit; composing such realizations covers all of G,
-    so full coverage certifies recurrence.  Requires strong connectivity
-    (the composition argument threads through intermediate edges)."""
+    """Search the products of at most max(depth, 1) generators, inverses or
+    units for ones realizing every (e, f, h), h basic: g . e = f, g|_e = h.
+    Composing them covers all of G, so full coverage certifies recurrence.
+    The products are product_layers on the machine of S, so an infinite S
+    ends the search in ClosureLimitError.  Requires strong connectivity (the
+    composition argument threads through intermediate edges)."""
     graph = aut.graph
     if not validate_graph(graph).strongly_connected:
         raise NotStronglyConnectedError("check_recurrent needs a strongly connected graph")
-
     basic = aut.basic_elements()
-
-    targets = {}
-    for e in graph.edges:
-        for f in graph.edges:
-            for h in basic:
-                if h.dom == graph.s(e.id) and aut.cod(h) == graph.s(f.id):
-                    targets[(e.id, f.id, aut.canonical_id(h))] = h
+    ids = [aut.canonical_id(h) for h in basic]
+    sm = reachable_closure(aut, basic)
+    at = [sm.index[c] for c in ids]  # basic element -> state
+    targets = {(e.id, f.id, s): h for e in graph.edges for f in graph.edges for h, s in zip(basic, at)
+               if h.dom == graph.s(e.id) and aut.cod(h) == graph.s(f.id)}
     unmet = set(targets)
-
-    # a breadth-first search over classes from the basic ones: each class
-    # maps to the length and word it was first reached by, and is expanded
-    # by that word while the length is below depth
-    words = {aut.canonical_id(g): (1, aut.canonical(g)) for g in basic}
-
-    def longer(cid):  # the classes of s g, g the word of cid, s a generator or inverse
-        length, g = words[cid]
-        if length < depth:
-            for sym in basic:
-                if not sym.is_unit and sym.dom == aut.cod(g):
-                    prod = aut.compose(sym, g)
-                    j = aut.canonical_id(prod)
-                    words.setdefault(j, (length + 1, aut.canonical(prod)))
-                    yield None, j
-
-    for cid, _parent in bfs(list(words), longer):
-        # a class row holds (e, g . e, class of g|_e): exactly the target keys
-        unmet.difference_update(aut._registry.row(cid))
+    left = dict.fromkeys(s for h, s in zip(basic, at) if not h.is_unit)
+    for layer in product_layers(sm, left, at, max(depth, 1)):
+        # a row holds (e, g . e, g|_e): exactly the target keys
+        unmet.difference_update((e, img, j) for g in layer for e, (img, j) in sm.rows[g].items())
         if not unmet:
             return RecurrenceReport(True, depth)
-    missing = tuple(sorted(f"({e},{f},{targets[(e, f, c)].name()})" for (e, f, c) in unmet))
+    missing = tuple(sorted(f"({e},{f},{targets[(e, f, s)].name()})" for (e, f, s) in unmet))
     return RecurrenceReport(False, depth, missing)
 
 

@@ -89,14 +89,12 @@ class Nucleus:
 
     def power(self, k: int) -> StateMachine:
         """The machine of N^k, the products of k nucleus states, in
-        (word_key, dom) order, its index the nucleus's class ids.  Each step
-        multiplies the states new in the step before by the nucleus: N^(k-1)
-        lies in N^k, as the unit at c(n) of a nucleus state n is in N."""
-        sm, n = self.machine.renumbered(range(len(self))), 0  # a copy, to append to
-        for _ in range(k - 1):
-            fresh, n = range(n, len(sm)), len(sm)
-            _multiply(sm, [h * n + g for g in fresh for h in range(len(self))
-                           if sm.doms[h] == sm.cods[g]])
+        (word_key, dom) order, its index the nucleus's class ids: k
+        product_layers of N by N, which append only products of k states,
+        as N is restriction-closed and N^(k-1) lies in N^k (units are in N)."""
+        sm, nuc = self.machine.renumbered(range(len(self))), range(len(self))  # a copy
+        for _ in product_layers(sm, nuc, nuc, k):
+            pass
         return sm.renumbered(sorted(range(len(sm)),
                                     key=lambda i: (word_key(sm.states[i].word), sm.doms[i])))
 
@@ -158,6 +156,23 @@ def _multiply(sm: StateMachine, starts) -> dict[int, int]:
     pairs = _PairSucc(sm)
     nodes = bfs(starts, lambda v: ((None, w) for w in pairs[v]))
     return _product(sm, [v for v, _ in nodes], pairs)
+
+
+def product_layers(sm: StateMachine, left, first, k: int):
+    """Yield up to k layers of states of ``sm``, appending products to it by
+    _multiply: layer 1 is ``first``, each later one the states h g, h in
+    ``left`` and g in the layer before, that no earlier layer holds, in the
+    order first reached.  An empty layer ends the walk."""
+    layer, seen = list(dict.fromkeys(first)), set(first)
+    for _ in range(k - 1):
+        yield layer
+        starts = [h * len(sm) + g for g in layer for h in left if sm.doms[h] == sm.cods[g]]
+        found = _multiply(sm, starts) if starts else {}
+        layer = [s for s in dict.fromkeys(map(found.__getitem__, starts)) if s not in seen]
+        if not layer:
+            return
+        seen.update(layer)
+    yield layer
 
 
 def _pair_limits(aut: Automaton, sm: StateMachine, touch) -> dict[int, Element]:

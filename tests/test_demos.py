@@ -1,14 +1,9 @@
-"""Every demo script runs to completion on its own."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path as FsPath
+"""Every demo script runs to completion on its own, and prints what the
+public-output corpus lists for it."""
 
 import pytest
 
-ROOT = FsPath(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from public_outputs import DEMOS, demo_name, recorded, run_demo
 
 
 def test_demos_exist():
@@ -17,8 +12,7 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    digest, code, err = run_demo(demo)
+    assert code == 0, err
+    assert "Traceback" not in err
+    assert (digest, code) == recorded()[demo_name(demo)]

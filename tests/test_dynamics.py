@@ -425,13 +425,50 @@ def test_recurrent_odometer(odometer):
 def test_recurrent_needs_strong_connectivity(basilica):
     with pytest.raises(NotStronglyConnectedError):
         check_recurrent(basilica, 4)
+    for d in range(8):
+        with pytest.raises(NotStronglyConnectedError):
+            check_recurrent(_spec("basilica"), d)
 
 
-def test_recurrent_ex310_reports(ex310):
-    rep = check_recurrent(ex310, 6)
-    # bounded search: either outcome is acceptable, but it must be stable
-    rep2 = check_recurrent(ex310, 6)
-    assert rep == rep2
+def _spec(name):
+    return parse_spec((ROOT / "specs" / f"{name}.ss").read_text()).automaton()
+
+
+def test_recurrent_ex310_reports():
+    # products of two generators miss four targets; of three, none
+    aut = _spec("ex310")
+    assert check_recurrent(aut, 2) == RecurrenceReport(
+        False, 2, ("(2,3,a^-1)", "(2,4,b)", "(3,2,a)", "(4,2,b^-1)"))
+    assert [check_recurrent(aut, d) for d in range(3, 8)] == [
+        RecurrenceReport(True, d) for d in range(3, 8)]
+
+
+# the number of targets check_recurrent misses at depths 0, 1, 2, ... on
+# the strongly connected specs with a finite S, as measured; at the depths
+# up to 7 past its list, a spec is recurrent
+MISSING = {"ex310": (10, 10, 4), "odometer": (6, 6, 2),
+           "katsura": (56, 56, 44, 38, 38, 38, 38, 38), "nonhausdorff": (25,) * 8}
+
+
+@pytest.mark.parametrize("spec", sorted(MISSING))
+def test_recurrence_on_the_specs_at_depths_0_to_7(spec):
+    reports = [check_recurrent(_spec(spec), d) for d in range(8)]
+    assert [r.depth for r in reports] == list(range(8))
+    missing = MISSING[spec]
+    assert [r.recurrent for r in reports] == [False] * len(missing) + [True] * (8 - len(missing))
+    assert [len(r.missing) for r in reports[:len(missing)]] == list(missing)
+    assert all(r.missing == () for r in reports[len(missing):])
+    # depth 0 searches the basic elements alone, as depth 1 does
+    assert reports[0].missing == reports[1].missing
+    # one automaton, its registry warmed by each depth before, gives the same reports
+    aut = _spec(spec)
+    assert [check_recurrent(aut, d) for d in range(8)] == reports
+
+
+def test_recurrent_needs_a_finite_restriction_closure():
+    with pytest.raises(ClosureLimitError) as err:
+        check_recurrent(_spec("noncontracting"), 3)
+    assert err.value.what == "restriction word growth"
 
 
 def test_level_transitive(ex310, basilica, odometer):
@@ -1067,6 +1104,31 @@ def old_check_recurrent(aut, depth=6):
         missing = tuple(sorted(f"({e},{f},{targets[(e, f, c)][2].name()})" for (e, f, c) in unmet))
         return RecurrenceReport(False, depth, missing)
     return RecurrenceReport(True, depth)
+
+
+# pool indices in bench/expected/katsura-ladder.json of strongly connected
+# Katsura systems with no nucleus whose S ends in word growth within 40 ms
+WORD_GROWTH_POOL = (136, 163, 207, 218)
+
+
+def test_check_recurrent_reports_the_bound_of_s_where_s_is_infinite():
+    # the word search met the word bound among its products; the search on
+    # S's machine meets it in S, and reports what compute_nucleus reports
+    pool = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())["pool"]
+    for i in WORD_GROWTH_POOL:
+        entry = pool[i]
+        assert entry["nucleus_ms"] is None, i
+
+        def aut():
+            return katsura_automaton(IntMatrix.of(entry["A"]), IntMatrix.of(entry["B"]))
+        assert validate_graph(aut().graph).strongly_connected, i
+        bound_hit = compute_nucleus(aut()).bound_hit
+        for depth in (4, 6):
+            with pytest.raises(ClosureLimitError):
+                old_check_recurrent(aut(), depth)
+            with pytest.raises(ClosureLimitError) as new:
+                check_recurrent(aut(), depth)
+            assert new.value.what == bound_hit, (i, depth)
 
 
 def _outcome(fn, *args, **kwargs):

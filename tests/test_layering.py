@@ -2,11 +2,10 @@
 
 The one-representation rule: code that reads a finite restriction-closed
 set of classes reads its StateMachine.  The class registry's rows and
-representatives are read only inside automaton.py and by check_recurrent,
-which walks words with no finite bound given in advance; the nucleus
-identifies its products on its machines' rows.  No module imports a
-private name of another, and only automaton.py reads or writes the
-inverse marker.  Every bound has one owner, the automaton's Bounds:
+representatives are read only inside automaton.py; the nucleus and
+check_recurrent identify their products on their machines' rows.  No
+module imports a private name of another, and only automaton.py reads or
+writes the inverse marker.  Every bound has one owner, the automaton's Bounds:
 no function takes a per-call budget or cache.  Every walk goes through
 graphs.py: outside the modules with their own algorithms, a while loop
 appears only where it is listed.  No code only tests reach: every
@@ -20,9 +19,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "selfsim"
-
-# (module, top-level definition) pairs outside automaton.py that may name _registry
-ALLOWED = {("dynamics", "check_recurrent")}
 
 
 def registry_readers() -> set:
@@ -42,9 +38,8 @@ def registry_readers() -> set:
 
 def test_registry_is_read_only_where_allowed():
     readers = registry_readers()
-    assert sorted(r for r in readers if r[0] != "automaton" and r not in ALLOWED) == []
-    # the scan sees the readers it allows, so it cannot pass by finding nothing
-    assert ALLOWED <= readers
+    assert sorted(r for r in readers if r[0] != "automaton") == []
+    # the scan sees the one reader, so it cannot pass by finding nothing
     assert any(module == "automaton" for module, _ in readers)
 
 
