@@ -14,7 +14,8 @@ As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of hg are the products
 along the walks (h, g) -e-> (h|_{g.e}, g|_e) on S x S, read off the rows
 of S's StateMachine.  One Tarjan pass gives every pair's limit set, and one
 Moore refinement of those pair nodes with S's states identifies their
-products: the rounds compare no words, and N^k is built the same way.
+products: the rounds compare no words.  product_layers grows N^k, and the
+powers of x whose rows give x^k|_e in the order proof below, the same way.
 
 Before the rounds, one search on S's machine looks for a finite proof of
 non-contraction: a non-unit state c on a cycle mu of fixed arcs (c.mu = mu,
@@ -28,7 +29,7 @@ exceeding the state or round budget yields NotContractingWithinBound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automaton import Automaton, Element, StateMachine, join, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError, NotContractingError
@@ -38,9 +39,9 @@ from .graphs import (bfs, bfs_labels, dot_escape, find_cycle, limit_nodes, refin
 _PASS_STARTS = 1 << 13  # start pairs of one _pair_limits pass, whose pair nodes take memory
 # States of the certificate search's machine, at most.  Its product names
 # double their exponents, but word_key compares them by their runs, so memory
-# stays flat (20 MB at 2,048 states on one Katsura system).  Time still grows:
-# each product refines the whole machine, 0.2 s at 256 states, 0.9 s at 1,024
-# and 2.3 s at 2,048 on a 2-vCPU VM.  No certificate seen needed over 104.
+# stays flat (19 MB at 2,048 states on one Katsura system).  Time still grows:
+# each product refines the whole machine, 0.05 s at 256 states, 0.23 s at 1,024
+# and 0.56 s at 2,048 on a 2-vCPU Xeon VM.  The 44 recorded certificates need 21.
 _SEARCH_STATES = 1 << 8
 
 
@@ -75,14 +76,14 @@ class NotContracting:
 @dataclass
 class Nucleus:
     automaton: Automaton
-    states: tuple[Element, ...]
-    # its state i is states[i]; machine.index holds exactly the nucleus's class ids
-    machine: StateMachine
-    # canonical class id -> a product word witnessing membership (minimality)
-    witnesses: dict[int, Element] = field(default_factory=dict)
+    machine: StateMachine  # (word_key, dom) order; index: exactly the nucleus's class ids
+
+    @property
+    def states(self) -> tuple[Element, ...]:
+        return tuple(self.machine.states)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.machine)
 
     def state_names(self) -> list[str]:
         return [s.name() for s in self.states]
@@ -150,24 +151,20 @@ def _product(sm: StateMachine, nodes, pairs: _PairSucc) -> dict[int, int]:
     return dict(zip(nodes, block[m:]))
 
 
-def _multiply(sm: StateMachine, starts) -> dict[int, int]:
-    """The pair nodes h * |sm| + g in ``starts`` and all they reach,
-    identified by _product with the states of ``sm``: node -> state."""
-    pairs = _PairSucc(sm)
-    nodes = bfs(starts, lambda v: ((None, w) for w in pairs[v]))
-    return _product(sm, [v for v, _ in nodes], pairs)
-
-
 def product_layers(sm: StateMachine, left, first, k: int):
     """Yield up to k layers of states of ``sm``, appending products to it by
-    _multiply: layer 1 is ``first``, each later one the states h g, h in
+    _product: layer 1 is ``first``, each later one the states h g, h in
     ``left`` and g in the layer before, that no earlier layer holds, in the
     order first reached.  An empty layer ends the walk."""
     layer, seen = list(dict.fromkeys(first)), set(first)
     for _ in range(k - 1):
         yield layer
         starts = [h * len(sm) + g for g in layer for h in left if sm.doms[h] == sm.cods[g]]
-        found = _multiply(sm, starts) if starts else {}
+        if not starts:
+            return
+        pairs = _PairSucc(sm)
+        nodes = [v for v, _ in bfs(starts, lambda v: ((None, w) for w in pairs[v]))]
+        found = _product(sm, nodes, pairs)
         layer = [s for s in dict.fromkeys(map(found.__getitem__, starts)) if s not in seen]
         if not layer:
             return
@@ -175,23 +172,21 @@ def product_layers(sm: StateMachine, left, first, k: int):
     yield layer
 
 
-def _pair_limits(aut: Automaton, sm: StateMachine, touch) -> dict[int, Element]:
-    """State -> witness for the limit restrictions of the products hg of
-    composable pairs of states of ``sm`` with h or g in the states ``touch``
-    (all pairs when None); the classes not yet in ``sm`` are appended to it.
-    A witness is a product whose own limit set holds the class."""
-    n, doms, cods, elems = len(sm), sm.doms, sm.cods, sm.states
+def _pair_limits(sm: StateMachine, touch) -> set[int]:
+    """The states of the limit restrictions of the products hg of composable
+    pairs of states of ``sm`` with h or g in the states ``touch`` (all pairs
+    when None); the classes not yet in ``sm`` are appended to it."""
+    n, doms, cods = len(sm), sm.doms, sm.cods
     left = range(n) if touch is None else sorted(touch)  # h in touch, or any h
     step = max(1, _PASS_STARTS // n)  # touch states per pass
-    pairs, cycle = _PairSucc(sm), {}
+    pairs, limits = _PairSucc(sm), set()
     for part in (left[k:k + step] for k in range(0, len(left), step)):
         right = () if touch is None else part  # g in touch
         starts = dict.fromkeys([h * n + g for h in part for g in range(n) if doms[h] == cods[g]]
                                + [h * n + g for g in right for h in range(n) if doms[h] == cods[g]])
         pairs.clear()  # the last pass's nodes are classes of sm now
-        lims = limit_nodes(starts, pairs.__getitem__)
-        cycle.update({s: lims[v] for v, s in _product(sm, list(lims), pairs).items()})
-    return {s: aut.compose(elems[c // n], elems[c % n]) for s, c in cycle.items()}
+        limits.update(_product(sm, list(limit_nodes(starts, pairs.__getitem__)), pairs).values())
+    return limits
 
 
 def compute_nucleus(aut: Automaton):
@@ -209,10 +204,10 @@ def compute_nucleus(aut: Automaton):
         proof = _non_contraction(sm, min(budget, _SEARCH_STATES))
         if proof is not None:
             raise NotContractingError(proof)
-        witnesses, fresh = {}, None  # round 1: every pair; later: pairs touching a new state
+        limits, fresh = set(), None  # round 1: every pair; later: pairs touching a new state
         for _round in range(rounds):
             n = len(sm)
-            witnesses = {**_pair_limits(aut, sm, fresh), **witnesses}
+            limits |= _pair_limits(sm, fresh)
             if len(sm) > budget:  # S is not capped by the rounds, so it may exceed it
                 return NotContractingWithinBound("max_states", budget, rounds)
             if len(sm) == n:
@@ -222,7 +217,7 @@ def compute_nucleus(aut: Automaton):
             return NotContractingWithinBound("max_rounds", budget, rounds)
 
         # the registry finds the rounds' machine: its class ids, closed and symmetric
-        order = sorted(witnesses, key=lambda s: (word_key(sm.states[s].word), sm.doms[s]))
+        order = sorted(limits, key=lambda s: (word_key(sm.states[s].word), sm.doms[s]))
         machine = reachable_closure(aut, [sm.states[s] for s in order])
         if machine.rows != sm.renumbered(order).rows:
             raise DivergedError("nucleus not closed under restriction")
@@ -232,8 +227,7 @@ def compute_nucleus(aut: Automaton):
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, rounds)
 
-    return Nucleus(aut, tuple(machine.states), machine,
-                   {cid: aut.canonical(witnesses[s]) for cid, s in zip(machine.index, order)})
+    return Nucleus(aut, machine)
 
 
 def _non_contraction(sm: StateMachine, limit: int) -> NotContracting | None:
@@ -261,27 +255,27 @@ def _non_contraction(sm: StateMachine, limit: int) -> NotContracting | None:
 def _order_chain(sm: StateMachine, c: int, limit: int):
     """Links proving that state c of ``sm`` has infinite order, or None.
     The arcs x -(x, k, e)-> x^k|_e, k the length of e's orbit under x, are
-    explored from c; x^k|_e is the product of x's restrictions along the
-    orbit, appended to ``sm`` by _product, and past ``limit`` states no arc
-    is added.  An arc with k > 1 inside a strongly connected component
-    closes a cycle of orbit product > 1; the explored arcs are searched for
-    one at 1, 2, 4, ... nodes, so a near cycle ends the walk early and the
-    searches cost O(nodes) in all.  Units, of order 1, are left out."""
+    explored from c; x^k|_e is read off the row of x^k, the powers x, ...,
+    x^K (K the longest orbit) appended to ``sm`` by product_layers, and past
+    ``limit`` states no arc is added.  An arc with k > 1 inside a strongly
+    connected component closes a cycle of orbit product > 1; the explored
+    arcs are searched for one at 1, 2, 4, ... nodes, so a near cycle ends
+    the walk early and the searches cost O(nodes) in all.  Units, of order
+    1, are left out."""
     links = {}
 
     def arcs(x):
         out = links[x] = []
         row = sm.rows[x]
-        for e in row if len(sm) <= limit else ():  # past the limit, no arcs
-            orbit = rho(e, lambda f: row[f][0])[0]
-            # x^k|_e = x|_{x^(k-1).e} ... x|_{x.e} x|_e, its unit factors left out
-            factors = [row[f][1] for f in orbit if not sm.states[row[f][1]].is_unit]
-            y = factors[0] if factors else None
-            for r in factors[1:]:
-                start = r * len(sm) + y
-                y = _multiply(sm, [start])[start]
-            if y is not None and not sm.states[y].is_unit:
-                out.append(((x, len(orbit), e), y))
+        if len(sm) > limit:  # past the limit, no arcs
+            return out
+        orbits = {e: len(rho(e, lambda f: row[f][0])[0]) for e in row}
+        # each orbit length divides the order of x, so x, ..., x^K are distinct layers
+        powers = [p for p, in product_layers(sm, [x], [x], max(orbits.values()))]
+        for e, k in orbits.items():
+            y = sm.rows[powers[k - 1]][e][1]  # x^k fixes e
+            if not sm.states[y].is_unit:
+                out.append(((x, k, e), y))
         return out
 
     def succ(x):  # a node not yet expanded has no arcs

@@ -140,18 +140,6 @@ def test_nucleus_symmetric_and_closed(ex310, basilica):
             assert aut.canonical_id(aut.unit(v)) in nuc.machine.index
 
 
-def test_nucleus_minimality_witnesses(ex310, basilica):
-    # every state is a limit restriction of some witness product, so no
-    # non-unit state can be dropped from any contracting core
-    for aut in (ex310, basilica):
-        nuc = compute_nucleus(aut)
-        assert len(nuc) <= 16
-        for s in nuc.states:
-            cid = aut.canonical_id(s)
-            w = nuc.witnesses[cid]
-            assert cid in {aut.canonical_id(x) for x in limit_restrictions(aut, w)}
-
-
 def nucleus_enumeration_oracle(aut, max_word_len):
     """Union of limit restriction sets over all canonical products of
     generators and inverses up to the given word length: a lower bound for
@@ -447,14 +435,12 @@ def old_compute_nucleus(aut):
             current = merged
         else:
             return NotContractingWithinBound("max_rounds", budget, bounds.max_rounds)
-        witnesses, pruned = {}, {}
+        pruned = {}
         for h, g in pairs(current):
-            prod = aut.compose(h, g)
-            for lim in limit_restrictions(aut, prod):
+            for lim in limit_restrictions(aut, aut.compose(h, g)):
                 cid = aut.canonical_id(lim)
                 if cid not in pruned:
                     pruned[cid] = aut.canonical(lim)
-                    witnesses[cid] = prod
         states = canon_sorted(pruned.values())
         ids = {aut.canonical_id(s) for s in states}
         for s in states:
@@ -463,15 +449,14 @@ def old_compute_nucleus(aut):
         machine = reachable_closure(aut, states)
         if {aut.canonical_id(s) for s in machine.states} != ids:
             raise DivergedError("nucleus not closed under restriction")
+        assert machine.states == states  # the nucleus's states are its machine's
         for h, g in pairs(states):
             for lim in limit_restrictions(aut, aut.compose(h, g)):
                 if aut.canonical_id(lim) not in ids:
                     raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, bounds.max_rounds)
-    nuc = Nucleus(aut, tuple(states), machine)
-    nuc.witnesses = {cid: aut.canonical(w) for cid, w in witnesses.items()}
-    return nuc
+    return Nucleus(aut, machine)
 
 
 def _agree_with_old_nucleus(build, bounds=None):
@@ -505,9 +490,6 @@ def _agree_with_old_nucleus(build, bounds=None):
     assert isinstance(got, Nucleus)
     assert got.states == want.states
     assert got.machine.to_json() == want.machine.to_json()
-    assert got.witnesses.keys() == got.machine.index.keys()
-    for cid, w in got.witnesses.items():
-        assert cid in {aut.canonical_id(x) for x in limit_restrictions(aut, w)}
     return got
 
 
@@ -588,10 +570,10 @@ def test_nucleus_pair_passes_are_its_rounds(monkeypatch, spec, passes):
     touched, machines = [], []
     pair_limits = nucleus._pair_limits
 
-    def counted(aut, sm, touch):
+    def counted(sm, touch):
         touched.append(touch)
         machines.append(sm)
-        return pair_limits(aut, sm, touch)
+        return pair_limits(sm, touch)
     monkeypatch.setattr(nucleus, "_pair_limits", counted)
     nuc = compute_nucleus(parse_spec((SPECS / f"{spec}.ss").read_text()).automaton())
     assert isinstance(nuc, Nucleus)
@@ -623,7 +605,7 @@ def test_rescan_of_the_nucleus_finds_nothing_new():
     for nuc in nuclei:
         assert isinstance(nuc, Nucleus)
         sm = nuc.machine.renumbered(range(len(nuc)))  # a copy, for the pass to append to
-        assert nucleus._pair_limits(nuc.automaton, sm, None).keys() == set(range(len(nuc)))
+        assert nucleus._pair_limits(sm, None) == set(range(len(nuc)))
         assert len(sm) == len(nuc)
 
 
@@ -631,8 +613,8 @@ def test_rescan_of_the_nucleus_finds_nothing_new():
 
 
 def word_pair_limits(aut, sm, touch):
-    """_pair_limits as it was: class id -> witness for the limit products,
-    each identified by its word through the class registry."""
+    """_pair_limits as it was: the class ids of the limit products, each
+    identified by its word through the class registry."""
     from selfsim.graphs import limit_nodes
 
     n, rows, elems = len(sm), sm.rows, sm.states
@@ -644,12 +626,8 @@ def word_pair_limits(aut, sm, touch):
 
     starts = (h * n + g for g, cod in enumerate(sm.cods) for h, dom in enumerate(sm.doms)
               if dom == cod and (touch is None or h in touch or g in touch))
-    out = {}
-    for node, cyc in limit_nodes(starts, succ).items():
-        h, g = divmod(node, n)
-        out.setdefault(aut.canonical_id(aut.compose(elems[h], elems[g])),
-                       aut.compose(elems[cyc // n], elems[cyc % n]))
-    return out
+    return {aut.canonical_id(aut.compose(elems[v // n], elems[v % n]))
+            for v in limit_nodes(starts, succ)}
 
 
 def word_compute_nucleus(aut):
@@ -669,11 +647,10 @@ def word_compute_nucleus(aut):
     try:
         closure = reachable_closure(aut, aut.basic_elements())
         sm = reachable_closure(aut, reps_sorted(closure.index))
-        witnesses, fresh = {}, None
+        limits, fresh = set(), None
         for _round in range(rounds):
-            for cid, w in word_pair_limits(aut, sm, fresh).items():
-                witnesses.setdefault(cid, w)
-            new = witnesses.keys() - sm.index.keys()
+            limits |= word_pair_limits(aut, sm, fresh)
+            new = limits - sm.index.keys()
             if new:
                 sm = reachable_closure(aut, reps_sorted([*sm.index, *new]))
             if len(sm) > budget:
@@ -683,20 +660,19 @@ def word_compute_nucleus(aut):
             fresh = {sm.index[c] for c in new}
         else:
             return NotContractingWithinBound("max_rounds", budget, rounds)
-        states = reps_sorted(witnesses)
+        states = reps_sorted(limits)
         for s in states:
-            if aut.canonical_id(aut.inverse(s)) not in witnesses:
+            if aut.canonical_id(aut.inverse(s)) not in limits:
                 raise DivergedError(f"nucleus not symmetric at {s.name()}")
         machine = reachable_closure(aut, states)
-        if machine.index.keys() != witnesses.keys():
+        if machine.index.keys() != limits:
             raise DivergedError("nucleus not closed under restriction")
-        if not word_pair_limits(aut, machine, None).keys() <= witnesses.keys():
+        assert machine.states == states  # the nucleus's states are its machine's
+        if not word_pair_limits(aut, machine, None) <= limits:
             raise DivergedError("contracting certificate failed")
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, rounds)
-    nuc = Nucleus(aut, tuple(states), machine)
-    nuc.witnesses = {cid: aut.canonical(w) for cid, w in witnesses.items()}
-    return nuc
+    return Nucleus(aut, machine)
 
 
 def nucleus_unless_certified(aut):
@@ -1107,3 +1083,112 @@ def test_certificate_never_fires_on_a_nucleus():
         assert isinstance(got, Nucleus) or not isinstance(want, Nucleus)
         seen["nucleus" if isinstance(got, Nucleus) else "bound"] += 1
     assert all(seen.values()), seen
+
+
+# -- the per-factor product fold, kept as an oracle for the order chain's powers --
+
+
+def fold_order_chain(sm, c, limit):
+    """_order_chain as it was: x^k|_e folded factor by factor from x's
+    restrictions along e's orbit, its unit factors left out, each product
+    the pair nodes one start reaches, identified by _product."""
+    from selfsim.graphs import bfs, bfs_labels, rho, strongly_connected_components
+    from selfsim.nucleus import _PairSucc, _product
+
+    def multiply(start):
+        pairs = _PairSucc(sm)
+        nodes = bfs([start], lambda v: ((None, w) for w in pairs[v]))
+        return _product(sm, [v for v, _ in nodes], pairs)[start]
+
+    links = {}
+
+    def arcs(x):
+        out = links[x] = []
+        row = sm.rows[x]
+        for e in row if len(sm) <= limit else ():
+            orbit = rho(e, lambda f: row[f][0])[0]
+            # x^k|_e = x|_{x^(k-1).e} ... x|_{x.e} x|_e, its unit factors left out
+            factors = [row[f][1] for f in orbit if not sm.states[row[f][1]].is_unit]
+            y = factors[0] if factors else None
+            for r in factors[1:]:
+                y = multiply(r * len(sm) + y)
+            if y is not None and not sm.states[y].is_unit:
+                out.append(((x, len(orbit), e), y))
+        return out
+
+    def succ(x):
+        return links.get(x, ())
+
+    def closed(parent):
+        comps = strongly_connected_components([c], lambda x: [y for _, y in succ(x)])
+        comp = {x: i for i, xs in enumerate(comps) for x in xs}
+        hit = next(((link, y) for x in links for link, y in links[x]
+                    if link[1] > 1 and comp[x] == comp[y]), None)
+        if hit is None:
+            return None
+        (u, _, _), w = hit
+        back = next(p for x, p in bfs([w], succ) if x == u)
+        path = [*bfs_labels(parent, u), hit[0], *bfs_labels(back, u)]
+        ends = [x for x, _, _ in path[1:]] + [u]
+        return tuple((sm.states[x], k, e, sm.states[y]) for (x, k, e), y in zip(path, ends))
+    for n, (_, parent) in enumerate(bfs([c], arcs)):
+        if n & (n - 1) == 0 and (chain := closed(parent)):
+            return chain
+    return closed(parent)
+
+
+PINNED = ([[2, 3], [2, 3]], [[2, 2], [2, 0]])  # an order chain that never closes
+
+
+def test_order_chain_powers_vs_product_fold(monkeypatch):
+    # the same certificate, or None, at 256 states: on the Katsura 3x3 and
+    # every recorded hung Katsura system where the fold finds one at 32
+    # states, on the five contracting specs, and on the pinned system,
+    # which the fold walks in about 0.2 s
+    import selfsim.nucleus as nucleus
+    from selfsim.automaton import reachable_closure
+
+    def certificates(machines):
+        return [None if p is None else p.as_dict()
+                for p in (nucleus._non_contraction(sm, 256) for sm in machines)]
+
+    recorded = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())
+    hung = [(e["A"], e["B"]) for e in recorded["pool"] if e["nucleus_ms"] is None]
+    monkeypatch.setattr(nucleus, "_order_chain", fold_order_chain)
+    machines = []
+    for a, b in [ladder_hangs()[0], *hung]:
+        aut = with_bounds(katsura_automaton(IntMatrix.of(a), IntMatrix.of(b)), Bounds(max_states=16))
+        try:
+            sm = reachable_closure(aut, aut.basic_elements())
+        except ClosureLimitError:
+            continue
+        if nucleus._non_contraction(sm, 32) is not None:
+            machines.append(sm)
+    assert len(machines) == 44
+    specs = [parse_spec((SPECS / f"{s}.ss").read_text()).automaton()
+             for s in ("basilica", "ex310", "katsura", "nonhausdorff", "odometer")]
+    for aut in [*specs, katsura_automaton(*map(IntMatrix.of, PINNED))]:
+        machines.append(reachable_closure(aut, aut.basic_elements()))
+    want = certificates(machines)
+    assert None not in want[:44] and want[44:] == [None] * 6
+    monkeypatch.undo()
+    assert certificates(machines) == want
+
+
+def test_order_chain_refinements_on_the_pinned_system(monkeypatch):
+    # work, not time: the powers of each explored state take at most 24
+    # Moore refinements at 256 states, where the per-factor fold took 69
+    import selfsim.nucleus as nucleus
+    from selfsim.automaton import reachable_closure
+
+    calls = []
+    product = nucleus._product
+
+    def counted(sm, nodes, pairs):
+        calls.append(len(nodes))
+        return product(sm, nodes, pairs)
+    aut = katsura_automaton(*map(IntMatrix.of, PINNED))
+    sm = reachable_closure(aut, aut.basic_elements())
+    monkeypatch.setattr(nucleus, "_product", counted)
+    assert nucleus._non_contraction(sm, 256) is None
+    assert 0 < len(calls) <= 24
