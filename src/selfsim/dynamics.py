@@ -36,8 +36,7 @@ from math import lcm
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure
 from .errors import DomainMismatchError, NotStronglyConnectedError
-from .graphs import (bfs, bfs_labels, cyclic_nodes, find_cycle, limit_nodes, rho, rho_at,
-                     validate_graph)
+from .graphs import bfs, bfs_labels, find_cycle, limit_nodes, rho, rho_at, validate_graph
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus, product_layers
 from .schreier import build_schreier, default_generating_set
@@ -115,11 +114,12 @@ def ae_equivalent(x: LeftInfinitePath, y: LeftInfinitePath, nuc: Nucleus):
 
 def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
     """All left-infinite paths asymptotically equivalent to x, read off the
-    maximal consistent runs; at most |nucleus| of them."""
+    maximal consistent runs, which enter the zone at the phase map's limit
+    nodes (its cycle nodes, as each node has one step); at most |nucleus|."""
     T, L = len(x.tail), len(x.cycle)
     steps = _phase_steps(nuc, x.edge_at, None, -T, L)
     members = set()
-    for u in cyclic_nodes(steps, _succ(steps)):
+    for u in limit_nodes(steps, _succ(steps)):
         # outputs around u's cycle; the run is k-periodic left of u's position
         cycle_out = [steps[v][1] for v in rho(u, lambda v: steps[v][0])[0]]
         n1 = (-T - 1) - ((-T - 1 - u[0]) % L)  # largest zone position = u's phase mod L

@@ -191,25 +191,18 @@ def strongly_connected_components(nodes, succ) -> list[list]:
     return out
 
 
-def cyclic_nodes(nodes, succ) -> set:
-    """The nodes reachable from ``nodes`` that lie on a directed cycle."""
-    return {v for comp in strongly_connected_components(nodes, succ)
-            if len(comp) > 1 or comp[0] in succ(comp[0]) for v in comp}
-
-
-def limit_nodes(nodes, succ) -> dict:
-    """The nodes reachable from ``nodes`` and from a directed cycle, each
-    mapped to a cycle node that reaches it: one Tarjan pass, then marks
-    pushed forward along the components in topological order."""
-    origin: dict = {}
+def limit_nodes(nodes, succ) -> list:
+    """The nodes reachable from ``nodes`` and from a directed cycle, in the
+    order first marked: one Tarjan pass, then marks pushed forward along the
+    components in topological order."""
+    marked: dict = {}  # keys only: an ordered set
     for comp in reversed(strongly_connected_components(nodes, succ)):
         if len(comp) > 1 or comp[0] in succ(comp[0]):
-            origin.update(dict.fromkeys(comp, comp[0]))
+            marked.update(dict.fromkeys(comp))
         for v in comp:
-            if v in origin:
-                for w in succ(v):
-                    origin.setdefault(w, origin[v])
-    return origin
+            if v in marked:
+                marked.update(dict.fromkeys(succ(v)))
+    return list(marked)
 
 
 def refine(labels, succ) -> list[int]:

@@ -185,7 +185,7 @@ def _pair_limits(sm: StateMachine, touch) -> set[int]:
         starts = dict.fromkeys([h * n + g for h in part for g in range(n) if doms[h] == cods[g]]
                                + [h * n + g for g in right for h in range(n) if doms[h] == cods[g]])
         pairs.clear()  # the last pass's nodes are classes of sm now
-        limits.update(_product(sm, list(limit_nodes(starts, pairs.__getitem__)), pairs).values())
+        limits.update(_product(sm, limit_nodes(starts, pairs.__getitem__), pairs).values())
     return limits
 
 
@@ -302,28 +302,28 @@ def _order_chain(sm: StateMachine, c: int, limit: int):
 def compute_Rk(nuc: Nucleus, k: int) -> int:
     """Minimal j with h|_mu in the nucleus for every h in N^k, mu in E^j.
 
-    Read off the machine of N^k (``Nucleus.power``) in one Tarjan pass: a
-    nucleus state has depth 0, any other state 1 + the largest depth of its
-    successors, and R_k is the largest depth.  A state outside the nucleus
-    on a cycle would be a limit restriction outside the nucleus, which the
-    nucleus, holding every limit set, rules out.
+    Read off the machine of N^k (``Nucleus.power``) by that definition:
+    D_0 is its states and D_{j+1} their successors, so D_j holds the h|_mu
+    with |mu| = j, and rho walks the D_j until one lies in the nucleus.  A
+    repeat before that would make a state outside the nucleus a restriction
+    at unboundedly many depths, a limit restriction, which the nucleus,
+    holding every limit set, rules out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     sm = nuc.power(k)
-    succ = [[j for _, j in row.values()] for row in sm.rows]
     inside = set(sm.index.values())
-    depth = [0] * len(sm)
-    # components come successors first, so each depth reads finished ones
-    for comp in strongly_connected_components(range(len(sm)), succ.__getitem__):
-        for i in comp:
-            if i in inside:
-                continue
-            if len(comp) > 1 or i in succ[i]:
-                raise DivergedError(f"R_{k}: {sm.states[i].name()} lies on a cycle "
-                                    "of restrictions outside the nucleus")
-            depth[i] = 1 + max((depth[j] for j in succ[i]), default=0)
-    return max(depth)
+
+    def deeper(level):  # D_{j+1} from D_j, or None once D_j lies in the nucleus
+        if level <= inside:
+            return None
+        return frozenset(j for i in level for _, j in sm.rows[i].values())
+    levels, repeat = rho(frozenset(range(len(sm))), deeper)
+    if repeat is not None:
+        stray = min(levels[repeat] - inside)
+        raise DivergedError(f"R_{k}: {sm.states[stray].name()} is a restriction at unboundedly "
+                            "many depths outside the nucleus")
+    return len(levels) - 1
 
 
 def moore_diagram(nuc: Nucleus, fmt: str = "json"):

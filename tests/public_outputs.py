@@ -6,7 +6,8 @@ demo's standard output, one line per case in ``public_outputs.sha256``:
 tests/test_public_outputs.py and tests/test_demos.py compare each output
 with its line and never write the list.  After a change that alters a
 public output on purpose, regenerate the list and name each changed case,
-with the reason, in CHANGES.md:
+with the reason, in CHANGES.md.  The script prints each case that it adds,
+drops or changes (digest or exit code) against the old list, then writes it:
 
     PYTHONPATH=src python tests/public_outputs.py
 """
@@ -30,7 +31,7 @@ def cli_cases() -> list[tuple[str, ...]]:
     def spec(name):
         return "--spec", f"specs/{name}.ss"
     out = [("nucleus", *spec(s), "--format", f) for s in SPECS for f in ("json", "dot")]
-    out += [("rk", *spec(s), "--k", str(k)) for s in CONTRACTING for k in range(1, 5)]
+    out += [("rk", *spec(s), "--k", str(k)) for s in CONTRACTING for k in range(1, 6)]
     out += [("check", "recurrent", *spec(s), "--depth", str(d)) for s in SPECS for d in range(8)]
     out += [("schreier", *spec(s), "--level", str(n), "--format", f)
             for s in ("basilica", "ex310", "odometer") for n in range(1, 7) for f in ("json", "dot")]
@@ -80,14 +81,22 @@ def recorded() -> dict[str, tuple[str, int]]:
 
 
 def main():
-    lines = [f"{d} {c} {case_name(a)}" for a in cli_cases() for d, c in [run_cli(a)]]
+    new = {case_name(a): run_cli(a) for a in cli_cases()}
     for path in DEMOS:
         digest, code, err = run_demo(path)
         if code:
             sys.exit(f"{path.name} exited {code}:\n{err}")
-        lines.append(f"{digest} {code} {demo_name(path)}")
-    LIST.write_text("".join(line + "\n" for line in lines))
-    print(f"wrote {len(lines)} digests to {LIST.relative_to(ROOT)}")
+        new[demo_name(path)] = digest, code
+    old = recorded() if LIST.exists() else {}
+    added = [c for c in new if c not in old]
+    dropped = [c for c in old if c not in new]
+    changed = [c for c in new if c in old and new[c] != old[c]]
+    for tag, cases in (("added", added), ("dropped", dropped), ("changed", changed)):
+        for case in cases:
+            print(f"{tag}: {case}")
+    LIST.write_text("".join(f"{d} {c} {case}\n" for case, (d, c) in new.items()))
+    print(f"wrote {len(new)} digests to {LIST.relative_to(ROOT)}: {len(added)} added, "
+          f"{len(dropped)} dropped, {len(changed)} changed")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from selfsim.errors import (
     JunctionMismatchError,
     NotStronglyConnectedError,
 )
-from selfsim.graphs import Graph, Path, cyclic_nodes, limit_nodes, rho, validate_graph
+from selfsim.graphs import Graph, Path, limit_nodes, rho, validate_graph
 from selfsim.infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from selfsim.ktheory import IntMatrix, katsura_automaton
 from selfsim.nucleus import Nucleus, compute_nucleus
@@ -36,6 +36,7 @@ from selfsim.dynamics import (
 )
 from selfsim.dynamics import _left_arrival_states, _run
 
+from test_graphs import cyclic_nodes
 from test_nucleus import old_unstable_element_pool
 
 

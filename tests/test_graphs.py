@@ -13,7 +13,6 @@ from selfsim.graphs import (
     bfs,
     bfs_labels,
     concat,
-    cyclic_nodes,
     enumerate_paths,
     find_cycle,
     limit_nodes,
@@ -150,6 +149,27 @@ def test_enumerate_paths_vs_sorted_extension():
             assert enumerate_paths(g, n) == old_enumerate_paths(g, n), (g.edges, n)
 
 
+def cyclic_nodes(nodes, succ) -> set:
+    """The nodes reachable from ``nodes`` that lie on a directed cycle, as
+    graphs.cyclic_nodes gave them: kept as an oracle for limit_nodes."""
+    return {v for comp in strongly_connected_components(nodes, succ)
+            if len(comp) > 1 or comp[0] in succ(comp[0]) for v in comp}
+
+
+def origin_limit_nodes(nodes, succ) -> dict:
+    """limit_nodes as it was: each limit node mapped to a cycle node that
+    reaches it, in the order first marked."""
+    origin: dict = {}
+    for comp in reversed(strongly_connected_components(nodes, succ)):
+        if len(comp) > 1 or comp[0] in succ(comp[0]):
+            origin.update(dict.fromkeys(comp, comp[0]))
+        for v in comp:
+            if v in origin:
+                for w in succ(v):
+                    origin.setdefault(w, origin[v])
+    return origin
+
+
 def _reach(succ, v):
     seen, stack = set(), list(succ[v])
     while stack:
@@ -179,17 +199,30 @@ def test_scc_helpers_vs_reach_sets():
         cyclic = {v for v in seen if v in reach[v]}
         assert cyclic_nodes(starts, succ.__getitem__) == cyclic
         limit = limit_nodes(starts, succ.__getitem__)
-        assert limit.keys() == cyclic.union(*(reach[v] for v in cyclic))
-        # each limit node's origin lies on a cycle and reaches it
-        for v, o in limit.items():
-            assert o in cyclic and v in reach[o]
+        assert set(limit) == cyclic.union(*(reach[v] for v in cyclic))
+        # the order _product numbers new states by is the origin map's
+        assert limit == list(origin_limit_nodes(starts, succ.__getitem__))
 
 
 def test_scc_helpers_long_chain():
     n = 20_000  # far past the recursion limit
     succ = lambda v: (v + 1,) if v + 1 < n else (n // 2,)
     assert cyclic_nodes([0], succ) == set(range(n // 2, n))
-    assert limit_nodes([0], succ).keys() == set(range(n // 2, n))
+    assert set(limit_nodes([0], succ)) == set(range(n // 2, n))
+
+
+def test_limit_nodes_of_a_partial_map_are_its_cycle_nodes():
+    # one successor per node at most, as ae_class's phase map has: a node
+    # reached from a cycle lies on it, so the limit nodes are the cyclic ones
+    rng = random.Random(30)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        step = {v: rng.randrange(n) for v in range(n) if rng.random() < 0.8}
+        succ = lambda v: (step[v],) if v in step else ()
+        starts = rng.sample(range(n), rng.randint(1, n))
+        limit = limit_nodes(starts, succ)
+        assert set(limit) == cyclic_nodes(starts, succ)
+        assert len(set(limit)) == len(limit)
 
 
 def _random_labelled_digraph(rng, n):

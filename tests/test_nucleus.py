@@ -911,6 +911,28 @@ def old_compute_Rk(nuc, k, max_depth=256):
     return best
 
 
+def scc_compute_Rk(nuc, k):
+    """compute_Rk as it was before the level walk: one Tarjan pass over the
+    machine of N^k, a nucleus state at depth 0, any other at 1 + the largest
+    depth of its successors, and R_k the largest depth."""
+    from selfsim.errors import DivergedError
+    from selfsim.graphs import strongly_connected_components
+
+    sm = nuc.power(k)
+    succ = [[j for _, j in row.values()] for row in sm.rows]
+    inside = set(sm.index.values())
+    depth = [0] * len(sm)
+    for comp in strongly_connected_components(range(len(sm)), succ.__getitem__):
+        for i in comp:
+            if i in inside:
+                continue
+            if len(comp) > 1 or i in succ[i]:
+                raise DivergedError(f"R_{k}: {sm.states[i].name()} lies on a cycle "
+                                    "of restrictions outside the nucleus")
+            depth[i] = 1 + max((depth[j] for j in succ[i]), default=0)
+    return max(depth)
+
+
 def old_unstable_element_pool(nuc):
     """The machine of the smallest restriction-closed set containing N and
     N^2, as dynamics built it for unstable_equivalent."""
@@ -942,7 +964,7 @@ def _agree_with_power_oracles(build, ks):
     assert (new.states, new.rows) == (old.states, old.rows)
     assert new.index == {c: i for c, i in old.index.items() if c in was.machine.index}
     rks = [compute_Rk(nuc, k) for k in ks]
-    assert rks == [old_compute_Rk(was, k) for k in ks]
+    assert rks == [old_compute_Rk(was, k) for k in ks] == [scc_compute_Rk(nuc, k) for k in ks]
     return rks
 
 
@@ -950,6 +972,43 @@ def _agree_with_power_oracles(build, ks):
 def test_rk_and_pool_vs_oracles_specs(spec):
     text = (SPECS / f"{spec}.ss").read_text()
     _agree_with_power_oracles(lambda: parse_spec(text).automaton(), (1, 2, 3, 4))
+
+
+def test_rk_vs_component_pass_specs():
+    # basilica's R_5 is 6 over the 3,540 states of N^5, the deepest walk
+    got = {}
+    for spec in ("basilica", "ex310", "katsura", "nonhausdorff", "odometer"):
+        nuc = compute_nucleus(parse_spec((SPECS / f"{spec}.ss").read_text()).automaton())
+        got[spec] = [compute_Rk(nuc, k) for k in range(1, 6)]
+        assert got[spec] == [scc_compute_Rk(nuc, k) for k in range(1, 6)]
+    assert got["basilica"][4] == 6
+
+
+def test_rk_on_hand_made_powers(monkeypatch, basilica):
+    # the machine of N^k replaced by hand-made ones: state 0 is the nucleus,
+    # and every state maps the edge "e" to itself
+    from selfsim.automaton import StateMachine
+    from selfsim.errors import DivergedError
+
+    nuc = compute_nucleus(basilica)
+    names = nuc.states[:3]
+
+    def power(successors):
+        n = len(successors)
+        return StateMachine(states=list(names[:n]), doms=[names[0].dom] * n,
+                            cods=[names[0].dom] * n, rows=[{"e": ("e", j)} for j in successors],
+                            index={-1: 0})
+    # states 1 and 2 restrict to each other: a cycle of restrictions outside N
+    monkeypatch.setattr(Nucleus, "power", lambda self, k: power([0, 2, 1]))
+    with pytest.raises(DivergedError) as new:
+        compute_Rk(nuc, 2)
+    with pytest.raises(DivergedError) as old:
+        scc_compute_Rk(nuc, 2)
+    assert f"R_2: {names[1].name()} " in str(new.value)  # the least state outside N
+    assert any(f"R_2: {s.name()} " in str(old.value) for s in names[1:])
+    # the chain 2 -> 1 -> 0 enters N after two edges
+    monkeypatch.setattr(Nucleus, "power", lambda self, k: power([0, 0, 1]))
+    assert compute_Rk(nuc, 2) == scc_compute_Rk(nuc, 2) == 2
 
 
 def test_rk_and_pool_vs_oracles_katsura():
@@ -984,6 +1043,7 @@ def test_rk_random_vs_frontier_walk():
         except ClosureLimitError:
             continue
         assert [compute_Rk(nuc, k) for k in (1, 2, 3)] == want
+        assert [scc_compute_Rk(nuc, k) for k in (1, 2, 3)] == want
         checked += 1
 
 
