@@ -42,9 +42,9 @@ a row: the image edge and the successor class id for each edge of
 range_edges(d), filled once from the representative current at first use
 (the row is a class invariant).  A restriction closure renumbers its
 classes' rows by state into a StateMachine, the one table that the nucleus,
-dynamics, Schreier and export code read.  The act cache and the word->class
-memo share one memo bounded by _CACHE_SYMBOLS runs in total and evict
-oldest first, so their contents depend only on the sequence of calls.
+dynamics, Schreier and export code read, comparing states by rows.  The act
+cache and the word->class memo share one memo bounded by _CACHE_SYMBOLS runs
+in total and evict oldest first, so the call sequence alone fixes them.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .errors import (
     RestrictionVertexMismatchError,
     UnknownSymbolError,
 )
-from .graphs import Graph, Path, bfs, bfs_labels, rho
+from .graphs import Graph, Path, bfs, bfs_labels, refine, rho
 
 # A run of one generator: (name, k) with k != 0 is g^k; (name, -1) is g^-1.
 Symbol = tuple[str, int]
@@ -568,24 +568,32 @@ class StateMachine:
     doms: list[str]
     cods: list[str]
     rows: list[dict[str, tuple[str, int]]]
-    # canonical class id -> state number, in state order, for the registered classes
+    # canonical class id -> state number; set by reachable_closure only
     index: dict[int, int] = field(default_factory=dict)
 
     def __len__(self):
         return len(self.states)
 
     def renumbered(self, order) -> StateMachine:
-        """The states ``order`` as a machine, in that order and with their
-        classes in ``index``; a successor outside them becomes None."""
+        """The states ``order`` as a machine, in that order and with no
+        class ids; a successor outside them becomes None."""
         at = {s: i for i, s in enumerate(order)}
-        cid = {s: c for c, s in self.index.items()}
         return StateMachine(
             states=[self.states[s] for s in order],
             doms=[self.doms[s] for s in order],
             cods=[self.cods[s] for s in order],
             rows=[{e: (img, at.get(j)) for e, (img, j) in self.rows[s].items()} for s in order],
-            index={cid[s]: i for i, s in enumerate(order) if s in cid},
         )
+
+    def inverses(self) -> list[int | None]:
+        """Each state's inverse, None where this restriction-closed machine lacks
+        it, by one refine with the flipped rows (s^-1).(s.e) = e, (s^-1)|_{s.e} = (s|_e)^-1."""
+        n = len(self)
+        flipped = [dict(sorted((img, (e, n + j)) for e, (img, j) in r.items())) for r in self.rows]
+        items = [*zip(self.doms, self.cods, self.rows), *zip(self.cods, self.doms, flipped)]
+        block = refine([(d, c, *(img for img, _ in r.values())) for d, c, r in items],
+                       [[j for _, j in r.values()] for _, _, r in items])
+        return [b if b < n else None for b in block[n:]]
 
     def state_index(self, aut: Automaton, g: Element) -> int | None:
         return self.index.get(aut.canonical_id(g))

@@ -42,10 +42,6 @@ from .nucleus import Nucleus, product_layers
 from .schreier import build_schreier, default_generating_set
 
 
-def _name(nuc: Nucleus, i: int) -> str:
-    return nuc.automaton.canonical(nuc.states[i]).name()
-
-
 # -- the product transducer ----------------------------------------------------
 
 
@@ -107,23 +103,25 @@ def ae_equivalent(x: LeftInfinitePath, y: LeftInfinitePath, nuc: Nucleus):
     for h in _left_arrival_states(nuc, x.edge_at, y.edge_at, -T, L):
         run = _run(nuc.machine, h, x.edge_at, -T, 0, y.edge_at)
         if run is not None:
-            return True, AeWitness(_name(nuc, h), tuple(
-                (n, _name(nuc, i), img) for n, (i, img) in zip(range(-T, 0), run)))
+            return True, AeWitness(nuc.states[h].name(), tuple(
+                (n, nuc.states[i].name(), img) for n, (i, img) in zip(range(-T, 0), run)))
     return False, None
 
 
 def ae_class(x: LeftInfinitePath, nuc: Nucleus) -> list[LeftInfinitePath]:
     """All left-infinite paths asymptotically equivalent to x, read off the
     maximal consistent runs, which enter the zone at the phase map's limit
-    nodes (its cycle nodes, as each node has one step); at most |nucleus|."""
+    nodes (its cycle nodes, as each node has one step); at most |nucleus|.
+    A cycle's nodes give one member and cover every phase, so one phase is read."""
     T, L = len(x.tail), len(x.cycle)
     steps = _phase_steps(nuc, x.edge_at, None, -T, L)
     members = set()
     for u in limit_nodes(steps, _succ(steps)):
-        # outputs around u's cycle; the run is k-periodic left of u's position
+        if u[0] != (-T - 1) % L:
+            continue
+        # outputs around u's cycle; the run is periodic left of position -T - 1
         cycle_out = [steps[v][1] for v in rho(u, lambda v: steps[v][0])[0]]
-        n1 = (-T - 1) - ((-T - 1 - u[0]) % L)  # largest zone position = u's phase mod L
-        tail_out = [img for _i, img in _run(nuc.machine, u[1], x.edge_at, n1, 0)]
+        tail_out = [img for _i, img in _run(nuc.machine, u[1], x.edge_at, -T - 1, 0)]
         members.add(LeftInfinitePath.make(nuc.automaton.graph, cycle_out, tail_out))
     return sorted(members, key=lambda m: (m.cycle, m.tail))
 
@@ -164,11 +162,10 @@ def _fixed_edge_digraph(nuc: Nucleus) -> list[list[tuple[str, int]]]:
 
 
 def _fixed_cycle(nuc: Nucleus, arcs, pool: set):
-    """A cycle of the fixed-edge digraph inside pool, as (states, edge
-    labels); the search starts from the pool's states in class id order."""
-    cid = {i: c for c, i in nuc.machine.index.items()}
-    return find_cycle(sorted(pool, key=cid.__getitem__),
-                      lambda i: [(e, j) for e, j in arcs[i] if j in pool])
+    """(first state, (edge labels)^inf) of a cycle of the fixed-edge digraph
+    inside pool, searched from the pool's states in state order; or None."""
+    hit = find_cycle(sorted(pool), lambda i: [(e, j) for e, j in arcs[i] if j in pool])
+    return hit and (hit[0][0], RightInfinitePath.make(nuc.automaton.graph, (), hit[1]))
 
 
 @dataclass(frozen=True)
@@ -192,9 +189,7 @@ def is_regular(nuc: Nucleus):
     hit = _fixed_cycle(nuc, arcs, {i for i, s in enumerate(nuc.states) if not s.is_unit})
     if hit is None:
         return True, None
-    states, labels = hit
-    y = RightInfinitePath.make(nuc.automaton.graph, (), labels)
-    return False, IrregularityWitness(nuc.states[states[0]].name(), y)
+    return False, IrregularityWitness(nuc.states[hit[0]].name(), hit[1])
 
 
 def is_hausdorff(nuc: Nucleus):
@@ -212,12 +207,10 @@ def is_hausdorff(nuc: Nucleus):
     hit = _fixed_cycle(nuc, arcs, pool)
     if hit is None:
         return True, None
-    states, labels = hit
-    y = RightInfinitePath.make(nuc.automaton.graph, (), labels)
     # strongly fixed extension: shortest fixed path from the state into a unit
-    ext = next(bfs_labels(parent, i) for i, parent in bfs([states[0]], arcs.__getitem__)
+    ext = next(bfs_labels(parent, i) for i, parent in bfs([hit[0]], arcs.__getitem__)
                if nuc.states[i].is_unit)
-    return False, NonHausdorffWitness(nuc.states[states[0]].name(), y, tuple(ext))
+    return False, NonHausdorffWitness(nuc.states[hit[0]].name(), hit[1], tuple(ext))
 
 
 # -- recurrence and level transitivity -------------------------------------------
@@ -241,9 +234,8 @@ def check_recurrent(aut: Automaton, depth: int = 6) -> RecurrenceReport:
     if not validate_graph(graph).strongly_connected:
         raise NotStronglyConnectedError("check_recurrent needs a strongly connected graph")
     basic = aut.basic_elements()
-    ids = [aut.canonical_id(h) for h in basic]
     sm = reachable_closure(aut, basic)
-    at = [sm.index[c] for c in ids]  # basic element -> state
+    at = [sm.state_index(aut, h) for h in basic]  # basic element -> state
     targets = {(e.id, f.id, s): h for e in graph.edges for f in graph.edges for h, s in zip(basic, at)
                if h.dom == graph.s(e.id) and aut.cod(h) == graph.s(f.id)}
     unmet = set(targets)
@@ -368,5 +360,5 @@ def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus):
         return False, None
     walk = rho((start, p0), left)
     m = 0 if walk[1] is not None else max(0, p0 - len(walk[0]))
-    return True, (m, nuc.automaton.canonical(sm.states[min(rho_at(walk, p0 - m - 1)[0])]))
+    return True, (m, sm.states[min(rho_at(walk, p0 - m - 1)[0])])
 

@@ -14,8 +14,8 @@ As (hg)|_mu = h|_{g.mu} g|_mu, the restrictions of hg are the products
 along the walks (h, g) -e-> (h|_{g.e}, g|_e) on S x S, read off the rows
 of S's StateMachine.  One Tarjan pass gives every pair's limit set, and one
 Moore refinement of those pair nodes with S's states identifies their
-products: the rounds compare no words.  product_layers grows N^k, and the
-powers of x whose rows give x^k|_e in the order proof below, the same way.
+products: neither the rounds nor the nucleus's checks compare words.
+product_layers grows N^k, and the order proof's powers of x, the same way.
 
 Before the rounds, one search on S's machine looks for a finite proof of
 non-contraction: a non-unit state c on a cycle mu of fixed arcs (c.mu = mu,
@@ -76,7 +76,7 @@ class NotContracting:
 @dataclass
 class Nucleus:
     automaton: Automaton
-    machine: StateMachine  # (word_key, dom) order; index: exactly the nucleus's class ids
+    machine: StateMachine  # (word_key, dom) order, with no class ids
 
     @property
     def states(self) -> tuple[Element, ...]:
@@ -88,16 +88,20 @@ class Nucleus:
     def state_names(self) -> list[str]:
         return [s.name() for s in self.states]
 
-    def power(self, k: int) -> StateMachine:
-        """The machine of N^k, the products of k nucleus states, in
-        (word_key, dom) order, its index the nucleus's class ids: k
+    def power(self, k: int, ordered: bool = True) -> StateMachine:
+        """The machine of N^k, the products of k nucleus states: k
         product_layers of N by N, which append only products of k states,
-        as N is restriction-closed and N^(k-1) lies in N^k (units are in N)."""
+        as N is restriction-closed and N^(k-1) lies in N^k (units are in N);
+        in (word_key, dom) order, else N's states first, as made."""
         sm, nuc = self.machine.renumbered(range(len(self))), range(len(self))  # a copy
         for _ in product_layers(sm, nuc, nuc, k):
             pass
-        return sm.renumbered(sorted(range(len(sm)),
-                                    key=lambda i: (word_key(sm.states[i].word), sm.doms[i])))
+        return sm.renumbered(sorted(range(len(sm)), key=_shortlex(sm))) if ordered else sm
+
+
+def _shortlex(sm: StateMachine):
+    """The (word_key, dom) order on the states of ``sm``, as a sort key."""
+    return lambda i: (word_key(sm.states[i].word), sm.doms[i])
 
 
 def limit_restrictions(aut: Automaton, g: Element) -> set[Element]:
@@ -216,14 +220,12 @@ def compute_nucleus(aut: Automaton):
         else:
             return NotContractingWithinBound("max_rounds", budget, rounds)
 
-        # the registry finds the rounds' machine: its class ids, closed and symmetric
-        order = sorted(limits, key=lambda s: (word_key(sm.states[s].word), sm.doms[s]))
-        machine = reachable_closure(aut, [sm.states[s] for s in order])
-        if machine.rows != sm.renumbered(order).rows:
+        machine = sm.renumbered(sorted(limits, key=_shortlex(sm)))
+        if any(j is None for row in machine.rows for _, j in row.values()):
             raise DivergedError("nucleus not closed under restriction")
-        for s in machine.states:
-            if aut.canonical_id(aut.inverse(s)) not in machine.index:
-                raise DivergedError(f"nucleus not symmetric at {s.name()}")
+        lacking = [s for s, j in zip(machine.states, machine.inverses()) if j is None]
+        if lacking:
+            raise DivergedError(f"nucleus not symmetric at {lacking[0].name()}")
     except ClosureLimitError as e:
         return NotContractingWithinBound(e.what, budget, rounds)
 
@@ -302,17 +304,16 @@ def _order_chain(sm: StateMachine, c: int, limit: int):
 def compute_Rk(nuc: Nucleus, k: int) -> int:
     """Minimal j with h|_mu in the nucleus for every h in N^k, mu in E^j.
 
-    Read off the machine of N^k (``Nucleus.power``) by that definition:
-    D_0 is its states and D_{j+1} their successors, so D_j holds the h|_mu
-    with |mu| = j, and rho walks the D_j until one lies in the nucleus.  A
-    repeat before that would make a state outside the nucleus a restriction
-    at unboundedly many depths, a limit restriction, which the nucleus,
-    holding every limit set, rules out.
+    Read off the unordered machine of N^k (``Nucleus.power``), N's states
+    first, by that definition: D_0 is its states and D_{j+1} their
+    successors, so D_j holds the h|_mu with |mu| = j, and rho walks the D_j
+    until one lies in the nucleus.  A repeat before that would make a state
+    outside the nucleus a restriction at unboundedly many depths, a limit
+    restriction, which the nucleus, holding every limit set, rules out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sm = nuc.power(k)
-    inside = set(sm.index.values())
+    sm, inside = nuc.power(k, ordered=False), frozenset(range(len(nuc)))
 
     def deeper(level):  # D_{j+1} from D_j, or None once D_j lies in the nucleus
         if level <= inside:
@@ -320,7 +321,7 @@ def compute_Rk(nuc: Nucleus, k: int) -> int:
         return frozenset(j for i in level for _, j in sm.rows[i].values())
     levels, repeat = rho(frozenset(range(len(sm))), deeper)
     if repeat is not None:
-        stray = min(levels[repeat] - inside)
+        stray = min(levels[repeat] - inside, key=_shortlex(sm))
         raise DivergedError(f"R_{k}: {sm.states[stray].name()} is a restriction at unboundedly "
                             "many depths outside the nucleus")
     return len(levels) - 1

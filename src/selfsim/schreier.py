@@ -218,14 +218,13 @@ class SchreierGraph:
         key u * size + v, keys in increasing order, and its label mask; bit r
         of a mask marks the r-th label name and labels[mask] is the tuple of
         those names.  A label is named by the lesser name of it and its inverse."""
-        aut, sm, groups = self.automaton, self.machine, self.groups
+        sm, groups = self.machine, self.groups
         size = sum(map(len, groups.values()))
-        named, paired = [], set()
+        named, paired, inverse = [], set(), sm.inverses()
         for a in self.cols:  # one label per inverse pair: the other's arcs are these reversed
             if a not in paired:
-                g, inv = sm.states[a], aut.inverse(sm.states[a])
-                paired.add(sm.state_index(aut, inv))
-                named.append((a, min(aut.canonical(g).name(), aut.canonical(inv).name())))
+                paired.add(inverse[a])
+                named.append((a, min(sm.states[a].name(), sm.states[inverse[a]].name())))
         names = sorted({name for _, name in named})
         masks = {}  # key -> the bits of its label names
         for a, name in named:
@@ -294,16 +293,16 @@ class SchreierGraph:
 
 def _label_set(aut: Automaton, gen_set) -> StateMachine:
     """The machine of the generating set closed under restriction and
-    inverses, its states in word_key order.  The inverses of a
-    restriction-closed set are restriction closed, as (a^-1)|_e =
-    (a|_{a^-1.e})^-1, so closing under inverses adds only inverses."""
-    closure = reachable_closure(aut, gen_set)
-    if len(closure) != len({aut.canonical_id(a) for a in gen_set}):
+    inverses, in word_key order: one closure of the set and its inverses, as
+    (a^-1)|_e = (a|_{a^-1.e})^-1.  A search from the set tells what it lacked."""
+    sm = reachable_closure(aut, [*gen_set, *(aut.inverse(a) for a in gen_set)])
+    given = {sm.state_index(aut, a) for a in gen_set}
+    reached = sum(1 for _ in bfs(given, lambda i: ((None, j) for _, j in sm.rows[i].values())))
+    if reached != len(given):
         warnings.warn("generating set was not closed under restriction; extended")
-    both = reachable_closure(aut, closure.states + [aut.inverse(a) for a in closure.states])
-    if len(both) != len(closure):
+    if reached != len(sm):
         warnings.warn("generating set was not closed under inverses; extended")
-    return both.renumbered(sorted(range(len(both)), key=lambda i: word_key(both.states[i].word)))
+    return sm.renumbered(sorted(range(len(sm)), key=lambda i: word_key(sm.states[i].word)))
 
 
 def _tower(graph: Graph, sm: StateMachine, n: int):

@@ -1,6 +1,6 @@
 import pytest
 
-from selfsim.automaton import Automaton, Element, GeneratorRule
+from selfsim.automaton import Automaton, Element, GeneratorRule, reachable_closure
 from selfsim.graphs import Graph, enumerate_paths
 
 # Acceptance results collected by tests/test_acceptance.py; printed in the
@@ -30,6 +30,14 @@ def unit(v):
 def paths_at(graph, n, v):
     """vE^n: the paths of E^n with range v, in enumerate_paths order."""
     return [p for p in enumerate_paths(graph, n) if p.r(graph) == v]
+
+
+def class_index(aut, machine):
+    """Class id -> state number for a restriction-closed machine that holds
+    no class ids (a nucleus, ``Nucleus.power`` or a Schreier label set): the
+    registry's restriction closure of its states, the tail compute_nucleus
+    once ran.  Its states come in the machine's order."""
+    return reachable_closure(aut, machine.states).index
 
 
 def with_bounds(aut, bounds):

@@ -34,7 +34,7 @@ from selfsim.dynamics import (
     stable_equivalent,
     unstable_equivalent,
 )
-from selfsim.dynamics import _left_arrival_states, _run
+from selfsim.dynamics import _left_arrival_states, _phase_steps, _run, _succ
 
 from test_graphs import cyclic_nodes
 from test_nucleus import old_unstable_element_pool
@@ -922,6 +922,68 @@ def old_ae_class(x, nuc):
     return sorted(members, key=lambda m: (m.cycle, m.tail))
 
 
+def every_node_ae_class(x, nuc):
+    """ae_class as it was before it kept one phase: every limit node of the
+    phase map read its cycle and its run to the end, O(L) work each, so
+    O(L^2) in all on a cycle of length L."""
+    T, L = len(x.tail), len(x.cycle)
+    steps = _phase_steps(nuc, x.edge_at, None, -T, L)
+    members = set()
+    for u in limit_nodes(steps, _succ(steps)):
+        cycle_out = [steps[v][1] for v in rho(u, lambda v: steps[v][0])[0]]
+        n1 = (-T - 1) - ((-T - 1 - u[0]) % L)  # largest zone position = u's phase mod L
+        tail_out = [img for _i, img in _run(nuc.machine, u[1], x.edge_at, n1, 0)]
+        members.add(LeftInfinitePath.make(nuc.automaton.graph, cycle_out, tail_out))
+    return sorted(members, key=lambda m: (m.cycle, m.tail))
+
+
+def test_ae_class_work_is_linear_in_the_cycle(monkeypatch, basilica):
+    # one limit node per cycle of the phase map: on (0^n.1)^inf the runs
+    # stay at most |nucleus| and the positions walked at most |nucleus| (L + 2)
+    # for every cycle length L; the loop over every node made a run per node,
+    # L + 1 of them here
+    import selfsim.dynamics as dynamics
+
+    nuc = compute_nucleus(basilica)
+    work = {"runs": 0, "positions": 0}
+    run, walk = dynamics._run, dynamics.rho
+
+    def counted_run(sm, i, x_at, lo, hi, y_at=None):
+        work["runs"] += 1
+        work["positions"] += hi - lo
+        return run(sm, i, x_at, lo, hi, y_at)
+
+    def counted_rho(start, step):
+        out = walk(start, step)
+        work["positions"] += len(out[0])
+        return out
+    monkeypatch.setattr(dynamics, "_run", counted_run)
+    monkeypatch.setattr(dynamics, "rho", counted_rho)
+    for n in (50, 100, 200, 400, 800):
+        x = LeftInfinitePath.make(basilica.graph, ("0",) * n + ("1",))
+        work.update(runs=0, positions=0)
+        members = ae_class(x, nuc)
+        assert x in members
+        assert 0 < work["runs"] <= len(nuc)
+        assert work["positions"] <= len(nuc) * (n + 2)
+    assert members == every_node_ae_class(x, nuc)
+
+
+def test_ae_class_on_a_5000_edge_cycle_answers_in_a_second():
+    import io
+    import time
+
+    from selfsim.cli import dispatch
+
+    x = "(" + ".".join(["0"] * 4999 + ["1"]) + ")^inf"
+    buf = io.StringIO()
+    t0 = time.perf_counter()
+    code = dispatch(["--json", "class", "--spec", str(ROOT / "specs" / "basilica.ss"), "--x", x],
+                    stdout=buf)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and json.loads(buf.getvalue())["members"] == [x]
+
+
 def old_ae_equivalent_bi(x, y, nuc):
     aut = nuc.automaton
     graph = aut.graph
@@ -960,8 +1022,10 @@ def old_fixed_edge_digraph(nuc):
 
 
 def old_find_cycle(candidates, arcs, restrict_to):
+    """A DFS for a cycle inside restrict_to, from each candidate in the
+    order given."""
     color = {}
-    for start in sorted(candidates):
+    for start in candidates:
         if start in color:
             continue
         stack = [(start, iter(arcs.get(start, ())))]
@@ -1016,9 +1080,8 @@ def old_path_to_unit(start, arcs, unit_ids):
 def old_is_regular(nuc):
     aut = nuc.automaton
     arcs = old_fixed_edge_digraph(nuc)
-    unit_ids = {aut.canonical_id(s) for s in nuc.states if s.is_unit}
-    non_units = {aut.canonical_id(s) for s in nuc.states} - unit_ids
-    hit = old_find_cycle(non_units, arcs, non_units)
+    non_units = [aut.canonical_id(s) for s in nuc.states if not s.is_unit]  # in state order
+    hit = old_find_cycle(non_units, arcs, set(non_units))
     if hit is None:
         return True, None
     states, labels = hit
@@ -1040,7 +1103,7 @@ def old_is_hausdorff(nuc):
                 reaching.add(cid)
                 changed = True
     pool = (all_ids - unit_ids) & reaching
-    hit = old_find_cycle(pool, arcs, pool)
+    hit = old_find_cycle([c for c in map(aut.canonical_id, nuc.states) if c in pool], arcs, pool)
     if hit is None:
         return True, None
     states, labels = hit
@@ -1140,9 +1203,9 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _root_order_automaton():
-    """A random system whose 23-state nucleus numbers its states in another
-    order than their class ids, so the regular and Hausdorff witnesses
-    depend on the DFS starting from the pool in class id order."""
+    """A random system with a 23-state nucleus whose regular and Hausdorff
+    witnesses depend on where the DFS starts: from the pool's states in
+    state order."""
     graph = Graph(["u"], [("e0", "u", "u"), ("e1", "u", "u"), ("e2", "u", "u")])
     q, q_inv, p = (Element("u", (w,)) for w in (("q", 1), ("q", -1), ("p", 1)))
     gens = {
@@ -1227,7 +1290,7 @@ def test_nucleus_deciders_match_word_oracles():
         for _ in range(6):
             x, y = random_left_path(aut, rng), random_left_path(aut, rng)
             cls = ae_class(x, nuc)
-            assert cls == old_ae_class(x, nuc), (label, x)
+            assert cls == old_ae_class(x, nuc) == every_node_ae_class(x, nuc), (label, x)
             for z in [y] + cls:
                 ok, wit = ae_equivalent(x, z, nuc)
                 assert (ok, wit) == old_ae_equivalent(x, z, nuc), (label, x, z)

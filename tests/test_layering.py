@@ -3,7 +3,9 @@
 The one-representation rule: code that reads a finite restriction-closed
 set of classes reads its StateMachine.  The class registry's rows and
 representatives are read only inside automaton.py; the nucleus and
-check_recurrent identify their products on their machines' rows.  No
+check_recurrent identify their products on their machines' rows, and
+outside automaton.py only the listed entry points that take elements as
+arguments call a restriction closure or a class lookup.  No
 module imports a private name of another, and only automaton.py reads or
 writes the inverse marker.  Every bound has one owner, the automaton's Bounds:
 no function takes a per-call budget or cache.  Every walk goes through
@@ -41,6 +43,50 @@ def test_registry_is_read_only_where_allowed():
     assert sorted(r for r in readers if r[0] != "automaton") == []
     # the scan sees the one reader, so it cannot pass by finding nothing
     assert any(module == "automaton" for module, _ in readers)
+
+
+# the calls that identify elements through the class registry
+REGISTRY_CALLS = {"reachable_closure", "canonical_id", "canonical", "state_index", "inverse"}
+# (module, top-level definition) -> the registry calls it makes, sorted: the
+# entry points that take elements as arguments.  compute_nucleus builds S
+# and nothing more; past a closure, code reads the machine's rows
+ALLOWED_REGISTRY_CALLS = {
+    ("nucleus", "compute_nucleus"): ["reachable_closure"],
+    ("nucleus", "limit_restrictions"): ["reachable_closure"],
+    ("dynamics", "check_recurrent"): ["reachable_closure", "state_index"],
+    ("dynamics", "germ_equal"): ["reachable_closure", "state_index"],
+    ("schreier", "default_generating_set"): ["reachable_closure"],
+    ("schreier", "_label_set"): ["inverse", "reachable_closure", "state_index"],
+}
+
+
+def registry_calls(text: str) -> dict:
+    """(enclosing top-level definition or None) -> the sorted names of the
+    REGISTRY_CALLS calls in the source text, as names or attributes."""
+    out = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in REGISTRY_CALLS:
+                    out.setdefault(owner, []).append(name)
+            top = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, owner or (child.name if top else None))
+    visit(ast.parse(text), None)
+    return {owner: sorted(names) for owner, names in out.items()}
+
+
+def test_registry_is_called_only_by_element_entry_points():
+    # the scan sees a method call inside a nested def and a bare call, and
+    # skips a mere reference, so it cannot pass by finding nothing
+    sample = "def f(aut, g):\n    def h():\n        return aut.inverse(g)\n" \
+             "    return reachable_closure(aut, [h()]), aut.canonical\n\nx = canonical_id(1)\n"
+    assert registry_calls(sample) == {"f": ["inverse", "reachable_closure"],
+                                      None: ["canonical_id"]}
+    found = {(path.stem, owner): names for path in sorted(SRC.glob("*.py"))
+             if path.stem != "automaton" for owner, names in registry_calls(path.read_text()).items()}
+    assert found == ALLOWED_REGISTRY_CALLS
 
 
 def inverse_symbol_code() -> set:

@@ -21,7 +21,7 @@ from selfsim.nucleus import (
 )
 from selfsim.specfile import parse_spec
 
-from conftest import build_noncontracting, paths_at, unit, with_bounds
+from conftest import build_noncontracting, class_index, paths_at, unit, with_bounds
 
 ROOT = FsPath(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -71,8 +71,9 @@ def test_nucleus_ex310(ex310):
         ex310.inverse(ex310.generator("a")), ex310.inverse(ex310.generator("b")),
     ]
     assert len(nuc) == 6
+    ids = class_index(ex310, nuc.machine)
     for e in expected:
-        assert ex310.canonical_id(e) in nuc.machine.index
+        assert ex310.canonical_id(e) in ids
 
 
 def test_nucleus_basilica(basilica):
@@ -91,8 +92,9 @@ def test_nucleus_basilica(basilica):
                 basilica.inverse(a), basilica.inverse(b), basilica.inverse(c),
                 basilica.inverse(ba), basilica.inverse(ca), bcinv, cbinv]
     assert len(nuc) == 14
+    ids = class_index(basilica, nuc.machine)
     for e in expected:
-        assert basilica.canonical_id(e) in nuc.machine.index
+        assert basilica.canonical_id(e) in ids
     # oracle for the extra pair: literal word recurrence, no equal() involved
     g = bcinv
     for _ in range(4):
@@ -137,7 +139,7 @@ def test_nucleus_symmetric_and_closed(ex310, basilica):
                 assert aut.canonical_id(aut.restrict(s, Path.of(aut.graph, [e.id]))) in ids
         # units present (the graphs have no sinks)
         for v in aut.graph.vertices:
-            assert aut.canonical_id(aut.unit(v)) in nuc.machine.index
+            assert aut.canonical_id(aut.unit(v)) in ids
 
 
 def nucleus_enumeration_oracle(aut, max_word_len):
@@ -185,6 +187,7 @@ def rk_bruteforce(nuc, k, jmax=10):
     every k-fold nucleus product inside the nucleus."""
 
     aut = nuc.automaton
+    ids = class_index(aut, nuc.machine)
     layer = {aut.canonical_id(s): s for s in nuc.states}
     for _ in range(k - 1):
         nxt = {}
@@ -195,7 +198,7 @@ def rk_bruteforce(nuc, k, jmax=10):
                     nxt.setdefault(aut.canonical_id(prod), prod)
         layer = nxt
     for j in range(jmax + 1):
-        if all(aut.canonical_id(aut.restrict(h, mu)) in nuc.machine.index
+        if all(aut.canonical_id(aut.restrict(h, mu)) in ids
                for h in layer.values()
                for mu in paths_at(aut.graph, j, h.dom)):
             return j
@@ -220,6 +223,7 @@ def test_rk_r1_zero_everywhere(basilica):
 def test_contraction_witnessed_on_random_words(ex310):
     rng = random.Random(42)
     nuc = compute_nucleus(ex310)
+    ids = class_index(ex310, nuc.machine)
     r2 = compute_Rk(nuc, 2)
     from test_automaton import random_element
     for _ in range(200):
@@ -227,7 +231,7 @@ def test_contraction_witnessed_on_random_words(ex310):
         depth_cap = 2 * r2 + 8
         frontier = {ex310.canonical_id(w): w}
         for depth in range(depth_cap + 1):
-            if all(cid in nuc.machine.index for cid in frontier):
+            if all(cid in ids for cid in frontier):
                 break
             nxt = {}
             for g in frontier.values():
@@ -375,14 +379,79 @@ def test_nucleus_listing_independent_of_hash_seed(spec):
 
 
 def test_state_index(ex310, basilica):
+    # state_index reads the class ids that reachable_closure sets; the
+    # nucleus's machine, and power's, hold none
+    from selfsim.automaton import reachable_closure
+
     for aut in (ex310, basilica):
-        sm = compute_nucleus(aut).machine
+        nuc = compute_nucleus(aut)
+        assert nuc.machine.index == {} == nuc.power(2).index
+        sm = reachable_closure(aut, nuc.states)
         for i, s in enumerate(sm.states):
             assert sm.state_index(aut, s) == i
             longer = aut.compose(aut.compose(s, aut.inverse(s)), s)  # s s^-1 s = s
             assert sm.state_index(aut, longer) == i
     aa = ex310.compose(ex310.generator("b"), ex310.generator("a"))
-    assert compute_nucleus(ex310).machine.state_index(ex310, aa) is None
+    assert reachable_closure(ex310, compute_nucleus(ex310).states).state_index(ex310, aa) is None
+
+
+def test_inverses_and_the_old_tail_agree_with_the_registry():
+    # StateMachine.inverses against canonical_id(inverse(s)) on the machine
+    # of S and on the nucleus of the six specs, the seeded random automata,
+    # the root-order system and the first 20 Katsura nuclei; and the tail
+    # compute_nucleus once ran, the registry's closure of the nucleus's
+    # states, has the nucleus's states and rows and confirms its symmetry
+    from selfsim.automaton import reachable_closure
+    from test_dynamics import _differential_systems
+
+    seen = {"S": 0, "nucleus": 0}
+    for label, aut, nuc in _differential_systems():
+        try:
+            machines = [("S", reachable_closure(aut, aut.basic_elements()))]
+        except ClosureLimitError:  # S grows words
+            machines = []
+        if nuc is not None:
+            tail = reachable_closure(aut, nuc.states)
+            assert (tail.states, tail.rows) == (nuc.machine.states, nuc.machine.rows), label
+            machines.append(("nucleus", tail))
+        for kind, sm in machines:
+            want = [sm.state_index(aut, aut.inverse(s)) for s in sm.states]
+            assert None not in want, label
+            assert sm.inverses() == want, (label, kind)
+            seen[kind] += 1
+        if nuc is not None:
+            assert nuc.machine.inverses() == machines[-1][1].inverses(), label
+    assert seen["S"] > 60 and seen["nucleus"] > 60
+
+
+def test_inverses_missing_from_a_machine(ex310):
+    from selfsim.automaton import reachable_closure
+
+    a = ex310.generator("a")
+    sm = reachable_closure(ex310, [a])  # a and its restrictions, no inverse of a or b
+    assert [s.name() for s in sm.states] == ["a", "v", "b", "w"]
+    assert sm.inverses() == [None, 1, None, 3]
+    both = reachable_closure(ex310, [a, ex310.inverse(a)])
+    assert [(s.name(), both.states[j].name()) for s, j in zip(both.states, both.inverses())] == [
+        ("a", "a^-1"), ("a^-1", "a"), ("v", "v"), ("b", "b^-1"), ("b^-1", "b"), ("w", "w")]
+
+
+def test_nucleus_checks_closure_and_symmetry_on_its_rows(monkeypatch, odometer):
+    # the rounds' limit sets replaced by hand-made ones on the odometer's S
+    # (v, a, a^-1): {a} lacks a|_0 = v, and {v, a} is closed but lacks a^-1
+    import selfsim.nucleus as nucleus
+    from selfsim.errors import DivergedError
+
+    def limits(names):
+        return lambda sm, touch: {i for i, s in enumerate(sm.states) if s.name() in names}
+    monkeypatch.setattr(nucleus, "_pair_limits", limits({"a"}))
+    with pytest.raises(DivergedError, match="nucleus not closed under restriction"):
+        compute_nucleus(odometer)
+    monkeypatch.setattr(nucleus, "_pair_limits", limits({"v", "a"}))
+    with pytest.raises(DivergedError, match="nucleus not symmetric at a$"):
+        compute_nucleus(odometer)
+    monkeypatch.setattr(nucleus, "_pair_limits", limits({"v", "a", "a^-1"}))
+    assert compute_nucleus(odometer).state_names() == ["v", "a", "a^-1"]
 
 
 # -- the replaced per-pair nucleus, kept as a differential oracle --------------
@@ -767,33 +836,38 @@ def test_word_oracle_agrees_on_random_systems(monkeypatch, pass_starts):
 
 
 def test_products_read_no_registry(monkeypatch):
-    # power and compute_Rk make no class lookup; compute_nucleus makes at
-    # most one registry miss (a word the memo does not know) per nucleus
-    # state after the closure S
+    # compute_nucleus runs one restriction closure, S, and makes no class
+    # lookup after it: the nucleus is checked closed and symmetric on its
+    # machine's rows; power and compute_Rk make none either
+    import selfsim.nucleus as nucleus
     from selfsim.automaton import _Registry, reachable_closure
 
     lookup = _Registry.lookup
-    calls = {"lookups": 0, "misses": 0}
+    calls = {"closures": 0, "lookups": 0}
 
     def counted(self, g):
         calls["lookups"] += 1
-        calls["misses"] += self.aut._memo.get((g.dom, g.word)) is None
         return lookup(self, g)
+
+    def closure(aut, seeds):  # the lookups counted are those after a closure
+        sm = reachable_closure(aut, seeds)
+        calls.update(closures=calls["closures"] + 1, lookups=0)
+        return sm
     monkeypatch.setattr(_Registry, "lookup", counted)
-    worst = 0.0
+    monkeypatch.setattr(nucleus, "reachable_closure", closure)
     for i, build in enumerate(contracting_builders()):
         aut = build()
-        reachable_closure(aut, aut.basic_elements())
-        calls.update(lookups=0, misses=0)
+        calls.update(closures=0, lookups=0)
         nuc = compute_nucleus(aut)
-        assert calls["misses"] <= len(nuc)
-        worst = max(worst, calls["misses"] / len(nuc))
-        calls.update(lookups=0, misses=0)
+        assert calls == {"closures": 1, "lookups": 0}
         k = 4 if i < 5 else 3
         nuc.power(k)
         compute_Rk(nuc, k)
-        assert calls["lookups"] == 0
-    assert worst > 0  # the counter sees the final machine's lookups
+        assert calls == {"closures": 1, "lookups": 0}
+    # the counter sees lookups: S's own
+    calls.update(lookups=0)
+    reachable_closure(aut, aut.basic_elements())
+    assert calls["lookups"] > 0
 
 
 def test_power_independent_of_lookup_history():
@@ -889,6 +963,7 @@ def old_compute_Rk(nuc, k, max_depth=256):
     from selfsim.errors import DivergedError
 
     aut = nuc.automaton
+    ids = class_index(aut, nuc.machine)
     level = {aut.canonical_id(s): s for s in nuc.states}
     for _ in range(k - 1):
         nxt = {}
@@ -902,7 +977,7 @@ def old_compute_Rk(nuc, k, max_depth=256):
     for cid in level:
         frontier = {cid}
         depth = 0
-        while not frontier <= nuc.machine.index.keys():
+        while not frontier <= ids.keys():
             if depth > max_depth:
                 raise DivergedError(f"R_{k} scan exceeded depth {max_depth}")
             frontier = {succ for c in frontier for _, _, succ in aut._registry.row(c)}
@@ -920,7 +995,8 @@ def scc_compute_Rk(nuc, k):
 
     sm = nuc.power(k)
     succ = [[j for _, j in row.values()] for row in sm.rows]
-    inside = set(sm.index.values())
+    nucleus = set(nuc.states)
+    inside = {i for i, s in enumerate(sm.states) if s in nucleus}
     depth = [0] * len(sm)
     for comp in strongly_connected_components(range(len(sm)), succ.__getitem__):
         for i in comp:
@@ -952,9 +1028,7 @@ def _agree_with_power_oracles(build, ks):
     """compute_Rk for k in ks and nuc.power(2) against the oracles, each on
     its own fresh automaton from ``build``.  The pool is renumbered by its
     final representatives in (word_key, dom) order, as its seed order sorted
-    representatives as first found, which later lookups can shrink; and its
-    index is compared on the nucleus's class ids, the only ones power names,
-    as it registers no product."""
+    representatives as first found, which later lookups can shrink."""
     from selfsim.automaton import word_key
 
     nuc, was = compute_nucleus(build()), compute_nucleus(build())
@@ -962,7 +1036,6 @@ def _agree_with_power_oracles(build, ks):
     old = old.renumbered(sorted(range(len(old)), key=lambda i: (word_key(old.states[i].word),
                                                                 old.doms[i])))
     assert (new.states, new.rows) == (old.states, old.rows)
-    assert new.index == {c: i for c, i in old.index.items() if c in was.machine.index}
     rks = [compute_Rk(nuc, k) for k in ks]
     assert rks == [old_compute_Rk(was, k) for k in ks] == [scc_compute_Rk(nuc, k) for k in ks]
     return rks
@@ -985,21 +1058,21 @@ def test_rk_vs_component_pass_specs():
 
 
 def test_rk_on_hand_made_powers(monkeypatch, basilica):
-    # the machine of N^k replaced by hand-made ones: state 0 is the nucleus,
-    # and every state maps the edge "e" to itself
+    # the machine of N^k replaced by hand-made ones over a one-state
+    # nucleus: state 0 is the nucleus, and every state maps the edge "e" to
+    # itself
     from selfsim.automaton import StateMachine
     from selfsim.errors import DivergedError
 
-    nuc = compute_nucleus(basilica)
-    names = nuc.states[:3]
+    names = compute_nucleus(basilica).states[:3]
+    nuc = Nucleus(basilica, StateMachine([names[0]], [names[0].dom], [names[0].dom], [{}]))
 
     def power(successors):
         n = len(successors)
         return StateMachine(states=list(names[:n]), doms=[names[0].dom] * n,
-                            cods=[names[0].dom] * n, rows=[{"e": ("e", j)} for j in successors],
-                            index={-1: 0})
+                            cods=[names[0].dom] * n, rows=[{"e": ("e", j)} for j in successors])
     # states 1 and 2 restrict to each other: a cycle of restrictions outside N
-    monkeypatch.setattr(Nucleus, "power", lambda self, k: power([0, 2, 1]))
+    monkeypatch.setattr(Nucleus, "power", lambda self, k, ordered=True: power([0, 2, 1]))
     with pytest.raises(DivergedError) as new:
         compute_Rk(nuc, 2)
     with pytest.raises(DivergedError) as old:
@@ -1007,7 +1080,7 @@ def test_rk_on_hand_made_powers(monkeypatch, basilica):
     assert f"R_2: {names[1].name()} " in str(new.value)  # the least state outside N
     assert any(f"R_2: {s.name()} " in str(old.value) for s in names[1:])
     # the chain 2 -> 1 -> 0 enters N after two edges
-    monkeypatch.setattr(Nucleus, "power", lambda self, k: power([0, 0, 1]))
+    monkeypatch.setattr(Nucleus, "power", lambda self, k, ordered=True: power([0, 0, 1]))
     assert compute_Rk(nuc, 2) == scc_compute_Rk(nuc, 2) == 2
 
 

@@ -19,7 +19,7 @@ from selfsim.schreier import (
 )
 from selfsim.specfile import parse_spec
 
-from conftest import build_basilica, paths_at
+from conftest import build_basilica, class_index, paths_at
 from test_dynamics import random_left_path
 
 SPECS = FsPath(__file__).resolve().parent.parent / "specs"
@@ -385,7 +385,7 @@ def test_exports_merge_involutions_shared_edges_and_loops():
         assert_matches_oracle(aut, gens, n)
     assert build_schreier(aut, gens, 0).undirected_edges() == {(0, 0): ("s", "t", "v")}
     gamma = build_schreier(aut, gens, 6)
-    col = gamma.cols[gamma.machine.state_index(aut, aut.generator("t"))]
+    col = gamma.cols[class_index(aut, gamma.machine)[aut.canonical_id(aut.generator("t"))]]
     assert all(col[col[p]] == p != col[p] for p in range(len(col)))
     edges = gamma.undirected_edges()
     assert sum(labels == ("s", "t") for labels in edges.values()) == 2 ** 5
@@ -551,14 +551,15 @@ def test_tower_vs_class_id_tower(spec):
     gens = ([aut.unit(v) for v in aut.graph.vertices] if spec == "noncontracting"
             else default_generating_set(aut))
     sm = _label_set(aut, gens)
-    assert [aut.canonical_id(a) for a in sm.states] == list(sm.index)
+    ids = list(class_index(aut, sm))
+    assert [aut.canonical_id(a) for a in sm.states] == ids
     top = 0
     for n, ((groups, cols), (old_groups, old_cols)) in enumerate(
-            zip(_tower(aut.graph, sm, 10), old_tower(aut, list(sm.index), 10))):
+            zip(_tower(aut.graph, sm, 10), old_tower(aut, ids, 10))):
         if sum(map(len, groups.values())) > 2 ** 15:
             break
         assert groups == old_groups, n
-        assert cols == [old_cols[c] for c in sm.index], n
+        assert cols == [old_cols[c] for c in ids], n
         top = n
     assert top >= 7
 
@@ -573,6 +574,42 @@ def test_label_set_warnings(ex310):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         build_schreier(ex310, default_generating_set(ex310), 3)
+
+
+@pytest.mark.parametrize("spec", ["basilica", "ex310", "katsura", "noncontracting",
+                                  "nonhausdorff", "odometer"])
+def test_label_set_runs_one_closure_and_exports_look_up_no_class(monkeypatch, spec):
+    # build_schreier closes the labels once, the set and its inverses
+    # together; the exports pair each label with its inverse on the label
+    # machine's rows, with no class lookup
+    import selfsim.schreier as schreier
+    from selfsim.automaton import _Registry
+
+    aut = parse_spec((SPECS / f"{spec}.ss").read_text()).automaton()
+    units = [aut.unit(v) for v in aut.graph.vertices]
+    gen_sets = [units] if spec == "noncontracting" else [
+        units, default_generating_set(aut), [aut.generator(sorted(aut.generators)[0])]]
+    calls = {"closures": 0, "lookups": 0}
+    lookup = _Registry.lookup
+
+    def counted(self, g):
+        calls["lookups"] += 1
+        return lookup(self, g)
+
+    def closure(aut, seeds):
+        calls["closures"] += 1
+        return reachable_closure(aut, seeds)
+    monkeypatch.setattr(_Registry, "lookup", counted)
+    monkeypatch.setattr(schreier, "reachable_closure", closure)
+    for gens in gen_sets:
+        calls.update(closures=0, lookups=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gamma = build_schreier(aut, gens, 3)
+        assert calls["closures"] == 1 and calls["lookups"] > 0  # the counter sees the closure's
+        calls.update(lookups=0)
+        gamma.to_json(), gamma.to_dot(), gamma.undirected_edges(), project_psi(gamma)[0].to_json()
+        assert calls == {"closures": 1, "lookups": 0}
 
 
 def old_label_set(aut, gen_set):
@@ -601,7 +638,7 @@ def test_label_set_vs_third_closure(spec):
             warnings.simplefilter("ignore")
             new, old = _label_set(aut, gen_sets(aut)[k]), old_label_set(was, gen_sets(was)[k])
         assert (new.states, new.doms, new.cods, new.rows) == (old.states, old.doms, old.cods, old.rows)
-        assert list(new.index.items()) == list(old.index.items())  # in state order
+        assert list(class_index(aut, new).items()) == list(old.index.items())  # in state order
 
 
 # -- the views over the columns --------------------------------------------------
