@@ -568,8 +568,8 @@ class StateMachine:
     doms: list[str]
     cods: list[str]
     rows: list[dict[str, tuple[str, int]]]
-    # canonical class id -> state number; set by reachable_closure only
-    index: dict[int, int] = field(default_factory=dict)
+    # canonical class id -> state number; None unless reachable_closure made it
+    index: dict[int, int] | None = None
 
     def __len__(self):
         return len(self.states)
@@ -595,7 +595,13 @@ class StateMachine:
                        [[j for _, j in r.values()] for _, _, r in items])
         return [b if b < n else None for b in block[n:]]
 
+    def shortlex(self, i: int):
+        """State i's place in the (word_key, dom) order, as a sort key."""
+        return word_key(self.states[i].word), self.doms[i]
+
     def state_index(self, aut: Automaton, g: Element) -> int | None:
+        if self.index is None:
+            raise ValueError("no class ids: only a reachable_closure machine has them")
         return self.index.get(aut.canonical_id(g))
 
     def to_json(self) -> dict:

@@ -334,8 +334,8 @@ def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus):
     mod R) nodes; then graphs.rho walks (S, p) leftward, S(p - 1) being the
     states mapping x_{p-1} onto y_{p-1} into S(p), positions <= a0 folded
     onto (a0 - L, a0], to p = 1 or an empty S.  M is 0 if S(1) is nonempty,
-    else p0 - (walk length); g is the least state of S(M + 1).  Else
-    (False, None)."""
+    else p0 - (walk length); g is S(M + 1)'s least state in shortlex order.
+    Else (False, None)."""
     sm = nuc.power(2)
     a0 = min(x.anchor, y.anchor)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
@@ -360,5 +360,5 @@ def unstable_equivalent(x: BiInfinitePath, y: BiInfinitePath, nuc: Nucleus):
         return False, None
     walk = rho((start, p0), left)
     m = 0 if walk[1] is not None else max(0, p0 - len(walk[0]))
-    return True, (m, sm.states[min(rho_at(walk, p0 - m - 1)[0])])
+    return True, (m, sm.states[min(rho_at(walk, p0 - m - 1)[0], key=sm.shortlex)])
 

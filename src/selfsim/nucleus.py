@@ -88,20 +88,14 @@ class Nucleus:
     def state_names(self) -> list[str]:
         return [s.name() for s in self.states]
 
-    def power(self, k: int, ordered: bool = True) -> StateMachine:
-        """The machine of N^k, the products of k nucleus states: k
-        product_layers of N by N, which append only products of k states,
-        as N is restriction-closed and N^(k-1) lies in N^k (units are in N);
-        in (word_key, dom) order, else N's states first, as made."""
+    def power(self, k: int) -> StateMachine:
+        """The machine of N^k, the products of k nucleus states, N's states
+        first: k product_layers of N by N, which append only products of k
+        states, as N is restriction-closed and N^(k-1) lies in N^k (units are in N)."""
         sm, nuc = self.machine.renumbered(range(len(self))), range(len(self))  # a copy
         for _ in product_layers(sm, nuc, nuc, k):
             pass
-        return sm.renumbered(sorted(range(len(sm)), key=_shortlex(sm))) if ordered else sm
-
-
-def _shortlex(sm: StateMachine):
-    """The (word_key, dom) order on the states of ``sm``, as a sort key."""
-    return lambda i: (word_key(sm.states[i].word), sm.doms[i])
+        return sm
 
 
 def limit_restrictions(aut: Automaton, g: Element) -> set[Element]:
@@ -220,7 +214,7 @@ def compute_nucleus(aut: Automaton):
         else:
             return NotContractingWithinBound("max_rounds", budget, rounds)
 
-        machine = sm.renumbered(sorted(limits, key=_shortlex(sm)))
+        machine = sm.renumbered(sorted(limits, key=sm.shortlex))
         if any(j is None for row in machine.rows for _, j in row.values()):
             raise DivergedError("nucleus not closed under restriction")
         lacking = [s for s, j in zip(machine.states, machine.inverses()) if j is None]
@@ -304,16 +298,16 @@ def _order_chain(sm: StateMachine, c: int, limit: int):
 def compute_Rk(nuc: Nucleus, k: int) -> int:
     """Minimal j with h|_mu in the nucleus for every h in N^k, mu in E^j.
 
-    Read off the unordered machine of N^k (``Nucleus.power``), N's states
-    first, by that definition: D_0 is its states and D_{j+1} their
-    successors, so D_j holds the h|_mu with |mu| = j, and rho walks the D_j
-    until one lies in the nucleus.  A repeat before that would make a state
-    outside the nucleus a restriction at unboundedly many depths, a limit
-    restriction, which the nucleus, holding every limit set, rules out.
+    Read off the machine of N^k (``Nucleus.power``), N's states first, by
+    that definition: D_0 is its states and D_{j+1} their successors, so D_j
+    holds the h|_mu with |mu| = j, and rho walks the D_j until one lies in
+    the nucleus.  A repeat before that would make a state outside the
+    nucleus a restriction at unboundedly many depths, a limit restriction,
+    which the nucleus, holding every limit set, rules out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sm, inside = nuc.power(k, ordered=False), frozenset(range(len(nuc)))
+    sm, inside = nuc.power(k), frozenset(range(len(nuc)))
 
     def deeper(level):  # D_{j+1} from D_j, or None once D_j lies in the nucleus
         if level <= inside:
@@ -321,7 +315,7 @@ def compute_Rk(nuc: Nucleus, k: int) -> int:
         return frozenset(j for i in level for _, j in sm.rows[i].values())
     levels, repeat = rho(frozenset(range(len(sm))), deeper)
     if repeat is not None:
-        stray = min(levels[repeat] - inside, key=_shortlex(sm))
+        stray = min(levels[repeat] - inside, key=sm.shortlex)
         raise DivergedError(f"R_{k}: {sm.states[stray].name()} is a restriction at unboundedly "
                             "many depths outside the nucleus")
     return len(levels) - 1

@@ -40,6 +40,13 @@ def class_index(aut, machine):
     return reachable_closure(aut, machine.states).index
 
 
+def shortlex_power(nuc, k):
+    """``nuc.power(k)`` renumbered in (word_key, dom) order, the order the
+    parent loops read it in."""
+    sm = nuc.power(k)
+    return sm.renumbered(sorted(range(len(sm)), key=sm.shortlex))
+
+
 def with_bounds(aut, bounds):
     """The same rule table as a fresh automaton under ``bounds``."""
     return Automaton(aut.graph, aut.generators, bounds)

@@ -36,6 +36,7 @@ from selfsim.dynamics import (
 )
 from selfsim.dynamics import _left_arrival_states, _phase_steps, _run, _succ
 
+from conftest import shortlex_power
 from test_graphs import cyclic_nodes
 from test_nucleus import old_unstable_element_pool
 
@@ -1543,7 +1544,7 @@ def galloping_unstable_equivalent(x, y, nuc):
     mod R) with R the lcm of the right cycles, so a run that reaches a
     repeated (state, phase) pair there without failing holds forever
     (galloping_holds).  The witness is the first such state."""
-    sm = nuc.power(2)
+    sm = shortlex_power(nuc, 2)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
 
@@ -1581,8 +1582,8 @@ def linear_stable_equivalent(x, y, nuc):
 
 def linear_unstable_equivalent(x, y, nuc):
     """unstable_equivalent as it was: a scan over M upward, and at each M
-    over the states of nuc.power(2) in order."""
-    sm = nuc.power(2)
+    over the states of nuc.power(2) in (word_key, dom) order."""
+    sm = shortlex_power(nuc, 2)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
     for m in range(0, max(0, b0) + R):
@@ -1765,7 +1766,7 @@ def horizon_ae_equivalent_bi(x, y, nuc):
 def horizon_unstable_equivalent(x, y, nuc):
     """unstable_equivalent as it was: each run on nuc.power(2) checked up
     to a horizon of |pool| R + 1 positions past the centers."""
-    sm = nuc.power(2)
+    sm = shortlex_power(nuc, 2)
     b0 = max(x.anchor + len(x.center), y.anchor + len(y.center))
     R = lcm(len(x.right_cycle), len(y.right_cycle))
 

@@ -21,7 +21,7 @@ from selfsim.nucleus import (
 )
 from selfsim.specfile import parse_spec
 
-from conftest import build_noncontracting, class_index, paths_at, unit, with_bounds
+from conftest import build_noncontracting, class_index, paths_at, shortlex_power, unit, with_bounds
 
 ROOT = FsPath(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -385,7 +385,10 @@ def test_state_index(ex310, basilica):
 
     for aut in (ex310, basilica):
         nuc = compute_nucleus(aut)
-        assert nuc.machine.index == {} == nuc.power(2).index
+        assert nuc.machine.index is None is nuc.power(2).index
+        for sm in (nuc.machine, nuc.power(2)):
+            with pytest.raises(ValueError, match="no class ids"):
+                sm.state_index(aut, nuc.states[0])
         sm = reachable_closure(aut, nuc.states)
         for i, s in enumerate(sm.states):
             assert sm.state_index(aut, s) == i
@@ -1032,7 +1035,7 @@ def _agree_with_power_oracles(build, ks):
     from selfsim.automaton import word_key
 
     nuc, was = compute_nucleus(build()), compute_nucleus(build())
-    new, old = nuc.power(2), old_unstable_element_pool(was)
+    new, old = shortlex_power(nuc, 2), old_unstable_element_pool(was)
     old = old.renumbered(sorted(range(len(old)), key=lambda i: (word_key(old.states[i].word),
                                                                 old.doms[i])))
     assert (new.states, new.rows) == (old.states, old.rows)
@@ -1072,7 +1075,7 @@ def test_rk_on_hand_made_powers(monkeypatch, basilica):
         return StateMachine(states=list(names[:n]), doms=[names[0].dom] * n,
                             cods=[names[0].dom] * n, rows=[{"e": ("e", j)} for j in successors])
     # states 1 and 2 restrict to each other: a cycle of restrictions outside N
-    monkeypatch.setattr(Nucleus, "power", lambda self, k, ordered=True: power([0, 2, 1]))
+    monkeypatch.setattr(Nucleus, "power", lambda self, k: power([0, 2, 1]))
     with pytest.raises(DivergedError) as new:
         compute_Rk(nuc, 2)
     with pytest.raises(DivergedError) as old:
@@ -1080,7 +1083,7 @@ def test_rk_on_hand_made_powers(monkeypatch, basilica):
     assert f"R_2: {names[1].name()} " in str(new.value)  # the least state outside N
     assert any(f"R_2: {s.name()} " in str(old.value) for s in names[1:])
     # the chain 2 -> 1 -> 0 enters N after two edges
-    monkeypatch.setattr(Nucleus, "power", lambda self, k, ordered=True: power([0, 0, 1]))
+    monkeypatch.setattr(Nucleus, "power", lambda self, k: power([0, 0, 1]))
     assert compute_Rk(nuc, 2) == scc_compute_Rk(nuc, 2) == 2
 
 
