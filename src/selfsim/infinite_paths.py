@@ -18,11 +18,24 @@ has a free seam, which is pinned by reducing the anchor modulo the period.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import JunctionMismatchError
 from .graphs import Graph
+
+
+def _periodic_prefix(cycle: tuple[str, ...], edges: tuple[str, ...]) -> int:
+    """How many leading edges continue the cycle periodically: the least i
+    with edges[i] != cycle[i % len(cycle)], or len(edges)."""
+    pairs = zip(edges, itertools.cycle(cycle))
+    return next((i for i, (a, b) in enumerate(pairs) if a != b), len(edges))
+
+
+def _rotate(word: tuple[str, ...], k: int) -> tuple[str, ...]:
+    """The word rotated k edges to the left (k < 0: to the right)."""
+    k %= len(word)
+    return word[k:] + word[:k]
 
 
 def _primitive(word: tuple[str, ...]) -> tuple[str, ...]:
@@ -65,12 +78,9 @@ class LeftInfinitePath:
         if tail and graph.s(cycle[-1]) != graph.r(tail[0]):
             raise JunctionMismatchError("left-infinite path: cycle does not meet tail")
         cycle = _primitive(cycle)
-        # absorb tail edges that extend the periodic zone one step right
-        cycle, tail = list(cycle), list(tail)
-        while tail and tail[0] == cycle[0]:
-            cycle.append(cycle.pop(0))
-            tail.pop(0)
-        return LeftInfinitePath(tuple(cycle), tuple(tail))
+        # absorb the tail edges that extend the periodic zone rightward
+        k = _periodic_prefix(cycle, tail)
+        return LeftInfinitePath(_rotate(cycle, k), tail[k:])
 
     def edge_at(self, n: int) -> str:
         """The edge at position n < 0 (position -1 is the rightmost)."""
@@ -87,8 +97,7 @@ class LeftInfinitePath:
         asymptotic-equivalence classes."""
         if self.tail:
             return LeftInfinitePath.make(graph, self.cycle, self.tail[:-1])
-        rotated = self.cycle[-1:] + self.cycle[:-1]
-        return LeftInfinitePath.make(graph, rotated)
+        return LeftInfinitePath.make(graph, _rotate(self.cycle, -1))
 
     def __str__(self):
         head = f"({'.'.join(self.cycle)})^inf"
@@ -111,11 +120,9 @@ class RightInfinitePath:
         if head and graph.s(head[-1]) != graph.r(cycle[0]):
             raise JunctionMismatchError("right-infinite path: head does not meet cycle")
         cycle = _primitive(cycle)
-        head, cycle = list(head), list(cycle)
-        while head and head[-1] == cycle[-1]:
-            cycle.insert(0, cycle.pop())
-            head.pop()
-        return RightInfinitePath(tuple(head), tuple(cycle))
+        # absorb the head edges that extend the periodic zone leftward
+        k = _periodic_prefix(cycle[::-1], head[::-1])
+        return RightInfinitePath(head[:len(head) - k], _rotate(cycle, -k))
 
     def edge_at(self, n: int) -> str:
         """The edge at position n >= 1."""
@@ -132,8 +139,7 @@ class RightInfinitePath:
         """Drop the first n >= 0 edges (sigma^n): the head's first ones,
         then the rest as a rotation of the cycle."""
         k = min(n, len(self.head))
-        r = (n - k) % len(self.cycle)
-        return RightInfinitePath.make(graph, self.head[k:], self.cycle[r:] + self.cycle[:r])
+        return RightInfinitePath.make(graph, self.head[k:], _rotate(self.cycle, n - k))
 
     def __str__(self):
         tail = f"({'.'.join(self.cycle)})^inf"
@@ -166,29 +172,23 @@ class BiInfinitePath:
         else:
             if left_end != right_start:
                 raise JunctionMismatchError("bi-infinite path: cycles do not meet")
-        rho, pi = list(_primitive(rho)), list(_primitive(pi))
-        mid = list(mid)
-        while mid and mid[0] == rho[0]:
-            rho.append(rho.pop(0))
-            mid.pop(0)
-            anchor += 1
-        while mid and mid[-1] == pi[-1]:
-            pi.insert(0, pi.pop())
-            mid.pop()
+        rho, pi = _primitive(rho), _primitive(pi)
+        k = _periodic_prefix(rho, mid)
+        rho, mid, anchor = _rotate(rho, k), mid[k:], anchor + k
+        k = _periodic_prefix(pi[::-1], mid[::-1])
+        pi, mid = _rotate(pi, -k), mid[:len(mid) - k]
         if not mid:
-            # the left pattern may keep extending across the seam
-            p, q = len(rho), len(pi)
-            span = lcm(p, q)
-            if all(pi[i % q] == rho[i % p] for i in range(span)):
-                # globally periodic (Fine-Wilf forces p = q): restate the
-                # pattern from position 0 so the seam is pinned
-                word = tuple(rho[(i - anchor) % p] for i in range(p))
+            if rho == pi:
+                # both cycles are primitive, so rho^inf goes on as pi^inf
+                # only when they are equal: a globally periodic path,
+                # restated from position 0 so the seam is pinned
+                word = _rotate(rho, -anchor)
                 return BiInfinitePath(word, (), word, 0)
-            while pi[0] == rho[0]:
-                rho.append(rho.pop(0))
-                pi.append(pi.pop(0))
-                anchor += 1
-        return BiInfinitePath(tuple(rho), tuple(mid), tuple(pi), anchor)
+            # else the left pattern extends across the seam for fewer than
+            # p + q edges (Fine-Wilf), which pi repeated p // q + 2 times covers
+            k = _periodic_prefix(rho, pi * (len(rho) // len(pi) + 2))
+            rho, pi, anchor = _rotate(rho, k), _rotate(pi, k), anchor + k
+        return BiInfinitePath(rho, mid, pi, anchor)
 
     def edge_at(self, n: int) -> str:
         a, t = self.anchor, len(self.center)

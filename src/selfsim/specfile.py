@@ -17,7 +17,8 @@ whitespace-separated symbols ``g`` or ``g^-1``, units written as vertex
 names, so no generator name ends in ``^-1``.  The only options are the
 two above, integers >= 1 as for the CLI flags.  ``#`` starts a comment.  Path literals: finite ``1.2.3``,
 left-infinite ``(1)^inf . 2.3``, right-infinite ``2.3 . (1)^inf``,
-bi-infinite ``(rho)^inf . mid . (pi)^inf @ n0``.
+bi-infinite ``(rho)^inf . mid . (pi)^inf @ n0``; no edge id is empty, so a
+trailing dot is an error.
 """
 
 from __future__ import annotations
@@ -189,6 +190,34 @@ def spec_of_automaton(aut: Automaton) -> SpecFile:
 
 
 _CYCLE = re.compile(r"^\((?P<edges>[^()]*)\)\^inf$")
+_PUNCT = re.compile(r"[().]")
+# kind -> whether a (...)^inf group stands first and whether one stands last
+# (no other part is one), the error for any other layout, and the builder of
+# (graph, first group, the edge ids between, last group, anchor)
+_LAYOUTS = {
+    "finite": (False, False, "finite path literal cannot contain ^inf",
+               lambda graph, rho, mid, pi, anchor: Path.of(graph, mid)),
+    "left": (True, False, "left-infinite literal is (cycle)^inf . tail",
+             lambda graph, rho, mid, pi, anchor: LeftInfinitePath.make(graph, rho, mid)),
+    "right": (False, True, "right-infinite literal is head . (cycle)^inf",
+              lambda graph, rho, mid, pi, anchor: RightInfinitePath.make(graph, mid, pi)),
+    "bi": (True, True, "bi-infinite literal is (rho)^inf . mid . (pi)^inf @ n0",
+           BiInfinitePath.make),
+}
+
+
+def _top_parts(text: str) -> list[str]:
+    """The literal cut at its dots outside parentheses, each part stripped:
+    one pass that counts the depth at each parenthesis and dot."""
+    parts, depth, start = [], 0, 0
+    for m in _PUNCT.finditer(text):
+        if m.group() != ".":
+            depth += 1 if m.group() == "(" else -1
+        elif depth == 0:
+            parts.append(text[start:m.start()].strip())
+            start = m.end()
+    parts.append(text[start:].strip())
+    return parts
 
 
 def _split_dots(chunk: str) -> list[str]:
@@ -209,63 +238,25 @@ def parse_path(graph: Graph, text: str, kind: str = "auto"):
             anchor = int(off.strip())
         except ValueError:
             raise SpecSyntaxError(f"bad anchor offset {off.strip()!r}") from None
-
-    # split on '.' at top level, keeping (...)^inf groups intact
-    parts = []
-    buf = ""
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "." and depth == 0:
-            parts.append(buf.strip())
-            buf = ""
-        else:
-            buf += ch
-    if buf.strip():
-        parts.append(buf.strip())
-    if not parts:
+    if not text:
         raise SpecSyntaxError("empty path literal")
-
-    groups = []
-    for part in parts:
+    parts, at = [], []  # edge ids and cycles' edge id lists; where the cycles stand
+    for part in _top_parts(text):
         m = _CYCLE.match(part)
         if m:
-            groups.append(("cycle", _split_dots(m.group("edges"))))
+            at.append(len(parts))
+            parts.append(_split_dots(m.group("edges")))
+        elif part:
+            parts.append(part)
         else:
-            groups.append(("edge", part))
-
-    cyc_positions = [i for i, (k, _) in enumerate(groups) if k == "cycle"]
+            raise SpecSyntaxError(f"empty edge id in {text!r}")
     if kind == "auto":
-        if len(cyc_positions) >= 2:
-            kind = "bi"
-        elif len(cyc_positions) == 1:
-            kind = "left" if cyc_positions[0] == 0 else "right"
-        else:
-            kind = "finite"
-
-    def edges_of(slice_):
-        return [g[1] for g in slice_ if g[0] == "edge"]
-
+        kind = "bi" if len(at) > 1 else "left" if at == [0] else "right" if at else "finite"
     if anchored and kind != "bi":
         raise SpecSyntaxError("an '@ n0' anchor belongs only to a bi-infinite literal")
-    if kind == "finite":
-        if cyc_positions:
-            raise SpecSyntaxError("finite path literal cannot contain ^inf")
-        return Path.of(graph, edges_of(groups))
-    if kind == "left":
-        if len(cyc_positions) != 1 or cyc_positions[0] != 0:
-            raise SpecSyntaxError("left-infinite literal is (cycle)^inf . tail")
-        return LeftInfinitePath.make(graph, groups[0][1], edges_of(groups[1:]))
-    if kind == "right":
-        if len(cyc_positions) != 1 or cyc_positions[0] != len(groups) - 1:
-            raise SpecSyntaxError("right-infinite literal is head . (cycle)^inf")
-        return RightInfinitePath.make(graph, edges_of(groups[:-1]), groups[-1][1])
-    if kind == "bi":
-        if len(cyc_positions) != 2 or cyc_positions[0] != 0 or cyc_positions[1] != len(groups) - 1:
-            raise SpecSyntaxError("bi-infinite literal is (rho)^inf . mid . (pi)^inf @ n0")
-        mid = edges_of(groups[1:-1])
-        return BiInfinitePath.make(graph, groups[0][1], mid, groups[-1][1], anchor)
-    raise SpecSyntaxError(f"unknown path kind {kind!r}")
+    if kind not in _LAYOUTS:
+        raise SpecSyntaxError(f"unknown path kind {kind!r}")
+    first, last, layout, build = _LAYOUTS[kind]
+    if at != [0] * first + [len(parts) - 1] * last:
+        raise SpecSyntaxError(layout)
+    return build(graph, parts[0], parts[first:len(parts) - last], parts[-1], anchor)

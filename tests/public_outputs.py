@@ -35,6 +35,20 @@ def cli_cases() -> list[tuple[str, ...]]:
     out += [("check", "recurrent", *spec(s), "--depth", str(d)) for s in SPECS for d in range(8)]
     out += [("schreier", *spec(s), "--level", str(n), "--format", f)
             for s in ("basilica", "ex310", "odometer") for n in range(1, 7) for f in ("json", "dot")]
+    # literals whose normal forms absorb edges: a tail repeating the cycle, a
+    # head ending in it, a center absorbed on both sides, a seam rotation and
+    # a globally periodic bi-infinite path
+    germ = ("--m1", "0", "--elem1", "b", "--n1", "0", "--m2", "2", "--elem2", "v", "--n2", "2")
+    centers = [("(2.3)^inf . 2.3.2.4.1.1 . (1)^inf @ 0", "(3.2)^inf . 4 . (1)^inf @ 1"),
+               ("(2.3)^inf . (2.4)^inf @ 0", "(3.2)^inf . (4.2)^inf @ 1"),
+               ("(2.3)^inf . 2 . (3.2)^inf @ 1", "(3.2)^inf . (3.2)^inf @ 0")]
+    out += [("shift", *spec("ex310"), "--x", "(2.3)^inf . 2.3.2.3.1"),
+            ("class", *spec("ex310"), "--x", "(2.3)^inf . 2.3.2"),
+            ("ae", *spec("basilica"), "--x", "(3)^inf . 3.3.2.1", "--y", "(3)^inf . 2.1"),
+            ("germ-eq", *spec("ex310"), "--x", "2 . 4 . 1.1 . (1)^inf",
+             "--y", "4 . 1 . (1)^inf", *germ)]
+    out += [(cmd, *spec("ex310"), "--x", x, "--y", y)
+            for x, y in centers for cmd in ("stable", "unstable")]
     return out
 
 

@@ -985,6 +985,68 @@ def test_ae_class_on_a_5000_edge_cycle_answers_in_a_second():
     assert code == 0 and json.loads(buf.getvalue())["members"] == [x]
 
 
+def _path_readers(aut, nuc):
+    """reader -> f(n) that parses ex310 literals whose tail, head, center or
+    cycle grows with n and runs the reader on them: (2.4)^n after the loop
+    (1), and the primitive cycle (2.3)^(n-1) 2.4."""
+    from selfsim.specfile import parse_path
+
+    g = aut.graph
+
+    def chain(n):
+        return ".".join(["2.4"] * n)
+
+    def cycle(n):
+        return ".".join(["2.3"] * (n - 1) + ["2.4"])
+
+    def left(n):
+        return parse_path(g, f"(1)^inf . {chain(n)}", "left")
+
+    def bi(n):
+        return parse_path(g, f"({cycle(n)})^inf . {chain(n)} . (1)^inf @ 0", "bi")
+
+    def germs(n):
+        y = parse_path(g, f"{chain(n)} . (1)^inf", "right")
+        return (make_germ(aut, y, 0, aut.element("v"), 0, y),
+                make_germ(aut, y, 1, aut.element("w"), 1, y))
+    return {
+        "shift": lambda n: left(n).shift(g),
+        "ae": lambda n: ae_equivalent(left(n), left(n), nuc)[0],
+        "stable": lambda n: stable_equivalent(bi(n), bi(n), nuc)[0],
+        "unstable": lambda n: unstable_equivalent(bi(n), bi(n), nuc)[0],
+        "germ-eq": lambda n: germ_equal(*germs(n), nuc),
+        "act": lambda n: aut.act(aut.element("a"), parse_path(g, chain(n), "finite")),
+        "restrict": lambda n: aut.restrict(aut.element("a"), parse_path(g, chain(n), "finite")),
+    }
+
+
+@pytest.mark.parametrize("reader", ["shift", "ae", "stable", "unstable", "germ-eq", "act",
+                                    "restrict"])
+def test_path_readers_work_is_linear_in_the_literal(monkeypatch, ex310, reader):
+    # each read of an edge (a path's edge_at, word_act_edge, or the graph's
+    # s and r in the normal forms' checks) is one step: doubling the literal
+    # at most doubles the steps, where a quadratic reader would quadruple them
+    nuc = compute_nucleus(ex310)
+    run = _path_readers(ex310, nuc)[reader]
+    steps = [0]
+
+    def counted(f):
+        def step(*args):
+            steps[0] += 1
+            return f(*args)
+        return step
+    for owner, name in ((LeftInfinitePath, "edge_at"), (RightInfinitePath, "edge_at"),
+                        (BiInfinitePath, "edge_at"), (Automaton, "word_act_edge"),
+                        (Graph, "s"), (Graph, "r")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    counts = []
+    for n in (300, 600):
+        steps[0] = 0
+        run(n)
+        counts.append(steps[0])
+    assert 2 * 300 <= counts[0] and counts[1] <= 2 * counts[0], counts
+
+
 def old_ae_equivalent_bi(x, y, nuc):
     aut = nuc.automaton
     graph = aut.graph

@@ -99,15 +99,23 @@ def test_mutated_specs_raise_only_selfsim_errors():
 
 
 def _literal(rng, ids, cycles):
-    """A literal with 0 (finite), 1 (left), 2 (right) or 3 (bi-infinite) cycle shapes."""
+    """A literal with 0 (finite), 1 (left), 2 (right) or 3 (bi-infinite) cycle
+    shapes, and whether its tail, head or center repeats the cycles next to
+    it, edges the normal forms absorb."""
     def dots():
         return ".".join(rng.choice(ids) for _ in range(rng.randint(1, 3)))
 
+    rho, pi = dots(), dots()
     mid = [dots()] if rng.random() < 0.5 else []
-    head, tail = f"({dots()})^inf", f"({dots()})^inf"
+    repeats = cycles > 0 and rng.random() < 0.3
+    if repeats:
+        before = [rho] * rng.randint(1, 2) if cycles != 2 else []
+        after = [pi] * rng.randint(1, 2) if cycles != 1 else []
+        mid = [".".join(before + mid + after)]
+    head, tail = f"({rho})^inf", f"({pi})^inf"
     parts = {0: [dots()], 1: [head, *mid], 2: [*mid, tail], 3: [head, *mid, tail]}[cycles]
     anchor = f" @ {rng.randint(-2, 2)}" if cycles == 3 and rng.random() < 0.5 else ""
-    return " . ".join(parts) + anchor
+    return " . ".join(parts) + anchor, repeats
 
 
 def test_path_literals_round_trip_or_raise_selfsim_errors():
@@ -116,14 +124,16 @@ def test_path_literals_round_trip_or_raise_selfsim_errors():
     kind_of = {Path: "finite", LeftInfinitePath: "left", RightInfinitePath: "right",
                BiInfinitePath: "bi"}
     parsed = dict.fromkeys(kinds.values(), 0)
+    absorbed = dict.fromkeys(["left", "right", "bi"], 0)
     for text in TEXTS:
         graph = parse_spec(text).graph()
         ids = [e.id for e in graph.edges] + ["9", "x"]
         for _ in range(600):
             cycles = rng.randrange(4)
-            literal = _literal(rng, ids, cycles)
+            literal, repeats = _literal(rng, ids, cycles)
             if rng.random() < 0.3:
                 literal = "".join(_mutate(literal, rng, "().^inf@ -019", 3))
+                repeats = False
             kind = rng.choice([kinds[cycles], "auto"])
             try:
                 path = parse_path(graph, literal, kind)
@@ -132,7 +142,10 @@ def test_path_literals_round_trip_or_raise_selfsim_errors():
             kind = kind_of[type(path)]
             assert parse_path(graph, str(path), kind) == path, literal
             parsed[kind] += 1
+            if repeats:
+                absorbed[kind] += 1
     assert min(parsed.values()) > 20, parsed
+    assert min(absorbed.values()) > 5, absorbed
 
 
 def _mutated_argv(rng, pool):

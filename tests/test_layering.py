@@ -164,9 +164,10 @@ def test_every_bound_is_read_from_the_automaton():
                                                                           "max_rounds"]
 
 
-# modules whose own algorithms keep their while loops: the graph helpers,
-# Smith normal form and the path normal forms
-WHILE_MODULES = {"graphs", "ktheory", "infinite_paths"}
+# modules whose own algorithms keep their while loops: the graph helpers and
+# Smith normal form (the path normal forms read each absorbed run of edges in
+# one infinite_paths._periodic_prefix pass)
+WHILE_MODULES = {"graphs", "ktheory"}
 # (module, enclosing definitions) of the other while loops: a bisimulation,
 # a memo's eviction and a union-find; every run to a repeat goes through
 # graphs.rho and every breadth-first search through graphs.bfs

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path as FsPath
 
 import pytest
@@ -8,7 +9,7 @@ from selfsim.errors import (
     SpecSyntaxError,
     UnknownSymbolError,
 )
-from selfsim.graphs import Path
+from selfsim.graphs import Graph, Path
 from selfsim.infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from selfsim.nucleus import compute_nucleus
 from selfsim.specfile import format_spec, parse_path, parse_spec, spec_of_automaton
@@ -139,3 +140,56 @@ def test_format_path(ex310):
     g = ex310.graph
     assert str(Path.of(g, ["3", "2", "3"])) == "3.2.3"
     assert str(parse_path(g, "(1)^inf . 2.4")) == "(1)^inf . 2.4"
+
+
+@pytest.mark.parametrize("literal, kind, chunk", [
+    ("0.", "finite", "0."),               # a trailing dot once read as "0"
+    ("4 .", "auto", "4 ."),
+    ("(1)^inf .", "left", "(1)^inf ."),   # ... and this as "(1)^inf"
+    ("(1)^inf . 2.4 . ", "auto", "(1)^inf . 2.4 ."),
+    ("4..1", "finite", "4..1"),           # once UnknownSymbolError: unknown edge ''
+    (".4", "auto", ".4"),
+    ("(2.3)^inf . . (1)^inf @ 1", "bi", "(2.3)^inf . . (1)^inf"),
+    ("4 . (1.)^inf", "right", "1."),      # inside a cycle, as before
+])
+def test_parse_path_rejects_every_empty_edge_id(ex310, literal, kind, chunk):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_path(ex310.graph, literal, kind)
+    assert str(err.value) == f"empty edge id in {chunk!r}"
+
+
+def test_parse_path_checks_every_kind_by_its_layout(ex310):
+    g = ex310.graph
+    for literal, kind, message in (
+            ("(1)^inf . 2", "finite", "finite path literal cannot contain ^inf"),
+            ("2 . (1)^inf", "left", "left-infinite literal is (cycle)^inf . tail"),
+            ("(1)^inf . 2", "right", "right-infinite literal is head . (cycle)^inf"),
+            ("(1)^inf", "bi", "bi-infinite literal is (rho)^inf . mid . (pi)^inf @ n0"),
+            ("(1)^inf . (1)^inf . (1)^inf", "auto",
+             "bi-infinite literal is (rho)^inf . mid . (pi)^inf @ n0"),
+            ("2 . (1)^inf . (1)^inf", "auto",
+             "bi-infinite literal is (rho)^inf . mid . (pi)^inf @ n0"),
+            ("4", "loop", "unknown path kind 'loop'")):
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_path(g, literal, kind)
+        assert str(err.value) == message, literal
+    assert parse_path(g, "(1)^inf", "right") == RightInfinitePath.make(g, [], ["1"])
+    assert parse_path(g, "(2.3)^inf . 2.3.2 . (3.2)^inf @ 0") == \
+        BiInfinitePath.make(g, ["2", "3"], [], ["2", "3"], 2)
+
+
+def test_parse_path_at_64000_edges():
+    # a 64,000-edge cycle group with as long a tail, head or center: the
+    # literal is cut in one pass (a splitter that looked ahead from every
+    # dot to the next parenthesis took about a minute on each)
+    g = Graph(["v"], [("0", "v", "v"), ("1", "v", "v")])
+    rho = ("0",) * 63_999 + ("1",)
+    word, cycle = ".".join(rho), f"({'.'.join(rho)})^inf"
+    seam = rho[-5:] + rho[:-5]
+    for literal, want in ((f"{cycle} . {word}", LeftInfinitePath(rho, ())),
+                          (f"{word} . {cycle}", RightInfinitePath((), rho)),
+                          (f"{cycle} . {word} . {cycle} @ 5", BiInfinitePath(seam, (), seam, 0))):
+        t0 = time.perf_counter()
+        path = parse_path(g, literal)
+        assert time.perf_counter() - t0 < 0.5, type(want).__name__
+        assert path == want
