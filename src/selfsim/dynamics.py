@@ -36,7 +36,8 @@ from math import lcm
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure
 from .errors import DomainMismatchError, NotStronglyConnectedError
-from .graphs import bfs, bfs_labels, find_cycle, limit_nodes, rho, rho_at, validate_graph
+from .graphs import (bfs, limit_nodes, rho, rho_at, shortest_path, strongly_connected_components,
+                     validate_graph)
 from .infinite_paths import BiInfinitePath, LeftInfinitePath, RightInfinitePath
 from .nucleus import Nucleus, product_layers
 from .schreier import build_schreier, default_generating_set
@@ -162,10 +163,20 @@ def _fixed_edge_digraph(nuc: Nucleus) -> list[list[tuple[str, int]]]:
 
 
 def _fixed_cycle(nuc: Nucleus, arcs, pool: set):
-    """(first state, (edge labels)^inf) of a cycle of the fixed-edge digraph
-    inside pool, searched from the pool's states in state order; or None."""
-    hit = find_cycle(sorted(pool), lambda i: [(e, j) for e, j in arcs[i] if j in pool])
-    return hit and (hit[0][0], RightInfinitePath.make(nuc.automaton.graph, (), hit[1]))
+    """(state, (edge labels)^inf) of a cycle of the fixed-edge digraph
+    inside pool, or None.  The state is the least pool state on a cycle, and
+    the cycle its first arc inside its strongly connected component followed
+    by a shortest way back: one component pass and one search."""
+    def succ(i):
+        return [(e, j) for e, j in arcs[i] if j in pool]
+    comps = strongly_connected_components(pool, lambda i: [j for _, j in succ(i)])
+    comp = {i: k for k, xs in enumerate(comps) for i in xs}
+    for c in sorted(pool):
+        for e, j in succ(c):
+            if comp[j] == comp[c]:
+                cycle = [e, *shortest_path(j, lambda i: i == c, succ)]
+                return c, RightInfinitePath.make(nuc.automaton.graph, (), cycle)
+    return None
 
 
 @dataclass(frozen=True)
@@ -208,8 +219,7 @@ def is_hausdorff(nuc: Nucleus):
     if hit is None:
         return True, None
     # strongly fixed extension: shortest fixed path from the state into a unit
-    ext = next(bfs_labels(parent, i) for i, parent in bfs([hit[0]], arcs.__getitem__)
-               if nuc.states[i].is_unit)
+    ext = shortest_path(hit[0], lambda i: nuc.states[i].is_unit, arcs.__getitem__)
     return False, NonHausdorffWitness(nuc.states[hit[0]].name(), hit[1], tuple(ext))
 
 

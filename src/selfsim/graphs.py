@@ -245,6 +245,13 @@ def bfs_labels(parent: dict, v) -> list:
     return out[::-1]
 
 
+def shortest_path(start, goal, succ):
+    """The arc labels of a shortest path from ``start`` to the first node
+    that bfs dequeues where goal holds, [] when it holds at start; None when
+    no such node is reached."""
+    return next((bfs_labels(parent, v) for v, parent in bfs([start], succ) if goal(v)), None)
+
+
 def rho(start, step):
     """Walk the partial map ``step`` from ``start`` until a node repeats or
     step returns None: the nodes in walk order and the index k where their
@@ -265,37 +272,6 @@ def rho_at(walk, n: int):
     if n < len(nodes):
         return nodes[n]
     return None if k is None else nodes[k + (n - k) % (len(nodes) - k)]
-
-
-def find_cycle(nodes, succ):
-    """The first directed cycle that a depth-first search from ``nodes``, in
-    order, closes over the arcs v -label-> w for (label, w) in succ(v): its
-    nodes from the first one entered, and the labels of the arcs leaving
-    each; None when nothing reached from ``nodes`` lies on a cycle.
-    Iterative, so long chains do not hit the recursion limit."""
-    done: set = set()
-    for root in nodes:
-        if root in done:
-            continue
-        trail, labels, pos = [root], [None], {root: 0}  # labels[k] enters trail[k]
-        work = [iter(succ(root))]
-        while work:
-            for label, w in work[-1]:
-                if w in pos:
-                    return trail[pos[w]:], labels[pos[w] + 1:] + [label]
-                if w not in done:
-                    pos[w] = len(trail)
-                    trail.append(w)
-                    labels.append(label)
-                    work.append(iter(succ(w)))
-                    break
-            else:
-                work.pop()
-                labels.pop()
-                v = trail.pop()
-                del pos[v]
-                done.add(v)
-    return None
 
 
 @dataclass(frozen=True)

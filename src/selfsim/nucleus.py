@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .automaton import Automaton, Element, StateMachine, join, reachable_closure, word_key
 from .errors import ClosureLimitError, DivergedError, NotContractingError
-from .graphs import (bfs, bfs_labels, dot_escape, find_cycle, limit_nodes, refine, rho,
+from .graphs import (bfs, dot_escape, limit_nodes, refine, rho, shortest_path,
                      strongly_connected_components)
 
 _PASS_STARTS = 1 << 13  # start pairs of one _pair_limits pass, whose pair nodes take memory
@@ -227,24 +227,27 @@ def compute_nucleus(aut: Automaton):
 
 
 def _non_contraction(sm: StateMachine, limit: int) -> NotContracting | None:
-    """A certificate on the machine of S, or None.  c is the first state of
-    a cycle of fixed arcs i -e-> j (row entry e -> (e, j)) among non-units,
-    found in each such strongly connected component, since an arc x -> x|_e
-    with x.e = e makes order(x|_e) divide order(x)."""
+    """A certificate on the machine of S, or None.  Among non-units, each
+    strongly connected component of fixed arcs i -e-> j (row entry
+    e -> (e, j)) with a cycle offers the state c it lists first, since an arc
+    x -> x|_e with x.e = e makes order(x|_e) divide order(x).  Once c has an
+    order chain, its cycle is c's first arc inside the component followed by
+    a shortest way back."""
     states, work = sm.states, None
     fixed = [[(e, j) for e, (img, j) in row.items() if img == e and not states[j].is_unit]
              for row in sm.rows]  # a unit fixes every edge, and restricts to units
     starts = [i for i, arcs in enumerate(fixed) if arcs]
     for comp in strongly_connected_components(starts, lambda i: [j for _, j in fixed[i]]):
-        inside = set(comp)
-        found = find_cycle(comp[:1], lambda i: [(e, j) for e, j in fixed[i] if j in inside])
-        if found is None:
+        c, inside = comp[0], set(comp)
+        arc = next(((e, j) for e, j in fixed[c] if j in inside), None)
+        if arc is None:  # a single state without a loop
             continue
         if work is None:  # a copy, to append the products to
             work = sm.renumbered(range(len(sm)))
-        chain = _order_chain(work, found[0][0], limit)
-        if chain:
-            return NotContracting(states[found[0][0]], tuple(found[1]), chain)
+        chain = _order_chain(work, c, limit)
+        if chain:  # every path back to c stays in its component
+            back = shortest_path(arc[1], lambda i: i == c, fixed.__getitem__)
+            return NotContracting(states[c], (arc[0], *back), chain)
     return None
 
 
@@ -277,7 +280,7 @@ def _order_chain(sm: StateMachine, c: int, limit: int):
     def succ(x):  # a node not yet expanded has no arcs
         return links.get(x, ())
 
-    def closed(parent):  # the chain through an arc k > 1 inside a component, if any
+    def closed():  # the chain through an arc k > 1 inside a component, if any
         comps = strongly_connected_components([c], lambda x: [y for _, y in succ(x)])
         comp = {x: i for i, xs in enumerate(comps) for x in xs}
         hit = next(((link, y) for x in links for link, y in links[x]
@@ -285,14 +288,14 @@ def _order_chain(sm: StateMachine, c: int, limit: int):
         if hit is None:
             return None
         (u, _, _), w = hit
-        back = next(p for x, p in bfs([w], succ) if x == u)
-        path = [*bfs_labels(parent, u), hit[0], *bfs_labels(back, u)]
+        path = [*shortest_path(c, lambda x: x == u, succ), hit[0],
+                *shortest_path(w, lambda x: x == u, succ)]
         ends = [x for x, _, _ in path[1:]] + [u]
         return tuple((sm.states[x], k, e, sm.states[y]) for (x, k, e), y in zip(path, ends))
-    for n, (_, parent) in enumerate(bfs([c], arcs)):
-        if n & (n - 1) == 0 and (chain := closed(parent)):
+    for n, _ in enumerate(bfs([c], arcs)):
+        if n & (n - 1) == 0 and (chain := closed()):
             return chain
-    return closed(parent)
+    return closed()
 
 
 def compute_Rk(nuc: Nucleus, k: int) -> int:

@@ -45,7 +45,7 @@ from itertools import accumulate, chain, repeat
 
 from .automaton import Automaton, Element, StateMachine, reachable_closure, word_key
 from .errors import VertexNotInLevelError
-from .graphs import Graph, Path, bfs, bfs_labels, dot_escape, enumerate_paths
+from .graphs import Graph, Path, bfs, dot_escape, enumerate_paths, shortest_path
 from .infinite_paths import LeftInfinitePath
 
 
@@ -153,11 +153,9 @@ def _distance(moves, src, dst):
     """Arcs on a shortest path from src to dst, None when unreachable, over
     the nodes (vertex, position) and the arcs (v, p) -> (cod, col[p]): each
     label's inverse is a label, so these reach what the graph's edges do."""
-    for node, parent in bfs([src], lambda node: [(None, (cod, col[node[1]]))
-                                                 for col, cod in moves.get(node[0], ())]):
-        if node == dst:  # the parent chain is a shortest path: count its arcs
-            return len(bfs_labels(parent, node))
-    return None
+    path = shortest_path(src, lambda node: node == dst, lambda node: [
+        (None, (cod, col[node[1]])) for col, cod in moves.get(node[0], ())])
+    return None if path is None else len(path)
 
 
 @dataclass

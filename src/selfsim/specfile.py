@@ -15,10 +15,12 @@
 Restriction words are element literals, read by ``automaton.read_word``:
 whitespace-separated symbols ``g`` or ``g^-1``, units written as vertex
 names, so no generator name ends in ``^-1``.  The only options are the
-two above, integers >= 1 as for the CLI flags.  ``#`` starts a comment.  Path literals: finite ``1.2.3``,
-left-infinite ``(1)^inf . 2.3``, right-infinite ``2.3 . (1)^inf``,
-bi-infinite ``(rho)^inf . mid . (pi)^inf @ n0``; no edge id is empty, so a
-trailing dot is an error.
+two above, integers >= 1 as for the CLI flags, each given once; a
+generator has one section and at most one rule per edge.  ``#`` starts a
+comment.  No edge id holds ``.``, ``(``, ``)`` or ``@``, the punctuation of
+path literals: finite ``1.2.3``, left-infinite ``(1)^inf . 2.3``,
+right-infinite ``2.3 . (1)^inf``, bi-infinite ``(rho)^inf . mid . (pi)^inf
+@ n0``; no edge id is empty, so a trailing dot is an error.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def parse_spec(text: str) -> SpecFile:
         nonlocal current
         if current is not None:
             generators.append(GeneratorSpec(
-                current["name"], current["dom"], current["cod"], tuple(current["rules"])))
+                current["name"], current["dom"], current["cod"], tuple(current["rules"].values())))
             current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -102,33 +104,39 @@ def parse_spec(text: str) -> SpecFile:
                 section = "graph"
             elif m.group(1) == "options":
                 section = "options"
+            elif any(g.name == m.group(2) for g in generators):
+                raise SpecSyntaxError(f"second section for generator {m.group(2)!r}", lineno, 1)
             else:
                 section = "generator"
-                current = {"name": m.group(2), "dom": m.group(3), "cod": m.group(4), "rules": []}
+                current = {"name": m.group(2), "dom": m.group(3), "cod": m.group(4), "rules": {}}
             continue
         if line.startswith("["):
             raise SpecSyntaxError(f"malformed section header {line!r}", lineno, 1)
+        parts = line.split()
         if section == "graph":
-            if line.startswith("vertex"):
-                parts = line.split()
+            if parts[0] == "vertex":
                 if len(parts) != 2:
                     raise SpecSyntaxError("vertex line needs exactly one id", lineno, 1)
                 vertices.append(parts[1])
                 continue
             m = _EDGE.match(line)
-            if m:
-                edges.append((m.group(1), m.group(2), m.group(3)))
-                continue
-            raise SpecSyntaxError(f"unrecognized graph line {line!r}", lineno, 1)
+            if not m:
+                raise SpecSyntaxError(f"unrecognized graph line {line!r}", lineno, 1)
+            if set(".()@") & set(m.group(1)):  # path literal punctuation
+                raise SpecSyntaxError(f"edge id {m.group(1)!r} holds '.', '(', ')' or '@', so no "
+                                      "path literal can name it", lineno, 1)
+            edges.append(m.groups())
+            continue
         if section == "generator":
             m = _RULE.match(line)
             if not m:
                 raise SpecSyntaxError(f"unrecognized rule line {line!r}", lineno, 1)
-            toks = tuple(m.group(3).split())
-            current["rules"].append((m.group(1), m.group(2), toks))
+            if m.group(1) in current["rules"]:
+                raise SpecSyntaxError(f"second rule for edge {m.group(1)!r} in generator "
+                                      f"{current['name']!r}", lineno, 1)
+            current["rules"][m.group(1)] = (m.group(1), m.group(2), tuple(m.group(3).split()))
             continue
         if section == "options":
-            parts = line.split()
             if len(parts) != 2:
                 raise SpecSyntaxError("option lines are 'key value'", lineno, 1)
             if parts[0] not in ("max_states", "max_rounds"):
@@ -142,6 +150,8 @@ def parse_spec(text: str) -> SpecFile:
             if value < 1:
                 raise SpecSyntaxError(f"option {parts[0]} must be at least 1, got {value}",
                                       lineno, 1)
+            if any(key == parts[0] for key, _ in options):
+                raise SpecSyntaxError(f"option {parts[0]} given twice", lineno, 1)
             options.append((parts[0], parts[1]))
             continue
         raise SpecSyntaxError(f"content before any section: {line!r}", lineno, 1)

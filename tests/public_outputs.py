@@ -33,6 +33,7 @@ def cli_cases() -> list[tuple[str, ...]]:
     out = [("nucleus", *spec(s), "--format", f) for s in SPECS for f in ("json", "dot")]
     out += [("rk", *spec(s), "--k", str(k)) for s in CONTRACTING for k in range(1, 6)]
     out += [("check", "recurrent", *spec(s), "--depth", str(d)) for s in SPECS for d in range(8)]
+    out += [("check", prop, *spec(s)) for s in SPECS for prop in ("regular", "hausdorff")]
     out += [("schreier", *spec(s), "--level", str(n), "--format", f)
             for s in ("basilica", "ex310", "odometer") for n in range(1, 7) for f in ("json", "dot")]
     # literals whose normal forms absorb edges: a tail repeating the cycle, a

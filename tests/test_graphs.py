@@ -14,11 +14,11 @@ from selfsim.graphs import (
     bfs_labels,
     concat,
     enumerate_paths,
-    find_cycle,
     limit_nodes,
     refine,
     rho,
     rho_at,
+    shortest_path,
     strongly_connected_components,
     validate_graph,
 )
@@ -232,6 +232,62 @@ def _random_labelled_digraph(rng, n):
             for v in range(n)}
 
 
+def find_cycle(nodes, succ):
+    """The first directed cycle that a depth-first search from ``nodes``, in
+    order, closes over the arcs v -label-> w for (label, w) in succ(v): its
+    nodes from the first one entered, and the labels of the arcs leaving
+    each; None when nothing reached from ``nodes`` lies on a cycle.  As
+    graphs.find_cycle gave it: kept as an oracle for the cycles that a
+    component and shortest_path close."""
+    done: set = set()
+    for root in nodes:
+        if root in done:
+            continue
+        trail, labels, pos = [root], [None], {root: 0}  # labels[k] enters trail[k]
+        work = [iter(succ(root))]
+        while work:
+            for label, w in work[-1]:
+                if w in pos:
+                    return trail[pos[w]:], labels[pos[w] + 1:] + [label]
+                if w not in done:
+                    pos[w] = len(trail)
+                    trail.append(w)
+                    labels.append(label)
+                    work.append(iter(succ(w)))
+                    break
+            else:
+                work.pop()
+                labels.pop()
+                v = trail.pop()
+                del pos[v]
+                done.add(v)
+    return None
+
+
+def component_cycle(nodes, succ):
+    """The cycle through the least node reached from ``nodes`` that lies on
+    one, as dynamics._fixed_cycle closes it: that node's first arc inside its
+    component, then shortest_path back.  (nodes, labels) or None."""
+    comps = strongly_connected_components(nodes, lambda v: [w for _l, w in succ(v)])
+    comp = {v: k for k, vs in enumerate(comps) for v in vs}
+    for c in sorted(comp):
+        for label, w in succ(c):
+            if comp[w] == comp[c]:
+                labels = [label, *shortest_path(w, lambda v: v == c, succ)]
+                trail = [c]
+                for lab in labels[:-1]:
+                    trail.append(dict(succ(trail[-1]))[lab])
+                return trail, labels
+    return None
+
+
+def _check_cycle(hit, succ, seen):
+    nodes, labels = hit
+    assert len(nodes) == len(labels) == len(set(nodes)) and set(nodes) <= seen
+    for k, v in enumerate(nodes):  # each label is an arc to the next node
+        assert (labels[k], nodes[(k + 1) % len(nodes)]) in succ[v]
+
+
 def test_bfs_and_find_cycle_vs_brute_force():
     rng = random.Random(8)
     for _ in range(400):
@@ -251,14 +307,25 @@ def test_bfs_and_find_cycle_vs_brute_force():
             layer = {w for v in layer for w in plain[v]} - set(dist)
             d += 1
         assert [dist[v] for v in order] == sorted(dist[v] for v in order)
-        hit = find_cycle(starts, succ.__getitem__)
+        # the oracle and the component cycle find a cycle in the same graphs
+        hit, cycle = find_cycle(starts, succ.__getitem__), component_cycle(starts, succ.__getitem__)
         if hit is None:
-            assert not any(v in reach[v] for v in seen)
+            assert cycle is None and not any(v in reach[v] for v in seen)
             continue
-        nodes, labels = hit
-        assert len(nodes) == len(labels) == len(set(nodes)) and set(nodes) <= seen
-        for k, v in enumerate(nodes):  # each label is an arc to the next node
-            assert (labels[k], nodes[(k + 1) % len(nodes)]) in succ[v]
+        _check_cycle(hit, succ, seen)
+        _check_cycle(cycle, succ, seen)
+        # through the least node c on a cycle: c's first arc to a node that
+        # reaches c, then no walk back from there is shorter
+        nodes, labels = cycle
+        c = nodes[0]
+        assert c == min(v for v in seen if v in reach[v])
+        first = next((lab, w) for lab, w in succ[c] if c in reach[w] | {w})
+        assert (labels[0], nodes[1 % len(nodes)]) == first
+        frontier, k = {first[1]}, 1
+        while c not in frontier:
+            frontier = set().union(*(plain[v] for v in frontier))
+            k += 1
+        assert k == len(labels)
 
 
 def test_bfs_parent_chains_are_shortest_label_paths():
@@ -358,8 +425,51 @@ def test_find_cycle_long_chain():
     succ = lambda v: ((f"a{v}", (v + 1) % n),)
     nodes, labels = find_cycle([0], succ)
     assert nodes == list(range(n)) and labels == [f"a{v}" for v in range(n)]
+    assert component_cycle([0], succ) == (nodes, labels)
     tail = lambda v: ((None, v + 1),) if v + 1 < n else ()
-    assert find_cycle([0], tail) is None
+    assert find_cycle([0], tail) is None and component_cycle([0], tail) is None
+
+
+def test_shortest_path_vs_brute_force():
+    rng = random.Random(33)
+    outcomes = {"at the start": 0, "unreachable": 0, "found": 0}
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        succ = _random_labelled_digraph(rng, n)
+        start, goals = rng.randrange(n), set(rng.sample(range(n), rng.randint(0, min(n, 2))))
+        asked = []
+
+        def goal(v):
+            asked.append(v)
+            return v in goals
+        got = shortest_path(start, goal, succ.__getitem__)
+        frontier, k = {start}, 0  # brute force: grow the layers until one meets a goal
+        seen = set(frontier)
+        while frontier and not frontier & goals:
+            frontier = {x for u in frontier for _l, x in succ[u]} - seen
+            seen |= frontier
+            k += 1
+        if not frontier:
+            assert got is None
+            outcomes["unreachable"] += 1
+            continue
+        assert len(got) == k
+        outcomes["at the start" if k == 0 else "found"] += 1
+        cur = start  # the labels spell a walk from start ...
+        for label in got:
+            cur = next(x for lab, x in succ[cur] if lab == label)
+        # ... that ends at the first goal node bfs dequeues
+        assert cur in goals and cur == asked[-1]
+        assert cur == next(v for v, _ in bfs([start], succ.__getitem__) if v in goals)
+    assert min(outcomes.values()) > 40, outcomes
+
+
+def test_shortest_path_long_chain():
+    n = 100_000
+    succ = lambda v: ((f"a{v}", v + 1),) if v + 1 < n else ()
+    assert shortest_path(0, lambda v: v == n - 1, succ) == [f"a{v}" for v in range(n - 1)]
+    assert shortest_path(0, lambda v: v == n, succ) is None
+    assert shortest_path(0, lambda v: v == 0, succ) == []
 
 
 def _matrix_strongly_connected(graph):

@@ -10,10 +10,11 @@ module imports a private name of another, and only automaton.py reads or
 writes the inverse marker.  Every bound has one owner, the automaton's Bounds:
 no function takes a per-call budget or cache.  Every walk goes through
 graphs.py: outside the modules with their own algorithms, a while loop
-appears only where it is listed.  No code only tests reach: every
-function, method or class the package defines, dunders aside, is read
-somewhere in src/, bench/ or demos/ outside its own definition, and a
-re-export in ``__init__.py`` is no such read.  Every call of a decider that
+appears only where it is listed, and only the bisimulation reads a search's
+parent chain other than through graphs.shortest_path.  No code only tests
+reach: every function, method or class the package defines, dunders aside,
+is read somewhere in src/, bench/ or demos/ outside its own definition, and
+a re-export in ``__init__.py`` is no such read.  Every call of a decider that
 returns (answer, witness) unpacks or subscripts its result."""
 
 import ast
@@ -175,9 +176,9 @@ ALLOWED_WHILE = {("automaton", "Automaton._discerning_path"), ("automaton", "_Sy
                  ("schreier", "SchreierGraph.is_connected.find")}
 
 
-def while_loops(text: str) -> list:
-    """The dotted names of the definitions enclosing each while loop in the
-    source text, in source order; "" for one at module level."""
+def owners(text: str, match) -> list:
+    """The dotted names of the definitions enclosing each node of the source
+    text where match holds, in source order; "" for one at module level."""
     out = []
 
     def visit(node, names):
@@ -185,11 +186,15 @@ def while_loops(text: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, names + [child.name])
                 continue
-            if isinstance(child, ast.While):
+            if match(child):
                 out.append(".".join(names))
             visit(child, names)
     visit(ast.parse(text), [])
     return out
+
+
+def while_loops(text: str) -> list:
+    return owners(text, lambda node: isinstance(node, ast.While))
 
 
 def test_while_loops_only_where_allowed():
@@ -202,6 +207,18 @@ def test_while_loops_only_where_allowed():
     assert sorted(found - ALLOWED_WHILE) == []
     # ... and the loops it allows, so the list cannot outlive them unnoticed
     assert found == ALLOWED_WHILE
+
+
+def test_shortest_paths_are_read_through_the_helper():
+    # outside graphs.py, a parent chain is read only by the bisimulation,
+    # whose depth-first parent map no search of graphs.py builds
+    def calls(text):
+        return owners(text, lambda node: isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "bfs_labels")
+    found = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "graphs" for owner in calls(path.read_text())]
+    assert found == [("automaton", "Automaton._discerning_path")]
+    assert calls((SRC / "graphs.py").read_text()) == ["shortest_path"]
 
 
 def name_sites(text: str) -> dict:

@@ -1221,6 +1221,54 @@ def test_certificate_never_fires_on_a_nucleus():
     assert all(seen.values()), seen
 
 
+# -- the DFS cycle search, kept as an oracle for the certificate's cycle --
+
+
+def find_cycle_non_contraction(sm, limit):
+    """_non_contraction as it was: each component's cycle found by the
+    depth-first find_cycle from the state Tarjan lists first."""
+    from selfsim.graphs import strongly_connected_components
+    from selfsim.nucleus import NotContracting, _order_chain
+    from test_graphs import find_cycle
+
+    states, work = sm.states, None
+    fixed = [[(e, j) for e, (img, j) in row.items() if img == e and not states[j].is_unit]
+             for row in sm.rows]
+    starts = [i for i, arcs in enumerate(fixed) if arcs]
+    for comp in strongly_connected_components(starts, lambda i: [j for _, j in fixed[i]]):
+        inside = set(comp)
+        found = find_cycle(comp[:1], lambda i: [(e, j) for e, j in fixed[i] if j in inside])
+        if found is None:
+            continue
+        if work is None:
+            work = sm.renumbered(range(len(sm)))
+        chain = _order_chain(work, found[0][0], limit)
+        if chain:
+            return NotContracting(states[found[0][0]], tuple(found[1]), chain)
+    return None
+
+
+def test_certificate_cycles_vs_find_cycle():
+    # every Katsura system of the ladder's pool whose S closes within 1,000
+    # states: the same certificate, or None, as the depth-first cycle gave
+    import selfsim.nucleus as nucleus
+    from selfsim.automaton import reachable_closure
+
+    recorded = json.loads((ROOT / "bench" / "expected" / "katsura-ladder.json").read_text())
+    certificates = 0
+    for entry in recorded["pool"]:
+        aut = with_bounds(katsura_automaton(IntMatrix.of(entry["A"]), IntMatrix.of(entry["B"])),
+                          Bounds(max_states=1000))
+        try:
+            sm = reachable_closure(aut, aut.basic_elements())
+        except ClosureLimitError:
+            continue
+        got, want = nucleus._non_contraction(sm, 256), find_cycle_non_contraction(sm, 256)
+        assert (got and got.as_dict()) == (want and want.as_dict()), entry
+        certificates += want is not None
+    assert certificates == 43
+
+
 # -- the per-factor product fold, kept as an oracle for the order chain's powers --
 
 

@@ -7,7 +7,7 @@ from public_outputs import DEMOS, case_name, cli_cases, demo_name, recorded, run
 
 def test_the_list_holds_exactly_the_corpus():
     cases = [case_name(a) for a in cli_cases()] + [demo_name(p) for p in DEMOS]
-    assert len(set(cases)) == len(cases) == 138
+    assert len(set(cases)) == len(cases) == 150
     assert sorted(recorded()) == sorted(cases)
 
 

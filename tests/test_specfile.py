@@ -88,6 +88,41 @@ def test_options_take_only_the_two_bounds_at_least_one(line, message):
     assert str(err.value) == f"line 6, col 1: {message}" and err.value.line == 6
 
 
+HEAD = "[graph]\nvertex v\nedge 0 : v -> v\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[graph]\nvertexes v\n", 2, "unrecognized graph line 'vertexes v'"),
+    (HEAD + "[generator a : v -> v]\n0 -> 0 | a\n[generator b : v -> v]\n0 -> 0 | v\n"
+     "[generator a : v -> v]\n0 -> 0 | v\n", 8, "second section for generator 'a'"),
+    (HEAD + "[generator a : v -> v]\n0 -> 0 | a\n0 -> 0 | v\n", 6,
+     "second rule for edge '0' in generator 'a'"),
+    (HEAD + "[options]\nmax_states 10\nmax_rounds 3\nmax_states 9\n", 7,
+     "option max_states given twice"),
+])
+def test_spec_rejects_repeated_or_misspelt_declarations(text, line, message):
+    # each was once accepted: the prefix 'vertex' declared v, and the later
+    # generator section, rule or option replaced the earlier one
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(text)
+    assert str(err.value) == f"line {line}, col 1: {message}" and err.value.line == line
+
+
+@pytest.mark.parametrize("eid", ["1.2", "(1", "1)", "a@0"])
+def test_spec_rejects_edge_ids_no_path_literal_can_name(eid):
+    # such an id was once accepted, and parse_path(g, "1.2") then failed
+    # with "unknown edge '1'"
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(f"[graph]\nvertex v\nedge 0 : v -> v\nedge {eid} : v -> v\n")
+    assert str(err.value).startswith(f"line 4, col 1: edge id {eid!r} holds")
+
+
+def test_other_punctuated_edge_ids_name_themselves_in_literals():
+    g = parse_spec("[graph]\nvertex v\nedge 1^2 : v -> v\nedge a-b_c : v -> v\n").graph()
+    assert parse_path(g, "1^2.a-b_c") == Path.of(g, ["1^2", "a-b_c"])
+    assert parse_path(g, "(1^2)^inf . a-b_c") == LeftInfinitePath.make(g, ["1^2"], ["a-b_c"])
+
+
 def test_spec_of_automaton_roundtrip(ex310):
     spec = spec_of_automaton(ex310)
     text = format_spec(spec)
